@@ -34,8 +34,6 @@ from .tensors import (
     MultivectorField,
     VectorValued1Form,
     _Tensor,
-    interior_product,
-    exterior_derivative,
     lie_derivative,
     lie_derivative_multivector,
     sort_with_sign,
@@ -55,10 +53,6 @@ def _entry_add(a: TrigEntry, b: TrigEntry) -> TrigEntry:
     if da == db:
         return na + nb, da
     return na.scale_poly(db) + nb.scale_poly(da), da * db
-
-
-def _entry_mul(a: TrigEntry, b: TrigEntry) -> TrigEntry:
-    return a[0] * b[0], a[1] * b[1]
 
 
 def _entry_zero() -> TrigEntry:
@@ -416,28 +410,3 @@ def delta_g(act: CircleAction, t: AnyTensor) -> AnyTensor:
 
 def l_g(act: Action, t: AnyTensor) -> List[AnyTensor]:
     return act.l_g(t)
-
-
-def average_closed_form(
-    act: Action, beta: DifferentialForm
-) -> Tuple[DifferentialForm, DifferentialForm]:
-    """Average a closed form, returning (average, primitive-part).
-
-    The primitive part theta satisfies <beta> = beta - d(theta) exactly; it is
-    built circle by circle from the homotopy operator applied to the
-    contraction of the running average with the generator.
-    """
-    if beta.degree < 1:
-        raise ValueError("needs a form of degree >= 1")
-    if not exterior_derivative(beta).is_zero():
-        raise ValueError("form is not closed")
-    circles = act.circles if isinstance(act, TorusAction) else (act,)
-    theta = DifferentialForm.zero(beta.chart, beta.degree - 1)
-    cur = beta
-    for c in circles:
-        rho = -interior_product(c.generator(), cur)
-        theta = theta + c.delta_g(rho)
-        cur = c.average(cur)
-    if cur != beta - exterior_derivative(theta):
-        raise ArithmeticError("averaging homotopy identity failed")
-    return cur.simplified(), theta.simplified()

@@ -57,7 +57,7 @@ from .moser import (
 )
 from .reports import CheckResult, failed, passed
 from .rings import RationalFn
-from .sampling import Point, SamplingError, format_point, sample_box, sweep
+from .sampling import Point, PointwiseRun, SamplingError, format_point, sample_box, sweep
 from .tensors import (
     DifferentialForm,
     MultivectorField,
@@ -109,6 +109,15 @@ def _error_check(exc: Exception) -> CheckResult:
     return CheckResult(check=_code_for(str(exc)), status="error", witness=str(exc))
 
 
+class StructureFailure(Exception):
+    """The structure equations fail, so the model yields no bivector."""
+
+    def __init__(self, checks: Sequence[CheckResult]):
+        bad = next(c.check for c in checks if not c.passed)
+        super().__init__(f"cannot derive a bivector: structure check {bad} fails")
+        self.checks = list(checks)
+
+
 # -- shared plumbing --------------------------------------------------------
 
 
@@ -137,11 +146,8 @@ def _pi_of(spec: ModelSpec) -> MultivectorField:
             raise ValueError("'pi' must be a degree-2 multivector")
         return t
     gd, results = structure_eq_check(spec.geometric_data())
-    bad = [r for r in results if not r.passed]
-    if bad:
-        raise ValueError(
-            f"cannot derive a bivector: structure check {bad[0].check} fails"
-        )
+    if not all(r.passed for r in results):
+        raise StructureFailure(results)
     return data_to_poisson(gd).pi
 
 
@@ -461,6 +467,7 @@ def _cmd_moser_verify(spec, args):
 
     times = [Fraction(k, 4) for k in range(5)]
     hr_pts = starts[: min(10, len(starts))]
+    hr_run = PointwiseRun(total=len(times) * len(hr_pts), usable=0)
     hr_max = 0.0
     hr_bad = None
     for t in times:
@@ -469,14 +476,21 @@ def _cmd_moser_verify(spec, args):
                 r = homotopy_residual(ev, t, p)
             except (ArithmeticError, ZeroDivisionError):
                 continue
+            hr_run.usable += 1
             hr_max = max(hr_max, r)
             if r > FLOW_TOL and hr_bad is None:
                 hr_bad = {"t": str(t), "point": {k: repr(v) for k, v in sorted(p.items())},
                           "residual": r}
-    if hr_bad is None:
-        checks.append(passed("HR", max_residual=hr_max, tolerance=FLOW_TOL))
+    counts = {"pairs_used": hr_run.usable, "pairs_skipped": hr_run.total - hr_run.usable}
+    if hr_bad is not None:
+        checks.append(failed("HR", witness=hr_bad, tolerance=FLOW_TOL, **counts))
+    elif not hr_run.healthy:
+        checks.append(failed(
+            "HR", witness=f"only {hr_run.usable}/{hr_run.total} (t, point) pairs usable",
+            tolerance=FLOW_TOL, **counts,
+        ))
     else:
-        checks.append(failed("HR", witness=hr_bad, tolerance=FLOW_TOL))
+        checks.append(passed("HR", max_residual=hr_max, tolerance=FLOW_TOL, **counts))
     return checks, {}
 
 
@@ -605,6 +619,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for loc, msg in exc.diagnostics:
             print(f"error: {loc}: {msg}", file=sys.stderr)
         return 2
+    except StructureFailure as exc:
+        checks, extra = exc.checks, {}
     except (ValueError, KeyError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .config import PI
-from .rings import Poly, RationalFn
+from .rings import RationalFn
 from .sampling import Box
 from .tensors import (
     Chart,
@@ -43,6 +43,12 @@ class BoxExit(RuntimeError):
 
 
 FloatPoint = Mapping[str, float]
+# why a trajectory stopped: (stage, rank, error), where the rank orders the
+# causes met within one stage: a box exit (0), a vanishing denominator in
+# Pi# (1), dTheta# (2) or Theta (3), then the guard (4)
+Abort = Tuple[int, int, Exception]
+# rows of a batch where a field could not be evaluated: row -> (rank, error)
+Failures = Dict[int, Tuple[int, Exception]]
 
 
 def _point_vec(chart: Chart, point: FloatPoint) -> np.ndarray:
@@ -57,8 +63,8 @@ def _point_vec(chart: Chart, point: FloatPoint) -> np.ndarray:
 class _CompiledEntries:
     """Stacked monomial evaluation for a family of rational components.
 
-    All numerators and denominators share one exponent matrix so a single
-    vectorized power computation serves every entry.
+    All numerators and denominators share one list of monomials; each is
+    the product of its factors, gathered from per-variable power tables.
     """
 
     def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
@@ -66,68 +72,63 @@ class _CompiledEntries:
         self.keys: List[object] = []
         exps: List[Tuple[int, ...]] = []
         coeffs: List[float] = []
-        self.slices: List[Tuple[slice, slice]] = []
+        nums: List[List[int]] = []
+        dens: List[List[int]] = []
         for key, fn in entries:
             fn = fn.simplified()
-            start_num = len(exps)
-            num = fn.num.aligned_to(names)
-            for e, c in num.terms.items():
-                exps.append(e)
-                coeffs.append(float(c))
-            start_den = len(exps)
-            den = fn.den.aligned_to(names)
-            for e, c in den.terms.items():
-                exps.append(e)
-                coeffs.append(float(c))
+            for poly, terms in ((fn.num, nums), (fn.den, dens)):
+                terms.append([])
+                for e, c in poly.aligned_to(names).terms.items():
+                    terms[-1].append(len(exps))
+                    exps.append(e)
+                    coeffs.append(float(c))
             self.keys.append(key)
-            self.slices.append(
-                (slice(start_num, start_den), slice(start_den, len(exps)))
-            )
-        if exps:
-            self.exps = np.array(exps, dtype=np.int64)
-            self.coeffs = np.array(coeffs)
-        else:
-            self.exps = np.zeros((0, len(names)), dtype=np.int64)
-            self.coeffs = np.zeros(0)
-        # 0/1 aggregation matrices: entry sums become two matrix products
-        m, e = self.exps.shape[0], len(self.keys)
-        self._wnum = np.zeros((m, e))
-        self._wden = np.zeros((m, e))
-        for col, (sl_num, sl_den) in enumerate(self.slices):
-            self._wnum[sl_num, col] = 1.0
-            self._wden[sl_den, col] = 1.0
+        # a zero monomial pads every term list to the longest
+        exps.append((0,) * len(names))
+        coeffs.append(0.0)
+        self.coeffs = np.array(coeffs)
+        self._terms = _padded(nums + dens, len(exps) - 1)
+        exp_mat = np.array(exps, dtype=np.int64)
+        self._used = np.flatnonzero(exp_mat.any(axis=0))
+        self._powers = np.arange(int(exp_mat.max(initial=0)) + 1)
+        d = len(self._powers)
+        self._width = len(self._used) * d
+        # table column u * d + k holds used variable u to the power k, and
+        # column 0 (any variable to the power 0) pads the factor lists
+        self._factors = _padded(
+            [[u * d + e[v] for u, v in enumerate(self._used) if e[v]] for e in exps], 0
+        )
 
-    def eval(self, vec: np.ndarray) -> Dict[object, float]:
-        if self.exps.shape[0]:
-            vals = np.prod(vec[np.newaxis, :] ** self.exps, axis=1) * self.coeffs
-        else:
-            vals = np.zeros(0)
-        out: Dict[object, float] = {}
-        for key, (sl_num, sl_den) in zip(self.keys, self.slices):
-            num = float(vals[sl_num].sum())
-            den = float(vals[sl_den].sum())
-            if abs(den) < 1e-300:
-                raise ZeroDivisionError(f"denominator vanished for component {key!r}")
-            out[key] = num / den
-        return out
+    def eval_stack(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """All entries at a batch of points: (B, k) -> (B, len(keys)).
 
-    def eval_stack(self, vecs: np.ndarray) -> np.ndarray:
-        """All entries at a batch of points: (B, k) -> (B, len(keys))."""
+        Also returns the (B, len(keys)) mask of vanished denominators; such
+        an entry reads as its numerator.
+        """
         b = vecs.shape[0]
-        if self.exps.shape[0]:
-            vals = (
-                np.prod(vecs[:, np.newaxis, :] ** self.exps[np.newaxis, :, :], axis=2)
-                * self.coeffs
-            )
-        else:
-            vals = np.zeros((b, 0))
-        num = vals @ self._wnum
-        den = vals @ self._wden
+        table = (vecs[:, self._used, np.newaxis] ** self._powers).reshape(b, self._width)
+        # factors multiply in coordinate order, as a product over every
+        # coordinate would: the ones left out are exact 1.0 factors
+        vals = np.multiply.reduce(table.take(self._factors, axis=1), axis=1) * self.coeffs
+        # terms add in order, so a row's sums do not depend on the batch
+        sums = np.add.reduce(vals.take(self._terms, axis=1), axis=1)
+        e = len(self.keys)
+        num, den = sums[:, :e], sums[:, e:]
         bad = np.abs(den) < 1e-300
         if bad.any():
-            key = self.keys[int(np.argwhere(bad)[0][1])]
-            raise ZeroDivisionError(f"denominator vanished for component {key!r}")
-        return num / den
+            den = np.where(bad, 1.0, den)
+        return num / den, bad
+
+    def vanished(self, col: int) -> ZeroDivisionError:
+        return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
+
+
+def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
+    """Index lists as the columns of an array, padded to the longest."""
+    out = np.full((max(map(len, lists), default=0), len(lists)), pad, dtype=np.int64)
+    for col, items in enumerate(lists):
+        out[: len(items), col] = items
+    return out
 
 
 class NumericEvaluator:
@@ -163,19 +164,14 @@ class NumericEvaluator:
 
         sp = sharp_matrix(self.pi_exact)
         sb = flat_matrix(self.dtheta_exact)
-        self._sp_entries = _CompiledEntries(
-            self.chart, [((j, i), sp[j][i]) for j in range(n) for i in range(n)]
+        # columns: Pi# and dTheta# row-major, then Theta
+        square = [(j, i) for j in range(n) for i in range(n)]
+        self._exact = (
+            [(k, sp[k[0]][k[1]]) for k in square]
+            + [(k, sb[k[0]][k[1]]) for k in square]
+            + [(i, self.theta_exact.comps.get((i,), RationalFn.zero())) for i in range(n)]
         )
-        self._sb_entries = _CompiledEntries(
-            self.chart, [((j, i), sb[j][i]) for j in range(n) for i in range(n)]
-        )
-        self._theta_entries = _CompiledEntries(
-            self.chart,
-            [
-                (i, self.theta_exact.comps.get((i,), RationalFn.zero()))
-                for i in range(n)
-            ],
-        )
+        self._entries = _CompiledEntries(self.chart, self._exact)
         self._sp_sym = sp
         self._sb_sym = sb
         self._pi_t_cache: Dict[Fraction, MultivectorField] = {}
@@ -187,91 +183,53 @@ class NumericEvaluator:
     # -- compiled evaluation ----------------------------------------------
 
     def _verify_probes(self, probes: Sequence[Mapping[str, Fraction]]) -> None:
-        n = self._n
-        for p in probes:
-            fp = {k: float(v) for k, v in p.items()}
-            vec = _point_vec(self.chart, fp)
-            got_sp = self._sp_entries.eval(vec)
-            got_sb = self._sb_entries.eval(vec)
-            got_th = self._theta_entries.eval(vec)
-            for j in range(n):
-                for i in range(n):
-                    for got, sym in (
-                        (got_sp[(j, i)], self._sp_sym[j][i]),
-                        (got_sb[(j, i)], self._sb_sym[j][i]),
-                    ):
-                        want = sym.eval_float(fp)
-                        scale = max(1.0, abs(want))
-                        if abs(got - want) > 1e-12 * scale:
-                            raise AssertionError(
-                                f"compiled evaluator disagrees at {p!r}: "
-                                f"{got} vs {want}"
-                            )
-            for i in range(n):
-                want = self.theta_exact.comps.get(
-                    (i,), RationalFn.zero()
-                ).eval_float(fp)
-                if abs(got_th[i] - want) > 1e-12 * max(1.0, abs(want)):
-                    raise AssertionError("compiled 1-form evaluator disagrees")
+        fps = [{k: float(v) for k, v in p.items()} for p in probes]
+        vals, bad = self._entries.eval_stack(np.stack([_point_vec(self.chart, fp) for fp in fps]))
+        for p, fp, row, row_bad in zip(probes, fps, vals, bad):
+            if row_bad.any():
+                raise self._entries.vanished(int(row_bad.argmax()))
+            for got, (_key, sym) in zip(row, self._exact):
+                want = sym.eval_float(fp)
+                if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                    raise AssertionError(
+                        f"compiled evaluator disagrees at {p!r}: {got} vs {want}"
+                    )
+
+    def _matrices(
+        self, vecs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Failures]:
+        """Pi#, dTheta# and Theta at a batch of padded points (B, n+1).
+
+        Rows where a denominator vanished are returned as failures.
+        """
+        b, n = vecs.shape[0], self._n
+        nn = n * n
+        vals, bad = self._entries.eval_stack(vecs)
+        fails: Failures = {}
+        for row in np.flatnonzero(bad.any(axis=1)):
+            # the first bad column lies in the first family that fails
+            col = int(bad[row].argmax())
+            fails[int(row)] = (1 + col // nn, self._entries.vanished(col))
+        sp = vals[:, :nn].reshape(b, n, n)
+        sb = vals[:, nn : 2 * nn].reshape(b, n, n)
+        return sp, sb, vals[:, 2 * nn :], fails
 
     def pi_matrix(self, point: FloatPoint) -> np.ndarray:
-        vec = _point_vec(self.chart, point)
-        return self._mat(self._sp_entries, vec)
-
-    def b_matrix(self, point: FloatPoint) -> np.ndarray:
-        vec = _point_vec(self.chart, point)
-        return self._mat(self._sb_entries, vec)
-
-    def theta_vector(self, point: FloatPoint) -> np.ndarray:
-        vec = _point_vec(self.chart, point)
-        vals = self._theta_entries.eval(vec)
-        return np.array([vals[i] for i in range(self._n)])
-
-    def _mat(self, entries: _CompiledEntries, vec: np.ndarray) -> np.ndarray:
-        vals = entries.eval(vec)
-        n = self._n
-        out = np.empty((n, n))
-        for j in range(n):
-            for i in range(n):
-                out[j, i] = vals[(j, i)]
-        return out
-
-    def _mats_at_vec(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sp = self._mat(self._sp_entries, vec)
-        sb = self._mat(self._sb_entries, vec)
-        th_vals = self._theta_entries.eval(vec)
-        th = np.array([th_vals[i] for i in range(self._n)])
-        return sp, sb, th
-
-    def _mats_at_mat(
-        self, vecs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # entry registration order is row-major, so a reshape rebuilds [j][i]
-        b, n = vecs.shape[0], self._n
-        sp = self._sp_entries.eval_stack(vecs).reshape(b, n, n)
-        sb = self._sb_entries.eval_stack(vecs).reshape(b, n, n)
-        th = self._theta_entries.eval_stack(vecs)
-        return sp, sb, th
-
-    def in_box_mat(self, vecs: np.ndarray) -> bool:
-        cols = vecs[:, : self._n]
-        return bool(np.all(cols >= self._box_lo) and np.all(cols <= self._box_hi))
+        nn = self._n * self._n
+        vals, bad = self._entries.eval_stack(_point_vec(self.chart, point)[np.newaxis])
+        if bad[0, :nn].any():
+            raise self._entries.vanished(int(bad[0].argmax()))
+        return vals[0, :nn].reshape(self._n, self._n)
 
     def interp_matrix(self, t: float, point: FloatPoint) -> np.ndarray:
         """The float matrix of Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1}."""
-        vec = _point_vec(self.chart, point)
-        sp, sb, _ = self._mats_at_vec(vec)
-        m = np.eye(self._n) + t * (sb @ sp)
+        sp, sb, _th, fails = self._matrices(_point_vec(self.chart, point)[np.newaxis])
+        if fails:
+            raise fails[0][1]
+        m = np.eye(self._n) + t * (sb[0] @ sp[0])
         if abs(np.linalg.det(m)) < self.guard:
             raise GuardError(f"interpolation matrix near singular at t={t}")
-        return sp @ np.linalg.inv(m)
-
-    def in_box(self, vec: np.ndarray) -> bool:
-        for k, name in enumerate(self.chart.coords):
-            lo, hi = self.box[name]
-            if not float(lo) <= vec[k] <= float(hi):
-                return False
-        return True
+        return sp[0] @ np.linalg.inv(m)
 
     # -- exact companions --------------------------------------------------
 
@@ -326,26 +284,30 @@ class NumericEvaluator:
 
 def z_field(ev: NumericEvaluator, t: float, point: FloatPoint) -> np.ndarray:
     """Z_t at a point: -Pi#(Id + t dTheta# Pi#)^{-1} Theta, in floats."""
-    vec = _point_vec(ev.chart, point)
-    return _z_at_vec(ev, t, vec)
+    z, fails = _z_rows(ev, t, _point_vec(ev.chart, point)[np.newaxis])
+    if fails:
+        raise fails[0][1]
+    return z[0]
 
 
-def _z_at_vec(ev: NumericEvaluator, t: float, vec: np.ndarray) -> np.ndarray:
-    sp, sb, th = ev._mats_at_vec(vec)
-    m = np.eye(ev.chart.dim) + t * (sb @ sp)
-    if abs(np.linalg.det(m)) < ev.guard:
-        raise GuardError(f"interpolation matrix near singular at t={t}")
-    return -(sp @ np.linalg.solve(m, th))
+def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarray, Failures]:
+    """Z_t at a batch of padded points: (B, n+1) -> (B, n).
 
-
-def _z_at_mat(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> np.ndarray:
-    """Z_t at a batch of padded points: (B, n+1) -> (B, n)."""
-    sp, sb, th = ev._mats_at_mat(vecs)
+    Rows where Z_t cannot be evaluated read zero and are returned as
+    failures: a vanishing denominator, or else the guard.
+    """
+    sp, sb, th, fails = ev._matrices(vecs)
     m = ev._eye[np.newaxis, :, :] + t * (sb @ sp)
-    if np.any(np.abs(np.linalg.det(m)) < ev.guard):
-        raise GuardError(f"interpolation matrix near singular at t={t}")
-    sol = np.linalg.solve(m, th[:, :, np.newaxis])
-    return -(sp @ sol)[:, :, 0]
+    for row in np.flatnonzero(np.abs(np.linalg.det(m)) < ev.guard):
+        fails.setdefault(
+            int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))
+        )
+    ok = np.ones(len(vecs), dtype=bool)
+    ok[list(fails)] = False
+    z = np.zeros((len(vecs), ev.chart.dim))
+    sol = np.linalg.solve(m[ok], th[ok, :, np.newaxis])
+    z[ok] = -(sp[ok] @ sol)[:, :, 0]
+    return z, fails
 
 
 def homotopy_residual(
@@ -397,44 +359,75 @@ class FlowConfig:
             raise ValueError("flow verification needs at least 100 steps")
 
 
-def flow_batch(ev: NumericEvaluator, starts: np.ndarray, steps: int) -> np.ndarray:
+def flow_batch(
+    ev: NumericEvaluator, starts: np.ndarray, steps: int, aborts: Dict[int, Abort]
+) -> np.ndarray:
     """Integrate dx/dt = Z_t(x) from t = 1 back to t = 0 for a batch.
 
     ``starts`` is (B, n); all trajectories share the time grid, so each
     stage is one vectorized field evaluation.  Classical fixed-step
-    4th-order scheme; raises BoxExit if any trajectory leaves the box.
+    4th-order scheme.  A row that leaves the box, or where Z_t cannot be
+    evaluated, stays frozen from then on; ``aborts`` receives it as
+    row -> (stage, rank, error).
     """
     n = ev.chart.dim
-    x = np.asarray(starts, dtype=float).copy()
+    x = np.array(starts, dtype=float)
     b = x.shape[0]
     h = -1.0 / steps
     t = 1.0
+    live = np.ones(b, dtype=bool)
     mid = np.empty((b, n + 1))
     mid[:, n] = math.pi
+    stage = 0
+
+    def in_box(xx: np.ndarray) -> np.ndarray:
+        # pads xx into mid, stops the live rows outside the box, returns the rest
+        mid[:, :n] = xx
+        rows = np.flatnonzero(live)
+        inside = np.all((xx[rows] >= ev._box_lo) & (xx[rows] <= ev._box_hi), axis=1)
+        for row in rows[~inside]:
+            live[row] = False
+            aborts[int(row)] = (stage, 0, BoxExit("trajectory left the box"))
+        return rows[inside]
 
     def z(tt: float, xx: np.ndarray) -> np.ndarray:
-        mid[:, :n] = xx
-        if not ev.in_box_mat(mid):
-            raise BoxExit("trajectory left the box")
-        return _z_at_mat(ev, tt, mid)
+        nonlocal stage
+        rows = in_box(xx)
+        out = np.zeros((b, n))
+        out[rows], fails = _z_rows(ev, tt, mid[rows])
+        for row, (rank, exc) in fails.items():
+            live[rows[row]] = False
+            aborts[int(rows[row])] = (stage, rank, exc)
+        stage += 1
+        return out
 
     for _ in range(steps):
+        if not live.any():
+            break
         k1 = z(t, x)
         k2 = z(t + h / 2.0, x + (h / 2.0) * k1)
         k3 = z(t + h / 2.0, x + (h / 2.0) * k2)
         k4 = z(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = np.where(
+            live[:, np.newaxis], x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x
+        )
         t += h
-    mid[:, :n] = x
-    if not ev.in_box_mat(mid):
-        raise BoxExit("trajectory left the box")
+    stage = 4 * steps
+    in_box(x)
     return x
 
 
 def flow_point(ev: NumericEvaluator, point: FloatPoint, steps: int) -> np.ndarray:
-    """Integrate one point from t = 1 back to t = 0."""
+    """Integrate one point from t = 1 back to t = 0.
+
+    Raises BoxExit, ZeroDivisionError or GuardError if it stops.
+    """
     vec = _point_vec(ev.chart, point)
-    return flow_batch(ev, vec[np.newaxis, : ev.chart.dim], steps)[0]
+    aborts: Dict[int, Abort] = {}
+    end = flow_batch(ev, vec[np.newaxis, : ev.chart.dim], steps, aborts)
+    if aborts:
+        raise aborts[0][2]
+    return end[0]
 
 
 @dataclass
@@ -464,28 +457,42 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     For each point p the map phi (reverse-time flow) and its
     finite-difference Jacobian J are computed; the componentwise deviation
     | J Pi_1(p) J^T - Pi(phi(p)) | must stay within cfg.tolerance.  Leaf
-    points must be fixed by phi to the same tolerance.  More than 10%
-    aborted trajectories fail the run.
+    points must be fixed by phi to the same tolerance.  Every trajectory
+    runs in one batch: each point with its 2n central-difference offsets,
+    then the leaf points.  A point aborts if any of its 2n + 1 rows does;
+    leaf points count one by one.  More than 10% aborted fails the run.
     """
     n = ev.chart.dim
+    h = cfg.jacobian_step
+    width = 1 + 2 * n
+    rows: List[np.ndarray] = []
+    for p in cfg.points:
+        center = _point_vec(ev.chart, p)[:n]
+        group = np.repeat(center[np.newaxis, :], width, axis=0)
+        for k in range(n):
+            group[1 + 2 * k, k] += h
+            group[2 + 2 * k, k] -= h
+        rows.extend(group)
+    rows.extend(_point_vec(ev.chart, p)[:n] for p in cfg.leaf_points)
+    starts = np.array(rows).reshape(-1, n)
+    aborts: Dict[int, Abort] = {}
+    ends = flow_batch(ev, starts, cfg.steps, aborts)
+
     outcomes: List[PointOutcome] = []
     devs: List[float] = []
     notes: List[str] = []
     aborted = 0
-    for p in cfg.points:
+    for idx, p in enumerate(cfg.points):
+        first = idx * width
         try:
-            # one batch: the point plus its 2n central-difference offsets
-            h = cfg.jacobian_step
-            center = _point_vec(ev.chart, p)[:n]
-            starts = np.repeat(center[np.newaxis, :], 1 + 2 * n, axis=0)
-            for k in range(n):
-                starts[1 + 2 * k, k] += h
-                starts[2 + 2 * k, k] -= h
-            ends = flow_batch(ev, starts, cfg.steps)
-            image = ends[0]
+            # the earliest stage stops the point, then the lowest rank
+            hit = [aborts[r][:2] + (r,) for r in range(first, first + width) if r in aborts]
+            if hit:
+                raise aborts[min(hit)[2]][2]
+            image = ends[first]
             jac = np.empty((n, n))
             for k in range(n):
-                jac[:, k] = (ends[1 + 2 * k] - ends[2 + 2 * k]) / (2.0 * h)
+                jac[:, k] = (ends[first + 1 + 2 * k] - ends[first + 2 + 2 * k]) / (2.0 * h)
             pi1 = ev.interp_matrix(1.0, p)
             image_pt = {name: image[k] for k, name in enumerate(ev.chart.coords)}
             pi_img = ev.pi_matrix(image_pt)
@@ -499,20 +506,12 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     leaf_max: Optional[float] = None
     if cfg.leaf_points:
         leaf_max = 0.0
-        starts = np.stack([_point_vec(ev.chart, p)[:n] for p in cfg.leaf_points])
-        try:
-            ends = np.asarray(flow_batch(ev, starts, cfg.steps))
-            leaf_max = float(np.max(np.abs(ends - starts)))
-        except (BoxExit, GuardError, ZeroDivisionError):
-            # one bad trajectory poisons the batch; redo them one by one
-            for p in cfg.leaf_points:
-                try:
-                    image = flow_point(ev, p, cfg.steps)
-                    vec = _point_vec(ev.chart, p)[:n]
-                    leaf_max = max(leaf_max, float(np.max(np.abs(image - vec))))
-                except (BoxExit, GuardError, ZeroDivisionError) as exc:
-                    aborted += 1
-                    notes.append(f"aborted leaf point {p!r}: {exc}")
+        for row, p in enumerate(cfg.leaf_points, len(cfg.points) * width):
+            if row in aborts:
+                aborted += 1
+                notes.append(f"aborted leaf point {p!r}: {aborts[row][2]}")
+            else:
+                leaf_max = max(leaf_max, float(np.max(np.abs(ends[row] - starts[row]))))
     total = len(cfg.points) + len(cfg.leaf_points)
     ok = True
     if total and aborted > total / 10.0:

@@ -9,6 +9,7 @@ import pytest
 from diracavg import cli
 from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
+from diracavg.moser import GuardError
 from diracavg.rings import RationalFn
 
 
@@ -142,6 +143,45 @@ def test_moser_verify_small_run(capsys):
     for want in ("HR", "PD", "ZS"):
         assert want in names
     assert payload["status"] == "pass"
+
+
+def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
+    real = cli.homotopy_residual
+
+    def guarded(ev, t, point):
+        # every time after t = 0 trips the guard: 3 of 15 pairs stay usable
+        if t:
+            raise GuardError(f"interpolation matrix near singular at t={t}")
+        return real(ev, t, point)
+
+    argv = ("moser-verify", "--spec", "transversal_leaf", "--samples", "3",
+            "--steps", "150", "--format", "json-like")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
+    assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (15, 0)
+    monkeypatch.setattr(cli, "homotopy_residual", guarded)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
+    assert hr["status"] == "fail"
+    assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (3, 12)
+    assert hr["witness"] == "only 3/15 (t, point) pairs usable"
+
+
+@pytest.mark.parametrize("command", ["check-jacobi", "gauge", "full-pipeline"])
+def test_failed_structure_check_is_reported_not_a_usage_error(capsys, tmp_path, command):
+    report = tmp_path / "report.json"
+    code, out, err = _run(
+        capsys, command, "--spec", "nonclosed_sigma", "--report", str(report)
+    )
+    assert code == 1
+    assert err == ""
+    payload = json.loads(report.read_text())
+    status = {c["check"]: c["status"] for c in payload["checks"]}
+    assert status == {"SE1": "pass", "SE2": "fail", "SE3": "pass"}
+    se2 = [c for c in payload["checks"] if c["check"] == "SE2"][0]
+    assert se2["witness"]["triple"] == [0, 1, 2]
 
 
 def test_full_pipeline_and_report_determinism(capsys, tmp_path):
