@@ -178,7 +178,7 @@ def gauge_poisson(
         det_m = linalg.det(m)
 
         def probe(p: Point) -> bool:
-            return not det_m.eval_frac(p).is_zero()
+            return det_m.value_at(p) != 0
 
         run, first_fail = sweep(points, probe)
         if first_fail is not None:
@@ -509,12 +509,7 @@ def invariant_sections(
         frame = data_to_dirac(gd)
 
         def probe(p: Point) -> bool:
-            rows = frame.matrix_at(p)
-            cols = [[rows[k][m] for k in range(len(rows))] for m in range(2 * chart.dim)]
-            for s in (s1, s2):
-                if linalg.solve(cols, s.components_at(p)) is None:
-                    return False
-            return True
+            return frame.reduce_at(p, (s1, s2))[1] is None
 
         run, first_fail = sweep(points, probe)
         if first_fail is not None:

@@ -228,26 +228,40 @@ def _jacobi_checks(pi: MultivectorField, points: List[Point]) -> List[CheckResul
             failed("JAC", witness={"component": list(idx), "value": repr(val)})
         )
     chart = pi.chart
-
-    def pb(f: RationalFn, g: RationalFn) -> RationalFn:
-        return apply_vector(sharp_bivector(pi, d_scalar(f, chart)), g)
-
     coords = [RationalFn.var(c) for c in chart.coords]
+    # Hamiltonian fields of the coordinates and their brackets {x_a, x_b}
+    ham = [sharp_bivector(pi, d_scalar(x, chart)) for x in coords]
+    pb = {
+        (a, b): apply_vector(ham[a], coords[b])
+        for a in range(chart.dim)
+        for b in range(chart.dim)
+        if a != b
+    }
+
     worst = 0.0
     bad: Optional[Dict[str, object]] = None
+    # (triple, point) evaluations; a triple whose difference is exactly
+    # zero needs no sampling and is not counted
+    run = PointwiseRun(total=0, usable=0)
     for (i, j, k) in itertools.combinations(range(chart.dim), 3):
-        f, g, h = coords[i], coords[j], coords[k]
-        cyc = (pb(f, pb(g, h)) + pb(g, pb(h, f)) + pb(h, pb(f, g))).simplified()
+        cyc = (
+            apply_vector(ham[i], pb[j, k])
+            + apply_vector(ham[j], pb[k, i])
+            + apply_vector(ham[k], pb[i, j])
+        ).simplified()
         # the exact trivector pairs with coordinate differentials at twice
         # the cyclic sum; the sampled comparison keeps both routes honest
         delta = (cyc + cyc - jac.component((i, j, k))).simplified()
         if delta.is_zero():
             continue
+        run.total += len(points)
         for p in points:
             try:
-                v = abs(delta.eval_frac(p).eval_float({}))
+                val = delta.value_at(p)
             except ZeroDivisionError:
                 continue
+            run.usable += 1
+            v = abs(float(val) if isinstance(val, Fraction) else val.eval_float({}))
             worst = max(worst, v)
             if v > JACOBI_TOL and bad is None:
                 bad = {
@@ -255,10 +269,18 @@ def _jacobi_checks(pi: MultivectorField, points: List[Point]) -> List[CheckResul
                     "point": format_point(p),
                     "difference": v,
                 }
+    counts = {"points_used": run.usable, "points_skipped": run.total - run.usable}
     if bad is not None:
-        checks.append(failed("JAC-route", witness=bad, tolerance=JACOBI_TOL))
+        checks.append(failed("JAC-route", witness=bad, tolerance=JACOBI_TOL, **counts))
+    elif run.total and not run.healthy:
+        checks.append(failed(
+            "JAC-route", witness=f"only {run.usable}/{run.total} (triple, point) evaluations usable",
+            tolerance=JACOBI_TOL, **counts,
+        ))
     else:
-        checks.append(passed("JAC-route", max_difference=worst, tolerance=JACOBI_TOL))
+        checks.append(passed(
+            "JAC-route", max_difference=worst, tolerance=JACOBI_TOL, **counts
+        ))
     return checks
 
 

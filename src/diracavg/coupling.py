@@ -331,7 +331,8 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
                 pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(w[i][j])
     pi20 = pi20.simplified()
     cp = CouplingPoisson(conn, pi20, gd.p)
-    jac = schouten_bracket(cp.pi, cp.pi)
+    pi = cp.pi
+    jac = schouten_bracket(pi, pi)
     if not jac.is_zero():
         raise ArithmeticError(
             f"constructed bivector violates the Jacobi identity: {jac.comps!r}"
@@ -381,8 +382,7 @@ def poisson_to_data(
 
     if points is not None:
         def probe(p: Point) -> bool:
-            av = [[x.eval_frac(p) for x in row] for row in a]
-            return linalg.rank(av) == b
+            return linalg.rank(linalg.eval_at(a, p)) == b
 
         run, first_fail = sweep(points, probe)
         if first_fail is not None:

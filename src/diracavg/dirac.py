@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import Mat
+from .linalg import Value
 from .reports import CheckResult, failed, passed
 from .rings import Poly, RationalFn
 from .sampling import Point, format_point, sweep
@@ -52,15 +52,16 @@ class DiracSection:
     def chart(self) -> Chart:
         return self.vector.chart
 
-    def components_at(self, point: Point) -> List[RationalFn]:
-        """The 2n component values at a rational point (exact, pi-formal)."""
+    def components_at(self, point: Point) -> List[Value]:
+        """The 2n exact component values at a rational point.
+
+        Values are Fractions, or RationalFn where ``@pi`` survives; a
+        vanishing denominator raises ZeroDivisionError.
+        """
         n = self.chart.dim
-        out: List[RationalFn] = []
-        for i in range(n):
-            out.append(self.vector.comps.get((i,), RationalFn.zero()).eval_frac(point))
-        for i in range(n):
-            out.append(self.covector.comps.get((i,), RationalFn.zero()).eval_frac(point))
-        return out
+        comps = [self.vector.comps.get((i,)) for i in range(n)]
+        comps += [self.covector.comps.get((i,)) for i in range(n)]
+        return [Fraction(0) if c is None else c.value_at(point) for c in comps]
 
 
 def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
@@ -97,12 +98,41 @@ class DiracFrame:
 
     # -- pointwise data ----------------------------------------------------
 
-    def matrix_at(self, point: Point) -> Mat:
+    def matrix_at(self, point: Point) -> List[List[Value]]:
         """Rows are the 2n-component section values at the point."""
         return [s.components_at(point) for s in self.sections]
 
     def rank_ok_at(self, point: Point) -> bool:
         return linalg.rank(self.matrix_at(point)) == self.chart.dim
+
+    def reduce_at(
+        self, point: Point, targets: Sequence[DiracSection]
+    ) -> Tuple[int, Optional[int]]:
+        """Frame rank at the point and the first target outside its span.
+
+        One elimination of [frame columns | target columns] decides both:
+        the pivots in the first n columns give the rank, and the first
+        target column holding a pivot is the first target outside the span
+        (None when every target lies inside).  Targets are evaluated in
+        order; one whose denominator vanishes re-raises ZeroDivisionError
+        unless an earlier target already lies outside the span.
+        """
+        rows = self.matrix_at(point)
+        vals: List[List[Value]] = []
+        late: Optional[ZeroDivisionError] = None
+        for t in targets:
+            try:
+                vals.append(t.components_at(point))
+            except ZeroDivisionError as exc:
+                late = exc
+                break
+        n = len(rows)
+        m = [[r[c] for r in rows] + [v[c] for v in vals] for c in range(2 * self.chart.dim)]
+        cols = [c for _, c in linalg.rref(m)]
+        outside = next((c - n for c in cols if c >= n), None)
+        if outside is None and late is not None:
+            raise late
+        return sum(c < n for c in cols), outside
 
     def validate_rank(self, points: List[Point]) -> CheckResult:
         run, first_fail = sweep(points, self.rank_ok_at)
@@ -157,42 +187,42 @@ def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
 
 
 def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
-    """True when the two frames span the same subspace at the point."""
+    """True when the two frames span the same subspace at the point.
+
+    Each frame is reduced once; the joint rank is that of the two reduced
+    row blocks stacked.
+    """
     m1 = f1.matrix_at(point)
     m2 = f2.matrix_at(point)
-    r1 = linalg.rank(m1)
-    r2 = linalg.rank(m2)
+    r1 = len(linalg.rref(m1))
+    r2 = len(linalg.rref(m2))
     if r1 != r2:
         return False
-    return linalg.rank(m1 + m2) == r1
+    return linalg.rank(m1[:r1] + m2[:r2]) == r1
 
 
 def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
     """Closure of the frame under the Courant bracket, decided pointwise.
 
     The bracket of every section pair is computed symbolically once; at each
-    usable sample point it must be a linear combination of the frame.
+    usable sample point it must be a linear combination of the frame.  One
+    elimination per point decides the frame rank and every pair; the first
+    pair outside the span is the witness.
     """
     n = len(frame.sections)
-    brackets: Dict[Tuple[int, int], DiracSection] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            brackets[(i, j)] = courant_bracket(frame.sections[i], frame.sections[j])
+    pairs = list(itertools.combinations(range(n), 2))
+    brackets = [courant_bracket(frame.sections[i], frame.sections[j]) for i, j in pairs]
 
     witness: Dict[str, object] = {}
 
     def probe(p: Point) -> bool:
-        rows = frame.matrix_at(p)
-        if linalg.rank(rows) != frame.chart.dim:
+        rank, outside = frame.reduce_at(p, brackets)
+        if rank != frame.chart.dim:
             raise ArithmeticError("rank-deficient frame at sample point")
-        cols = [[rows[k][m] for k in range(n)] for m in range(2 * frame.chart.dim)]
-        for (i, j), br in brackets.items():
-            target = br.components_at(p)
-            sol = linalg.solve(cols, target)
-            if sol is None:
-                if not witness:
-                    witness["pair"] = [i, j]
-                return False
+        if outside is not None:
+            if not witness:
+                witness["pair"] = list(pairs[outside])
+            return False
         return True
 
     run, first_fail = sweep(points, probe)
@@ -239,17 +269,14 @@ def coupling_test(
             None,
         )
 
+    h_rows = [
+        [h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
+        for h in h_fields
+    ]
+    v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in ctx.fiber]
+
     def probe(p: Point) -> bool:
-        m: Mat = []
-        for h in h_fields:
-            m.append(
-                [h.comps.get((i,), RationalFn.zero()).eval_frac(p) for i in range(frame.chart.dim)]
-            )
-        for j in ctx.fiber:
-            m.append(
-                [RationalFn.const(1 if i == j else 0) for i in range(frame.chart.dim)]
-            )
-        return linalg.rank(m) == frame.chart.dim
+        return linalg.rank(linalg.eval_at(h_rows, p) + v_rows) == frame.chart.dim
 
     run, first_fail = sweep(points, probe)
     if first_fail is not None:
@@ -275,7 +302,7 @@ def presymplectic_on_characteristic(
     basis must consist of vectors inside p_T(D) at the point.
     """
     n = frame.chart.dim
-    rows = frame.matrix_at(point)
+    rows = [[RationalFn.of(x) for x in r] for r in frame.matrix_at(point)]
     vec_rows = [r[:n] for r in rows]
     cov_rows = [r[n:] for r in rows]
 

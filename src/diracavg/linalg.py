@@ -1,18 +1,59 @@
-"""Exact dense linear algebra over the rational-function field.
+"""Exact dense linear algebra over Q and over the rational-function field.
 
-Matrices are plain nested lists of ``RationalFn``.  Sizes here are tiny
-(chart dimension at most 8), so Gaussian elimination with exact pivots and
-Cramer-style inverses via fraction-free Bareiss determinants are plenty.
+Matrices are nested lists: ``RationalFn`` entries for symbolic matrices, and
+``Fraction`` entries for a pointwise check's matrix evaluated at a sample
+point (``eval_at``), with ``RationalFn`` kept where ``@pi`` survives.
+Every elimination is one Gauss-Jordan kernel, ``rref``, whose pivots give
+the answers of ``rank``, ``solve``, ``kernel_basis`` and the
+non-polynomial branch of ``inverse``.  Over the function field each row
+operation ends in ``simplified()``; over Q the same steps run on plain
+``Fraction``s.  Determinants and polynomial inverses use fraction-free
+Bareiss elimination and cofactors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import not_
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rings import Poly, RationalFn, poly_divmod_exact
 
 Mat = List[List[RationalFn]]
+# a matrix evaluated at a point: Fractions, RationalFn where @pi survives
+Value = Union[Fraction, RationalFn]
+
+
+class _Field(NamedTuple):
+    """The arithmetic ``rref`` runs on: Q or the rational-function field."""
+
+    zero: Value
+    one: Value
+    is_zero: Callable[[Value], bool]
+    inverse: Callable[[Value], Value]
+    # row * c
+    scale: Callable[[list, Value], list]
+    # row - f * pivot_row
+    eliminate: Callable[[list, Value, list], list]
+
+
+# exact values are canonical over Q, so zero entries skip their multiply;
+# over the function field every entry takes every step, each row operation
+# ending in simplified(), so symbolic outputs keep their representation
+_Q = _Field(
+    Fraction(0), Fraction(1), not_, Fraction(1).__truediv__,
+    lambda row, c: [x * c if x else x for x in row],
+    lambda row, f, prow: [x - f * y if y else x for x, y in zip(row, prow)],
+)
+_FN = _Field(
+    RationalFn.zero(), RationalFn.const(1), RationalFn.is_zero, RationalFn.inverse,
+    lambda row, c: [x * c for x in row],
+    lambda row, f, prow: [(x - f * y).simplified() for x, y in zip(row, prow)],
+)
+
+
+def _field_of(m: Sequence[Sequence[Value]]) -> _Field:
+    return _FN if any(RationalFn in map(type, row) for row in m) else _Q
 
 
 def mat_of(rows: Sequence[Sequence[object]]) -> Mat:
@@ -134,139 +175,96 @@ def inverse(a: Mat) -> Mat:
         raise ArithmeticError("matrix is singular over the function field")
     if _all_poly(a) and n >= 1:
         rows = [[x.as_poly() for x in row] for row in a]
-        dp = d
         out: Mat = [[RationalFn.zero()] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 cof = bareiss_det(_minor(rows, j, i))
                 if (i + j) % 2:
                     cof = -cof
-                out[i][j] = (RationalFn.from_poly(cof) / dp).simplified()
+                out[i][j] = (RationalFn.from_poly(cof) / d).simplified()
         return out
-    # General case: Gauss-Jordan with exact pivots.
-    aug = [[x for x in row] + [RationalFn.const(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ArithmeticError("matrix is singular over the function field")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero():
-                continue
-            f = aug[r][col]
-            aug[r] = [(x - f * y).simplified() for x, y in zip(aug[r], aug[col])]
+    aug = [list(row) + e for row, e in zip(a, identity(n))]
+    if [c for _, c in rref(aug)] != list(range(n)):
+        raise ArithmeticError("matrix is singular over the function field")
     return [row[n:] for row in aug]
 
 
-def rank(a: Mat) -> int:
-    """Row rank by exact elimination (matrix is copied, not mutated)."""
-    if not a:
-        return 0
-    m = [[x for x in row] for row in a]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not m[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = m[r][col].inverse()
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [(x - f * y).simplified() for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def rref(m: List[list]) -> List[Tuple[int, int]]:
+    """Reduce m in place to reduced row echelon form; returns its pivots.
 
-
-def solve(a: Mat, b: Sequence[RationalFn]) -> Optional[List[RationalFn]]:
-    """One solution of A x = b, or None if inconsistent.
-
-    A may be rectangular (rows x cols); free variables are set to zero.
+    Pivots are (row, column) pairs in column order.  The first nonzero
+    entry at or below the current row is the pivot; its row is swapped up
+    and scaled to a leading 1, and the column is cleared in every other
+    row.  A matrix with any RationalFn entry is lifted to the function
+    field first, and each row operation there ends in ``simplified()``.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [[x for x in row] + [b[i]] for i, row in enumerate(a)]
+    field = _field_of(m)
+    if field is _FN:
+        m[:] = [[RationalFn.of(x) for x in row] for row in m]
+    is_zero = field.is_zero
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
     pivots: List[Tuple[int, int]] = []
     r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not aug[i][col].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if not is_zero(m[i][col])), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = aug[r][col].inverse()
-        aug[r] = [x * inv_p for x in aug[r]]
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = field.scale(m[r], field.inverse(m[r][col]))
         for i in range(nrows):
-            if i != r and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [(x - f * y).simplified() for x, y in zip(aug[i], aug[r])]
+            if i != r and not is_zero(m[i][col]):
+                m[i] = field.eliminate(m[i], m[i][col], m[r])
         pivots.append((r, col))
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if not aug[i][ncols].is_zero():
-            return None
-    x = [RationalFn.zero()] * ncols
+    return pivots
+
+
+def rank(a: Sequence[Sequence[Value]]) -> int:
+    """Row rank by exact elimination (matrix is copied, not mutated)."""
+    return len(rref([list(row) for row in a]))
+
+
+def solve(a: Sequence[Sequence[Value]], b: Sequence[Value]) -> Optional[List[Value]]:
+    """One solution of A x = b, or None if inconsistent.
+
+    A may be rectangular (rows x cols); free variables are set to zero.
+    """
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    pivots = rref(aug)
+    if pivots and pivots[-1][1] == ncols:
+        return None
+    x = [_field_of(aug).zero] * ncols
     for row_i, col_i in pivots:
         x[col_i] = aug[row_i][ncols]
     return x
 
 
-def kernel_basis(a: Mat) -> List[List[RationalFn]]:
-    """Basis of the right kernel of A over the function field."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [[x for x in row] for row in a]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not m[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = m[r][col].inverse()
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [(x - f * y).simplified() for x, y in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
+    """Basis of the right kernel of A over Q or the function field."""
+    ncols = len(a[0]) if a else 0
+    m = [list(row) for row in a]
+    pivots = rref(m)
+    field = _field_of(m)
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
-        vec = [RationalFn.zero()] * ncols
-        vec[fc] = RationalFn.const(1)
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
         for row_i, col_i in pivots:
             vec[col_i] = -m[row_i][fc]
         basis.append(vec)
     return basis
+
+
+def eval_at(a: Sequence[Sequence[RationalFn]], point: Mapping[str, Fraction]) -> List[List[Value]]:
+    """A symbolic matrix evaluated at a rational point (see ``RationalFn.value_at``)."""
+    return [[x.value_at(point) for x in row] for row in a]
 
 
 def frac_mat(rows: Sequence[Sequence[Fraction]]) -> Mat:

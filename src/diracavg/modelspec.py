@@ -175,6 +175,41 @@ def _tensor_literal(t: _Tensor) -> Dict[str, object]:
 # -- parsing ----------------------------------------------------------------
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_circle(
+    c: object, col: _Collector, loc: str
+) -> Optional[List[Tuple[int, int, int]]]:
+    """The (i, j, weight) planes of one circle, or None after a diagnostic."""
+    if isinstance(c, dict) and "plane" in c:
+        pairs = [(f"{loc}.plane", c["plane"], f"{loc}.weight", c.get("weight", 1))]
+    elif isinstance(c, dict) and isinstance(c.get("planes"), list) and isinstance(
+        c.get("weights"), list
+    ):
+        if len(c["planes"]) != len(c["weights"]):
+            col.add(loc, f"{len(c['planes'])} planes but {len(c['weights'])} weights")
+            return None
+        pairs = [
+            (f"{loc}.planes[{k}]", p, f"{loc}.weights[{k}]", w)
+            for k, (p, w) in enumerate(zip(c["planes"], c["weights"]))
+        ]
+    else:
+        col.add(loc, "need 'plane' (and 'weight') or 'planes' and 'weights' lists")
+        return None
+    planes = []
+    for ploc, p, wloc, w in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and all(_is_int(i) for i in p)):
+            col.add(ploc, "a plane is a pair of integer coordinate indices")
+        elif not _is_int(w):
+            col.add(wloc, "a weight must be an integer")
+        else:
+            planes.append((p[0], p[1], w))
+    return planes if len(planes) == len(pairs) else None
+
+
 def _parse_poly(lit: object, chart: Chart, col: _Collector, loc: str) -> Poly:
     if not isinstance(lit, list):
         col.add(loc, "polynomial literal must be a list of [coeff, {var: exp}]")
@@ -203,7 +238,7 @@ def _parse_poly(lit: object, chart: Chart, col: _Collector, loc: str) -> Poly:
                 col.add(mloc, f"unknown variable {var!r}")
                 ok = False
                 break
-            if not isinstance(exp, int) or exp < 1:
+            if not _is_int(exp) or exp < 1:
                 col.add(mloc, f"exponent of {var!r} must be a positive integer")
                 ok = False
                 break
@@ -301,6 +336,11 @@ def parse_spec_dict(doc: object) -> ModelSpec:
             or not isinstance(fobj.get("fiber"), list)
         ):
             col.add("foliation", "need 'base' and 'fiber' index lists")
+        elif not all(_is_int(i) for i in fobj["base"] + fobj["fiber"]):
+            for part in ("base", "fiber"):
+                for k, i in enumerate(fobj[part]):
+                    if not _is_int(i):
+                        col.add(f"foliation.{part}[{k}]", "index must be an integer")
         else:
             try:
                 foliation = Foliation(
@@ -358,7 +398,7 @@ def parse_spec_dict(doc: object) -> ModelSpec:
             col.add(tloc, f"unknown kind {kind!r}")
             continue
         degree = spec.get("degree")
-        if not isinstance(degree, int) or degree < 0 or degree > 4:
+        if not _is_int(degree) or degree < 0 or degree > 4:
             col.add(f"{tloc}.degree", "degree must be an integer in 0..4")
             continue
         t = _parse_components(
@@ -374,25 +414,20 @@ def parse_spec_dict(doc: object) -> ModelSpec:
         if not isinstance(circles_lit, list):
             col.add("action", "need 'circles': a list of plane rotations")
         else:
-            try:
-                circles = []
-                for k, c in enumerate(circles_lit):
-                    if "plane" in c:
-                        planes = [
-                            (int(c["plane"][0]), int(c["plane"][1]), int(c.get("weight", 1)))
-                        ]
-                    else:
-                        planes = [
-                            (int(p[0]), int(p[1]), int(w))
-                            for p, w in zip(c["planes"], c["weights"])
-                        ]
+            circles = []
+            for k, c in enumerate(circles_lit):
+                planes = _parse_circle(c, col, f"action.circles[{k}]")
+                if planes is None:
+                    continue
+                try:
                     circles.append(CircleAction(chart, planes))
-                if len(circles) == 1:
-                    action = circles[0]
-                elif circles:
-                    action = TorusAction(circles)
-            except (ValueError, KeyError, TypeError, AssertionError) as exc:
-                col.add("action", f"bad action block: {exc}")
+                except (ValueError, AssertionError) as exc:
+                    col.add(f"action.circles[{k}]", f"bad action block: {exc}")
+            if circles and len(circles) == len(circles_lit):
+                try:
+                    action = circles[0] if len(circles) == 1 else TorusAction(circles)
+                except (ValueError, AssertionError) as exc:
+                    col.add("action", f"bad action block: {exc}")
 
     cert_mode: Optional[str] = None
     cert_j: Optional[List[RationalFn]] = None
@@ -440,9 +475,13 @@ def parse_spec_dict(doc: object) -> ModelSpec:
                 if name not in chart.coords:
                     col.add(bloc, "unknown coordinate")
                     continue
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(x, str) for x in pair)):
+                    col.add(bloc, "need a pair of fraction strings")
+                    continue
                 try:
                     lo, hi = parse_fraction(pair[0]), parse_fraction(pair[1])
-                except (ValueError, TypeError, IndexError):
+                except (ValueError, ZeroDivisionError):
                     col.add(bloc, "need a pair of fraction strings")
                     continue
                 if not lo < hi:
@@ -457,10 +496,10 @@ def parse_spec_dict(doc: object) -> ModelSpec:
 
     seed = doc.get("seed", 7)
     samples = doc.get("samples", 50)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         col.add("seed", "must be an integer")
         seed = 7
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         col.add("samples", "must be a positive integer")
         samples = 50
 

@@ -264,6 +264,31 @@ class Poly:
                 out[key] = s
         return Poly(vs, out)
 
+    def _value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, None]:
+        """The value at a point, or None where ``@pi`` or an unassigned
+        variable occurs with a nonzero exponent."""
+        xs = []
+        for i, v in enumerate(self.vars):
+            x = None if v == PI else point.get(v)
+            if x is None and any(e[i] for e in self.terms):
+                return None
+            xs.append((1, 1) if x is None else (x.numerator, x.denominator))
+        # integer numerators over a running common denominator, reduced once
+        num, den = 0, 1
+        for e, c in self.terms.items():
+            tn, td = c.numerator, c.denominator
+            for (xn, xd), k in zip(xs, e):
+                if k:
+                    tn *= xn ** k
+                    td *= xd ** k
+            if td == den:
+                num += tn
+            else:
+                g = math.gcd(den, td)
+                num = num * (td // g) + tn * (den // g)
+                den = den // g * td
+        return Fraction(num, den)
+
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
         for e, c in self.terms.items():
@@ -486,6 +511,20 @@ class RationalFn:
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes at sample point")
         return RationalFn(self.num.eval_frac(point), den)
+
+    def value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "RationalFn"]:
+        """The exact value ``eval_frac(point).const_value()`` as a Fraction.
+
+        Raises ZeroDivisionError where the denominator vanishes, as
+        ``eval_frac`` does.  Where ``@pi`` (or an unassigned variable)
+        survives the substitution, returns ``eval_frac(point)`` instead.
+        """
+        num, den = self.num._value_at(point), self.den._value_at(point)
+        if num is None or den is None:
+            return self.eval_frac(point)
+        if not den:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        return num / den
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         d = self.den.eval_float(point)

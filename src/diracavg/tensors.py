@@ -484,10 +484,9 @@ def _xi_right_derivative(t: MultivectorField, k: int) -> MultivectorField:
 
 
 def _x_derivative(t: MultivectorField, name: str) -> MultivectorField:
+    comps = {i: v.diff(name) for i, v in t.comps.items()}
     return MultivectorField(
-        t.chart,
-        t.degree,
-        {i: v.diff(name) for i, v in t.comps.items() if not v.diff(name).is_zero()},
+        t.chart, t.degree, {i: v for i, v in comps.items() if not v.is_zero()}
     )
 
 
@@ -518,7 +517,8 @@ def schouten_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorFie
     if a.degree + b.degree == 0:
         return MultivectorField.zero(a.chart, 0)
     first = _schouten_half(a, b)
-    second = _schouten_half(b, a)
+    # the halves coincide for [[A, A]], the Jacobiator
+    second = first if b is a else _schouten_half(b, a)
     sign = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
     # [[A,B]] = A*B - (-1)^((a-1)(b-1)) B*A
     if sign == -1:

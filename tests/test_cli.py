@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
 from diracavg.moser import GuardError
 from diracavg.rings import RationalFn
+from diracavg.tensors import MultivectorField
 
 
 def _run(capsys, *argv):
@@ -167,6 +169,44 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
     assert hr["status"] == "fail"
     assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (3, 12)
     assert hr["witness"] == "only 3/15 (t, point) pairs usable"
+
+
+def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monkeypatch):
+    real_bracket, real_value_at = cli.schouten_bracket, RationalFn.value_at
+
+    def nudged(a, b):
+        # a below-tolerance nudge on one component gives JAC-route a
+        # nonzero difference to sample
+        tiny = RationalFn.const(Fraction(1, 10**12))
+        return real_bracket(a, b) + MultivectorField(a.chart, 3, {(0, 1, 2): tiny})
+
+    calls = []
+
+    def vanishing(self, point):
+        # three of every four evaluations meet a vanishing denominator
+        calls.append(point)
+        if len(calls) % 4:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        return real_value_at(self, point)
+
+    argv = ("check-jacobi", "--spec", "flat", "--samples", "8", "--format", "json-like")
+    code, out, _ = _run(capsys, *argv)
+    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+    # every triple agrees exactly, so nothing needed sampling
+    assert route["status"] == "pass"
+    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (0, 0)
+    monkeypatch.setattr(cli, "schouten_bracket", nudged)
+    code, out, _ = _run(capsys, *argv)
+    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+    assert route["status"] == "pass"
+    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (8, 0)
+    monkeypatch.setattr(RationalFn, "value_at", vanishing)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+    assert route["status"] == "fail"
+    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (2, 6)
+    assert route["witness"] == "only 2/8 (triple, point) evaluations usable"
 
 
 @pytest.mark.parametrize("command", ["check-jacobi", "gauge", "full-pipeline"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from diracavg.dirac import (
     presymplectic_on_characteristic,
     same_span_at,
 )
+from diracavg.config import PI
+from diracavg.linalg import solve
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import default_box, sample_box
 from diracavg.tensors import (
@@ -192,3 +195,43 @@ def test_presymplectic_matrix_inverts_the_bivector():
     assert mat[0][0].is_zero() and mat[1][1].is_zero()
     assert mat[0][1] == -mat[1][0]
     assert not mat[0][1].is_zero()
+
+
+def test_same_span_at_decides_frames_with_pi_entries_both_ways():
+    pi_sym = RationalFn.var(PI)
+    x1 = RationalFn.var("x1")
+    one = RationalFn.const(1)
+    frame = graph_of_bivector(MultivectorField(CHART4, 2, {(0, 1): pi_sym + x1, (2, 3): one}))
+    # pi's nearest small-denominator approximation gives a different span
+    near = graph_of_bivector(
+        MultivectorField(CHART4, 2, {(0, 1): RationalFn.const(Fraction(22, 7)) + x1, (2, 3): one})
+    )
+    s = frame.sections
+    mixed = DiracFrame([
+        DiracSection(s[0].vector + s[1].vector.scale(2), s[0].covector + s[1].covector.scale(2)),
+        s[1],
+        s[2],
+        DiracSection(s[3].vector - s[2].vector, s[3].covector - s[2].covector),
+    ])
+    for p in _points(CHART4, 4):
+        assert any(isinstance(v, RationalFn) for v in s[0].components_at(p))
+        assert same_span_at(frame, mixed, p)
+        assert not same_span_at(frame, near, p)
+    assert involutivity_check(frame, _points(CHART4)).passed
+
+
+def test_involutivity_witness_is_the_first_pair_outside_the_span():
+    y1 = RationalFn.var("y1")
+    pi = MultivectorField(CHART4, 2, {(0, 3): y1, (1, 2): RationalFn.const(1)})
+    frame = graph_of_bivector(pi)
+    res = involutivity_check(frame, _points(CHART4))
+    point = {k: Fraction(v) for k, v in res.point.items()}
+    # reference: one solve per pair, in pair order
+    cols = [list(c) for c in zip(*frame.matrix_at(point))]
+    outside = [
+        [i, j]
+        for i, j in itertools.combinations(range(4), 2)
+        if solve(cols, courant_bracket(frame.sections[i], frame.sections[j]).components_at(point))
+        is None
+    ]
+    assert outside and res.witness == {"pair": outside[0]}

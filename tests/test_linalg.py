@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracavg.linalg import (
     det,
+    eval_at,
     frac_mat,
     identity,
     inverse,
@@ -17,6 +19,7 @@ from diracavg.linalg import (
     mat_of,
     mat_vec,
     rank,
+    rref,
     solve,
 )
 from diracavg.rings import Poly, RationalFn
@@ -134,3 +137,75 @@ def test_kernel_basis_random():
         assert len(ker) == 4 - rank(a)
         for v in ker:
             assert all(c.is_zero() for c in mat_vec(a, v))
+
+
+_Q_ENTRY = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _q_matrices(draw):
+    """Square or rectangular Fraction matrices of full or deficient rank."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    # k drawn rows; the rest are combinations of them
+    k = draw(st.integers(0, nrows))
+    base = [[draw(_Q_ENTRY) for _ in range(ncols)] for _ in range(k)]
+    rows = list(base)
+    for _ in range(nrows - k):
+        coeffs = [draw(_Q_ENTRY) for _ in base]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, base)), Fraction(0)) for j in range(ncols)])
+    return [rows[i] for i in draw(st.permutations(range(nrows)))]
+
+
+def _times(a, x):
+    return [sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_q_matrices(), data=st.data())
+def test_rank_solve_and_kernel_agree_with_sympy(sympy, a, data):
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+    r = rank(a)
+    assert r == ref.rank()
+    # the function-field path decides the same rank
+    assert rank(frac_mat(a)) == r
+    ker = kernel_basis(a)
+    assert len(ker) == len(ref.nullspace()) == len(a[0]) - r
+    for v in ker:
+        assert not any(_times(a, v))
+    if ker:
+        assert rank(ker) == len(ker)
+    # a right-hand side in the column space is solved exactly
+    b = _times(a, [data.draw(_Q_ENTRY) for _ in a[0]])
+    x = solve(a, b)
+    assert x is not None and _times(a, x) == b
+    # an arbitrary one is solvable exactly when sympy says so
+    b2 = [data.draw(_Q_ENTRY) for _ in a]
+    consistent = ref.row_join(sympy.Matrix(b2)).rank() == ref.rank()
+    assert (solve(a, b2) is not None) == consistent
+
+
+def test_rref_pivots_and_reduced_form():
+    m = [[Fraction(0), Fraction(2), Fraction(4)], [Fraction(1), Fraction(1), Fraction(1)],
+         [Fraction(1), Fraction(2), Fraction(3)]]
+    assert rref(m) == [(0, 0), (1, 1)]
+    assert m == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+
+
+def test_eval_at_keeps_pi_and_raises_on_a_vanishing_denominator():
+    x = RationalFn.var("x")
+    pi = RationalFn.var("@pi")
+    one = RationalFn.const(1)
+    a = [[x, one / (x - one)], [pi * x, RationalFn.zero()]]
+    vals = eval_at(a, {"x": Fraction(1, 2)})
+    assert vals[0] == [Fraction(1, 2), Fraction(-2)]
+    assert isinstance(vals[1][0], RationalFn) and vals[1][0] == pi.scale(Fraction(1, 2))
+    assert vals[1][1] == 0
+    # a matrix holding pi reduces over the function field
+    assert rank(vals) == 2
+    with pytest.raises(ZeroDivisionError):
+        eval_at(a, {"x": Fraction(1)})

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracavg.fixtures import FIXTURES, build, fixture_path, load
 from diracavg.modelspec import (
@@ -207,3 +210,105 @@ def test_scalar_tensors_parse():
     with pytest.raises(SpecError) as exc:
         parse_spec_dict(doc)
     assert any("tensors.f" in loc for loc in _err_locations(exc))
+
+
+def _rotating_doc():
+    return json.loads(fixture_path("rotating_lift").read_text())
+
+
+def test_planes_and_weights_of_different_lengths_are_rejected():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["coordinates"] = ["x", "y", "u", "v", "w", "z"]
+    doc["action"] = {"circles": [{"planes": [[2, 3], [4, 5]], "weights": [1]}]}
+    with pytest.raises(SpecError) as exc:
+        parse_spec_dict(doc)
+    assert _err_locations(exc) == ["action.circles[0]"]
+
+
+@pytest.mark.parametrize(
+    "where, loc",
+    [
+        (("seed",), "seed"),
+        (("samples",), "samples"),
+        (("action", "circles", 0, "weights", 0), "action.circles[0].weights[0]"),
+        (("action", "circles", 0, "planes", 0, 1), "action.circles[0].planes[0]"),
+    ],
+)
+def test_true_is_not_an_integer(where, loc):
+    doc = _rotating_doc()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = True
+    with pytest.raises(SpecError) as exc:
+        parse_spec_dict(doc)
+    assert _err_locations(exc) == [loc]
+
+
+def test_non_integer_foliation_index_is_a_located_error():
+    doc = _rotating_doc()
+    doc["foliation"]["base"] = [0, 1.0]
+    with pytest.raises(SpecError) as exc:
+        parse_spec_dict(doc)
+    assert "foliation.base[1]" in _err_locations(exc)
+
+
+@pytest.mark.parametrize("pair", [{"0": "-1"}, [-1, 1], ["1/0", "1"]])
+def test_malformed_box_interval_is_a_located_error(pair):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["boxes"] = {"default": {"x": pair, "y": ["-1", "1"]}}
+    with pytest.raises(SpecError) as exc:
+        parse_spec_dict(doc)
+    assert "boxes.default.x" in _err_locations(exc)
+
+
+_FUZZ_DOCS = [json.loads(fixture_path(name).read_text()) for name in FIXTURES] + [
+    json.loads((pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json").read_text())
+]
+_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=4),
+    st.integers(-2, 9),
+    st.none(),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _mutate(doc, data):
+    """Walk to a random node, then drop it, replace it or insert junk beside it."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["drop", "swap", "insert"]))
+        if action == "drop":
+            del node[key]
+        elif action == "swap":
+            node[key] = data.draw(_JUNK)
+        elif isinstance(node, list):
+            node.insert(key, data.draw(_JUNK))
+        else:
+            node[data.draw(st.text(max_size=4))] = data.draw(_JUNK)
+        return
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_documents_raise_spec_error_or_round_trip(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        spec = parse_spec_dict(doc)
+    except SpecError:
+        return
+    text = serialize_spec(spec)
+    assert serialize_spec(parse_spec_dict(json.loads(text))) == text

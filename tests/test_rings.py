@@ -241,3 +241,37 @@ def test_trig_weighted_moment_matches_quadrature():
         wm_num = -wtrap / (2.0 * math.pi)
         assert integrate_mean(g).eval_float(pt) == pytest.approx(mean_num, abs=1e-9)
         assert integrate_weighted(g).eval_float(pt) == pytest.approx(wm_num, abs=1e-9)
+
+
+points_st = st.fixed_dictionaries({"x": fractions_st, "y": fractions_st})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), polys(), points_st)
+def test_value_at_equals_eval_frac(num, den, point):
+    if den.is_zero():
+        den = Poly.const(1)
+    f = RationalFn(num, den)
+    if f.den.eval_frac(point).is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.eval_frac(point)
+        with pytest.raises(ZeroDivisionError):
+            f.value_at(point)
+        return
+    v = f.value_at(point)
+    assert isinstance(v, Fraction)
+    assert v == f.eval_frac(point).const_value()
+
+
+def test_value_at_raises_on_a_vanishing_denominator_and_keeps_pi():
+    x = Poly.var("x")
+    f = RationalFn(Poly.const(1), x - Poly.const(Fraction(1, 3)))
+    with pytest.raises(ZeroDivisionError):
+        f.value_at({"x": Fraction(1, 3), "y": Fraction(0)})
+    g = RationalFn(Poly.var(PI) * x, Poly.const(1) + x * x)
+    point = {"x": Fraction(1, 2)}
+    assert isinstance(g.value_at(point), RationalFn)
+    assert g.value_at(point) == g.eval_frac(point)
+    # pi with a zero exponent does not force the function-field fallback
+    h = RationalFn(Poly.from_terms(("x", PI), {(2, 0): 3}), Poly.const(1))
+    assert h.value_at(point) == Fraction(3, 4)
