@@ -53,7 +53,7 @@ from .moser import (
     NumericEvaluator,
     flow_and_verify,
     homotopy_residual,
-    z_field,
+    z_batch,
 )
 from .reports import CheckResult, failed, passed
 from .rings import RationalFn
@@ -481,11 +481,20 @@ def _cmd_moser_verify(spec, args):
     if leaf:
         import numpy as np
 
-        zmax = max(float(np.max(np.abs(z_field(ev, 1.0, p)))) for p in leaf)
-        if zmax <= LEAF_TOL:
-            checks.append(passed("ZS", max_z=zmax, tolerance=LEAF_TOL))
+        z, fails = z_batch(ev, 1.0, leaf)
+        zs_run = PointwiseRun(total=len(leaf), usable=len(leaf) - len(fails))
+        used = [row for row in range(len(leaf)) if row not in fails]
+        zmax = float(np.max(np.abs(z[used]))) if used else 0.0
+        counts = {"points_used": zs_run.usable, "points_skipped": len(fails)}
+        if zmax <= LEAF_TOL and zs_run.healthy:
+            checks.append(passed("ZS", max_z=zmax, tolerance=LEAF_TOL, **counts))
+        elif zmax <= LEAF_TOL:
+            checks.append(failed(
+                "ZS", witness=f"only {zs_run.usable}/{zs_run.total} leaf points usable",
+                tolerance=LEAF_TOL, **counts,
+            ))
         else:
-            checks.append(failed("ZS", witness={"max_z": zmax}, tolerance=LEAF_TOL))
+            checks.append(failed("ZS", witness={"max_z": zmax}, tolerance=LEAF_TOL, **counts))
 
     times = [Fraction(k, 4) for k in range(5)]
     hr_pts = starts[: min(10, len(starts))]

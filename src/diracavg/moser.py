@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .config import PI
-from .rings import RationalFn
+from .rings import Poly, RationalFn
 from .sampling import Box
 from .tensors import (
     Chart,
@@ -28,9 +28,7 @@ from .tensors import (
     MultivectorField,
     exterior_derivative,
     flat_matrix,
-    schouten_bracket,
     sharp_matrix,
-    vector_field,
 )
 
 
@@ -60,34 +58,28 @@ def _point_vec(chart: Chart, point: FloatPoint) -> np.ndarray:
     return vec
 
 
-class _CompiledEntries:
-    """Stacked monomial evaluation for a family of rational components.
+class _Polys:
+    """Stacked evaluation of polynomials over one list of monomials.
 
-    All numerators and denominators share one list of monomials; each is
-    the product of its factors, gathered from per-variable power tables.
+    Each monomial is the product of its factors, gathered from per-variable
+    power tables.
     """
 
-    def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
-        names = chart.coords + (PI,)
-        self.keys: List[object] = []
+    def __init__(self, names: Tuple[str, ...], polys: Sequence[Poly]):
         exps: List[Tuple[int, ...]] = []
         coeffs: List[float] = []
-        nums: List[List[int]] = []
-        dens: List[List[int]] = []
-        for key, fn in entries:
-            fn = fn.simplified()
-            for poly, terms in ((fn.num, nums), (fn.den, dens)):
-                terms.append([])
-                for e, c in poly.aligned_to(names).terms.items():
-                    terms[-1].append(len(exps))
-                    exps.append(e)
-                    coeffs.append(float(c))
-            self.keys.append(key)
+        terms: List[List[int]] = []
+        for poly in polys:
+            terms.append([])
+            for e, c in poly.aligned_to(names).terms.items():
+                terms[-1].append(len(exps))
+                exps.append(e)
+                coeffs.append(float(c))
         # a zero monomial pads every term list to the longest
         exps.append((0,) * len(names))
         coeffs.append(0.0)
         self.coeffs = np.array(coeffs)
-        self._terms = _padded(nums + dens, len(exps) - 1)
+        self._terms = _padded(terms, len(exps) - 1)
         exp_mat = np.array(exps, dtype=np.int64)
         self._used = np.flatnonzero(exp_mat.any(axis=0))
         self._powers = np.arange(int(exp_mat.max(initial=0)) + 1)
@@ -99,6 +91,49 @@ class _CompiledEntries:
             [[u * d + e[v] for u, v in enumerate(self._used) if e[v]] for e in exps], 0
         )
 
+    def __call__(self, vecs: np.ndarray) -> np.ndarray:
+        """Every polynomial at a batch of points: (B, k) -> (B, len(polys))."""
+        b = vecs.shape[0]
+        table = (vecs[:, self._used, np.newaxis] ** self._powers).reshape(b, self._width)
+        # factors multiply in coordinate order, as a product over every
+        # coordinate would: the ones left out are exact 1.0 factors
+        vals = np.multiply.reduce(table.take(self._factors, axis=1), axis=1) * self.coeffs
+        # terms add in order, so a row's sums do not depend on the batch
+        return np.add.reduce(vals.take(self._terms, axis=1), axis=1)
+
+
+class _CompiledEntries:
+    """Stacked float evaluation for a family of rational components.
+
+    Only entries with a nonzero numerator are evaluated.  A denominator
+    free of the chart coordinates is evaluated once, into a float divisor;
+    the others are evaluated per point and masked where they vanish.
+    """
+
+    def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
+        names = chart.coords + (PI,)
+        self.keys: List[object] = [key for key, _fn in entries]
+        fns = [fn.simplified() for _key, fn in entries]
+        live = [col for col, fn in enumerate(fns) if not fn.is_zero()]
+        # positions in `live` of the entries whose denominator varies
+        varying = [
+            pos for pos, col in enumerate(live)
+            if any(fns[col].den.diff(c).terms for c in chart.coords)
+        ]
+        fixed = sorted(set(range(len(live))) - set(varying))
+        self._live = np.array(live, dtype=np.int64)
+        self._varying = np.array(varying, dtype=np.int64)
+        self._varying_cols = self._live[self._varying]
+        self._polys = _Polys(
+            names, [fns[col].num for col in live] + [fns[live[pos]].den for pos in varying]
+        )
+        # a denominator free of the coordinates takes the same value, with
+        # the same rounding, at every point: the formal constant's slot
+        pi_row = np.zeros((1, len(names)))
+        pi_row[0, -1] = math.pi
+        self._divisors = np.ones(len(live))
+        self._divisors[fixed] = _Polys(names, [fns[live[pos]].den for pos in fixed])(pi_row)[0]
+
     def eval_stack(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """All entries at a batch of points: (B, k) -> (B, len(keys)).
 
@@ -106,21 +141,79 @@ class _CompiledEntries:
         an entry reads as its numerator.
         """
         b = vecs.shape[0]
-        table = (vecs[:, self._used, np.newaxis] ** self._powers).reshape(b, self._width)
-        # factors multiply in coordinate order, as a product over every
-        # coordinate would: the ones left out are exact 1.0 factors
-        vals = np.multiply.reduce(table.take(self._factors, axis=1), axis=1) * self.coeffs
-        # terms add in order, so a row's sums do not depend on the batch
-        sums = np.add.reduce(vals.take(self._terms, axis=1), axis=1)
-        e = len(self.keys)
-        num, den = sums[:, :e], sums[:, e:]
-        bad = np.abs(den) < 1e-300
-        if bad.any():
-            den = np.where(bad, 1.0, den)
-        return num / den, bad
+        sums = self._polys(vecs)
+        live = sums[:, : len(self._live)] / self._divisors
+        bad = np.zeros((b, len(self.keys)), dtype=bool)
+        if len(self._varying):
+            den = sums[:, len(self._live) :]
+            vanished = np.abs(den) < 1e-300
+            if vanished.any():
+                den = np.where(vanished, 1.0, den)
+                bad[:, self._varying_cols] = vanished
+            live[:, self._varying] /= den
+        vals = np.zeros((b, len(self.keys)))
+        vals[:, self._live] = live
+        return vals, bad
 
     def vanished(self, col: int) -> ZeroDivisionError:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
+
+
+class _ExactJets:
+    """Values and coordinate gradients of a family of rational components,
+    exactly at rational points, with ``@pi`` bound to Fraction(math.pi).
+
+    For f = N/D the gradient is (dN - f dD)/D, from the derivatives of N
+    and D taken once here.
+    """
+
+    def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
+        names = chart.coords + (PI,)
+        self._size = len(entries)
+        self._dim = chart.dim
+
+        def terms(poly: Poly) -> List[Tuple[Tuple[int, ...], Fraction]]:
+            return list(poly.aligned_to(names).terms.items())
+
+        self._polys = []
+        for col, (key, fn) in enumerate(entries):
+            fn = fn.simplified()
+            if not fn.is_zero():
+                d_num = [terms(fn.num.diff(c)) for c in chart.coords]
+                d_den = [terms(fn.den.diff(c)) for c in chart.coords]
+                self._polys.append((col, key, terms(fn.num), terms(fn.den), d_num, d_den))
+        self._degree = max(
+            (max(e) for entry in self._polys for e, _c in entry[2] + entry[3]), default=0
+        )
+
+    def at(self, coords: Sequence[Fraction]) -> Tuple[list, List[list]]:
+        """(values, gradients): values[col] and gradients[k][col] = d_k of entry col.
+
+        Raises ZeroDivisionError where a denominator vanishes.
+        """
+        xs = tuple(coords) + (Fraction(math.pi),)
+        powers = [[x**k for k in range(self._degree + 1)] for x in xs]
+
+        def value(terms: Sequence[Tuple[Tuple[int, ...], Fraction]]):
+            total = 0
+            for exps, c in terms:
+                for v, k in enumerate(exps):
+                    if k:
+                        c = c * powers[v][k]
+                total += c
+            return total
+
+        vals: list = [0] * self._size
+        grads = [[0] * self._size for _ in range(self._dim)]
+        for col, key, num, den, d_num, d_den in self._polys:
+            dv = value(den)
+            if not dv:
+                raise ZeroDivisionError(f"denominator vanishes at the point for component {key!r}")
+            v = value(num) / dv
+            vals[col] = v
+            for k in range(self._dim):
+                grads[k][col] = (value(d_num[k]) - v * value(d_den[k])) / dv
+        return vals, grads
 
 
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
@@ -175,8 +268,8 @@ class NumericEvaluator:
         self._sp_sym = sp
         self._sb_sym = sb
         self._pi_t_cache: Dict[Fraction, MultivectorField] = {}
-        self._z_cache: Dict[Fraction, MultivectorField] = {}
-        self._bracket_cache: Dict[Fraction, MultivectorField] = {}
+        self._jets = _ExactJets(self.chart, self._exact)
+        self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
             self._verify_probes(probes)
 
@@ -253,41 +346,142 @@ class NumericEvaluator:
             self._pi_t_cache[t] = MultivectorField(self.chart, 2, comps)
         return self._pi_t_cache[t]
 
-    def z_exact(self, t: Fraction) -> MultivectorField:
-        """The field -Pi_t#(Theta) at rational t, as an exact vector field."""
-        t = Fraction(t)
-        if t not in self._z_cache:
-            pit = self.pi_t_exact(t)
-            sharp = sharp_matrix(pit)
-            comps: Dict[int, RationalFn] = {}
-            for j in range(self._n):
-                acc = RationalFn.zero()
-                for i in range(self._n):
-                    th = self.theta_exact.comps.get((i,), RationalFn.zero())
-                    if not th.is_zero() and not sharp[j][i].is_zero():
-                        acc = acc + sharp[j][i] * th
-                acc = (-acc).simplified()
-                if not acc.is_zero():
-                    comps[j] = acc
-            self._z_cache[t] = vector_field(self.chart, comps)
-        return self._z_cache[t]
+    def bracket_exact(
+        self, t: Fraction, point: Mapping[str, Union[float, Fraction]]
+    ) -> List[List[Fraction]]:
+        """[[Z_t, Pi_t]] at one point, exactly, from first-order jets.
 
-    def bracket_exact(self, t: Fraction) -> MultivectorField:
-        """[[Z_t, Pi_t]] at rational t (cached; point-independent)."""
+        Returns the matrix B[i][j] = [[Z_t, Pi_t]]^{ij}.  With M the inverse
+        of A = Id + t dTheta# Pi#, the sharp matrix of Pi_t is Pi# M and
+        Z_t = -Pi# M Theta; their first derivatives follow from those of
+        Pi#, dTheta# and Theta by d(M) = -M d(A) M, and the bracket is
+        (L_Z Pi)^{ij} = Z^k d_k Pi^{ij} - Pi^{kj} d_k Z^i - Pi^{ik} d_k Z^j.
+        ``@pi`` is bound to Fraction(math.pi), the value the float side
+        uses.  Raises ZeroDivisionError where a denominator vanishes and
+        GuardError where A is singular.
+        """
         t = Fraction(t)
-        if t not in self._bracket_cache:
-            self._bracket_cache[t] = schouten_bracket(
-                self.z_exact(t), self.pi_t_exact(t)
-            ).simplified()
-        return self._bracket_cache[t]
+        n = self._n
+        sp_rows, sp, sb_rows, th, sb_sp, d_sp_rows, d_sb_rows, d_th = self._jets_at(point)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        aug = [row + e for row, e in zip(_add(eye, sb_sp, t), eye)]
+        if len(linalg.rref(aug)) < n:
+            raise GuardError(f"interpolation matrix singular at t={t}")
+        inv = [row[n:] for row in aug]
+        sharp = _mul(sp_rows, inv)
+        sharp_rows = _rows(sharp)
+        w = _apply(_rows(inv), th)
+        z = [-x for x in _apply(sp_rows, w)]
+        # the derivative of Pi_t# along Z
+        sp_z = _combine(z, d_sp_rows, n)
+        a_z = _add(_mul(_rows(_combine(z, d_sb_rows, n)), sp), _mul(sb_rows, sp_z))
+        sharp_z = _mul(_rows(_add(sp_z, _mul(sharp_rows, a_z), -t)), inv)
+        # jac_t[k][i] = d_k Z^i = -(d_k Pi_t#) Theta - Pi_t# d_k Theta, where
+        # (d_k Pi_t#) Theta = d_k(Pi#) w - Pi_t# d_k(A) w and Pi# w = -Z
+        jac_t = []
+        for k in range(n):
+            dsp_w = _apply(d_sp_rows[k], w)
+            da_w = [t * (x - y) for x, y in zip(_apply(sb_rows, dsp_w), _apply(d_sb_rows[k], z))]
+            jac_t.append([
+                y - x - u
+                for x, y, u in zip(dsp_w, _apply(sharp_rows, da_w), _apply(sharp_rows, d_th[k]))
+            ])
+        # Pi_t^{ij} is sharp[j][i], and sharp is antisymmetric, so with
+        # c = jac sharp the last two terms are c[i][j] - c[j][i]
+        c = _mul(_rows(zip(*jac_t)), sharp)
+        out = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                out[i][j] = sharp_z[j][i] + c[i][j] - c[j][i]
+                out[j][i] = -out[i][j]
+        return out
+
+    def _jets_at(self, point: Mapping[str, Union[float, Fraction]]) -> tuple:
+        """Pi#, dTheta#, Theta and dTheta# Pi# at a point, then the
+        derivatives of Pi#, dTheta# and Theta along each coordinate
+        (cached).  Matrices that multiply from the left also come as rows."""
+        key = tuple(Fraction(point[c]) for c in self.chart.coords)
+        if key not in self._jet_cache:
+            n, nn = self._n, self._n * self._n
+
+            def families(flat: list) -> tuple:
+                # the column order of self._exact
+                sp = [flat[j * n : (j + 1) * n] for j in range(n)]
+                sb = [flat[nn + j * n : nn + (j + 1) * n] for j in range(n)]
+                return sp, sb, flat[2 * nn :]
+
+            vals, grads = self._jets.at(key)
+            sp, sb, th = families(vals)
+            d_sp, d_sb, d_th = zip(*map(families, grads))
+            sb_rows = _rows(sb)
+            self._jet_cache[key] = (
+                _rows(sp), sp, sb_rows, th, _mul(sb_rows, sp),
+                [_rows(m) for m in d_sp], [_rows(m) for m in d_sb], d_th,
+            )
+        return self._jet_cache[key]
+
+
+# exact algebra on the jets: a left factor comes as Rows, the nonzero
+# entries of each row as (column, value) pairs, so zero entries cost nothing
+Rows = List[List[Tuple[int, object]]]
+
+
+def _rows(m) -> Rows:
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _mul(a: Rows, b: Sequence[Sequence]) -> List[list]:
+    out = [[0] * len(b[0]) for _ in a]
+    for row, entries in zip(out, a):
+        for k, x in entries:
+            for j, y in enumerate(b[k]):
+                if y:
+                    row[j] += x * y
+    return out
+
+
+def _apply(a: Rows, v: Sequence) -> list:
+    out = [0] * len(a)
+    for i, entries in enumerate(a):
+        for j, x in entries:
+            if v[j]:
+                out[i] += x * v[j]
+    return out
+
+
+def _add(a: Sequence[Sequence], b: Sequence[Sequence], c=1) -> List[list]:
+    """a + c b."""
+    return [[x + c * y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _combine(coeffs: Sequence, mats: Sequence[Rows], n: int) -> List[list]:
+    """sum_k coeffs[k] mats[k]."""
+    out = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for row, entries in zip(out, m):
+                for j, x in entries:
+                    row[j] += c * x
+    return out
 
 
 def z_field(ev: NumericEvaluator, t: float, point: FloatPoint) -> np.ndarray:
     """Z_t at a point: -Pi#(Id + t dTheta# Pi#)^{-1} Theta, in floats."""
-    z, fails = _z_rows(ev, t, _point_vec(ev.chart, point)[np.newaxis])
+    z, fails = z_batch(ev, t, [point])
     if fails:
         raise fails[0][1]
     return z[0]
+
+
+def z_batch(
+    ev: NumericEvaluator, t: float, points: Sequence[FloatPoint]
+) -> Tuple[np.ndarray, Failures]:
+    """Z_t at many points in one batch: (len(points), n).
+
+    Rows where Z_t cannot be evaluated read zero and are returned as
+    failures, row -> (rank, error).
+    """
+    return _z_rows(ev, t, np.array([_point_vec(ev.chart, p) for p in points]))
 
 
 def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarray, Failures]:
@@ -302,6 +496,8 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
         fails.setdefault(
             int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))
         )
+    if not fails:
+        return -(sp @ np.linalg.solve(m, th[:, :, np.newaxis]))[:, :, 0], fails
     ok = np.ones(len(vecs), dtype=bool)
     ok[list(fails)] = False
     z = np.zeros((len(vecs), ev.chart.dim))
@@ -318,20 +514,13 @@ def homotopy_residual(
 ) -> float:
     """Max-norm of [[Z_t, Pi_t]] + d(Pi_t)/dt at the point.
 
-    The bracket is computed exactly and evaluated in floats; the time
-    derivative uses central differences with the given step.
+    The bracket is computed exactly at the point and then rounded to
+    floats; the time derivative uses central differences with the given
+    step.
     """
     t_frac = Fraction(t)
-    bracket = ev.bracket_exact(t_frac)
+    bmat = np.array([[float(v) for v in row] for row in ev.bracket_exact(t_frac, point)])
     n = ev.chart.dim
-    # substitute the point exactly; symbolic components can be of high
-    # degree and a direct float evaluation cancels catastrophically
-    fq = {k: Fraction(v) for k, v in point.items()}
-    bmat = np.zeros((n, n))
-    for (i, j), val in bracket.comps.items():
-        v = val.eval_frac(fq).eval_float({})
-        bmat[i, j] = v
-        bmat[j, i] = -v
     tf = float(t_frac)
     plus = ev.interp_matrix(tf + fd_step, point)
     minus = ev.interp_matrix(tf - fd_step, point)
@@ -383,18 +572,20 @@ def flow_batch(
     def in_box(xx: np.ndarray) -> np.ndarray:
         # pads xx into mid, stops the live rows outside the box, returns the rest
         mid[:, :n] = xx
-        rows = np.flatnonzero(live)
-        inside = np.all((xx[rows] >= ev._box_lo) & (xx[rows] <= ev._box_hi), axis=1)
-        for row in rows[~inside]:
+        inside = np.all((xx >= ev._box_lo) & (xx <= ev._box_hi), axis=1)
+        for row in np.flatnonzero(live & ~inside):
             live[row] = False
             aborts[int(row)] = (stage, 0, BoxExit("trajectory left the box"))
-        return rows[inside]
+        return np.flatnonzero(live)
 
     def z(tt: float, xx: np.ndarray) -> np.ndarray:
         nonlocal stage
         rows = in_box(xx)
-        out = np.zeros((b, n))
-        out[rows], fails = _z_rows(ev, tt, mid[rows])
+        if len(rows) == b:
+            out, fails = _z_rows(ev, tt, mid)
+        else:
+            out = np.zeros((b, n))
+            out[rows], fails = _z_rows(ev, tt, mid[rows])
         for row, (rank, exc) in fails.items():
             live[rows[row]] = False
             aborts[int(rows[row])] = (stage, rank, exc)
@@ -408,9 +599,8 @@ def flow_batch(
         k2 = z(t + h / 2.0, x + (h / 2.0) * k1)
         k3 = z(t + h / 2.0, x + (h / 2.0) * k2)
         k4 = z(t + h, x + h * k3)
-        x = np.where(
-            live[:, np.newaxis], x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x
-        )
+        step = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = step if live.all() else np.where(live[:, np.newaxis], step, x)
         t += h
     stage = 4 * steps
     in_box(x)

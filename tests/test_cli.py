@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,45 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
     assert hr["status"] == "fail"
     assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (3, 12)
     assert hr["witness"] == "only 3/15 (t, point) pairs usable"
+
+
+def test_moser_verify_skips_bad_leaf_points(capsys, monkeypatch):
+    real = cli.z_batch
+    bad_rows = set()
+
+    def failing(ev, t, points):
+        z, fails = real(ev, t, points)
+        for row in bad_rows:
+            fails[row] = (1, ZeroDivisionError("denominator vanished for component (0, 1)"))
+        return z, fails
+
+    monkeypatch.setattr(cli, "z_batch", failing)
+    argv = ("moser-verify", "--spec", "transversal_leaf", "--samples", "5",
+            "--steps", "150", "--format", "json-like")
+    for rows, code_want, used, status in (({0}, 0, 4, "pass"), ({0, 3}, 1, 3, "fail")):
+        bad_rows.clear()
+        bad_rows.update(rows)
+        code, out, _ = _run(capsys, *argv)
+        assert code == code_want
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        # the other checks still run
+        assert sorted(checks) == ["HR", "PD", "SE1", "SE2", "SE3", "ZS"]
+        assert all(checks[k]["status"] == "pass" for k in ("HR", "PD", "SE1", "SE2", "SE3"))
+        zs = checks["ZS"]
+        assert zs["status"] == status
+        assert (zs["info"]["points_used"], zs["info"]["points_skipped"]) == (used, len(rows))
+    assert zs["witness"] == "only 3/5 leaf points usable"
+
+
+def test_moser_verify_runs_on_the_torus(capsys):
+    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
+    code, out, _ = _run(capsys, "moser-verify", "--spec", str(torus), "--samples", "4",
+                        "--steps", "100", "--format", "json-like")
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert sorted(checks) == ["HR", "PD", "SE1", "SE2", "SE3", "ZS"]
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert checks["HR"]["info"]["pairs_skipped"] == 0
 
 
 def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monkeypatch):

@@ -31,12 +31,19 @@ from diracavg.moser import (
 )
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import sample_box
-from diracavg.tensors import Chart, MultivectorField, one_form, sharp_matrix
+from diracavg.tensors import (
+    Chart,
+    MultivectorField,
+    one_form,
+    schouten_bracket,
+    sharp_matrix,
+    vector_field,
+)
 
 
 @functools.lru_cache(maxsize=None)
-def _rotating_setup():
-    spec = build("rotating_lift")
+def _setup(name="rotating_lift"):
+    spec = build(name)
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks)
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
@@ -49,7 +56,7 @@ def _rotating_setup():
 
 
 def test_compiled_evaluator_matches_exact_components():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     pt = {"x1": 0.21, "x2": -0.13, "y1": 0.34, "y2": -0.07}
     got = ev.pi_matrix(pt)
     sym = sharp_matrix(pi)
@@ -59,25 +66,67 @@ def test_compiled_evaluator_matches_exact_components():
 
 
 def test_path_endpoints_are_the_two_bivectors():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     assert ev.pi_t_exact(Fraction(0)) == pi
     assert res.poisson is not None
     assert ev.pi_t_exact(Fraction(1)) == res.poisson.pi
 
 
 def test_interior_path_points_stay_poisson():
-    from diracavg.tensors import schouten_bracket
-
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     for t in (Fraction(1, 4), Fraction(2, 3)):
         pit = ev.pi_t_exact(t)
         assert schouten_bracket(pit, pit).is_zero()
     # the transport field balances the time derivative, so it is nonzero
-    assert not ev.bracket_exact(Fraction(1, 4)).is_zero()
+    point = dict(zip(ev.chart.coords, map(Fraction, ("1/5", "-1/8", "1/3", "1/7"))))
+    assert any(v != 0 for row in ev.bracket_exact(Fraction(1, 4), point) for v in row)
+
+
+def _bind_pi(value: RationalFn) -> Fraction:
+    """A rational function of @pi alone at @pi = Fraction(math.pi)."""
+    at = {PI: Fraction(math.pi)}
+    parts = []
+    for poly in (value.num, value.den):
+        total = Fraction(0)
+        for exps, c in poly.terms.items():
+            for name, k in zip(poly.vars, exps):
+                c *= at[name] ** k
+            total += c
+        parts.append(total)
+    return parts[0] / parts[1]
+
+
+@pytest.mark.parametrize("name", ["rotating_lift", "obstructed_lift"])
+def test_jet_bracket_matches_the_symbolic_bracket(name):
+    # obstructed_lift's dTheta# carries @pi; the oracle keeps it symbolic
+    # and binds it only after the point is substituted
+    spec, res, pi, box, ev = _setup(name)
+    n = ev.chart.dim
+    points = sample_box(ev.chart, box, 3, 93)
+    nonzero = 0
+    for t in (Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1)):
+        pit = ev.pi_t_exact(t)
+        sharp = sharp_matrix(pit)
+        theta = [ev.theta_exact.component((i,)) for i in range(n)]
+        z = {
+            j: -sum((sharp[j][i] * theta[i] for i in range(n)), RationalFn.zero())
+            for j in range(n)
+        }
+        bracket = schouten_bracket(vector_field(ev.chart, z), pit)
+        for p in points:
+            got = ev.bracket_exact(t, p)
+            for i in range(n):
+                for j in range(n):
+                    at_p = bracket.component((i, j)).eval_frac(p)
+                    assert got[i][j] == _bind_pi(at_p)
+                    # the float the residual reads is the old route's float
+                    assert float(got[i][j]) == at_p.eval_float({})
+                    nonzero += got[i][j] != 0
+    assert nonzero
 
 
 def test_homotopy_residual_is_small_along_the_path():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     pts = sample_box(ev.chart, box, 3, 92)
     for t in (0.25, 0.75):
         for p in pts:
@@ -86,14 +135,14 @@ def test_homotopy_residual_is_small_along_the_path():
 
 
 def test_deformation_field_vanishes_on_the_fixed_leaf():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     leaf = {"x1": 0.2, "x2": -0.3, "y1": 0.0, "y2": 0.0}
     for t in (0.3, 1.0):
         assert float(np.max(np.abs(z_field(ev, t, leaf)))) <= 1e-12
 
 
 def test_flow_intertwines_the_endpoint_bivectors():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     # starts sit well inside the box so the reverse flow cannot escape it
     starts = [
         {"x1": 0.1, "x2": 0.05, "y1": 0.12, "y2": -0.08},
@@ -110,7 +159,7 @@ def test_flow_intertwines_the_endpoint_bivectors():
 
 
 def test_flow_rejects_starts_outside_the_box():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     with pytest.raises(BoxExit):
         flow_point(ev, {"x1": 5.0, "x2": 0.0, "y1": 0.0, "y2": 0.0}, 100)
 
@@ -134,7 +183,7 @@ def test_flow_config_validation():
 
 
 def test_rk4_error_drops_by_sixteen_per_halving():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     start = {"x1": 0.1, "x2": -0.2, "y1": 0.25, "y2": 0.15}
     ref = flow_point(ev, start, 3200)
     e1 = float(np.max(np.abs(flow_point(ev, start, 100) - ref)))
@@ -144,11 +193,12 @@ def test_rk4_error_drops_by_sixteen_per_halving():
     assert 8.0 < ratio < 32.0
 
 
-def _loop_eval(fn: RationalFn, names, vec) -> float:
+def _loop_eval(fn: RationalFn, names, vec):
     """Reference: each monomial a product over every coordinate, terms added in order.
 
     Powers come from numpy, whose float pow may differ from Python's in the
-    last bit; the evaluator must reproduce numpy's.
+    last bit; the evaluator must reproduce numpy's.  Returns the value and
+    whether the denominator vanished, where the value reads as the numerator.
     """
     parts = []
     for poly in (fn.num, fn.den):
@@ -159,25 +209,46 @@ def _loop_eval(fn: RationalFn, names, vec) -> float:
                 mono *= float(power)
             acc = mono * float(c) if k == 0 else acc + mono * float(c)
         parts.append(acc)
-    return parts[0] / parts[1]
+    bad = abs(parts[1]) < 1e-300
+    return (parts[0] if bad else parts[0] / parts[1]), bad
 
 
 def test_eval_stack_matches_a_plain_loop_bit_for_bit():
     rng = random.Random(5)
     names = CHART4.coords + (PI,)
+    x1, x2, pi = Poly.var("x1"), Poly.var("x2"), Poly.var(PI)
     fns = [
         RationalFn(rand_poly(rng, CHART4.coords, degree=3, terms=8), rand_poly(rng, ("x1",), 2, 3))
         for _ in range(12)
     ]
-    fns = [fn.simplified() for fn in fns if not fn.den.is_zero()]
+    fns = [fn for fn in fns if not fn.den.is_zero()]
+    # zero entries, denominators free of the coordinates but not 1, and
+    # two denominators that vanish where x1 = x2, the first at column 3
+    fns[1:1] = [RationalFn.zero()]
+    fns[3:3] = [RationalFn(rand_poly(rng, CHART4.coords, 2, 4), x1 - x2)]
+    seventh = Poly.const(Fraction(1, 7))
+    fns[6:6] = [RationalFn(rand_poly(rng, CHART4.coords, 2, 4), pi.scale(3) + seventh)]
+    fns += [
+        RationalFn(rand_poly(rng, names, 2, 5), pi * pi),
+        RationalFn.zero(),
+        RationalFn(rand_poly(rng, CHART4.coords, 2, 4), x2 - x1),
+    ]
+    fns = [fn.simplified() for fn in fns]
+    for fn in (fns[6], fns[-3]):
+        assert not fn.den.is_const() and not any(fn.den.diff(c).terms for c in CHART4.coords)
     entries = _CompiledEntries(CHART4, list(enumerate(fns)))
     vecs = np.array([[rng.uniform(-2, 2) for _ in CHART4.coords] + [math.pi] for _ in range(40)])
+    vecs[7, 1] = vecs[7, 0]
     want = [[_loop_eval(fn, names, vec) for fn in fns] for vec in vecs]
     # a row's values do not depend on the size of its batch
     for size in (1, 2, 11, 40):
         vals, bad = entries.eval_stack(vecs[:size])
-        assert not bad.any()
-        assert vals.tolist() == want[:size]
+        assert vals.tolist() == [[v for v, _b in row] for row in want[:size]]
+        assert bad.tolist() == [[b for _v, b in row] for row in want[:size]]
+    # the first bad column, which names the failure in NumericEvaluator._matrices
+    assert np.flatnonzero(bad.any(axis=1)).tolist() == [7]
+    assert int(bad[7].argmax()) == 3
+    assert str(entries.vanished(3)) == "denominator vanished for component 3"
 
 
 _COORD = st.floats(-0.6, 0.6, allow_nan=False)
@@ -187,7 +258,7 @@ _COORD = st.floats(-0.6, 0.6, allow_nan=False)
 @given(st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=5))
 def test_batch_rows_match_single_trajectories(rows):
     # wide starts: some begin outside the box, some leave it mid-flow
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     aborts = {}
     ends = flow_batch(ev, np.array(rows), 100, aborts)
     for k, row in enumerate(rows):
@@ -203,7 +274,7 @@ def test_batch_rows_match_single_trajectories(rows):
 
 
 def test_bad_trajectories_abort_alone():
-    spec, res, pi, box, ev = _rotating_setup()
+    spec, res, pi, box, ev = _setup()
     starts = [
         {"x1": 0.1, "x2": 0.05, "y1": 0.12, "y2": -0.08},
         {"x1": -0.15, "x2": 0.2, "y1": -0.1, "y2": 0.05},
