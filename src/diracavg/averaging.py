@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .actions import Action, CircleAction, TorusAction, lie_vv1
@@ -29,9 +29,8 @@ from .coupling import (
 from .dirac import DiracSection, gauge_transform, same_span_at
 from .reports import CheckResult, failed, passed
 from .rings import Poly, RationalFn
-from .sampling import Point, format_point, sweep
+from .sampling import Point, PointwiseRun, VerificationError, format_point, sweep
 from .tensors import (
-    BigradeContext,
     Chart,
     DifferentialForm,
     MultivectorField,
@@ -48,6 +47,19 @@ from .tensors import (
 )
 
 MODES = ("compatible", "locally-hamiltonian", "hamiltonian")
+
+
+def _verify_at(
+    points: List[Point], probe: Callable[[Point], bool], check: str, what: str
+) -> PointwiseRun:
+    """Sweep an identity at points; a failing point, then a short run, raise for `check`."""
+    run, first_fail = sweep(points, probe)
+    if first_fail is not None:
+        raise VerificationError(check, f"{what} at {format_point(first_fail)}")
+    short = run.shortfall()
+    if short is not None:
+        raise VerificationError(check, short)
+    return run
 
 
 @dataclass
@@ -163,7 +175,8 @@ def gauge_poisson(
     Realizes sharp(new) = sharp(Pi) o (Id + sharp(b) o sharp(Pi))^{-1} by
     exact matrix inversion.  The output is antisymmetric and Poisson; both
     are verified.  With sample points given, the inverted matrix is checked
-    to be nonsingular at each usable point.
+    to be nonsingular at each usable point.  A failed identity raises
+    ``VerificationError`` for GT1.
     """
     if pi.degree != 2 or b.degree != 2 or pi.chart != b.chart:
         raise ValueError("expects a bivector and a 2-form on one chart")
@@ -180,11 +193,7 @@ def gauge_poisson(
         def probe(p: Point) -> bool:
             return det_m.value_at(p) != 0
 
-        run, first_fail = sweep(points, probe)
-        if first_fail is not None:
-            raise ValueError(
-                f"gauge matrix singular at sample point {format_point(first_fail)}"
-            )
+        _verify_at(points, probe, "GT1", "gauge matrix singular")
     try:
         inv = linalg.inverse(m)
     except ArithmeticError as exc:
@@ -196,14 +205,14 @@ def gauge_poisson(
             val = new_sharp[j][i].simplified()
             mirrored = (-new_sharp[i][j]).simplified()
             if val != mirrored:
-                raise ArithmeticError("gauge image is not antisymmetric")
+                raise VerificationError("GT1", "gauge image is not antisymmetric")
             if not val.is_zero():
                 comps[(i, j)] = val
     out = MultivectorField(chart, 2, comps)
     jac = schouten_bracket(out, out)
     if not jac.is_zero():
-        raise ArithmeticError(
-            f"gauge image violates the Jacobi identity: {jac.comps!r}"
+        raise VerificationError(
+            "GT1", f"gauge image violates the Jacobi identity: {jac.comps!r}"
         )
     return out
 
@@ -229,11 +238,11 @@ def _assert_invariant(result: AveragingResult) -> None:
         gen = circ.generator()
         lg = lie_vv1(gen, proj)
         if any(not x.is_zero() for row in lg.matrix for x in row):
-            raise ArithmeticError("averaged connection is not invariant")
+            raise VerificationError("OB3", "averaged connection is not invariant")
         if not lie_derivative(gen, gd.sigma).is_zero():
-            raise ArithmeticError("averaged 2-form is not invariant")
+            raise VerificationError("OB1", "averaged 2-form is not invariant")
         if not lie_derivative(gen, gd.p).is_zero():
-            raise ArithmeticError("vertical bivector is not invariant")
+            raise VerificationError("OB3", "vertical bivector is not invariant")
 
 
 def _average_once(
@@ -243,44 +252,44 @@ def _average_once(
     logs: List[str],
 ) -> Tuple[GeometricData, DifferentialForm, DifferentialForm]:
     """One circle-averaging step: returns (new data, Q, Theta)."""
-    ctx = gd.conn.context()
-    parts = bigrade_decompose(mu, ctx)
+    fol = gd.conn.fol
+    parts = bigrade_decompose(mu, gd.conn)
     mu10 = parts.get((1, 0), DifferentialForm.zero(gd.conn.chart, 1))
     mu01 = parts.get((0, 1), DifferentialForm.zero(gd.conn.chart, 1))
     q = (-circ.delta_g(mu10)).simplified()
     theta = circ.delta_g(mu01).simplified()
     # closed mu makes both exterior derivatives agree
     if exterior_derivative(theta) != exterior_derivative(q):
-        raise ArithmeticError("d(Theta) differs from d(Q) for closed mu")
+        raise VerificationError("OB1", "d(Theta) differs from d(Q) for closed mu")
     new_gd = q_gauge(gd, q)
 
     # the connection must also be the plain average of the old one
     avg_proj = circ.average(gd.conn.projector())
     if avg_proj != new_gd.conn.projector():
-        raise ArithmeticError(
-            "averaged-connection routes disagree: gauge shift vs direct average"
+        raise VerificationError(
+            "OB3", "averaged-connection routes disagree: gauge shift vs direct average"
         )
     logs.append("connection average equals gauge shift (dual route)")
 
     # the 2-form must match its independent averaged expression:
     # <sigma> + (1/2)<{Q ^ Q}_P> - d10(<Q>) against the new connection
-    lifts = [gd.conn.lift(i) for i in range(ctx.b)]
-    qi = [q.evaluate(lifts[i]) for i in range(ctx.b)]
+    lifts = [gd.conn.lift(i) for i in range(fol.b)]
+    qi = [q.evaluate(lifts[i]) for i in range(fol.b)]
     qq = DifferentialForm.zero(gd.conn.chart, 2)
-    for i in range(ctx.b):
-        for j in range(i + 1, ctx.b):
+    for i in range(fol.b):
+        for j in range(i + 1, fol.b):
             val = gd.p_bracket(qi[i], qi[j])
             if not val.is_zero():
-                basis = DifferentialForm.basis(gd.conn.chart, (ctx.base[i], ctx.base[j]))
+                basis = DifferentialForm.basis(gd.conn.chart, (fol.base[i], fol.base[j]))
                 qq = qq + basis.scale(val)
     avg_sigma = circ.average(gd.sigma)
     avg_qq = circ.average(qq)
     avg_q = circ.average(q)
-    new_ctx = new_gd.conn.context()
-    d10_avg_q = d10_horizontal(avg_q, new_ctx)
+    d10_avg_q = d10_horizontal(avg_q, new_gd.conn)
     indep = (avg_sigma + avg_qq - d10_avg_q).simplified()
     if indep != new_gd.sigma:
-        raise ArithmeticError(
+        raise VerificationError(
+            "OB1",
             "averaged-2-form routes disagree: "
             f"gauge formula {new_gd.sigma.comps!r} vs direct average {indep.comps!r}"
         )
@@ -288,9 +297,9 @@ def _average_once(
 
     # vertical part of the gauge form vanishes for closed mu
     b = (-exterior_derivative(theta)).simplified()
-    b02 = bigrade_decompose(b, ctx).get((0, 2))
+    b02 = bigrade_decompose(b, gd.conn).get((0, 2))
     if b02 is not None and not b02.is_zero():
-        raise ArithmeticError("vertical gauge block is nonzero for closed mu")
+        raise VerificationError("OB1", "vertical gauge block is nonzero for closed mu")
     logs.append("vertical gauge block vanishes")
     return new_gd, q, theta
 
@@ -307,7 +316,7 @@ def average_coupling(
     2-form matches its independent averaged expression, the structure
     equations still hold, the result is invariant, and (with sample points)
     the Dirac frame of the output spans the gauge transform of the input
-    frame.
+    frame.  A failed identity raises ``VerificationError`` for its check.
     """
     gd.require_verified("average_coupling")
     if not cert.verified:
@@ -354,11 +363,9 @@ def average_coupling(
         def probe(p: Point) -> bool:
             return same_span_at(after, gauged, p)
 
-        run, first_fail = sweep(points, probe)
-        if first_fail is not None:
-            raise ArithmeticError(
-                f"averaged frame does not span the gauge transform at {format_point(first_fail)}"
-            )
+        run = _verify_at(
+            points, probe, "GT1", "averaged frame does not span the gauge transform"
+        )
         logs.append(f"frame gauge identity verified at {run.usable} points")
     result.logs = logs
     return result
@@ -480,7 +487,9 @@ def invariant_sections(
     Returns (<X>, -i_X new-sigma) with <X> = X + P# d(Q(X)), and (P# beta,
     beta).  beta must annihilate the averaged horizontal frame and be
     invariant.  Both sections are checked invariant; with points given they
-    are checked to lie in the averaged frame's span.
+    are checked to lie in the averaged frame's span.  A failed check raises
+    ``VerificationError``: OB3 for the lift and the span, OB1 for the
+    covector built from the averaged 2-form.
     """
     gd = result.data
     chart = gd.conn.chart
@@ -490,8 +499,7 @@ def invariant_sections(
     x_avg = (x + sharp_bivector(gd.p, d_scalar(qx, chart))).simplified()
     s1 = DiracSection(x_avg, (-interior_product(x_avg, gd.sigma)).simplified())
 
-    ctx = gd.conn.context()
-    for i in range(ctx.b):
+    for i in range(gd.conn.fol.b):
         v = beta.evaluate(gd.conn.lift(i))
         if not v.is_zero():
             raise ValueError("beta must annihilate the averaged horizontal frame")
@@ -500,9 +508,9 @@ def invariant_sections(
         if not lie_derivative(gen, beta).is_zero():
             raise ValueError("beta is not invariant")
         if not lie_derivative(gen, s1.vector).is_zero():
-            raise ArithmeticError("averaged lift section is not invariant")
+            raise VerificationError("OB3", "averaged lift section is not invariant")
         if not lie_derivative(gen, s1.covector).is_zero():
-            raise ArithmeticError("averaged lift covector is not invariant")
+            raise VerificationError("OB1", "averaged lift covector is not invariant")
     s2 = DiracSection(sharp_bivector(gd.p, beta).simplified(), beta)
 
     if points is not None:
@@ -511,11 +519,7 @@ def invariant_sections(
         def probe(p: Point) -> bool:
             return frame.reduce_at(p, (s1, s2))[1] is None
 
-        run, first_fail = sweep(points, probe)
-        if first_fail is not None:
-            raise ArithmeticError(
-                f"section leaves the averaged frame span at {format_point(first_fail)}"
-            )
+        _verify_at(points, probe, "OB3", "section leaves the averaged frame span")
     return s1, s2
 
 
@@ -540,26 +544,27 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
     Hamiltonian for the averaged structure iff that 1-form vanishes.  When P
     is symplectic on fibers the coefficients must be base functions and
     exactness of the base form is decided by a radial potential; otherwise
-    only closedness (evaluated on lift pairs) is reported.
+    only closedness (evaluated on lift pairs) is reported.  A failed
+    internal check raises ``VerificationError`` for AD2.
     """
     cert = result.certificate
     if cert.mode != "hamiltonian":
         raise ValueError("adiabatic check needs a hamiltonian-mode certificate")
     src = result.source
     conn = src.conn
-    ctx = conn.context()
+    fol = conn.fol
     chart = conn.chart
     js = [RationalFn.of(f) for f in j]
     if len(js) != len(cert.circles):
         raise ValueError("need one J per generator")
     notes: List[str] = []
 
-    fiber_names = [chart.coords[k] for k in ctx.fiber]
+    fiber_names = [chart.coords[k] for k in fol.fiber]
     p_block = [
-        [src.p.component((ctx.fiber[a], ctx.fiber[b])) for a in range(ctx.f)]
-        for b in range(ctx.f)
+        [src.p.component((fol.fiber[a], fol.fiber[b])) for a in range(fol.f)]
+        for b in range(fol.f)
     ]
-    fiber_symp = not linalg.det(p_block).is_zero() if ctx.f > 0 else False
+    fiber_symp = not linalg.det(p_block).is_zero() if fol.f > 0 else False
 
     zetas: List[DifferentialForm] = []
     potentials: List[Optional[RationalFn]] = []
@@ -573,12 +578,12 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
         nu = nu.simplified()
         # Casimir property of the lift coefficients
         coeffs: List[RationalFn] = []
-        for i in range(ctx.b):
+        for i in range(fol.b):
             ci = nu.evaluate(conn.lift(i))
             coeffs.append(ci)
             if not sharp_bivector(src.p, d_scalar(ci, chart)).is_zero():
-                raise ArithmeticError(
-                    "lift coefficient of the averaged differential is not a Casimir"
+                raise VerificationError(
+                    "AD2", "lift coefficient of the averaged differential is not a Casimir"
                 )
         zeta = nu  # horizontal with Casimir coefficients
         zetas.append(zeta)
@@ -586,18 +591,19 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
             all_zero = False
         # closedness on lift pairs
         dnu = exterior_derivative(nu)
-        for a in range(ctx.b):
-            for b in range(a + 1, ctx.b):
+        for a in range(fol.b):
+            for b in range(a + 1, fol.b):
                 if not dnu.evaluate(conn.lift(a), conn.lift(b)).is_zero():
                     dz_zero = False
         if fiber_symp:
             for c in (x.simplified() for x in coeffs):
                 if not c.is_poly() or _mentions(c, fiber_names):
-                    raise ArithmeticError(
+                    raise VerificationError(
+                        "AD2",
                         "fiberwise-symplectic P forces base coefficients; "
                         "found fiber dependence"
                     )
-            pot = _radial_potential(chart, ctx, coeffs)
+            pot = _radial_potential(chart, fol, coeffs)
             if pot is None:
                 exact = False
             potentials.append(pot)
@@ -627,7 +633,7 @@ def _mentions(f: RationalFn, names: Sequence[str]) -> bool:
 
 
 def _radial_potential(
-    chart: Chart, ctx: BigradeContext, coeffs: List[RationalFn]
+    chart: Chart, fol: Foliation, coeffs: List[RationalFn]
 ) -> Optional[RationalFn]:
     """Potential of a polynomial base 1-form on a star-shaped box, if exact.
 
@@ -635,7 +641,7 @@ def _radial_potential(
     k = sum_i int_0^1 c_i(t x) x_i dt, termwise on monomials; the candidate
     is then verified by differentiation.
     """
-    base_names = [chart.coords[i] for i in ctx.base]
+    base_names = [chart.coords[i] for i in fol.base]
     total = Poly.zero()
     for i, c in enumerate(coeffs):
         c = c.simplified()

@@ -19,16 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .dirac import DiracFrame, DiracSection
 from .reports import CheckResult, failed, passed
-from .rings import Poly, RationalFn
-from .sampling import Point, format_point, sweep
+from .rings import RationalFn
+from .sampling import VerificationError
 from .tensors import (
-    BigradeContext,
     Chart,
     DifferentialForm,
     MultivectorField,
     VectorValued1Form,
     VectorValued2Form,
-    d10_horizontal,
     d_scalar,
     exterior_derivative,
     fn_bracket,
@@ -68,7 +66,16 @@ class Foliation:
 
 
 class Connection:
-    """Lift coefficients over a foliation: h_i = dx_i + sum_j gamma[j][i] dy_j."""
+    """Lift coefficients over a foliation and the adapted frames they define.
+
+    ``gamma[j][i]`` is the fiber-j component of the lift of the i-th base
+    coordinate field, so the lifted frame is
+
+        h_i = d_{base[i]} + sum_j gamma[j][i] d_{fiber[j]}.
+
+    A (p, q) tensor has p base-type legs and q fiber-type legs in the frame
+    (dx_i, eta_j = dy_j - sum_i gamma[j][i] dx_i) and dually (h_i, d_{y_j}).
+    """
 
     def __init__(self, fol: Foliation, gamma: Sequence[Sequence[object]]):
         self.fol = fol
@@ -77,29 +84,46 @@ class Connection:
         self.gamma: List[List[RationalFn]] = [
             [RationalFn.of(x) for x in row] for row in gamma
         ]
-        self._ctx = BigradeContext(fol.chart, fol.base, fol.fiber, self.gamma)
-        proj = self._ctx.vertical_projector()
-        if not proj.is_projection():
+        if not self.projector().is_projection():
             raise AssertionError("vertical projector fails gamma o gamma = gamma")
 
     @property
     def chart(self) -> Chart:
         return self.fol.chart
 
-    def context(self) -> BigradeContext:
-        return self._ctx
-
     def lift(self, i: int) -> MultivectorField:
-        return self._ctx.lift(i)
+        comps: Dict[int, RationalFn] = {self.fol.base[i]: RationalFn.const(1)}
+        for j in range(self.fol.f):
+            g = self.gamma[j][i]
+            if not g.is_zero():
+                comps[self.fol.fiber[j]] = g
+        return vector_field(self.chart, comps)
 
-    def eta(self, j: int) -> DifferentialForm:
-        return self._ctx.eta(j)
+    def vertical(self, j: int) -> MultivectorField:
+        return vector_field(self.chart, {self.fol.fiber[j]: RationalFn.const(1)})
 
     def dx(self, i: int) -> DifferentialForm:
-        return self._ctx.dx(i)
+        return one_form(self.chart, {self.fol.base[i]: RationalFn.const(1)})
+
+    def eta(self, j: int) -> DifferentialForm:
+        comps: Dict[int, RationalFn] = {self.fol.fiber[j]: RationalFn.const(1)}
+        for i in range(self.fol.b):
+            g = self.gamma[j][i]
+            if not g.is_zero():
+                comps[self.fol.base[i]] = -g
+        return one_form(self.chart, comps)
 
     def projector(self) -> VectorValued1Form:
-        return self._ctx.vertical_projector()
+        """The projection onto the fiber directions along the lifted frame."""
+        n = self.chart.dim
+        m = [[RationalFn.zero() for _ in range(n)] for _ in range(n)]
+        for j, fj in enumerate(self.fol.fiber):
+            m[fj][fj] = RationalFn.const(1)
+            for i, bi in enumerate(self.fol.base):
+                g = self.gamma[j][i]
+                if not g.is_zero():
+                    m[fj][bi] = -g
+        return VectorValued1Form(self.chart, m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
@@ -131,29 +155,29 @@ def curvature(conn: Connection) -> Curvature:
     with projecting their Lie bracket; also that vertical insertions vanish.
     A disagreement means the bracket conventions drifted and raises.
     """
-    ctx = conn.context()
+    fol = conn.fol
     proj = conn.projector()
     full = fn_bracket(proj, proj)
     half_vals = {
         k: v.scale(Fraction(1, 2)) for k, v in full.values.items()
     }
     vv2 = VectorValued2Form(conn.chart, half_vals)
-    lifts = [conn.lift(i) for i in range(ctx.b)]
-    verts = [ctx.vertical(j) for j in range(ctx.f)]
+    lifts = [conn.lift(i) for i in range(fol.b)]
+    verts = [conn.vertical(j) for j in range(fol.f)]
     on_lifts: Dict[Tuple[int, int], MultivectorField] = {}
-    for i in range(ctx.b):
-        for j in range(i + 1, ctx.b):
+    for i in range(fol.b):
+        for j in range(i + 1, fol.b):
             via_bracket = vv2.evaluate(lifts[i], lifts[j])
             via_lift = proj.apply(vf_bracket(lifts[i], lifts[j])).simplified()
             if via_bracket != via_lift:
-                raise ArithmeticError(
-                    f"curvature routes disagree on lift pair ({i}, {j})"
+                raise VerificationError(
+                    "SE3", f"curvature routes disagree on lift pair ({i}, {j})"
                 )
             on_lifts[(i, j)] = via_lift
     for v in verts:
         for w in lifts + verts:
             if not vv2.evaluate(v, w).is_zero():
-                raise ArithmeticError("curvature does not kill vertical insertions")
+                raise VerificationError("SE3", "curvature does not kill vertical insertions")
     return Curvature(conn, vv2, on_lifts)
 
 
@@ -168,14 +192,13 @@ class GeometricData:
     witness: Optional[Dict[str, object]] = None
 
     def __post_init__(self) -> None:
-        ctx = self.conn.context()
         if self.sigma.degree != 2 or self.sigma.chart != self.conn.chart:
             raise ValueError("sigma must be a 2-form on the connection chart")
         if self.p.degree != 2 or self.p.chart != self.conn.chart:
             raise ValueError("p must be a bivector on the connection chart")
-        if not is_horizontal_form(self.sigma, ctx):
+        if not is_horizontal_form(self.sigma, self.conn):
             raise ValueError("sigma must have only base-coordinate legs")
-        if not is_vertical_multivector(self.p, ctx):
+        if not is_vertical_multivector(self.p, self.conn):
             raise ValueError("p must have only fiber-coordinate legs")
 
     def require_verified(self, op: str) -> None:
@@ -193,9 +216,9 @@ class GeometricData:
 
 def d10_scalar(conn: Connection, f: RationalFn) -> DifferentialForm:
     """Covariant horizontal differential of a function: sum h_i(f) dx_i."""
-    ctx = conn.context()
+    fol = conn.fol
     comps: Dict[int, RationalFn] = {}
-    for i in range(ctx.b):
+    for i in range(fol.b):
         hi = conn.lift(i)
         v = RationalFn.zero()
         for (k,), c in hi.comps.items():
@@ -204,7 +227,7 @@ def d10_scalar(conn: Connection, f: RationalFn) -> DifferentialForm:
                 v = v + c * dfk
         v = v.simplified()
         if not v.is_zero():
-            comps[ctx.base[i]] = v
+            comps[fol.base[i]] = v
     return DifferentialForm(conn.chart, 1, {(i,): c for i, c in comps.items()})
 
 
@@ -218,13 +241,13 @@ def structure_eq_check(gd: GeometricData) -> Tuple[GeometricData, List[CheckResu
     results; failures carry a witness, nothing is thrown.
     """
     conn = gd.conn
-    ctx = conn.context()
+    fol = conn.fol
     results: List[CheckResult] = []
     witness: Optional[Dict[str, object]] = None
 
     # SE1: lifts generate the projectable horizontal sections
     se1_bad = None
-    for i in range(ctx.b):
+    for i in range(fol.b):
         lv = lie_derivative_multivector(conn.lift(i), gd.p)
         if not lv.is_zero():
             se1_bad = {"lift": i, "residual": repr(lv.comps)}
@@ -238,8 +261,8 @@ def structure_eq_check(gd: GeometricData) -> Tuple[GeometricData, List[CheckResu
     # SE2: d sigma evaluated on lift triples
     dsigma = exterior_derivative(gd.sigma)
     se2_bad = None
-    lifts = [conn.lift(i) for i in range(ctx.b)]
-    for tri in itertools.combinations(range(ctx.b), 3):
+    lifts = [conn.lift(i) for i in range(fol.b)]
+    for tri in itertools.combinations(range(fol.b), 3):
         v = dsigma.evaluate(*[lifts[i] for i in tri])
         if not v.is_zero():
             se2_bad = {"triple": list(tri), "residual": repr(v)}
@@ -258,8 +281,8 @@ def structure_eq_check(gd: GeometricData) -> Tuple[GeometricData, List[CheckResu
         se3_bad = {"error": str(exc)}
         cur = None
     if cur is not None:
-        for i in range(ctx.b):
-            for j in range(i + 1, ctx.b):
+        for i in range(fol.b):
+            for j in range(i + 1, fol.b):
                 sij = gd.sigma.evaluate(lifts[i], lifts[j])
                 rhs = -sharp_bivector(gd.p, d_scalar(sij, conn.chart))
                 lhs = cur.on_lifts.get((i, j), MultivectorField.zero(conn.chart, 1))
@@ -297,11 +320,11 @@ class CouplingPoisson:
 
 
 def sigma_on_lifts(gd: GeometricData) -> List[List[RationalFn]]:
-    ctx = gd.conn.context()
-    lifts = [gd.conn.lift(i) for i in range(ctx.b)]
+    fol = gd.conn.fol
+    lifts = [gd.conn.lift(i) for i in range(fol.b)]
     return [
-        [gd.sigma.evaluate(lifts[i], lifts[j]) for j in range(ctx.b)]
-        for i in range(ctx.b)
+        [gd.sigma.evaluate(lifts[i], lifts[j]) for j in range(fol.b)]
+        for i in range(fol.b)
     ]
 
 
@@ -314,7 +337,7 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
     """
     gd.require_verified("data_to_poisson")
     conn = gd.conn
-    ctx = conn.context()
+    fol = conn.fol
     s = sigma_on_lifts(gd)
     try:
         w = linalg.inverse(s)
@@ -323,10 +346,10 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
             "sigma is singular on the horizontal frame; not a coupling candidate"
         ) from exc
     w = [[(-x).simplified() for x in row] for row in w]
-    lifts = [conn.lift(i) for i in range(ctx.b)]
+    lifts = [conn.lift(i) for i in range(fol.b)]
     pi20 = MultivectorField.zero(conn.chart, 2)
-    for i in range(ctx.b):
-        for j in range(i + 1, ctx.b):
+    for i in range(fol.b):
+        for j in range(i + 1, fol.b):
             if not w[i][j].is_zero():
                 pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(w[i][j])
     pi20 = pi20.simplified()
@@ -334,17 +357,13 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
     pi = cp.pi
     jac = schouten_bracket(pi, pi)
     if not jac.is_zero():
-        raise ArithmeticError(
-            f"constructed bivector violates the Jacobi identity: {jac.comps!r}"
+        raise VerificationError(
+            "JAC", f"constructed bivector violates the Jacobi identity: {jac.comps!r}"
         )
     return cp
 
 
-def poisson_to_data(
-    pi: MultivectorField,
-    fol: Foliation,
-    points: Optional[List[Point]] = None,
-) -> GeometricData:
+def poisson_to_data(pi: MultivectorField, fol: Foliation) -> GeometricData:
     """Extract (connection, sigma, P) from a coupling Poisson bivector.
 
     The horizontal distribution is the image of the base coframe under Pi#;
@@ -380,16 +399,6 @@ def poisson_to_data(
     gamma = linalg.mat_mul(bm, a_inv)
     conn = Connection(fol, gamma)
 
-    if points is not None:
-        def probe(p: Point) -> bool:
-            return linalg.rank(linalg.eval_at(a, p)) == b
-
-        run, first_fail = sweep(points, probe)
-        if first_fail is not None:
-            raise ValueError(
-                f"coupling condition fails at sample point {format_point(first_fail)}"
-            )
-
     # sigma from the inverse of the base block: S = -(A^T)^{-1}
     s = [[(-a_inv[j][i]).simplified() for j in range(b)] for i in range(b)]
     sigma = DifferentialForm.zero(fol.chart, 2)
@@ -408,15 +417,15 @@ def poisson_to_data(
             if not wij.is_zero():
                 pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(wij)
     p = (pi - pi20).simplified()
-    ctx = conn.context()
-    if not is_vertical_multivector(p, ctx):
-        raise ArithmeticError("mixed-degree remainder; adapted splitting failed")
+    if not is_vertical_multivector(p, conn):
+        raise VerificationError("coupling", "mixed-degree remainder; adapted splitting failed")
 
     gd = GeometricData(conn, sigma, p)
     gd, results = structure_eq_check(gd)
     if gd.integrable != "verified":
         bad = [r.check for r in results if not r.passed]
-        raise ArithmeticError(
+        raise VerificationError(
+            bad[0],
             f"structure equations fail on extracted data ({', '.join(bad)}); "
             "this contradicts the Jacobi identity and signals a convention bug"
         )
@@ -427,12 +436,12 @@ def data_to_dirac(gd: GeometricData) -> DiracFrame:
     """The Dirac frame {(h_i, -i_{h_i} sigma)} + {(P# eta_j, eta_j)}."""
     gd.require_verified("data_to_dirac")
     conn = gd.conn
-    ctx = conn.context()
+    fol = conn.fol
     sections: List[DiracSection] = []
-    for i in range(ctx.b):
+    for i in range(fol.b):
         hi = conn.lift(i)
         sections.append(DiracSection(hi, (-interior_product(hi, gd.sigma)).simplified()))
-    for j in range(ctx.f):
+    for j in range(fol.f):
         ej = conn.eta(j)
         sections.append(DiracSection(sharp_bivector(gd.p, ej).simplified(), ej))
     return DiracFrame(sections)
@@ -457,8 +466,8 @@ def hamiltonian_check(gd: GeometricData, x: MultivectorField, f: RationalFn) -> 
     return lhs == rhs
 
 
-def is_horizontal_one_form(q: DifferentialForm, ctx: BigradeContext) -> bool:
-    return q.degree == 1 and is_horizontal_form(q, ctx)
+def is_horizontal_one_form(q: DifferentialForm, conn: Connection) -> bool:
+    return q.degree == 1 and is_horizontal_form(q, conn)
 
 
 def q_gauge(gd: GeometricData, q: DifferentialForm) -> GeometricData:
@@ -475,39 +484,40 @@ def q_gauge(gd: GeometricData, q: DifferentialForm) -> GeometricData:
     """
     gd.require_verified("q_gauge")
     conn = gd.conn
-    ctx = conn.context()
-    if not is_horizontal_one_form(q, ctx):
+    fol = conn.fol
+    if not is_horizontal_one_form(q, conn):
         raise ValueError("gauge 1-form must be horizontal (base legs only)")
     chart = conn.chart
-    lifts = [conn.lift(i) for i in range(ctx.b)]
-    qi = [q.evaluate(lifts[i]) for i in range(ctx.b)]
+    lifts = [conn.lift(i) for i in range(fol.b)]
+    qi = [q.evaluate(lifts[i]) for i in range(fol.b)]
 
     new_gamma = [list(row) for row in conn.gamma]
-    for i in range(ctx.b):
+    for i in range(fol.b):
         xi = sharp_bivector(gd.p, d_scalar(qi[i], chart))
         for (k,), val in xi.comps.items():
-            j = ctx.fiber.index(k)
+            j = fol.fiber.index(k)
             new_gamma[j][i] = (new_gamma[j][i] + val).simplified()
     new_conn = Connection(conn.fol, new_gamma)
 
     dq = exterior_derivative(q)
     new_sigma = DifferentialForm.zero(chart, 2)
-    for i in range(ctx.b):
-        for j in range(i + 1, ctx.b):
+    for i in range(fol.b):
+        for j in range(i + 1, fol.b):
             val = (
                 gd.sigma.evaluate(lifts[i], lifts[j])
                 - dq.evaluate(lifts[i], lifts[j])
                 - gd.p_bracket(qi[i], qi[j])
             ).simplified()
             if not val.is_zero():
-                basis = DifferentialForm.basis(chart, (ctx.base[i], ctx.base[j]))
+                basis = DifferentialForm.basis(chart, (fol.base[i], fol.base[j]))
                 new_sigma = new_sigma + basis.scale(val)
 
     out = GeometricData(new_conn, new_sigma.simplified(), gd.p)
     out, results = structure_eq_check(out)
     if out.integrable != "verified":
         bad = [r.check for r in results if not r.passed]
-        raise ArithmeticError(
+        raise VerificationError(
+            bad[0],
             f"gauged data fails structure equations ({', '.join(bad)}); "
             "gauge transformations must preserve them"
         )

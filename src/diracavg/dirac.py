@@ -12,27 +12,28 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Value
 from .reports import CheckResult, failed, passed
-from .rings import Poly, RationalFn
-from .sampling import Point, format_point, sweep
+from .rings import RationalFn
+from .sampling import Point, PointwiseRun, format_point, sweep
 from .tensors import (
     Chart,
     DifferentialForm,
     MultivectorField,
-    BigradeContext,
     d_scalar,
     exterior_derivative,
     interior_product,
     lie_derivative,
     one_form,
     sharp_bivector,
-    vector_field,
     vf_bracket,
 )
+
+if TYPE_CHECKING:
+    from .coupling import Connection
 
 
 @dataclass
@@ -135,12 +136,20 @@ class DiracFrame:
         return sum(c < n for c in cols), outside
 
     def validate_rank(self, points: List[Point]) -> CheckResult:
-        run, first_fail = sweep(points, self.rank_ok_at)
-        if first_fail is not None:
-            return failed(
-                "frame-rank", point=format_point(first_fail), usable=run.usable
-            )
-        return passed("frame-rank", usable=run.usable, total=run.total)
+        return _verdict("frame-rank", *sweep(points, self.rank_ok_at))
+
+
+def _verdict(
+    check: str, run: PointwiseRun, first_fail: Optional[Point], **fail_info: object
+) -> CheckResult:
+    """A sweep's check: its failing point first, then the 80% rule."""
+    if first_fail is not None:
+        return failed(check, point=format_point(first_fail), usable=run.usable, **fail_info)
+    counts = {"usable": run.usable, "total": run.total}
+    short = run.shortfall()
+    if short is not None:
+        return failed(check, witness=short, **counts)
+    return passed(check, **counts)
 
 
 def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
@@ -226,18 +235,11 @@ def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
         return True
 
     run, first_fail = sweep(points, probe)
-    if first_fail is not None:
-        return failed(
-            "involutivity",
-            point=format_point(first_fail),
-            witness=witness or None,
-            usable=run.usable,
-        )
-    return passed("involutivity", usable=run.usable, total=run.total)
+    return _verdict("involutivity", run, first_fail, witness=witness or None)
 
 
 def coupling_test(
-    frame: DiracFrame, ctx: BigradeContext, points: List[Point]
+    frame: DiracFrame, conn: "Connection", points: List[Point]
 ) -> Tuple[CheckResult, Optional[List[MultivectorField]]]:
     """Transversality of the frame's horizontal distribution.
 
@@ -247,12 +249,12 @@ def coupling_test(
     Returns the check result and a spanning set for H when it holds.
     """
     n = len(frame.sections)
-    b = ctx.b
+    b = conn.fol.b
     # rows: fiber components of each section's covector; kernel combos have
     # covector parts annihilating the vertical distribution
     rows = [
         [frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
-        for fi in ctx.fiber
+        for fi in conn.fol.fiber
     ]
     combos = linalg.kernel_basis(rows)
     h_fields: List[MultivectorField] = []
@@ -273,18 +275,13 @@ def coupling_test(
         [h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
         for h in h_fields
     ]
-    v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in ctx.fiber]
+    v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in conn.fol.fiber]
 
     def probe(p: Point) -> bool:
         return linalg.rank(linalg.eval_at(h_rows, p) + v_rows) == frame.chart.dim
 
-    run, first_fail = sweep(points, probe)
-    if first_fail is not None:
-        return (
-            failed("coupling", point=format_point(first_fail), usable=run.usable),
-            None,
-        )
-    return passed("coupling", usable=run.usable, total=run.total), h_fields
+    check = _verdict("coupling", *sweep(points, probe))
+    return check, h_fields if check.passed else None
 
 
 def presymplectic_on_characteristic(

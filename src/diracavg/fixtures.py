@@ -1,7 +1,8 @@
-"""Bundled example models.
+"""Bundled example models, shipped as canonical model files.
 
-Five integrable couplings plus two negative controls, both as programmatic
-builders and as canonical model files shipped with the package:
+The files under ``fixtures/`` are the only source of these models; the
+names below are read from them.  Five integrable couplings plus two
+negative controls:
 
 - flat: trivial connection, constant symplectic base form.
 - rotating_lift: nonflat lift and base form; averaging flattens both.
@@ -16,206 +17,24 @@ builders and as canonical model files shipped with the package:
 from __future__ import annotations
 
 import pathlib
-from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, Optional
 
-from .actions import CircleAction
-from .coupling import Connection, Foliation
-from .modelspec import ModelSpec, parse_spec, serialize_spec
-from .rings import Poly, RationalFn
-from .tensors import Chart, DifferentialForm, MultivectorField
-
-CHART4 = Chart(("x1", "x2", "y1", "y2"))
-CHART5 = Chart(("x1", "x2", "y1", "y2", "y3"))
-CHART5B = Chart(("x1", "x2", "x3", "y1", "y2"))
-
-
-def _half_boxes(chart: Chart) -> Dict[str, Dict[str, tuple]]:
-    h = Fraction(1, 2)
-    return {"default": {c: (-h, h) for c in chart.coords}}
-
-
-def _radius_sq() -> Poly:
-    return Poly.var("y1") ** 2 + Poly.var("y2") ** 2
-
-
-def flat_model() -> ModelSpec:
-    fol = Foliation(CHART4, (0, 1), (2, 3))
-    conn = Connection(fol, [[0, 0], [0, 0]])
-    sigma = DifferentialForm(CHART4, 2, {(0, 1): RationalFn.const(1)})
-    p = MultivectorField(CHART4, 2, {(2, 3): RationalFn.const(1)})
-    j = RationalFn.from_poly(_radius_sq() * Poly.const(Fraction(1, 2)))
-    return ModelSpec(
-        chart=CHART4,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        action=CircleAction(CHART4, [(2, 3, 1)]),
-        certificate_mode="hamiltonian",
-        certificate_j=[j],
-        boxes=_half_boxes(CHART4),
-    )
-
-
-def rotating_lift_model() -> ModelSpec:
-    """A lift twisted by x2 in the rotation plane; averaging removes it."""
-    fol = Foliation(CHART4, (0, 1), (2, 3))
-    conn = Connection(fol, [[0, 0], [Poly.var("x2"), 0]])
-    sigma = DifferentialForm(
-        CHART4, 2, {(0, 1): RationalFn.from_poly(Poly.const(1) + Poly.var("y1"))}
-    )
-    p = MultivectorField(CHART4, 2, {(2, 3): RationalFn.const(1)})
-    j = RationalFn.from_poly(_radius_sq() * Poly.const(Fraction(1, 2)))
-    return ModelSpec(
-        chart=CHART4,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        action=CircleAction(CHART4, [(2, 3, 1)]),
-        certificate_mode="hamiltonian",
-        certificate_j=[j],
-        boxes=_half_boxes(CHART4),
-    )
-
-
-def _leaf_pieces(gamma_entry: Poly):
-    fol = Foliation(CHART5, (0, 1), (2, 3, 4))
-    conn = Connection(fol, [[0, 0], [0, 0], [gamma_entry, 0]])
-    sigma = DifferentialForm(CHART5, 2, {(0, 1): RationalFn.const(1)})
-    # rotation generator wedged with the extra vertical direction
-    p = MultivectorField(
-        CHART5,
-        2,
-        {
-            (3, 4): RationalFn.from_poly(Poly.var("y1")),
-            (2, 4): RationalFn.from_poly(-Poly.var("y2")),
-        },
-    )
-    return fol, conn, sigma, p
-
-
-def transversal_leaf_model() -> ModelSpec:
-    """Vertical bivector of varying rank; every y = 0 point is fixed."""
-    fol, conn, sigma, p = _leaf_pieces(Poly.var("y1"))
-    return ModelSpec(
-        chart=CHART5,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        action=CircleAction(CHART5, [(2, 3, 1)]),
-        certificate_mode="hamiltonian",
-        certificate_j=[RationalFn.from_poly(-Poly.var("y3"))],
-        boxes=_half_boxes(CHART5),
-    )
-
-
-def obstructed_lift_model() -> ModelSpec:
-    """A radial lift term survives averaging: no invariant Hamiltonian."""
-    fol, conn, sigma, p = _leaf_pieces(Poly.var("y1") + _radius_sq())
-    return ModelSpec(
-        chart=CHART5,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        action=CircleAction(CHART5, [(2, 3, 1)]),
-        certificate_mode="hamiltonian",
-        certificate_j=[RationalFn.from_poly(-Poly.var("y3"))],
-        boxes=_half_boxes(CHART5),
-    )
-
-
-def shifted_lift_model() -> ModelSpec:
-    """Same geometry; the certificate shifted by a Casimir clears the block."""
-    fol, conn, sigma, p = _leaf_pieces(Poly.var("y1") + _radius_sq())
-    j = RationalFn.from_poly(-Poly.var("y3") + Poly.var("x1") * _radius_sq())
-    return ModelSpec(
-        chart=CHART5,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        action=CircleAction(CHART5, [(2, 3, 1)]),
-        certificate_mode="hamiltonian",
-        certificate_j=[j],
-        boxes=_half_boxes(CHART5),
-    )
-
-
-def nonintegrable_model() -> ModelSpec:
-    """A bivector whose Jacobiator is a nonzero constant trivector."""
-    pi = MultivectorField(
-        CHART4,
-        2,
-        {(0, 3): RationalFn.from_poly(Poly.var("y1")), (1, 2): RationalFn.const(1)},
-    )
-    return ModelSpec(
-        chart=CHART4,
-        tensors={"pi": pi},
-        scalars={},
-        boxes=_half_boxes(CHART4),
-    )
-
-
-def nonclosed_sigma_model() -> ModelSpec:
-    """Coupling data failing the closedness equation on lift triples."""
-    fol = Foliation(CHART5B, (0, 1, 2), (3, 4))
-    conn = Connection(fol, [[0, 0, 0], [0, 0, 0]])
-    sigma = DifferentialForm(
-        CHART5B, 2, {(0, 1): RationalFn.from_poly(Poly.var("x3"))}
-    )
-    p = MultivectorField(CHART5B, 2, {(3, 4): RationalFn.const(1)})
-    return ModelSpec(
-        chart=CHART5B,
-        tensors={"sigma": sigma, "p": p},
-        scalars={},
-        foliation=fol,
-        connection=conn,
-        boxes=_half_boxes(CHART5B),
-    )
-
-
-BUILDERS: Dict[str, Callable[[], ModelSpec]] = {
-    "flat": flat_model,
-    "rotating_lift": rotating_lift_model,
-    "transversal_leaf": transversal_leaf_model,
-    "obstructed_lift": obstructed_lift_model,
-    "shifted_lift": shifted_lift_model,
-    "nonintegrable": nonintegrable_model,
-    "nonclosed_sigma": nonclosed_sigma_model,
-}
-
-FIXTURES = tuple(sorted(BUILDERS))
-
-
-def build(name: str) -> ModelSpec:
-    if name not in BUILDERS:
-        raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURES)}")
-    return BUILDERS[name]()
+from .modelspec import ModelSpec, parse_spec
 
 
 def fixture_dir() -> pathlib.Path:
     return pathlib.Path(str(resources.files(__package__))) / "fixtures"
 
 
+FIXTURES = tuple(sorted(p.stem for p in fixture_dir().glob("*.json")))
+
+
 def fixture_path(name: str) -> pathlib.Path:
-    if name not in BUILDERS:
+    if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURES)}")
     return fixture_dir() / f"{name}.json"
 
 
 def load(name: str) -> ModelSpec:
-    """Parse a bundled fixture file (the file, not the builder)."""
+    """Parse a bundled fixture file."""
     return parse_spec(str(fixture_path(name)))
-
-
-def write_bundled(directory: Optional[pathlib.Path] = None) -> None:
-    """Regenerate every bundled fixture file in canonical form."""
-    out = pathlib.Path(directory) if directory is not None else fixture_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    for name in FIXTURES:
-        (out / f"{name}.json").write_text(serialize_spec(build(name)))

@@ -2,7 +2,11 @@
 
 Pointwise checks evaluate exact tensors at rational points drawn from a
 seeded generator.  Points where a denominator vanishes (or a frame loses
-rank) are skipped with a notice; a run needs at least 80% usable points.
+rank) are skipped with a notice.  A run needs at least 80% usable points:
+``PointwiseRun.shortfall`` decides that rule for every pointwise check and
+writes the witness of a run that misses it.  A failing point takes
+precedence over a short run.  Library calls that verify an identity at
+points raise ``VerificationError`` carrying the check it breaks.
 """
 
 from __future__ import annotations
@@ -27,8 +31,12 @@ _DENOM = 256
 USABLE_FRACTION = Fraction(4, 5)
 
 
-class SamplingError(RuntimeError):
-    """Raised when too few sample points were usable."""
+class VerificationError(ArithmeticError):
+    """An identity the engine derives failed; ``check`` names the check it breaks."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
 
 
 def default_box(chart: Chart) -> Dict[str, Tuple[Fraction, Fraction]]:
@@ -63,11 +71,11 @@ class PointwiseRun:
     usable: int
     skipped: List[Point] = field(default_factory=list)
 
-    @property
-    def healthy(self) -> bool:
-        if self.total == 0:
-            return False
-        return Fraction(self.usable, self.total) >= USABLE_FRACTION
+    def shortfall(self, unit: str = "sample points") -> Optional[str]:
+        """None when at least 80% of the run was usable, else the failure witness."""
+        if self.total and Fraction(self.usable, self.total) >= USABLE_FRACTION:
+            return None
+        return f"only {self.usable}/{self.total} {unit} usable"
 
 
 def sweep(points: List[Point], probe: Callable[[Point], bool]) -> Tuple[PointwiseRun, Optional[Point]]:
@@ -75,8 +83,8 @@ def sweep(points: List[Point], probe: Callable[[Point], bool]) -> Tuple[Pointwis
 
     The probe returns True/False for pass/fail and raises ZeroDivisionError
     (or ArithmeticError) to mark the point degenerate.  Degenerate points are
-    skipped with a notice.  If fewer than 80% of the points are usable a
-    SamplingError is raised.
+    skipped with a notice; the caller applies the 80% rule through
+    ``run.shortfall`` after looking at the failing point.
     """
     run = PointwiseRun(total=len(points), usable=0)
     first_fail: Optional[Point] = None
@@ -90,10 +98,6 @@ def sweep(points: List[Point], probe: Callable[[Point], bool]) -> Tuple[Pointwis
         run.usable += 1
         if not ok and first_fail is None:
             first_fail = p
-    if not run.healthy:
-        raise SamplingError(
-            f"only {run.usable}/{run.total} sample points usable (need 80%)"
-        )
     return run, first_fail
 
 

@@ -22,10 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .config import LIMITS, CapacityError
 from .rings import Poly, RationalFn, Scalar
+
+if TYPE_CHECKING:
+    from .coupling import Connection
 
 Idx = Tuple[int, ...]
 Components = Dict[Idx, RationalFn]
@@ -700,93 +703,22 @@ def fn_bracket(k: VectorValued1Form, l: VectorValued1Form) -> VectorValued2Form:
 
 # ----------------------------------------------------------------------
 # bigrading against a foliated chart with a connection
+# (``coupling.Connection`` holds gamma and builds the adapted frames)
 # ----------------------------------------------------------------------
 
 
-class BigradeContext:
-    """Horizontal/vertical splitting data for a foliated chart.
-
-    ``base`` and ``fiber`` are disjoint coordinate index tuples covering the
-    chart.  ``gamma[j][i]`` is the fiber-j component of the lift of the i-th
-    base coordinate field, so the lifted frame is
-
-        h_i = d_{base[i]} + sum_j gamma[j][i] d_{fiber[j]}.
-
-    A (p, q) tensor has p base-type legs and q fiber-type legs in the frame
-    (dx_i, eta_j = dy_j - sum_i gamma[j][i] dx_i) and dually (h_i, d_{y_j}).
-    """
-
-    def __init__(
-        self,
-        chart: Chart,
-        base: Sequence[int],
-        fiber: Sequence[int],
-        gamma: Sequence[Sequence[object]],
-    ):
-        if sorted(tuple(base) + tuple(fiber)) != list(range(chart.dim)):
-            raise ValueError("base and fiber must partition the chart indices")
-        self.chart = chart
-        self.base = tuple(base)
-        self.fiber = tuple(fiber)
-        f, b = len(self.fiber), len(self.base)
-        if len(gamma) != f or any(len(r) != b for r in gamma):
-            raise ValueError("gamma must be a fiber x base matrix")
-        self.gamma: List[List[RationalFn]] = [
-            [RationalFn.of(x) for x in row] for row in gamma
-        ]
-
-    @property
-    def b(self) -> int:
-        return len(self.base)
-
-    @property
-    def f(self) -> int:
-        return len(self.fiber)
-
-    def lift(self, i: int) -> MultivectorField:
-        comps: Dict[int, RationalFn] = {self.base[i]: RationalFn.const(1)}
-        for j in range(self.f):
-            g = self.gamma[j][i]
-            if not g.is_zero():
-                comps[self.fiber[j]] = g
-        return vector_field(self.chart, comps)
-
-    def vertical(self, j: int) -> MultivectorField:
-        return vector_field(self.chart, {self.fiber[j]: RationalFn.const(1)})
-
-    def dx(self, i: int) -> DifferentialForm:
-        return one_form(self.chart, {self.base[i]: RationalFn.const(1)})
-
-    def eta(self, j: int) -> DifferentialForm:
-        comps: Dict[int, RationalFn] = {self.fiber[j]: RationalFn.const(1)}
-        for i in range(self.b):
-            g = self.gamma[j][i]
-            if not g.is_zero():
-                comps[self.base[i]] = -g
-        return one_form(self.chart, comps)
-
-    def vertical_projector(self) -> VectorValued1Form:
-        """The projection onto the fiber directions along the lifted frame."""
-        n = self.chart.dim
-        m = [[RationalFn.zero() for _ in range(n)] for _ in range(n)]
-        for j in range(self.f):
-            m[self.fiber[j]][self.fiber[j]] = RationalFn.const(1)
-            for i in range(self.b):
-                g = self.gamma[j][i]
-                if not g.is_zero():
-                    m[self.fiber[j]][self.base[i]] = -g
-        return VectorValued1Form(self.chart, m)
-
-
 def bigrade_decompose(
-    t: _Tensor, ctx: BigradeContext
+    t: _Tensor, conn: "Connection"
 ) -> Dict[Tuple[int, int], _Tensor]:
     """Split a tensor into its (p, q) parts (p base legs, q fiber legs).
 
-    The parts are returned in coordinate components; they sum to ``t``.
+    The legs are counted in the connection's adapted frames (see
+    ``Connection``).  The parts are returned in coordinate components; they
+    sum to ``t``.
     """
-    if t.chart != ctx.chart:
+    if t.chart != conn.chart:
         raise ValueError("charts differ")
+    fol = conn.fol
     k = t.degree
     out: Dict[Tuple[int, int], _Tensor] = {}
     if k == 0:
@@ -796,21 +728,21 @@ def bigrade_decompose(
     is_form = isinstance(t, DifferentialForm)
     for p in range(0, k + 1):
         q = k - p
-        if p > ctx.b or q > ctx.f:
+        if p > fol.b or q > fol.f:
             continue
-        part = type(t).zero(ctx.chart, k)
-        for bi in itertools.combinations(range(ctx.b), p):
-            for fj in itertools.combinations(range(ctx.f), q):
+        part = type(t).zero(conn.chart, k)
+        for bi in itertools.combinations(range(fol.b), p):
+            for fj in itertools.combinations(range(fol.f), q):
                 if is_form:
-                    args = [ctx.lift(i) for i in bi] + [ctx.vertical(j) for j in fj]
-                    basis_factors = [ctx.dx(i) for i in bi] + [ctx.eta(j) for j in fj]
+                    args = [conn.lift(i) for i in bi] + [conn.vertical(j) for j in fj]
+                    basis_factors = [conn.dx(i) for i in bi] + [conn.eta(j) for j in fj]
                 else:
-                    args = [ctx.dx(i) for i in bi] + [ctx.eta(j) for j in fj]
-                    basis_factors = [ctx.lift(i) for i in bi] + [ctx.vertical(j) for j in fj]
+                    args = [conn.dx(i) for i in bi] + [conn.eta(j) for j in fj]
+                    basis_factors = [conn.lift(i) for i in bi] + [conn.vertical(j) for j in fj]
                 coeff = t.evaluate(*args)
                 if coeff.is_zero():
                     continue
-                basis = type(t).from_scalar(ctx.chart, 1)
+                basis = type(t).from_scalar(conn.chart, 1)
                 for fct in basis_factors:
                     basis = basis.wedge(fct)
                 part = part + basis.scale(coeff)
@@ -820,7 +752,7 @@ def bigrade_decompose(
 
 
 def d_decompose(
-    beta: DifferentialForm, ctx: BigradeContext
+    beta: DifferentialForm, conn: "Connection"
 ) -> Dict[str, DifferentialForm]:
     """Split d(beta) into its three bidegree shifts.
 
@@ -835,9 +767,9 @@ def d_decompose(
         "d2m1": DifferentialForm.zero(chart, k1),
         "d01": DifferentialForm.zero(chart, k1),
     }
-    for (p, q), part in bigrade_decompose(beta, ctx).items():
+    for (p, q), part in bigrade_decompose(beta, conn).items():
         dpart = exterior_derivative(part)
-        for (pp, qq), piece in bigrade_decompose(dpart, ctx).items():
+        for (pp, qq), piece in bigrade_decompose(dpart, conn).items():
             shift = (pp - p, qq - q)
             if shift == (1, 0):
                 acc["d10"] = acc["d10"] + piece
@@ -855,34 +787,34 @@ def d_decompose(
     return acc
 
 
-def is_horizontal_form(t: DifferentialForm, ctx: BigradeContext) -> bool:
+def is_horizontal_form(t: DifferentialForm, conn: "Connection") -> bool:
     """True when every leg is a base-coordinate leg (no dy components)."""
-    fiber = set(ctx.fiber)
+    fiber = set(conn.fol.fiber)
     return all(not (set(idx) & fiber) for idx in t.comps)
 
 
-def is_vertical_multivector(t: MultivectorField, ctx: BigradeContext) -> bool:
-    base = set(ctx.base)
+def is_vertical_multivector(t: MultivectorField, conn: "Connection") -> bool:
+    base = set(conn.fol.base)
     return all(not (set(idx) & base) for idx in t.comps)
 
 
-def d10_horizontal(beta: DifferentialForm, ctx: BigradeContext) -> DifferentialForm:
+def d10_horizontal(beta: DifferentialForm, conn: "Connection") -> DifferentialForm:
     """Covariant horizontal differential of a base-leg form.
 
     Defined by evaluating d(beta) on tuples of lifted frame fields; the result
     again has only base legs.
     """
-    if not is_horizontal_form(beta, ctx):
+    if not is_horizontal_form(beta, conn):
         raise ValueError("form must have only base-coordinate legs")
     dbeta = exterior_derivative(beta)
     k1 = beta.degree + 1
-    out = DifferentialForm.zero(ctx.chart, k1)
-    for bi in itertools.combinations(range(ctx.b), k1):
-        coeff = dbeta.evaluate(*[ctx.lift(i) for i in bi])
+    out = DifferentialForm.zero(conn.chart, k1)
+    for bi in itertools.combinations(range(conn.fol.b), k1):
+        coeff = dbeta.evaluate(*[conn.lift(i) for i in bi])
         if coeff.is_zero():
             continue
-        basis = DifferentialForm.from_scalar(ctx.chart, 1)
+        basis = DifferentialForm.from_scalar(conn.chart, 1)
         for i in bi:
-            basis = basis.wedge(ctx.dx(i))
+            basis = basis.wedge(conn.dx(i))
         out = out + basis.scale(coeff)
     return out.simplified()

@@ -39,7 +39,7 @@ from diracavg.dirac import (
     involutivity_check,
     same_span_at,
 )
-from diracavg.fixtures import build
+from diracavg.fixtures import load
 from diracavg.moser import (
     FlowConfig,
     NumericEvaluator,
@@ -81,7 +81,7 @@ INTEGRABLE = ("flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "s
 
 def _averaged(name):
     """Verified data plus its averaging result for a bundled model."""
-    spec = build(name)
+    spec = load(name)
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks), [c.to_dict() for c in checks]
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
@@ -196,16 +196,16 @@ def test_criterion_4_random_gauges_preserve_structure_and_span():
     rng = random.Random(104)
     gauges = 0
     for name in INTEGRABLE:
-        spec = build(name)
+        spec = load(name)
         gd, checks = structure_eq_check(spec.geometric_data())
         assert all(c.passed for c in checks)
         chart = gd.conn.chart
-        ctx = gd.conn.context()
+        fol = gd.conn.fol
         before = data_to_dirac(gd)
         for k in range(20):
             q = one_form(
                 chart,
-                {i: RationalFn.from_poly(rand_poly(rng, chart.coords, 1)) for i in ctx.base},
+                {i: RationalFn.from_poly(rand_poly(rng, chart.coords, 1)) for i in fol.base},
             )
             out = q_gauge(gd, q)
             _, se = structure_eq_check(out)
@@ -216,14 +216,14 @@ def test_criterion_4_random_gauges_preserve_structure_and_span():
             pts = sample_box(chart, spec.get_box(), 52, spec.seed + k)
             run, first_fail = sweep(pts, lambda p: same_span_at(after, moved, p))
             assert first_fail is None
-            assert run.healthy
+            assert run.shortfall() is None
             gauges += 1
     assert gauges == 20 * len(INTEGRABLE)
     print(f"criterion 4: {gauges} gauges exact, spans matched at 52 points each")
 
 
 def test_criterion_5_averaged_data_identities_by_two_routes():
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks)
     chart = gd.conn.chart
@@ -235,29 +235,29 @@ def test_criterion_5_averaged_data_identities_by_two_routes():
 
     # connection route: the tensorial average of the vertical projector
     # carries the averaged coefficients entry by entry
-    ctx = gd.conn.context()
+    fol = gd.conn.fol
     avg_proj = circ.average(gd.conn.projector())
     assert avg_proj == res.data.conn.projector()
-    for jrow in range(ctx.f):
-        for icol in range(ctx.b):
+    for jrow in range(fol.f):
+        for icol in range(fol.b):
             got = RationalFn.of(res.data.conn.gamma[jrow][icol])
-            assert -avg_proj.matrix[ctx.fiber[jrow]][ctx.base[icol]] == got
+            assert -avg_proj.matrix[fol.fiber[jrow]][fol.base[icol]] == got
 
     # 2-form route 1: gauge the input data by Q
     assert q_gauge(gd, res.q).sigma == res.data.sigma
 
     # 2-form route 2: direct averaged expression with the fiber bracket
-    qi = [res.q.evaluate(gd.conn.lift(i)) for i in range(ctx.b)]
+    qi = [res.q.evaluate(gd.conn.lift(i)) for i in range(fol.b)]
     qq = DifferentialForm.zero(chart, 2)
-    for a in range(ctx.b):
-        for b in range(a + 1, ctx.b):
+    for a in range(fol.b):
+        for b in range(a + 1, fol.b):
             val = gd.p_bracket(qi[a], qi[b])
             if not val.is_zero():
-                qq = qq + DifferentialForm.basis(chart, (ctx.base[a], ctx.base[b])).scale(val)
+                qq = qq + DifferentialForm.basis(chart, (fol.base[a], fol.base[b])).scale(val)
     direct = (
         circ.average(gd.sigma)
         + circ.average(qq)
-        - d10_horizontal(circ.average(res.q), res.data.conn.context())
+        - d10_horizontal(circ.average(res.q), res.data.conn)
     ).simplified()
     assert direct == res.data.sigma
 
@@ -271,15 +271,15 @@ def test_criterion_5_averaged_data_identities_by_two_routes():
 
     # a closed certificate leaves the fiber block of the bivector alone
     assert res.data.p == gd.p
-    src_dec = bigrade_decompose(data_to_poisson(gd).pi, ctx)
-    avg_dec = bigrade_decompose(res.poisson.pi, res.data.conn.context())
+    src_dec = bigrade_decompose(data_to_poisson(gd).pi, gd.conn)
+    avg_dec = bigrade_decompose(res.poisson.pi, res.data.conn)
     assert avg_dec.get((0, 2)) == src_dec.get((0, 2))
     print("criterion 5: both 2-form routes and the fiber block agree exactly")
 
 
 def test_criterion_6_block_identities_agree_across_routes():
     # a hand-built gauge pair plus the two nontrivial pipeline pairs
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     gd, _ = structure_eq_check(spec.geometric_data())
     pi = data_to_poisson(gd).pi
     y2 = RationalFn.var("y2")
@@ -309,8 +309,7 @@ def test_criterion_7_flow_intertwines_endpoints():
     ev = NumericEvaluator(pi, res.theta, box, probes)
     rng = random.Random(172)
     starts = [{c: rng.uniform(-0.15, 0.15) for c in chart.coords} for _ in range(20)]
-    ctx = gd.conn.context()
-    fiber_names = [chart.coords[i] for i in ctx.fiber]
+    fiber_names = [chart.coords[i] for i in gd.conn.fol.fiber]
     leaf = []
     for p in starts[:5]:
         q = dict(p)
@@ -375,7 +374,7 @@ def test_criterion_9_negative_controls_fail_with_witnesses(tmp_path, capsys):
     assert jac["status"] == "fail"
     assert jac["witness"]["component"] == [0, 1, 3]
 
-    spec = build("nonintegrable")
+    spec = load("nonintegrable")
     frame = graph_of_bivector(spec.tensors["pi"])
     pts = sample_box(spec.chart, spec.get_box(), 6, 109)
     inv = involutivity_check(frame, pts)
@@ -383,7 +382,7 @@ def test_criterion_9_negative_controls_fail_with_witnesses(tmp_path, capsys):
     assert inv.witness is not None
     assert inv.point is not None
 
-    gd = build("nonclosed_sigma").geometric_data()
+    gd = load("nonclosed_sigma").geometric_data()
     _, checks = structure_eq_check(gd)
     by_name = {c.check: c for c in checks}
     assert by_name["SE1"].passed

@@ -21,7 +21,7 @@ from diracavg.averaging import (
 from diracavg.config import PI
 from diracavg.coupling import data_to_poisson, structure_eq_check
 from diracavg.dirac import gauge_transform, graph_of_bivector, same_span_at
-from diracavg.fixtures import build
+from diracavg.fixtures import load
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import default_box, sample_box
 from diracavg.tensors import (
@@ -40,7 +40,7 @@ from conftest import CHART4
 
 
 def _pipeline(name):
-    spec = build(name)
+    spec = load(name)
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks)
     act = spec.action
@@ -51,7 +51,7 @@ def _pipeline(name):
 
 
 def test_certificate_verifies_the_radial_hamiltonian():
-    spec = build("flat")
+    spec = load("flat")
     gd, _ = structure_eq_check(spec.geometric_data())
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
     assert cert.verified
@@ -63,7 +63,7 @@ def test_certificate_verifies_the_radial_hamiltonian():
 
 
 def test_certificate_rejects_a_wrong_hamiltonian():
-    spec = build("flat")
+    spec = load("flat")
     gd, _ = structure_eq_check(spec.geometric_data())
     bad = [RationalFn.var("y1")]
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=bad)
@@ -72,7 +72,7 @@ def test_certificate_rejects_a_wrong_hamiltonian():
 
 
 def test_certificate_rejects_nonclosed_mu():
-    spec = build("flat")
+    spec = load("flat")
     gd, _ = structure_eq_check(spec.geometric_data())
     chart = gd.conn.chart
     y1, y2 = RationalFn.var("y1"), RationalFn.var("y2")
@@ -83,7 +83,7 @@ def test_certificate_rejects_nonclosed_mu():
 
 
 def test_certificate_mode_validation():
-    spec = build("flat")
+    spec = load("flat")
     gd, _ = structure_eq_check(spec.geometric_data())
     with pytest.raises(ValueError):
         check_compatibility(spec.action, gd.p, mode="nonsense")
@@ -159,7 +159,7 @@ def test_averaging_is_idempotent():
 
 
 def test_average_coupling_preconditions():
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     gd_raw = spec.geometric_data()
     gd, _ = structure_eq_check(gd_raw)
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
@@ -172,7 +172,7 @@ def test_average_coupling_preconditions():
 
 
 def test_compute_theta_applies_the_homotopy_kernel():
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     gd, _ = structure_eq_check(spec.geometric_data())
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
     chart = gd.conn.chart
@@ -218,7 +218,7 @@ def test_gauge_poisson_rejects_nonclosed_forms():
 
 
 def test_tr4_block_identities_on_the_rotating_model():
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     gd, _ = structure_eq_check(spec.geometric_data())
     pi = data_to_poisson(gd).pi
     y2 = RationalFn.var("y2")

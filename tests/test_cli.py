@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from diracavg import cli
-from diracavg.fixtures import fixture_path
+from diracavg import averaging, cli, coupling
+from diracavg.dirac import DiracFrame
 from diracavg.modelspec import parse_spec
 from diracavg.moser import GuardError
 from diracavg.rings import RationalFn
-from diracavg.tensors import MultivectorField
+from diracavg.sampling import format_point
+from diracavg.tensors import DifferentialForm, MultivectorField
 
 
 def _run(capsys, *argv):
@@ -211,7 +212,7 @@ def test_moser_verify_runs_on_the_torus(capsys):
     assert checks["HR"]["info"]["pairs_skipped"] == 0
 
 
-def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monkeypatch):
+def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monkeypatch, tmp_path):
     real_bracket, real_value_at = cli.schouten_bracket, RationalFn.value_at
 
     def nudged(a, b):
@@ -229,7 +230,15 @@ def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monke
             raise ZeroDivisionError("denominator vanishes at sample point")
         return real_value_at(self, point)
 
-    argv = ("check-jacobi", "--spec", "flat", "--samples", "8", "--format", "json-like")
+    # flat's bivector read from a file: check-jacobi computes its Jacobiator
+    # itself, where the nudge reaches it
+    spec = tmp_path / "flat_pi.json"
+    spec.write_text(json.dumps({
+        "coordinates": ["x1", "x2", "y1", "y2"],
+        "tensors": {"pi": {"kind": "multivector", "degree": 2,
+                           "components": {"0,1": [["1", {}]], "2,3": [["1", {}]]}}},
+    }))
+    argv = ("check-jacobi", "--spec", str(spec), "--samples", "8", "--format", "json-like")
     code, out, _ = _run(capsys, *argv)
     route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
     # every triple agrees exactly, so nothing needed sampling
@@ -333,3 +342,113 @@ def test_report_file_matches_stdout_payload(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out) == json.loads(r.read_text())
+
+
+def _report_checks(report):
+    payload = json.loads(report.read_text())
+    return {c["check"]: c for c in payload["checks"]}
+
+
+def test_averaged_2form_not_invariant_reports_ob1(capsys, monkeypatch, tmp_path):
+    real = averaging.lie_derivative
+
+    def on_forms(gen, t):
+        # the 2-form alone comes out non-invariant
+        if isinstance(t, DifferentialForm) and t.degree == 2:
+            return DifferentialForm.basis(t.chart, (0, 1))
+        return real(gen, t)
+
+    monkeypatch.setattr(averaging, "lie_derivative", on_forms)
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "average", "--spec", "rotating_lift", "--report", str(report))
+    assert (code, err) == (1, "")
+    checks = _report_checks(report)
+    assert sorted(checks) == ["OB1", "SE1", "SE2", "SE3"]
+    assert checks["OB1"]["status"] == "error"
+    assert checks["OB1"]["witness"] == "averaged 2-form is not invariant"
+
+
+def test_fiber_dependence_in_the_adiabatic_check_reports_ad2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(averaging, "_mentions", lambda f, names: True)
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "adiabatic", "--spec", "rotating_lift", "--report", str(report))
+    assert (code, err) == (1, "")
+    ad2 = _report_checks(report)["AD2"]
+    assert ad2["status"] == "error"
+    assert "found fiber dependence" in ad2["witness"]
+
+
+def test_jacobi_failure_while_deriving_the_bivector_reports_jac(capsys, monkeypatch, tmp_path):
+    def broken(a, b):
+        return MultivectorField(a.chart, 3, {(0, 1, 2): RationalFn.const(1)})
+
+    monkeypatch.setattr(coupling, "schouten_bracket", broken)
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "check-jacobi", "--spec", "flat", "--report", str(report))
+    assert (code, err) == (1, "")
+    checks = _report_checks(report)
+    assert sorted(checks) == ["JAC"]
+    assert checks["JAC"]["status"] == "error"
+    assert "violates the Jacobi identity" in checks["JAC"]["witness"]
+
+
+def _flaky_rank(monkeypatch, outcomes):
+    """Make the first rank probes raise (None) or return the given verdicts."""
+    real = DiracFrame.rank_ok_at
+    calls = []
+
+    def probe(self, point):
+        calls.append(point)
+        if len(calls) <= len(outcomes):
+            if outcomes[len(calls) - 1] is None:
+                raise ZeroDivisionError("denominator vanishes at sample point")
+            return outcomes[len(calls) - 1]
+        return real(self, point)
+
+    monkeypatch.setattr(DiracFrame, "rank_ok_at", probe)
+    return calls
+
+
+def test_a_short_sweep_fails_its_check_with_exit_one(capsys, monkeypatch, tmp_path):
+    _flaky_rank(monkeypatch, [None] * 4)
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "dirac-verify", "--spec", "flat", "--samples", "10",
+                        "--report", str(report))
+    assert (code, err) == (1, "")
+    checks = _report_checks(report)
+    rank = checks["frame-rank"]
+    assert rank["status"] == "fail"
+    assert rank["witness"] == "only 6/10 sample points usable"
+    assert rank["info"] == {"usable": 6, "total": 10}
+    assert checks["involutivity"]["status"] == "pass"
+
+
+def test_a_failing_point_outranks_a_short_sweep(capsys, monkeypatch, tmp_path):
+    calls = _flaky_rank(monkeypatch, [None] * 4 + [False])
+    report = tmp_path / "report.json"
+    code, _, _ = _run(capsys, "dirac-verify", "--spec", "flat", "--samples", "10",
+                      "--report", str(report))
+    assert code == 1
+    rank = _report_checks(report)["frame-rank"]
+    assert rank["status"] == "fail"
+    assert rank["point"] == format_point(calls[4])
+    assert "witness" not in rank
+
+
+def test_a_short_sweep_inside_averaging_reports_gt1(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def mostly_degenerate(f1, f2, point):
+        calls.append(point)
+        if len(calls) % 2:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        return True
+
+    monkeypatch.setattr(averaging, "same_span_at", mostly_degenerate)
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "average", "--spec", "flat", "--samples", "10",
+                        "--report", str(report))
+    assert (code, err) == (1, "")
+    gt1 = _report_checks(report)["GT1"]
+    assert gt1["status"] == "error"
+    assert gt1["witness"] == "only 5/10 sample points usable"

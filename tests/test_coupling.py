@@ -22,7 +22,7 @@ from diracavg.coupling import (
     structure_eq_check,
 )
 from diracavg.dirac import gauge_transform, involutivity_check, same_span_at
-from diracavg.fixtures import build
+from diracavg.fixtures import load
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import default_box, sample_box
 from diracavg.tensors import (
@@ -41,12 +41,12 @@ from conftest import CHART4, rand_poly
 
 
 def _flat_gd():
-    spec = build("flat")
+    spec = load("flat")
     return spec.geometric_data()
 
 
 def _leaf_gd():
-    return build("transversal_leaf").geometric_data()
+    return load("transversal_leaf").geometric_data()
 
 
 def _verified(gd):
@@ -78,14 +78,14 @@ def test_connection_lift_and_coframe_duality():
     # eta_j kills every lift and pairs to 1 with its own fiber direction
     gd = _leaf_gd()
     conn = gd.conn
-    ctx = conn.context()
-    for j in range(ctx.f):
+    fol = conn.fol
+    for j in range(fol.f):
         eta = conn.eta(j)
-        for i in range(ctx.b):
+        for i in range(fol.b):
             assert eta.evaluate(conn.lift(i)).is_zero()
-        for jj in range(ctx.f):
+        for jj in range(fol.f):
             want = RationalFn.const(1 if jj == j else 0)
-            fiber_dir = vector_field(conn.chart, {ctx.fiber[jj]: 1})
+            fiber_dir = vector_field(conn.chart, {fol.fiber[jj]: 1})
             assert eta.evaluate(fiber_dir) == want
 
 
@@ -102,13 +102,13 @@ def test_leaf_connection_lift_components():
 
 def test_curvature_of_flat_connections_vanishes():
     for name in ("flat", "transversal_leaf"):
-        gd = build(name).geometric_data()
+        gd = load(name).geometric_data()
         cur = curvature(gd.conn)
         assert cur.vv2.is_zero()
 
 
 def test_curvature_of_the_rotating_model():
-    gd = build("rotating_lift").geometric_data()
+    gd = load("rotating_lift").geometric_data()
     cur = curvature(gd.conn)
     # [h_1, h_2] = [d_x1 + x2 d_y2, d_x2] = -d_y2
     assert cur.on_lifts == {(0, 1): vector_field(CHART4, {3: -1})}
@@ -131,17 +131,17 @@ def test_d10_matches_lift_application():
     rng = random.Random(71)
     f = RationalFn.from_poly(rand_poly(rng, gd.conn.chart.coords, 2))
     df = d10_scalar(gd.conn, f)
-    ctx = gd.conn.context()
-    for i in range(ctx.b):
+    fol = gd.conn.fol
+    for i in range(fol.b):
         assert df.evaluate(gd.conn.lift(i)) == apply_vector(gd.conn.lift(i), f)
         # it has no fiber-direction legs
-    for j in ctx.fiber:
+    for j in fol.fiber:
         assert df.component((j,)).is_zero()
 
 
 def test_structure_checks_pass_on_bundled_models():
     for name in ("flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "shifted_lift"):
-        gd = build(name).geometric_data()
+        gd = load(name).geometric_data()
         out, checks = structure_eq_check(gd)
         assert [c.check for c in checks] == ["SE1", "SE2", "SE3"]
         assert all(c.passed for c in checks)
@@ -164,7 +164,7 @@ def test_structure_check_rejects_nonpreserved_vertical_bivector():
 
 
 def test_structure_check_rejects_nonclosed_sigma():
-    gd = build("nonclosed_sigma").geometric_data()
+    gd = load("nonclosed_sigma").geometric_data()
     _, checks = structure_eq_check(gd)
     by_name = {c.check: c for c in checks}
     assert by_name["SE1"].passed
@@ -204,7 +204,7 @@ def test_flat_model_assembles_the_standard_bivector():
 
 
 def test_rotating_model_bivector_is_poisson_and_splits():
-    gd = _verified(build("rotating_lift").geometric_data())
+    gd = _verified(load("rotating_lift").geometric_data())
     cp = data_to_poisson(gd)
     pi = cp.pi
     assert schouten_bracket(pi, pi).is_zero()
@@ -217,7 +217,7 @@ def test_rotating_model_bivector_is_poisson_and_splits():
 
 def test_poisson_data_round_trip():
     for name in ("flat", "rotating_lift", "transversal_leaf"):
-        gd = _verified(build(name).geometric_data())
+        gd = _verified(load(name).geometric_data())
         cp = data_to_poisson(gd)
         back = poisson_to_data(cp.pi, gd.conn.fol)
         assert back.conn == gd.conn
@@ -253,7 +253,7 @@ def test_hamiltonian_check_on_the_radial_hamiltonian():
 
 
 def test_dirac_frame_of_data_is_involutive_and_matches_the_graph():
-    gd = _verified(build("rotating_lift").geometric_data())
+    gd = _verified(load("rotating_lift").geometric_data())
     frame = data_to_dirac(gd)
     pts = sample_box(gd.conn.chart, default_box(gd.conn.chart), 6, 72)
     assert frame.validate_rank(pts).passed
@@ -269,13 +269,12 @@ def test_dirac_frame_of_data_is_involutive_and_matches_the_graph():
 
 def test_horizontal_form_predicate():
     gd = _flat_gd()
-    ctx = gd.conn.context()
-    assert is_horizontal_one_form(one_form(CHART4, {0: RationalFn.var("y1")}), ctx)
-    assert not is_horizontal_one_form(one_form(CHART4, {2: RationalFn.const(1)}), ctx)
+    assert is_horizontal_one_form(one_form(CHART4, {0: RationalFn.var("y1")}), gd.conn)
+    assert not is_horizontal_one_form(one_form(CHART4, {2: RationalFn.const(1)}), gd.conn)
 
 
 def test_q_gauge_preserves_structure_and_frame_span():
-    gd = _verified(build("rotating_lift").geometric_data())
+    gd = _verified(load("rotating_lift").geometric_data())
     rng = random.Random(73)
     chart = gd.conn.chart
     q = one_form(

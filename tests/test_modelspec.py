@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracavg.fixtures import FIXTURES, build, fixture_path, load
+from diracavg.fixtures import FIXTURES, fixture_path, load
 from diracavg.modelspec import (
     ModelSpec,
     SpecError,
@@ -51,12 +51,10 @@ def test_all_bundled_models_round_trip_byte_identically():
         path = fixture_path(name)
         spec = parse_spec(path)
         assert serialize_spec(spec).encode() == path.read_bytes()
-        # programmatic builders and bundled files agree
-        assert serialize_spec(build(name)) == serialize_spec(spec)
 
 
 def test_serialization_is_idempotent_and_canonical():
-    spec = build("rotating_lift")
+    spec = load("rotating_lift")
     text = serialize_spec(spec)
     again = serialize_spec(parse_spec_dict(json.loads(text)))
     assert again == text
@@ -75,7 +73,7 @@ def test_bundled_models_carry_geometry():
 
 
 def test_get_box_default_and_named():
-    spec = build("flat")
+    spec = load("flat")
     box = spec.get_box()
     assert box["x1"] == (Fraction(-1, 2), Fraction(1, 2))
     assert spec.get_box("default") == box
@@ -88,7 +86,7 @@ def test_get_box_default_and_named():
 
 def test_unknown_fixture_name():
     with pytest.raises(KeyError):
-        build("nope")
+        load("nope")
 
 
 def test_missing_file_reports_a_diagnostic():

@@ -16,7 +16,7 @@ from conftest import CHART4, rand_poly
 from diracavg.averaging import average_coupling, check_compatibility
 from diracavg.config import PI
 from diracavg.coupling import data_to_poisson, structure_eq_check
-from diracavg.fixtures import build
+from diracavg.fixtures import load
 from diracavg.moser import (
     BoxExit,
     FlowConfig,
@@ -43,7 +43,7 @@ from diracavg.tensors import (
 
 @functools.lru_cache(maxsize=None)
 def _setup(name="rotating_lift"):
-    spec = build(name)
+    spec = load(name)
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks)
     cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from diracavg.config import CapacityError
+from diracavg.coupling import Connection, Foliation
 from diracavg.rings import Poly, RationalFn
 from diracavg.tensors import (
-    BigradeContext,
     Chart,
     DifferentialForm,
     MultivectorField,
@@ -329,10 +329,10 @@ def test_fn_bracket_detects_nonintegrable_projector():
 
 def test_bigrade_decompose_reassembles():
     chart = CHART4
-    ctx = BigradeContext(chart, (0, 1), (2, 3), [[0, 0], [0, 0]])
+    conn = Connection(Foliation(chart, (0, 1), (2, 3)), [[0, 0], [0, 0]])
     rng = random.Random(45)
     a = _rand_form(rng, chart, 2)
-    parts = bigrade_decompose(a, ctx)
+    parts = bigrade_decompose(a, conn)
     total = DifferentialForm.zero(chart, 2)
     for piece in parts.values():
         total = total + piece
@@ -341,10 +341,10 @@ def test_bigrade_decompose_reassembles():
 
 def test_d_decompose_parts_sum_to_d():
     chart = CHART4
-    ctx = BigradeContext(chart, (0, 1), (2, 3), [[0, 0], [0, 0]])
+    conn = Connection(Foliation(chart, (0, 1), (2, 3)), [[0, 0], [0, 0]])
     rng = random.Random(46)
     a = _rand_form(rng, chart, 1)
-    parts = d_decompose(a, ctx)
+    parts = d_decompose(a, conn)
     total = DifferentialForm.zero(chart, 2)
     for piece in parts.values():
         total = total + piece
