@@ -11,6 +11,7 @@ verification error reports the check it breaks), 2 usage or parse problems.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -39,6 +40,7 @@ from .dirac import (
     same_span_at,
     coupling_test,
 )
+from .linalg import Jets
 from .modelspec import (
     ModelSpec,
     SpecError,
@@ -55,7 +57,6 @@ from .moser import (
     z_batch,
 )
 from .reports import CheckResult, failed, passed
-from .rings import RationalFn
 from .sampling import (
     Point,
     PointwiseRun,
@@ -64,14 +65,7 @@ from .sampling import (
     sample_box,
     sweep,
 )
-from .tensors import (
-    MultivectorField,
-    apply_vector,
-    d_scalar,
-    exterior_derivative,
-    schouten_bracket,
-    sharp_bivector,
-)
+from .tensors import MultivectorField, exterior_derivative, schouten_bracket
 
 JACOBI_TOL = 1e-9
 FLOW_TOL = 1e-6
@@ -105,22 +99,15 @@ class StructureFailure(Exception):
 # -- shared plumbing --------------------------------------------------------
 
 
-def _resolve_spec(arg: str) -> str:
+def _resolve_spec(arg: str) -> Tuple[str, Optional[str]]:
+    """The model file for --spec, and its fixture name if it names one."""
     if not os.path.exists(arg) and os.sep not in arg and arg in fixtures.FIXTURES:
-        return str(fixtures.fixture_path(arg))
-    return arg
+        return str(fixtures.fixture_path(arg)), arg
+    return arg, None
 
 
-def _samples(spec: ModelSpec, args: argparse.Namespace, fallback: int) -> int:
-    if args.samples is not None:
-        return args.samples
-    return fallback
-
-
-def _points(spec: ModelSpec, args: argparse.Namespace, count: int) -> List[Point]:
-    box = spec.get_box(args.box)
-    seed = args.seed if args.seed is not None else spec.seed
-    return sample_box(spec.chart, box, count, seed)
+def _points(spec: ModelSpec, args: argparse.Namespace) -> List[Point]:
+    return sample_box(spec.chart, spec.get_box(args.box), args.samples, args.seed)
 
 
 def _bivector(spec: ModelSpec) -> Tuple[MultivectorField, Optional[MultivectorField]]:
@@ -209,10 +196,14 @@ def _averaging_summary(res: AveragingResult) -> Dict[str, object]:
 def _jacobi_checks(
     pi: MultivectorField, jac: Optional[MultivectorField], points: List[Point]
 ) -> List[CheckResult]:
-    """Exact Jacobiator plus an independent sampled cyclic-sum route.
+    """JAC, the exact Jacobiator, and JAC-route, the coordinate identity at points.
 
     ``jac`` is the Jacobiator when it is already known; otherwise it is
-    computed here.
+    computed here.  JAC-route pairs the Jacobiator with coordinate
+    differentials, Sum_cyc {x_i, {x_j, x_k}} = Sum_cyc Pi^{il} d_l Pi^{jk}:
+    at each sample point, twice that sum, from exact first-order jets of
+    Pi, must equal the (i, j, k) component exactly.  A point where a
+    denominator vanishes is skipped.
     """
     checks: List[CheckResult] = []
     if jac is None:
@@ -224,64 +215,52 @@ def _jacobi_checks(
         checks.append(
             failed("JAC", witness={"component": list(idx), "value": repr(val)})
         )
-    chart = pi.chart
-    coords = [RationalFn.var(c) for c in chart.coords]
-    # Hamiltonian fields of the coordinates and their brackets {x_a, x_b}
-    ham = [sharp_bivector(pi, d_scalar(x, chart)) for x in coords]
-    pb = {
-        (a, b): apply_vector(ham[a], coords[b])
-        for a in range(chart.dim)
-        for b in range(chart.dim)
-        if a != b
-    }
+    n = pi.chart.dim
+    pairs = list(itertools.combinations(range(n), 2))
+    col = {ab: c for c, ab in enumerate(pairs)}
+    jets = Jets([pi.component(ab) for ab in pairs], pi.chart.coords)
+    # for each l, the column of Pi^{al} for every a != l
+    column = [[(a, col[min(a, l), max(a, l)]) for a in range(n) if a != l] for l in range(n)]
+    triples = [
+        ((i, j, k), col[j, k], col[i, k], col[i, j], jac.comps.get((i, j, k)))
+        for i, j, k in itertools.combinations(range(n), 3)
+    ]
+    bad: Dict[str, object] = {}
 
-    worst = 0.0
-    bad: Optional[Dict[str, object]] = None
-    # (triple, point) evaluations; a triple whose difference is exactly
-    # zero needs no sampling and is not counted
-    run = PointwiseRun(total=0, usable=0)
-    for (i, j, k) in itertools.combinations(range(chart.dim), 3):
-        cyc = (
-            apply_vector(ham[i], pb[j, k])
-            + apply_vector(ham[j], pb[k, i])
-            + apply_vector(ham[k], pb[i, j])
-        ).simplified()
-        # the exact trivector pairs with coordinate differentials at twice
-        # the cyclic sum; the sampled comparison keeps both routes honest
-        delta = (cyc + cyc - jac.component((i, j, k))).simplified()
-        if delta.is_zero():
-            continue
-        run.total += len(points)
-        for p in points:
-            try:
-                val = delta.value_at(p)
-            except ZeroDivisionError:
-                continue
-            run.usable += 1
-            v = abs(float(val) if isinstance(val, Fraction) else val.eval_float({}))
-            worst = max(worst, v)
-            if v > JACOBI_TOL and bad is None:
-                bad = {
-                    "triple": [i, j, k],
-                    "point": format_point(p),
-                    "difference": v,
-                }
+    def probe(p: Point) -> bool:
+        vals, grads = jets.at(p)
+        # s[a][c] = Pi^{al} d_l Pi^{bc}, summed over l, for (b, c) = pairs[c]
+        s = [[0] * len(pairs) for _ in range(n)]
+        for l, grad in enumerate(grads):
+            pi_l = [(a, vals[c] if a < l else -vals[c]) for a, c in column[l] if vals[c]]
+            for c, g in enumerate(grad):
+                if g:
+                    for a, x in pi_l:
+                        s[a][c] += x * g
+        for (i, j, k), jk, ik, ij, w in triples:
+            # Pi^{ki} = -Pi^{ik}
+            cyc = s[i][jk] - s[j][ik] + s[k][ij]
+            diff = cyc + cyc - (0 if w is None else w.value_at(p))
+            if diff != 0:
+                bad.setdefault("witness", {
+                    "triple": [i, j, k], "point": format_point(p), "difference": str(diff),
+                })
+                return False
+        return True
+
+    run, _first = sweep(points, probe)
     counts = {"points_used": run.usable, "points_skipped": run.total - run.usable}
-    # with no triple to sample the exact route alone decides
-    short = run.shortfall("(triple, point) evaluations") if run.total else None
-    witness = bad if bad is not None else short
+    witness = bad.get("witness") or run.shortfall()
     if witness is not None:
         checks.append(failed("JAC-route", witness=witness, tolerance=JACOBI_TOL, **counts))
     else:
-        checks.append(passed(
-            "JAC-route", max_difference=worst, tolerance=JACOBI_TOL, **counts
-        ))
+        checks.append(passed("JAC-route", tolerance=JACOBI_TOL, **counts))
     return checks
 
 
 def _cmd_check_jacobi(spec, args):
     pi, jac = _bivector(spec)
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     return _jacobi_checks(pi, jac, pts), {}
 
 
@@ -317,7 +296,7 @@ def _run_average(spec, args, pts):
 
 
 def _cmd_average(spec, args):
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     checks, res = _run_average(spec, args, pts)
     extra: Dict[str, object] = {}
     if res is not None:
@@ -331,7 +310,7 @@ def _cmd_average(spec, args):
 def _cmd_gauge(spec, args):
     checks: List[CheckResult] = []
     pi = _bivector(spec)[0]
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     theta = spec.tensors.get("theta")
     if theta is None:
         _pre, res = _run_average(spec, args, None)
@@ -369,7 +348,7 @@ def _cmd_gauge(spec, args):
 
 def _cmd_dirac_verify(spec, args):
     checks: List[CheckResult] = []
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     if spec.connection is not None and "sigma" in spec.tensors and "p" in spec.tensors:
         gd, se = structure_eq_check(spec.geometric_data())
         checks.extend(se)
@@ -389,7 +368,7 @@ def _cmd_dirac_verify(spec, args):
 
 
 def _cmd_adiabatic(spec, args):
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     checks, res = _run_average(spec, args, pts)
     if res is None:
         return checks, {}
@@ -430,18 +409,16 @@ def _inner_box(box):
 
 
 def _cmd_moser_verify(spec, args):
-    pts_count = _samples(spec, args, 20)
     checks, res = _run_average(spec, args, None)
     if res is None:
         return checks, {}
     checks = [c for c in checks if c.info.get("stage") == "input"]
     pi = data_to_poisson(res.source).pi
     box = spec.get_box(args.box)
-    seed = args.seed if args.seed is not None else spec.seed
-    probes = sample_box(spec.chart, box, 5, seed + 1)
+    probes = sample_box(spec.chart, box, 5, args.seed + 1)
     ev = NumericEvaluator(pi, res.theta, box, probes=probes)
 
-    starts_frac = sample_box(spec.chart, _inner_box(box), pts_count, seed)
+    starts_frac = sample_box(spec.chart, _inner_box(box), args.samples, args.seed)
     starts = [{k: float(v) for k, v in p.items()} for p in starts_frac]
     leaf: List[Dict[str, float]] = []
     if spec.foliation is not None:
@@ -515,7 +492,7 @@ def _cmd_moser_verify(spec, args):
 
 
 def _cmd_full_pipeline(spec, args):
-    pts = _points(spec, args, _samples(spec, args, spec.samples))
+    pts = _points(spec, args)
     pi, jac = _bivector(spec)
     checks: List[CheckResult] = list(_jacobi_checks(pi, jac, pts))
     more, res = _run_average(spec, args, pts)
@@ -569,8 +546,6 @@ _HANDLERS = {
 def _emit(args, command: str, checks: List[CheckResult], extra: Dict[str, object]) -> int:
     ordered = [c for _i, c in sorted(enumerate(checks), key=lambda t: (t[1].check, t[0]))]
     status = "pass" if ordered and all(c.passed for c in ordered) else "fail"
-    if not ordered:
-        status = "fail"
     payload: Dict[str, object] = {
         "command": command,
         "spec": args.spec,
@@ -623,13 +598,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.spec = _resolve_spec(args.spec)
+    path, name = _resolve_spec(args.spec)
     try:
-        spec = parse_spec(args.spec)
+        spec = parse_spec(path)
     except SpecError as exc:
         for loc, msg in exc.diagnostics:
             print(f"error: {loc}: {msg}", file=sys.stderr)
         return 2
+    # what the report records: the fixture name or the file's digest, and
+    # the seed and sample count the run uses
+    with open(path, "rb") as fh:
+        args.spec = name or "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    if args.seed is None:
+        args.seed = spec.seed
+    if args.samples is None:
+        args.samples = 20 if args.command == "moser-verify" else spec.samples
     try:
         # an unknown --box is a usage error even for commands that never sample
         if args.box is not None:

@@ -8,7 +8,8 @@ the answers of ``rank``, ``solve``, ``kernel_basis`` and the
 non-polynomial branch of ``inverse``.  Over the function field each row
 operation ends in ``simplified()``; over Q the same steps run on plain
 ``Fraction``s.  Determinants and polynomial inverses use fraction-free
-Bareiss elimination and cofactors.
+Bareiss elimination and cofactors.  ``Jets`` gives exact values and
+coordinate gradients of a family of entries at a point.
 """
 
 from __future__ import annotations
@@ -265,6 +266,54 @@ def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
 def eval_at(a: Sequence[Sequence[RationalFn]], point: Mapping[str, Fraction]) -> List[List[Value]]:
     """A symbolic matrix evaluated at a rational point (see ``RationalFn.value_at``)."""
     return [[x.value_at(point) for x in row] for row in a]
+
+
+class Jets:
+    """Exact values and coordinate gradients of a family of rational entries.
+
+    For f = N/D the gradient is (dN - f dD)/D, from the derivatives of N
+    and D taken once here.  Each polynomial is evaluated by
+    ``Poly._value_at``, so ``@pi`` is bound only where the point maps it to
+    a value; otherwise an entry that keeps it is evaluated over the
+    function field, as ``RationalFn.value_at`` does.
+    """
+
+    def __init__(self, entries: Sequence[RationalFn], coords: Sequence[str]):
+        self._size = len(entries)
+        self._dim = len(coords)
+        # per nonzero entry: its column, the coordinates k where N or D
+        # varies, and [N, D, d_k N, d_k D, ...] over those k
+        self._polys: List[Tuple[int, List[int], List[Poly]]] = []
+        for col, fn in enumerate(entries):
+            fn = fn.simplified()
+            if fn.is_zero():
+                continue
+            ks, polys = [], [fn.num, fn.den]
+            for k, c in enumerate(coords):
+                d_num, d_den = fn.num.diff(c), fn.den.diff(c)
+                if d_num.terms or d_den.terms:
+                    ks.append(k)
+                    polys += [d_num, d_den]
+            self._polys.append((col, ks, polys))
+
+    def at(self, point: Mapping[str, Fraction]) -> Tuple[List[Value], List[List[Value]]]:
+        """(values, gradients): values[col] and gradients[k][col] = d_k of entry col.
+
+        Raises ZeroDivisionError where a denominator vanishes.
+        """
+        vals: List[Value] = [Fraction(0)] * self._size
+        grads: List[List[Value]] = [[Fraction(0)] * self._size for _ in range(self._dim)]
+        for col, ks, polys in self._polys:
+            xs = [p._value_at(point) for p in polys]
+            if None in xs:
+                xs = [RationalFn.from_poly(p.eval_frac(point)) for p in polys]
+            num, den = xs[0], xs[1]
+            if den == 0:
+                raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
+            vals[col] = v = num / den
+            for k, d_num, d_den in zip(ks, xs[2::2], xs[3::2]):
+                grads[k][col] = (d_num - v * d_den) / den
+        return vals, grads
 
 
 def frac_mat(rows: Sequence[Sequence[Fraction]]) -> Mat:

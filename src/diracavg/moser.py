@@ -159,63 +159,6 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-class _ExactJets:
-    """Values and coordinate gradients of a family of rational components,
-    exactly at rational points, with ``@pi`` bound to Fraction(math.pi).
-
-    For f = N/D the gradient is (dN - f dD)/D, from the derivatives of N
-    and D taken once here.
-    """
-
-    def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
-        names = chart.coords + (PI,)
-        self._size = len(entries)
-        self._dim = chart.dim
-
-        def terms(poly: Poly) -> List[Tuple[Tuple[int, ...], Fraction]]:
-            return list(poly.aligned_to(names).terms.items())
-
-        self._polys = []
-        for col, (key, fn) in enumerate(entries):
-            fn = fn.simplified()
-            if not fn.is_zero():
-                d_num = [terms(fn.num.diff(c)) for c in chart.coords]
-                d_den = [terms(fn.den.diff(c)) for c in chart.coords]
-                self._polys.append((col, key, terms(fn.num), terms(fn.den), d_num, d_den))
-        self._degree = max(
-            (max(e) for entry in self._polys for e, _c in entry[2] + entry[3]), default=0
-        )
-
-    def at(self, coords: Sequence[Fraction]) -> Tuple[list, List[list]]:
-        """(values, gradients): values[col] and gradients[k][col] = d_k of entry col.
-
-        Raises ZeroDivisionError where a denominator vanishes.
-        """
-        xs = tuple(coords) + (Fraction(math.pi),)
-        powers = [[x**k for k in range(self._degree + 1)] for x in xs]
-
-        def value(terms: Sequence[Tuple[Tuple[int, ...], Fraction]]):
-            total = 0
-            for exps, c in terms:
-                for v, k in enumerate(exps):
-                    if k:
-                        c = c * powers[v][k]
-                total += c
-            return total
-
-        vals: list = [0] * self._size
-        grads = [[0] * self._size for _ in range(self._dim)]
-        for col, key, num, den, d_num, d_den in self._polys:
-            dv = value(den)
-            if not dv:
-                raise ZeroDivisionError(f"denominator vanishes at the point for component {key!r}")
-            v = value(num) / dv
-            vals[col] = v
-            for k in range(self._dim):
-                grads[k][col] = (value(d_num[k]) - v * value(d_den[k])) / dv
-        return vals, grads
-
-
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
     """Index lists as the columns of an array, padded to the longest."""
     out = np.full((max(map(len, lists), default=0), len(lists)), pad, dtype=np.int64)
@@ -268,7 +211,7 @@ class NumericEvaluator:
         self._sp_sym = sp
         self._sb_sym = sb
         self._pi_t_cache: Dict[Fraction, MultivectorField] = {}
-        self._jets = _ExactJets(self.chart, self._exact)
+        self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
         self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
             self._verify_probes(probes)
@@ -402,6 +345,8 @@ class NumericEvaluator:
         (cached).  Matrices that multiply from the left also come as rows."""
         key = tuple(Fraction(point[c]) for c in self.chart.coords)
         if key not in self._jet_cache:
+            at = dict(zip(self.chart.coords, key))
+            at[PI] = Fraction(math.pi)
             n, nn = self._n, self._n * self._n
 
             def families(flat: list) -> tuple:
@@ -410,7 +355,7 @@ class NumericEvaluator:
                 sb = [flat[nn + j * n : nn + (j + 1) * n] for j in range(n)]
                 return sp, sb, flat[2 * nn :]
 
-            vals, grads = self._jets.at(key)
+            vals, grads = self._jets.at(at)
             sp, sb, th = families(vals)
             d_sp, d_sb, d_th = zip(*map(families, grads))
             sb_rows = _rows(sb)

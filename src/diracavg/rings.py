@@ -265,11 +265,14 @@ class Poly:
         return Poly(vs, out)
 
     def _value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, None]:
-        """The value at a point, or None where ``@pi`` or an unassigned
-        variable occurs with a nonzero exponent."""
+        """The exact value at a point, or None where a variable the point
+        does not bind occurs with a nonzero exponent.
+
+        ``@pi`` is bound only where the point maps it to a value.
+        """
         xs = []
         for i, v in enumerate(self.vars):
-            x = None if v == PI else point.get(v)
+            x = point.get(v)
             if x is None and any(e[i] for e in self.terms):
                 return None
             xs.append((1, 1) if x is None else (x.numerator, x.denominator))
@@ -455,6 +458,13 @@ class RationalFn:
         other = RationalFn.of(other)
         return RationalFn(self.num * other.num, self.den * other.den)
 
+    # a Fraction on the left, as in values at points that mix Q and Q(@pi)
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other: Scalar) -> "RationalFn":
+        return RationalFn.of(other) - self
+
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         other = RationalFn.of(other)
         if other.num.is_zero():
@@ -516,8 +526,9 @@ class RationalFn:
         """The exact value ``eval_frac(point).const_value()`` as a Fraction.
 
         Raises ZeroDivisionError where the denominator vanishes, as
-        ``eval_frac`` does.  Where ``@pi`` (or an unassigned variable)
-        survives the substitution, returns ``eval_frac(point)`` instead.
+        ``eval_frac`` does.  Where a variable the point leaves unbound,
+        usually ``@pi``, survives the substitution, returns
+        ``eval_frac(point)`` instead.
         """
         num, den = self.num._value_at(point), self.den._value_at(point)
         if num is None or den is None:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from diracavg import averaging, cli, coupling
+from diracavg import averaging, cli, coupling, linalg, tensors
+from diracavg.config import PI
 from diracavg.dirac import DiracFrame
+from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
 from diracavg.moser import GuardError
-from diracavg.rings import RationalFn
+from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import format_point
 from diracavg.tensors import DifferentialForm, MultivectorField
 
@@ -212,50 +215,156 @@ def test_moser_verify_runs_on_the_torus(capsys):
     assert checks["HR"]["info"]["pairs_skipped"] == 0
 
 
+def _bivector_file(tmp_path, coords, components):
+    """A model file holding only the bivector ``pi``."""
+    spec = tmp_path / "pi.json"
+    spec.write_text(json.dumps({
+        "coordinates": coords,
+        "tensors": {"pi": {"kind": "multivector", "degree": 2, "components": components}},
+    }))
+    return str(spec)
+
+
+def _route(out):
+    return [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+
+
 def test_check_jacobi_fails_jac_route_when_most_points_are_skipped(capsys, monkeypatch, tmp_path):
-    real_bracket, real_value_at = cli.schouten_bracket, RationalFn.value_at
+    real_bracket, real_at = cli.schouten_bracket, linalg.Jets.at
 
     def nudged(a, b):
-        # a below-tolerance nudge on one component gives JAC-route a
-        # nonzero difference to sample
+        # a 1e-12 nudge on one component of the Jacobiator
         tiny = RationalFn.const(Fraction(1, 10**12))
         return real_bracket(a, b) + MultivectorField(a.chart, 3, {(0, 1, 2): tiny})
 
     calls = []
 
     def vanishing(self, point):
-        # three of every four evaluations meet a vanishing denominator
+        # three of every four points meet a vanishing denominator
         calls.append(point)
         if len(calls) % 4:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        return real_value_at(self, point)
+            raise ZeroDivisionError("denominator vanishes at the point")
+        return real_at(self, point)
 
     # flat's bivector read from a file: check-jacobi computes its Jacobiator
     # itself, where the nudge reaches it
-    spec = tmp_path / "flat_pi.json"
-    spec.write_text(json.dumps({
-        "coordinates": ["x1", "x2", "y1", "y2"],
-        "tensors": {"pi": {"kind": "multivector", "degree": 2,
-                           "components": {"0,1": [["1", {}]], "2,3": [["1", {}]]}}},
-    }))
-    argv = ("check-jacobi", "--spec", str(spec), "--samples", "8", "--format", "json-like")
+    spec = _bivector_file(tmp_path, ["x1", "x2", "y1", "y2"],
+                          {"0,1": [["1", {}]], "2,3": [["1", {}]]})
+    argv = ("check-jacobi", "--spec", spec, "--samples", "8", "--format", "json-like")
     code, out, _ = _run(capsys, *argv)
-    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
-    # every triple agrees exactly, so nothing needed sampling
-    assert route["status"] == "pass"
-    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (0, 0)
-    monkeypatch.setattr(cli, "schouten_bracket", nudged)
-    code, out, _ = _run(capsys, *argv)
-    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+    assert code == 0
+    route = _route(out)
+    # every sample point is checked
     assert route["status"] == "pass"
     assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (8, 0)
-    monkeypatch.setattr(RationalFn, "value_at", vanishing)
+    # the comparison is exact, so the nudge fails at the first point
+    monkeypatch.setattr(cli, "schouten_bracket", nudged)
     code, out, _ = _run(capsys, *argv)
     assert code == 1
-    route = [c for c in json.loads(out)["checks"] if c["check"] == "JAC-route"][0]
+    route = _route(out)
+    assert route["status"] == "fail"
+    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (8, 0)
+    assert route["witness"]["triple"] == [0, 1, 2]
+    assert route["witness"]["difference"] == "-1/1000000000000"
+    assert sorted(route["witness"]["point"]) == ["x1", "x2", "y1", "y2"]
+    monkeypatch.setattr(cli, "schouten_bracket", real_bracket)
+    monkeypatch.setattr(linalg.Jets, "at", vanishing)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    route = _route(out)
     assert route["status"] == "fail"
     assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (2, 6)
-    assert route["witness"] == "only 2/8 (triple, point) evaluations usable"
+    assert route["witness"] == "only 2/8 sample points usable"
+
+
+def test_jac_route_catches_a_schouten_bracket_missing_a_term(capsys, monkeypatch, tmp_path):
+    real = cli.schouten_bracket
+
+    def dropped(a, b):
+        # [[Pi, Pi]] is twice a sum over coordinates k of
+        # (d Pi / d xi_k) ^ (d Pi / d x_k); leave out the last k
+        k = a.chart.dim - 1
+        term = tensors._xi_right_derivative(a, k).wedge(
+            tensors._x_derivative(b, a.chart.coords[k]))
+        return (real(a, b) - term - term).simplified()
+
+    # {x, y} = x, {y, z} = z, {x, z} = 1: Poisson, but the last term of its
+    # Jacobiator is nonzero
+    spec = _bivector_file(tmp_path, ["x", "y", "z"], {
+        "0,1": [["1", {"x": 1}]], "1,2": [["1", {"z": 1}]], "0,2": [["1", {}]],
+    })
+    argv = ("check-jacobi", "--spec", spec, "--samples", "6", "--format", "json-like")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert _route(out)["info"]["points_used"] == 6
+    monkeypatch.setattr(cli, "schouten_bracket", dropped)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    route = _route(out)
+    assert route["status"] == "fail"
+    assert route["witness"]["triple"] == [0, 1, 2]
+    assert sorted(route["witness"]["point"]) == ["x", "y", "z"]
+
+
+def test_jac_route_keeps_pi_symbolic_in_a_model_file_bivector(capsys, monkeypatch, tmp_path):
+    real_value_at, real_at = Poly._value_at, linalg.Jets.at
+    values = []
+
+    def unbound(self, point):
+        assert PI not in point
+        return real_value_at(self, point)
+
+    def recording(self, point):
+        vals, grads = real_at(self, point)
+        values.extend(vals)
+        for row in grads:
+            values.extend(row)
+        return vals, grads
+
+    monkeypatch.setattr(Poly, "_value_at", unbound)
+    monkeypatch.setattr(linalg.Jets, "at", recording)
+    # {x1, x2} = @pi x3 and {x3, x4} = x1 / (@pi + x2^2): not Poisson
+    spec = _bivector_file(tmp_path, ["x1", "x2", "x3", "x4"], {
+        "0,1": [["1", {"@pi": 1, "x3": 1}]],
+        "2,3": {"num": [["1", {"x1": 1}]], "den": [["1", {"@pi": 1}], ["1", {"x2": 2}]]},
+    })
+    code, out, _ = _run(capsys, "check-jacobi", "--spec", spec, "--samples", "7",
+                        "--format", "json-like")
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["JAC"]["status"] == "fail"
+    route = checks["JAC-route"]
+    assert route["status"] == "pass"
+    assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (7, 0)
+    # entries that keep @pi are compared over the function field
+    assert all(isinstance(v, (Fraction, RationalFn)) for v in values)
+    assert any(isinstance(v, RationalFn) and PI in v.num.vars + v.den.vars for v in values)
+
+
+def test_reports_record_the_effective_seed_samples_and_spec(capsys, tmp_path):
+    fixture = parse_spec(fixture_path("flat"))
+    code, out, _ = _run(capsys, "check-jacobi", "--spec", "flat", "--format", "json-like")
+    payload = json.loads(out)
+    assert (payload["spec"], payload["seed"], payload["samples"]) == (
+        "flat", fixture.seed, fixture.samples)
+    code, out, _ = _run(capsys, "moser-verify", "--spec", "transversal_leaf", "--seed", "3",
+                        "--steps", "100", "--format", "json-like")
+    payload = json.loads(out)
+    assert (payload["seed"], payload["samples"]) == (3, 20)
+    assert {c["check"]: c for c in payload["checks"]}["PD"]["info"]["points"] == 20
+    # a model file is named by its bytes, wherever it lives
+    text = fixture_path("flat").read_bytes()
+    reports = []
+    for where in ("a", "b"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "model.json").write_bytes(text)
+        report = tmp_path / where / "report.json"
+        code, _, _ = _run(capsys, "check-jacobi", "--spec", str(tmp_path / where / "model.json"),
+                          "--report", str(report))
+        assert code == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["spec"] == "sha256:" + hashlib.sha256(text).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["check-jacobi", "gauge", "full-pipeline"])

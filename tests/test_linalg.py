@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracavg.config import PI
 from diracavg.linalg import (
+    Jets,
     det,
     eval_at,
     frac_mat,
@@ -209,3 +211,25 @@ def test_eval_at_keeps_pi_and_raises_on_a_vanishing_denominator():
     assert rank(vals) == 2
     with pytest.raises(ZeroDivisionError):
         eval_at(a, {"x": Fraction(1)})
+
+
+def test_jets_match_symbolic_derivatives_and_bind_pi_only_when_asked():
+    x, y, pi = RationalFn.var("x"), RationalFn.var("y"), RationalFn.var(PI)
+    one = RationalFn.const(1)
+    entries = [x * y, RationalFn.zero(), (x + pi) / (one + y * y), one / (x - y), pi * y]
+    jets = Jets(entries, ("x", "y"))
+    point = {"x": Fraction(1, 3), "y": Fraction(-2, 5)}
+    bound = dict(point)
+    bound[PI] = Fraction(22, 7)
+    vals, grads = jets.at(bound)
+    assert all(isinstance(v, Fraction) for v in vals + grads[0] + grads[1])
+    for col, fn in enumerate(entries):
+        assert vals[col] == fn.value_at(bound)
+        for k, c in enumerate(("x", "y")):
+            assert grads[k][col] == fn.diff(c).value_at(bound)
+    # pi left unbound: the entries that keep it stay in the function field
+    vals, grads = jets.at(point)
+    assert isinstance(vals[2], RationalFn) and vals[2] == entries[2].eval_frac(point)
+    assert grads[1][4] == pi and vals[0] == Fraction(-2, 15)
+    with pytest.raises(ZeroDivisionError):
+        jets.at({"x": Fraction(1, 2), "y": Fraction(1, 2), PI: Fraction(3)})

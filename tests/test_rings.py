@@ -275,3 +275,5 @@ def test_value_at_raises_on_a_vanishing_denominator_and_keeps_pi():
     # pi with a zero exponent does not force the function-field fallback
     h = RationalFn(Poly.from_terms(("x", PI), {(2, 0): 3}), Poly.const(1))
     assert h.value_at(point) == Fraction(3, 4)
+    # a point that maps pi to a value binds it
+    assert g.value_at({"x": Fraction(1, 2), PI: Fraction(3)}) == Fraction(6, 5)
