@@ -22,10 +22,9 @@ from .coupling import (
     GeometricData,
     d10_scalar,
     data_to_dirac,
-    data_to_poisson,
-    poisson_to_data,
     q_gauge,
 )
+from .derivation import Derivation
 from .dirac import DiracSection, gauge_transform, same_span_at
 from .reports import CheckResult, failed, passed
 from .rings import Poly, RationalFn
@@ -38,10 +37,8 @@ from .tensors import (
     d10_horizontal,
     d_scalar,
     exterior_derivative,
-    flat_matrix,
     interior_product,
     lie_derivative,
-    schouten_bracket,
     sharp_bivector,
     sharp_matrix,
 )
@@ -169,6 +166,7 @@ def gauge_poisson(
     pi: MultivectorField,
     b: DifferentialForm,
     points: Optional[List[Point]] = None,
+    derivation: Optional[Derivation] = None,
 ) -> MultivectorField:
     """The gauge image of Pi under a closed 2-form b.
 
@@ -176,26 +174,26 @@ def gauge_poisson(
     exact matrix inversion.  The output is antisymmetric and Poisson; both
     are verified.  With sample points given, the inverted matrix is checked
     to be nonsingular at each usable point.  A failed identity raises
-    ``VerificationError`` for GT1.
+    ``VerificationError`` for GT1.  The gauge matrix, its determinant and
+    inverse, and the image's Jacobiator are kept in the derivation.
     """
     if pi.degree != 2 or b.degree != 2 or pi.chart != b.chart:
         raise ValueError("expects a bivector and a 2-form on one chart")
     if not exterior_derivative(b).is_zero():
         raise ValueError("gauge 2-form must be closed")
+    d = derivation or Derivation()
     chart = pi.chart
     n = chart.dim
     sp = sharp_matrix(pi)
-    sb = flat_matrix(b)
-    m = linalg.mat_add(linalg.identity(n), linalg.mat_mul(sb, sp))
     if points is not None:
-        det_m = linalg.det(m)
+        det_m = d.gauge_matrix(pi, b)[1]
 
         def probe(p: Point) -> bool:
             return det_m.value_at(p) != 0
 
         _verify_at(points, probe, "GT1", "gauge matrix singular")
     try:
-        inv = linalg.inverse(m)
+        inv = d.gauge_inverse(pi, b)
     except ArithmeticError as exc:
         raise ValueError("gauge matrix is identically singular") from exc
     new_sharp = linalg.mat_mul(sp, inv)
@@ -209,7 +207,7 @@ def gauge_poisson(
             if not val.is_zero():
                 comps[(i, j)] = val
     out = MultivectorField(chart, 2, comps)
-    jac = schouten_bracket(out, out)
+    jac = d.jacobiator(out)
     if not jac.is_zero():
         raise VerificationError(
             "GT1", f"gauge image violates the Jacobi identity: {jac.comps!r}"
@@ -250,6 +248,7 @@ def _average_once(
     circ: CircleAction,
     mu: DifferentialForm,
     logs: List[str],
+    derivation: Derivation,
 ) -> Tuple[GeometricData, DifferentialForm, DifferentialForm]:
     """One circle-averaging step: returns (new data, Q, Theta)."""
     fol = gd.conn.fol
@@ -261,7 +260,7 @@ def _average_once(
     # closed mu makes both exterior derivatives agree
     if exterior_derivative(theta) != exterior_derivative(q):
         raise VerificationError("OB1", "d(Theta) differs from d(Q) for closed mu")
-    new_gd = q_gauge(gd, q)
+    new_gd = q_gauge(gd, q, derivation)
 
     # the connection must also be the plain average of the old one
     avg_proj = circ.average(gd.conn.projector())
@@ -308,6 +307,7 @@ def average_coupling(
     gd: GeometricData,
     cert: CompatibilityCertificate,
     points: Optional[List[Point]] = None,
+    derivation: Optional[Derivation] = None,
 ) -> AveragingResult:
     """Average the data to an invariant configuration (gauge by Q).
 
@@ -317,8 +317,11 @@ def average_coupling(
     equations still hold, the result is invariant, and (with sample points)
     the Dirac frame of the output spans the gauge transform of the input
     frame.  A failed identity raises ``VerificationError`` for its check.
+    The structure results, bivector and frames it derives are kept in the
+    derivation.
     """
     gd.require_verified("average_coupling")
+    d = derivation or Derivation()
     if not cert.verified:
         raise ValueError("certificate is not verified")
     if cert.mode not in ("locally-hamiltonian", "hamiltonian"):
@@ -331,14 +334,14 @@ def average_coupling(
     q_total = DifferentialForm.zero(chart, 1)
     theta_total = DifferentialForm.zero(chart, 1)
     for circ, mu in zip(cert.circles, cert.mu):
-        cur, q_c, theta_c = _average_once(cur, circ, mu, logs)
+        cur, q_c, theta_c = _average_once(cur, circ, mu, logs, d)
         q_total = (q_total + q_c).simplified()
         theta_total = (theta_total + theta_c).simplified()
 
     b_form = (-exterior_derivative(theta_total)).simplified()
     poisson: Optional[CouplingPoisson]
     try:
-        poisson = data_to_poisson(cur)
+        poisson = d.coupling(cur)
     except ValueError:
         poisson = None
         logs.append("averaged 2-form singular on lifts; no Poisson bivector")
@@ -356,8 +359,8 @@ def average_coupling(
     logs.append("averaged data invariant under every generator")
 
     if points is not None:
-        before = data_to_dirac(gd)
-        after = data_to_dirac(cur)
+        before = d.dirac(gd)
+        after = d.dirac(cur)
         gauged = gauge_transform(before, (-exterior_derivative(q_total)).simplified())
 
         def probe(p: Point) -> bool:
@@ -376,39 +379,40 @@ def tr4_check(
     pi_bar: MultivectorField,
     theta: DifferentialForm,
     fol: Foliation,
+    derivation: Optional[Derivation] = None,
 ) -> List[CheckResult]:
     """Blockwise consistency of a gauge pair: vertical and horizontal laws.
 
     With B = -d(Theta): the vertical block of the new bivector must equal
     the old vertical block conjugated through (Id - B02# P#)^{-1}, and the
     horizontal part must be the projected image of the old horizontal part
-    under the full gauge inverse.
+    under the full gauge inverse.  Each side reads the coupling data of its
+    own bivector: the data it was built from, or ``poisson_to_data`` for one
+    that was not built from data.  The gauge inverse is the derivation's.
     """
+    d = derivation or Derivation()
     results: List[CheckResult] = []
-    gd = poisson_to_data(pi, fol)
-    gd_bar = poisson_to_data(pi_bar, fol)
-    chart = fol.chart
-    n = chart.dim
-    b_form = (-exterior_derivative(theta)).simplified()
+    gd, pi20 = d.data(pi, fol)
+    gd_bar, pi20_bar = d.data(pi_bar, fol)
+    n = fol.chart.dim
+    # b = -B
+    b = d.gauge_form(theta)
 
-    # vertical law on the fiber block
+    # vertical law on the fiber block: Id - B02# P# = Id + b02# P#
     f = fol.f
     p_block = [
         [gd.p.component((fol.fiber[i], fol.fiber[j])) for i in range(f)]
         for j in range(f)
     ]
     b02 = [
-        [b_form.component((fol.fiber[i], fol.fiber[j])) for i in range(f)]
+        [b.component((fol.fiber[i], fol.fiber[j])) for i in range(f)]
         for j in range(f)
     ]
     pbar_block = [
         [gd_bar.p.component((fol.fiber[i], fol.fiber[j])) for i in range(f)]
         for j in range(f)
     ]
-    m = linalg.mat_add(
-        linalg.identity(f),
-        linalg.mat_scale(linalg.mat_mul(b02, p_block), RationalFn.const(-1)),
-    )
+    m = linalg.mat_add(linalg.identity(f), linalg.mat_mul(b02, p_block))
     try:
         rhs = linalg.mat_mul(p_block, linalg.inverse(m))
         ok = all(
@@ -431,23 +435,17 @@ def tr4_check(
     except ArithmeticError:
         results.append(failed("TR4", witness={"error": "vertical gauge block singular"}))
 
-    # horizontal law on the full matrices
-    sp = sharp_matrix(pi)
-    sb = flat_matrix(b_form)
+    # horizontal law on the full matrices, through the gauge matrix
+    # Id - B# Pi# = Id + b# Pi#
     try:
-        inv = linalg.inverse(
-            linalg.mat_add(
-                linalg.identity(n),
-                linalg.mat_scale(linalg.mat_mul(sb, sp), RationalFn.const(-1)),
-            )
-        )
-        sp20 = sharp_matrix(_pi20_of(gd))
+        inv = d.gauge_inverse(pi, b)
+        sp20 = sharp_matrix(pi20)
         proj_bar = gd_bar.conn.projector()
         horiz = linalg.mat_add(
             linalg.identity(n),
             linalg.mat_scale(proj_bar.matrix, RationalFn.const(-1)),
         )
-        lhs = sharp_matrix(_pi20_of(gd_bar))
+        lhs = sharp_matrix(pi20_bar)
         rhs2 = linalg.mat_mul(horiz, linalg.mat_mul(sp20, inv))
         ok2 = all(
             (lhs[i][j] - rhs2[i][j]).simplified().is_zero()
@@ -469,11 +467,6 @@ def tr4_check(
     except ArithmeticError:
         results.append(failed("AL", witness={"error": "gauge matrix singular"}))
     return results
-
-
-def _pi20_of(gd: GeometricData) -> MultivectorField:
-    cp = data_to_poisson(gd)
-    return cp.pi20
 
 
 def invariant_sections(

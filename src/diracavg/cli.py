@@ -28,11 +28,7 @@ from .averaging import (
     gauge_poisson,
     tr4_check,
 )
-from .coupling import (
-    data_to_dirac,
-    data_to_poisson,
-    structure_eq_check,
-)
+from .derivation import Derivation
 from .dirac import (
     gauge_transform,
     graph_of_bivector,
@@ -65,7 +61,7 @@ from .sampling import (
     sample_box,
     sweep,
 )
-from .tensors import MultivectorField, exterior_derivative, schouten_bracket
+from .tensors import MultivectorField, schouten_bracket
 
 JACOBI_TOL = 1e-9
 FLOW_TOL = 1e-6
@@ -110,7 +106,14 @@ def _points(spec: ModelSpec, args: argparse.Namespace) -> List[Point]:
     return sample_box(spec.chart, spec.get_box(args.box), args.samples, args.seed)
 
 
-def _bivector(spec: ModelSpec) -> Tuple[MultivectorField, Optional[MultivectorField]]:
+def _source(spec: ModelSpec, d: Derivation):
+    """The model's coupling data, structure-checked, and the check results."""
+    return d.structure(d.once("source", (spec,), spec.geometric_data))
+
+
+def _bivector(
+    spec: ModelSpec, d: Derivation
+) -> Tuple[MultivectorField, Optional[MultivectorField]]:
     """The model's bivector, and its Jacobiator when deriving it computed one.
 
     A bivector built from coupling data is checked Poisson on the way, so its
@@ -121,20 +124,20 @@ def _bivector(spec: ModelSpec) -> Tuple[MultivectorField, Optional[MultivectorFi
         if not isinstance(t, MultivectorField) or t.degree != 2:
             raise ValueError("'pi' must be a degree-2 multivector")
         return t, None
-    gd, results = structure_eq_check(spec.geometric_data())
+    gd, results = _source(spec, d)
     if not all(r.passed for r in results):
         raise StructureFailure(results)
-    pi = data_to_poisson(gd).pi
-    return pi, MultivectorField.zero(pi.chart, 3)
+    pi = d.coupling(gd).pi
+    return pi, d.jacobiator(pi)
 
 
-def _certificate(spec: ModelSpec):
+def _certificate(spec: ModelSpec, d: Derivation):
     """Build and verify the action certificate; returns (cert, failures)."""
     if spec.action is None or spec.certificate_mode is None:
         raise ValueError("model has no action or certificate block")
     bivector = spec.tensors.get("p")
     if bivector is None:
-        bivector = _bivector(spec)[0]
+        bivector = _bivector(spec, d)[0]
     cert = check_compatibility(
         spec.action,
         bivector,
@@ -258,30 +261,34 @@ def _jacobi_checks(
     return checks
 
 
-def _cmd_check_jacobi(spec, args):
-    pi, jac = _bivector(spec)
+def _cmd_check_jacobi(spec, args, d):
+    pi, jac = _bivector(spec, d)
     pts = _points(spec, args)
     return _jacobi_checks(pi, jac, pts), {}
 
 
-def _cmd_check_structure(spec, args):
-    _gd, results = structure_eq_check(spec.geometric_data())
-    return list(results), {}
+def _cmd_check_structure(spec, args, d):
+    _gd, results = _source(spec, d)
+    return results, {}
 
 
-def _run_average(spec, args, pts):
-    """Shared pipeline: structure check, certificate, averaging."""
+def _run_average(spec, args, pts, d):
+    """Shared pipeline: structure check, certificate, averaging.
+
+    The averaged structure results are the ones the averaging computed on
+    the averaged data.
+    """
     checks: List[CheckResult] = []
-    gd, se = structure_eq_check(spec.geometric_data())
+    gd, se = _source(spec, d)
     checks.extend(_tag(se, "input"))
     if any(not c.passed for c in se):
         return checks, None
-    cert, cert_failures = _certificate(spec)
+    cert, cert_failures = _certificate(spec, d)
     if not cert.verified:
         checks.extend(cert_failures)
         return checks, None
     try:
-        res = average_coupling(gd, cert, points=pts)
+        res = average_coupling(gd, cert, points=pts, derivation=d)
     except ArithmeticError as exc:
         checks.append(_error_check(exc))
         return checks, None
@@ -291,13 +298,13 @@ def _run_average(spec, args, pts):
         checks.append(
             passed("GT1", route="frame span of gauge transform", points=len(pts))
         )
-    checks.extend(_tag(structure_eq_check(res.data)[1], "averaged"))
+    checks.extend(_tag(d.structure(res.data)[1], "averaged"))
     return checks, res
 
 
-def _cmd_average(spec, args):
+def _cmd_average(spec, args, d):
     pts = _points(spec, args)
-    checks, res = _run_average(spec, args, pts)
+    checks, res = _run_average(spec, args, pts, d)
     extra: Dict[str, object] = {}
     if res is not None:
         extra = _averaging_summary(res)
@@ -307,20 +314,20 @@ def _cmd_average(spec, args):
     return checks, extra
 
 
-def _cmd_gauge(spec, args):
+def _cmd_gauge(spec, args, d):
     checks: List[CheckResult] = []
-    pi = _bivector(spec)[0]
+    pi = _bivector(spec, d)[0]
     pts = _points(spec, args)
     theta = spec.tensors.get("theta")
     if theta is None:
-        _pre, res = _run_average(spec, args, None)
+        _pre, res = _run_average(spec, args, None, d)
         if res is None:
             checks.extend(_pre)
             return checks, {}
         theta = res.theta
-    b_form = exterior_derivative(theta).simplified()
+    b_form = d.gauge_form(theta)
     try:
-        pi_bar = gauge_poisson(pi, b_form, points=pts)
+        pi_bar = gauge_poisson(pi, b_form, points=pts, derivation=d)
     except (ValueError, ArithmeticError) as exc:
         checks.append(failed("GT1", witness=str(exc)))
         return checks, {}
@@ -342,22 +349,22 @@ def _cmd_gauge(spec, args):
     else:
         checks.append(passed("GT1", route="graph span", points=run.usable))
     if spec.foliation is not None:
-        checks.extend(tr4_check(pi, pi_bar, theta, spec.foliation))
+        checks.extend(tr4_check(pi, pi_bar, theta, spec.foliation, derivation=d))
     return checks, {"pi_bar": _tensor_literal(pi_bar)}
 
 
-def _cmd_dirac_verify(spec, args):
+def _cmd_dirac_verify(spec, args, d):
     checks: List[CheckResult] = []
     pts = _points(spec, args)
     if spec.connection is not None and "sigma" in spec.tensors and "p" in spec.tensors:
-        gd, se = structure_eq_check(spec.geometric_data())
+        gd, se = _source(spec, d)
         checks.extend(se)
         if any(not c.passed for c in se):
             return checks, {}
-        frame = data_to_dirac(gd)
+        frame = d.dirac(gd)
         conn = gd.conn
     else:
-        frame = graph_of_bivector(_bivector(spec)[0])
+        frame = graph_of_bivector(_bivector(spec, d)[0])
         conn = None
     checks.append(frame.validate_rank(pts))
     checks.append(involutivity_check(frame, pts))
@@ -367,9 +374,9 @@ def _cmd_dirac_verify(spec, args):
     return checks, {}
 
 
-def _cmd_adiabatic(spec, args):
+def _cmd_adiabatic(spec, args, d):
     pts = _points(spec, args)
-    checks, res = _run_average(spec, args, pts)
+    checks, res = _run_average(spec, args, pts, d)
     if res is None:
         return checks, {}
     if spec.certificate_j is None:
@@ -408,12 +415,12 @@ def _inner_box(box):
     return out
 
 
-def _cmd_moser_verify(spec, args):
-    checks, res = _run_average(spec, args, None)
+def _cmd_moser_verify(spec, args, d):
+    checks, res = _run_average(spec, args, None, d)
     if res is None:
         return checks, {}
     checks = [c for c in checks if c.info.get("stage") == "input"]
-    pi = data_to_poisson(res.source).pi
+    pi = d.coupling(res.source).pi
     box = spec.get_box(args.box)
     probes = sample_box(spec.chart, box, 5, args.seed + 1)
     ev = NumericEvaluator(pi, res.theta, box, probes=probes)
@@ -491,25 +498,27 @@ def _cmd_moser_verify(spec, args):
     return checks, {}
 
 
-def _cmd_full_pipeline(spec, args):
+def _cmd_full_pipeline(spec, args, d):
     pts = _points(spec, args)
-    pi, jac = _bivector(spec)
+    pi, jac = _bivector(spec, d)
     checks: List[CheckResult] = list(_jacobi_checks(pi, jac, pts))
-    more, res = _run_average(spec, args, pts)
+    more, res = _run_average(spec, args, pts, d)
     checks.extend(more)
     extra: Dict[str, object] = {}
     if res is None:
         return checks, extra
     extra = _averaging_summary(res)
 
-    frame = data_to_dirac(res.data)
+    frame = d.dirac(res.data)
     checks.append(frame.validate_rank(pts))
     checks.append(involutivity_check(frame, pts))
     coup, _h = coupling_test(frame, res.data.conn, pts)
     checks.append(coup)
 
     if res.poisson is not None:
-        checks.extend(tr4_check(pi, res.poisson.pi, res.theta, res.data.conn.fol))
+        checks.extend(
+            tr4_check(pi, res.poisson.pi, res.theta, res.data.conn.fol, derivation=d)
+        )
     if spec.certificate_mode == "hamiltonian" and spec.certificate_j is not None:
         try:
             rep = adiabatic_check(res, spec.certificate_j)
@@ -617,7 +626,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # an unknown --box is a usage error even for commands that never sample
         if args.box is not None:
             spec.get_box(args.box)
-        checks, extra = _HANDLERS[args.command](spec, args)
+        # the objects this request derives, each derived once
+        checks, extra = _HANDLERS[args.command](spec, args, Derivation())
     except SpecError as exc:
         for loc, msg in exc.diagnostics:
             print(f"error: {loc}: {msg}", file=sys.stderr)

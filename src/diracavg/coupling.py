@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dirac import DiracFrame, DiracSection
@@ -40,6 +41,9 @@ from .tensors import (
     vector_field,
     vf_bracket,
 )
+
+if TYPE_CHECKING:
+    from .derivation import Derivation
 
 
 @dataclass(frozen=True)
@@ -314,8 +318,9 @@ class CouplingPoisson:
     pi20: MultivectorField
     pi02: MultivectorField
 
-    @property
+    @cached_property
     def pi(self) -> MultivectorField:
+        # one object per structure, so a derivation can key on it
         return (self.pi20 + self.pi02).simplified()
 
 
@@ -363,17 +368,20 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
     return cp
 
 
-def poisson_to_data(pi: MultivectorField, fol: Foliation) -> GeometricData:
+def poisson_to_data(
+    pi: MultivectorField, fol: Foliation, jacobiator: Optional[MultivectorField] = None
+) -> GeometricData:
     """Extract (connection, sigma, P) from a coupling Poisson bivector.
 
     The horizontal distribution is the image of the base coframe under Pi#;
     writing those fields in the lifted frame yields the connection, the
     inverse of their base block gives sigma, and the vertical remainder is P.
-    Round-trips with data_to_poisson coefficient-exactly.
+    Round-trips with data_to_poisson coefficient-exactly.  ``jacobiator``,
+    when given, is [[Pi, Pi]] already computed.
     """
     if pi.degree != 2 or pi.chart != fol.chart:
         raise ValueError("expects a bivector on the foliation chart")
-    jac = schouten_bracket(pi, pi)
+    jac = schouten_bracket(pi, pi) if jacobiator is None else jacobiator
     if not jac.is_zero():
         raise ValueError(f"bivector is not Poisson: [[Pi,Pi]] = {jac.comps!r}")
     b, f = fol.b, fol.f
@@ -470,7 +478,9 @@ def is_horizontal_one_form(q: DifferentialForm, conn: Connection) -> bool:
     return q.degree == 1 and is_horizontal_form(q, conn)
 
 
-def q_gauge(gd: GeometricData, q: DifferentialForm) -> GeometricData:
+def q_gauge(
+    gd: GeometricData, q: DifferentialForm, derivation: Optional["Derivation"] = None
+) -> GeometricData:
     """Gauge the geometric data by a horizontal 1-form Q.
 
     The connection shifts by the fiberwise Hamiltonian fields of the
@@ -480,7 +490,8 @@ def q_gauge(gd: GeometricData, q: DifferentialForm) -> GeometricData:
         new h_i  = h_i + P# d(Q(h_i))
         new sigma(h_i, h_j) = sigma(h_i, h_j) - dQ(h_i, h_j) - {Q(h_i), Q(h_j)}_P
 
-    The result is re-checked against the structure equations.
+    The result is re-checked against the structure equations, through the
+    derivation when one is given, so its results are kept for later readers.
     """
     gd.require_verified("q_gauge")
     conn = gd.conn
@@ -513,7 +524,8 @@ def q_gauge(gd: GeometricData, q: DifferentialForm) -> GeometricData:
                 new_sigma = new_sigma + basis.scale(val)
 
     out = GeometricData(new_conn, new_sigma.simplified(), gd.p)
-    out, results = structure_eq_check(out)
+    check = structure_eq_check if derivation is None else derivation.structure
+    out, results = check(out)
     if out.integrable != "verified":
         bad = [r.check for r in results if not r.passed]
         raise VerificationError(

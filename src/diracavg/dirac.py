@@ -56,7 +56,7 @@ class DiracSection:
     def components_at(self, point: Point) -> List[Value]:
         """The 2n exact component values at a rational point.
 
-        Values are Fractions, or RationalFn where ``@pi`` survives; a
+        Values lie in Q, or in Q(@pi) (``QPi``) where ``@pi`` survives; a
         vanishing denominator raises ZeroDivisionError.
         """
         n = self.chart.dim
@@ -287,19 +287,20 @@ def coupling_test(
 def presymplectic_on_characteristic(
     frame: DiracFrame,
     point: Point,
-    basis: Optional[List[List[RationalFn]]] = None,
-) -> Tuple[List[List[RationalFn]], List[List[RationalFn]]]:
+    basis: Optional[List[List[Value]]] = None,
+) -> Tuple[List[List[Value]], List[List[Value]]]:
     """The leafwise 2-form on the tangent projection of the frame at a point.
 
     For tangent vectors Y, Z in p_T(D) the form is w(Y, Z) = -a(Z) where
     (Y, a) lies in the frame's pointwise span; isotropy of the frame makes
     the value independent of the chosen a, which is re-checked here.
 
-    Returns (basis vectors, matrix of w on that basis).  A caller-supplied
-    basis must consist of vectors inside p_T(D) at the point.
+    Returns (basis vectors, matrix of w on that basis), with entries in Q or
+    Q(@pi).  A caller-supplied basis must consist of vectors inside p_T(D)
+    at the point.
     """
     n = frame.chart.dim
-    rows = [[RationalFn.of(x) for x in r] for r in frame.matrix_at(point)]
+    rows = frame.matrix_at(point)
     vec_rows = [r[:n] for r in rows]
     cov_rows = [r[n:] for r in rows]
 
@@ -307,42 +308,26 @@ def presymplectic_on_characteristic(
         # greedy independent subset of the section vector parts
         basis = []
         for r in vec_rows:
-            if any(not v.is_zero() for v in r) and linalg.rank(basis + [r]) > len(basis):
+            if any(r) and linalg.rank(basis + [r]) > len(basis):
                 basis.append(r)
 
     # express each basis vector in the section vector parts
     cols = [[vec_rows[k][m] for k in range(len(vec_rows))] for m in range(n)]
-    covs: List[List[RationalFn]] = []
+    covs: List[List[Value]] = []
     for v in basis:
         combo = linalg.solve(cols, list(v))
         if combo is None:
             raise ValueError("basis vector is not tangent to the frame at the point")
-        cov = [RationalFn.zero()] * n
-        for k, ck in enumerate(combo):
-            if ck.is_zero():
-                continue
-            for m in range(n):
-                cov[m] = cov[m] + ck * cov_rows[k][m]
-        covs.append([c.simplified() for c in cov])
+        covs.append([sum((ck * cov_rows[k][m] for k, ck in enumerate(combo) if ck), Fraction(0))
+                     for m in range(n)])
 
     # well-definedness: a section with zero vector part must annihilate p_T(D)
-    null_combos = linalg.kernel_basis(cols)
-    for c in null_combos:
+    for c in linalg.kernel_basis(cols):
         for v in basis:
-            s = RationalFn.zero()
-            for k, ck in enumerate(c):
-                if ck.is_zero():
-                    continue
-                for m in range(n):
-                    s = s + ck * cov_rows[k][m] * v[m]
-            if not s.simplified().is_zero():
+            s = sum(ck * cov_rows[k][m] * v[m] for k, ck in enumerate(c) if ck for m in range(n))
+            if s:
                 raise ArithmeticError("leafwise form is not well defined (isotropy broken)")
 
-    mat = [
-        [
-            (-sum((covs[a][m] * basis[b][m] for m in range(n)), RationalFn.zero())).simplified()
-            for b in range(len(basis))
-        ]
-        for a in range(len(basis))
-    ]
+    mat = [[-sum((covs[a][m] * basis[b][m] for m in range(n)), Fraction(0))
+            for b in range(len(basis))] for a in range(len(basis))]
     return basis, mat

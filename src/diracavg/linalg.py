@@ -1,15 +1,21 @@
-"""Exact dense linear algebra over Q and over the rational-function field.
+"""Exact dense linear algebra over three fields.
 
-Matrices are nested lists: ``RationalFn`` entries for symbolic matrices, and
-``Fraction`` entries for a pointwise check's matrix evaluated at a sample
-point (``eval_at``), with ``RationalFn`` kept where ``@pi`` survives.
+Matrices are nested lists over one of:
+
+* Q: ``Fraction`` entries, a pointwise check's matrix evaluated at a
+  rational sample point (``eval_at``);
+* Q(@pi): the same with ``QPi`` entries where ``@pi`` survives the point;
+* the rational-function field: ``RationalFn`` entries, for symbolic
+  matrices such as a kernel basis or an inverse.
+
 Every elimination is one Gauss-Jordan kernel, ``rref``, whose pivots give
 the answers of ``rank``, ``solve``, ``kernel_basis`` and the
-non-polynomial branch of ``inverse``.  Over the function field each row
-operation ends in ``simplified()``; over Q the same steps run on plain
-``Fraction``s.  Determinants and polynomial inverses use fraction-free
-Bareiss elimination and cofactors.  ``Jets`` gives exact values and
-coordinate gradients of a family of entries at a point.
+non-polynomial branch of ``inverse``.  Over Q and Q(@pi) values are
+canonical, so zero entries skip their multiply; over the function field
+each row operation ends in ``simplified()``.  Determinants and polynomial
+inverses use fraction-free Bareiss elimination and cofactors.  ``Jets``
+gives exact values and coordinate gradients of a family of entries at a
+point.
 """
 
 from __future__ import annotations
@@ -18,15 +24,15 @@ from fractions import Fraction
 from operator import not_
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .rings import Poly, RationalFn, poly_divmod_exact
+from .rings import Poly, QPi, RationalFn, poly_divmod_exact
 
 Mat = List[List[RationalFn]]
-# a matrix evaluated at a point: Fractions, RationalFn where @pi survives
-Value = Union[Fraction, RationalFn]
+# an entry over Q, over Q(@pi) (both at points), or over the function field
+Value = Union[Fraction, QPi, RationalFn]
 
 
 class _Field(NamedTuple):
-    """The arithmetic ``rref`` runs on: Q or the rational-function field."""
+    """The arithmetic ``rref`` runs on: Q, Q(@pi) or the rational-function field."""
 
     zero: Value
     one: Value
@@ -46,6 +52,9 @@ _Q = _Field(
     lambda row, c: [x * c if x else x for x in row],
     lambda row, f, prow: [x - f * y if y else x for x, y in zip(row, prow)],
 )
+# Q(@pi) takes the same steps on Fractions mixed with canonical QPi values;
+# a QPi operand takes over each mixed operation
+_QPI = _Q._replace(inverse=lambda x: 1 / x)
 _FN = _Field(
     RationalFn.zero(), RationalFn.const(1), RationalFn.is_zero, RationalFn.inverse,
     lambda row, c: [x * c for x in row],
@@ -54,7 +63,10 @@ _FN = _Field(
 
 
 def _field_of(m: Sequence[Sequence[Value]]) -> _Field:
-    return _FN if any(RationalFn in map(type, row) for row in m) else _Q
+    kinds = {type(x) for row in m for x in row}
+    if RationalFn in kinds:
+        return _FN
+    return _QPI if QPi in kinds else _Q
 
 
 def mat_of(rows: Sequence[Sequence[object]]) -> Mat:
@@ -168,10 +180,13 @@ def _minor(rows: List[List[Poly]], i: int, j: int) -> List[List[Poly]]:
     ]
 
 
-def inverse(a: Mat) -> Mat:
-    """Exact inverse; raises ArithmeticError if the determinant is zero."""
+def inverse(a: Mat, det_a: Optional[RationalFn] = None) -> Mat:
+    """Exact inverse; raises ArithmeticError if the determinant is zero.
+
+    ``det_a``, when given, is ``det(a)`` already computed.
+    """
     n = len(a)
-    d = det(a)
+    d = det(a) if det_a is None else det_a
     if d.is_zero():
         raise ArithmeticError("matrix is singular over the function field")
     if _all_poly(a) and n >= 1:
@@ -197,7 +212,8 @@ def rref(m: List[list]) -> List[Tuple[int, int]]:
     entry at or below the current row is the pivot; its row is swapped up
     and scaled to a leading 1, and the column is cleared in every other
     row.  A matrix with any RationalFn entry is lifted to the function
-    field first, and each row operation there ends in ``simplified()``.
+    field first, and each row operation there ends in ``simplified()``;
+    one with a QPi entry and no RationalFn is reduced over Q(@pi).
     """
     field = _field_of(m)
     if field is _FN:
@@ -245,7 +261,7 @@ def solve(a: Sequence[Sequence[Value]], b: Sequence[Value]) -> Optional[List[Val
 
 
 def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
-    """Basis of the right kernel of A over Q or the function field."""
+    """Basis of the right kernel of A over its field."""
     ncols = len(a[0]) if a else 0
     m = [list(row) for row in a]
     pivots = rref(m)
@@ -264,7 +280,10 @@ def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
 
 
 def eval_at(a: Sequence[Sequence[RationalFn]], point: Mapping[str, Fraction]) -> List[List[Value]]:
-    """A symbolic matrix evaluated at a rational point (see ``RationalFn.value_at``)."""
+    """A symbolic matrix evaluated at a rational point (see ``RationalFn.value_at``).
+
+    The entries lie in Q, or in Q(@pi) where ``@pi`` survives.
+    """
     return [[x.value_at(point) for x in row] for row in a]
 
 
@@ -274,8 +293,8 @@ class Jets:
     For f = N/D the gradient is (dN - f dD)/D, from the derivatives of N
     and D taken once here.  Each polynomial is evaluated by
     ``Poly._value_at``, so ``@pi`` is bound only where the point maps it to
-    a value; otherwise an entry that keeps it is evaluated over the
-    function field, as ``RationalFn.value_at`` does.
+    a value; otherwise an entry that keeps it takes a value in Q(@pi), as
+    ``RationalFn.value_at`` gives.
     """
 
     def __init__(self, entries: Sequence[RationalFn], coords: Sequence[str]):
@@ -305,8 +324,6 @@ class Jets:
         grads: List[List[Value]] = [[Fraction(0)] * self._size for _ in range(self._dim)]
         for col, ks, polys in self._polys:
             xs = [p._value_at(point) for p in polys]
-            if None in xs:
-                xs = [RationalFn.from_poly(p.eval_frac(point)) for p in polys]
             num, den = xs[0], xs[1]
             if den == 0:
                 raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")

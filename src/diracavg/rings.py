@@ -11,6 +11,10 @@ Representation choices:
   normalization is performed; equality is decided by cross-multiplication
   (``a*d == c*b``).  A cheap ``simplify`` pass (content, monomial factors,
   exact trial division) keeps sizes reasonable.
+* ``QPi`` is an element of Q(@pi), the value at a rational point of an entry
+  that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
+  in lowest terms (Euclid's gcd, Geddes, Czapor and Labahn, *Algorithms for
+  Computer Algebra*, ch. 7) with a monic denominator, so it is canonical.
 * ``TrigPoly`` stores Fourier modes of one flow parameter: a dict mapping
   ``(k, part)`` with ``part`` in ``{"cos", "sin"}`` to ``Poly`` coefficients.
   No complex exponentials are used anywhere.
@@ -264,33 +268,32 @@ class Poly:
                 out[key] = s
         return Poly(vs, out)
 
-    def _value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, None]:
-        """The exact value at a point, or None where a variable the point
-        does not bind occurs with a nonzero exponent.
+    def _value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "QPi"]:
+        """The exact value at a point: a Fraction, or a ``QPi`` where ``@pi``
+        survives.
 
-        ``@pi`` is bound only where the point maps it to a value.
+        ``@pi`` is bound only where the point maps it to a value.  Any other
+        variable that occurs with a nonzero exponent must be bound.
         """
         xs = []
+        free = -1
         for i, v in enumerate(self.vars):
             x = point.get(v)
-            if x is None and any(e[i] for e in self.terms):
-                return None
-            xs.append((1, 1) if x is None else (x.numerator, x.denominator))
-        # integer numerators over a running common denominator, reduced once
-        num, den = 0, 1
-        for e, c in self.terms.items():
-            tn, td = c.numerator, c.denominator
-            for (xn, xd), k in zip(xs, e):
-                if k:
-                    tn *= xn ** k
-                    td *= xd ** k
-            if td == den:
-                num += tn
+            if x is None:
+                if any(e[i] for e in self.terms):
+                    if v != PI:
+                        raise ValueError(f"the point does not bind {v!r}")
+                    free = i
+                xs.append((1, 1))
             else:
-                g = math.gcd(den, td)
-                num = num * (td // g) + tn * (den // g)
-                den = den // g * td
-        return Fraction(num, den)
+                xs.append((x.numerator, x.denominator))
+        if free < 0:
+            return _sum_at(self.terms.items(), xs)
+        by_power: Dict[int, list] = {}
+        for e, c in self.terms.items():
+            by_power.setdefault(e[free], []).append((e, c))
+        coeffs = [_sum_at(by_power.get(k, ()), xs) for k in range(max(by_power) + 1)]
+        return _lowest(_utrim(coeffs), _ONE)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -335,6 +338,25 @@ class Poly:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _sum_at(terms: Iterable[Tuple[Exponent, Fraction]], xs: Sequence[Tuple[int, int]]) -> Fraction:
+    """The sum of the terms with variable i at xs[i] = (numerator, denominator)."""
+    # integer numerators over a running common denominator, reduced once
+    num, den = 0, 1
+    for e, c in terms:
+        tn, td = c.numerator, c.denominator
+        for (xn, xd), k in zip(xs, e):
+            if k:
+                tn *= xn ** k
+                td *= xd ** k
+        if td == den:
+            num += tn
+        else:
+            g = math.gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den = den // g * td
+    return Fraction(num, den)
 
 
 def poly_gcd_content(p: Poly) -> Fraction:
@@ -458,13 +480,6 @@ class RationalFn:
         other = RationalFn.of(other)
         return RationalFn(self.num * other.num, self.den * other.den)
 
-    # a Fraction on the left, as in values at points that mix Q and Q(@pi)
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other: Scalar) -> "RationalFn":
-        return RationalFn.of(other) - self
-
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         other = RationalFn.of(other)
         if other.num.is_zero():
@@ -522,17 +537,15 @@ class RationalFn:
             raise ZeroDivisionError("denominator vanishes at sample point")
         return RationalFn(self.num.eval_frac(point), den)
 
-    def value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "RationalFn"]:
-        """The exact value ``eval_frac(point).const_value()`` as a Fraction.
+    def value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "QPi"]:
+        """The exact value at a rational point: a Fraction, or a ``QPi``
+        where ``@pi`` survives.
 
-        Raises ZeroDivisionError where the denominator vanishes, as
-        ``eval_frac`` does.  Where a variable the point leaves unbound,
-        usually ``@pi``, survives the substitution, returns
-        ``eval_frac(point)`` instead.
+        ``@pi`` is bound only where the point maps it to a value.  Raises
+        ZeroDivisionError where the denominator vanishes, as ``eval_frac``
+        does.
         """
         num, den = self.num._value_at(point), self.den._value_at(point)
-        if num is None or den is None:
-            return self.eval_frac(point)
         if not den:
             raise ZeroDivisionError("denominator vanishes at sample point")
         return num / den
@@ -573,6 +586,187 @@ class RationalFn:
         if self.is_poly():
             return f"RationalFn({self.num!r})"
         return f"RationalFn({self.num!r} / {self.den!r})"
+
+
+# -- Q(@pi): values at points that keep @pi ------------------------------------
+
+# a univariate polynomial in @pi: coefficients from the constant term up,
+# with no trailing zero
+UPoly = Tuple[Fraction, ...]
+
+_ONE: UPoly = (Fraction(1),)
+
+
+def _utrim(c: list) -> UPoly:
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _uadd(a: UPoly, b: UPoly) -> UPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _utrim(out)
+
+
+def _uscale(a: UPoly, c: Scalar) -> UPoly:
+    return tuple(x * c for x in a) if c else ()
+
+
+def _umul(a: UPoly, b: UPoly) -> UPoly:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _udivmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
+    """Quotient and remainder of a by a nonzero b."""
+    nb = len(b)
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - nb + 1, 0)
+    inv = 1 / b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + nb - 1] * inv
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return _utrim(q), _utrim(r[: nb - 1])
+
+
+def _ugcd(a: UPoly, b: UPoly) -> UPoly:
+    """The monic gcd of two univariate polynomials, by Euclid's algorithm."""
+    while b:
+        a, b = b, _udivmod(a, b)[1]
+    return _uscale(a, 1 / a[-1])
+
+
+def _lowest(num: UPoly, den: UPoly) -> Union[Fraction, "QPi"]:
+    """num/den in lowest terms with a monic denominator; a Fraction when rational."""
+    if not num:
+        return Fraction(0)
+    if len(den) > 1:
+        g = _ugcd(num, den)
+        if len(g) > 1:
+            num, den = _udivmod(num, g)[0], _udivmod(den, g)[0]
+    lead = den[-1]
+    if lead != 1:
+        num, den = _uscale(num, 1 / lead), _uscale(den, 1 / lead)
+    if len(num) == 1 and len(den) == 1:
+        return num[0]
+    return QPi(num, den)
+
+
+def qpi(num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> Union[Fraction, "QPi"]:
+    """The value num(@pi)/den(@pi), coefficients from the constant term up."""
+    d = _utrim([_as_fraction(c) for c in den])
+    if not d:
+        raise ZeroDivisionError("zero denominator in Q(@pi)")
+    return _lowest(_utrim([_as_fraction(c) for c in num]), d)
+
+
+class QPi:
+    """An element of Q(@pi) outside Q: the value at a point of an entry
+    that keeps ``@pi``.
+
+    ``num`` and ``den`` are ``UPoly`` coefficient tuples.  ``qpi`` and the
+    arithmetic build every instance in lowest terms (Euclid's gcd) with a
+    monic ``den``, and give a Fraction where the value is rational.  So a
+    value has one representation: ``==`` compares coefficients, ``hash``
+    agrees with it, and a QPi never equals a Fraction.  Operands may be
+    Fractions or ints.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: UPoly, den: UPoly):
+        # internal: callers pass a canonical, non-rational pair
+        self.num = num
+        self.den = den
+
+    def __add__(self, other: object) -> Union[Fraction, "QPi"]:
+        if isinstance(other, (int, Fraction)):
+            # num + c den stays coprime to den
+            return QPi(_uadd(self.num, _uscale(self.den, other)), self.den) if other else self
+        if type(other) is not QPi:
+            return NotImplemented
+        if self.den == other.den:
+            return _lowest(_uadd(self.num, other.num), self.den)
+        return _lowest(
+            _uadd(_umul(self.num, other.den), _umul(other.num, self.den)),
+            _umul(self.den, other.den),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QPi":
+        return QPi(tuple(-x for x in self.num), self.den)
+
+    def __sub__(self, other: object) -> Union[Fraction, "QPi"]:
+        if not isinstance(other, (int, Fraction, QPi)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: object) -> Union[Fraction, "QPi"]:
+        return -self + other
+
+    def __mul__(self, other: object) -> Union[Fraction, "QPi"]:
+        if isinstance(other, (int, Fraction)):
+            return QPi(_uscale(self.num, other), self.den) if other else Fraction(0)
+        if type(other) is not QPi:
+            return NotImplemented
+        return _lowest(_umul(self.num, other.num), _umul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QPi":
+        lead = 1 / self.num[-1]
+        return QPi(_uscale(self.den, lead), _uscale(self.num, lead))
+
+    def __truediv__(self, other: object) -> Union[Fraction, "QPi"]:
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        if type(other) is not QPi:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other: object) -> Union[Fraction, "QPi"]:
+        return self.inverse() if other == 1 else self.inverse() * other
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is QPi:
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        def text(c: UPoly) -> str:
+            terms = []
+            for k, x in reversed(list(enumerate(c))):
+                if x:
+                    mono = "" if k == 0 else PI if k == 1 else f"{PI}^{k}"
+                    coeff = "" if mono and abs(x) == 1 else f"{abs(x)}" + ("*" if mono else "")
+                    terms.append(("- " if x < 0 else "+ ") + coeff + mono)
+            line = " ".join(terms)
+            return line[2:] if line[0] == "+" else "-" + line[2:]
+
+        if self.den == _ONE:
+            return f"({text(self.num)})"
+        return f"({text(self.num)})/({text(self.den)})"
 
 
 Mode = Tuple[int, str]

@@ -15,7 +15,7 @@ from diracavg.dirac import DiracFrame
 from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
 from diracavg.moser import GuardError
-from diracavg.rings import Poly, RationalFn
+from diracavg.rings import Poly, QPi, RationalFn
 from diracavg.sampling import format_point
 from diracavg.tensors import DifferentialForm, MultivectorField
 
@@ -336,9 +336,9 @@ def test_jac_route_keeps_pi_symbolic_in_a_model_file_bivector(capsys, monkeypatc
     route = checks["JAC-route"]
     assert route["status"] == "pass"
     assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (7, 0)
-    # entries that keep @pi are compared over the function field
-    assert all(isinstance(v, (Fraction, RationalFn)) for v in values)
-    assert any(isinstance(v, RationalFn) and PI in v.num.vars + v.den.vars for v in values)
+    # entries that keep @pi are compared exactly over Q(@pi)
+    assert all(isinstance(v, (Fraction, QPi)) for v in values)
+    assert any(isinstance(v, QPi) for v in values)
 
 
 def test_reports_record_the_effective_seed_samples_and_spec(capsys, tmp_path):

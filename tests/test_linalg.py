@@ -24,7 +24,8 @@ from diracavg.linalg import (
     rref,
     solve,
 )
-from diracavg.rings import Poly, RationalFn
+from diracavg import linalg
+from diracavg.rings import Poly, QPi, RationalFn, qpi
 
 from conftest import rand_fraction
 
@@ -205,9 +206,10 @@ def test_eval_at_keeps_pi_and_raises_on_a_vanishing_denominator():
     a = [[x, one / (x - one)], [pi * x, RationalFn.zero()]]
     vals = eval_at(a, {"x": Fraction(1, 2)})
     assert vals[0] == [Fraction(1, 2), Fraction(-2)]
-    assert isinstance(vals[1][0], RationalFn) and vals[1][0] == pi.scale(Fraction(1, 2))
+    assert vals[1][0] == qpi([0, Fraction(1, 2)])
     assert vals[1][1] == 0
-    # a matrix holding pi reduces over the function field
+    # a matrix holding pi reduces over Q(@pi)
+    assert linalg._field_of(vals) is linalg._QPI
     assert rank(vals) == 2
     with pytest.raises(ZeroDivisionError):
         eval_at(a, {"x": Fraction(1)})
@@ -227,9 +229,47 @@ def test_jets_match_symbolic_derivatives_and_bind_pi_only_when_asked():
         assert vals[col] == fn.value_at(bound)
         for k, c in enumerate(("x", "y")):
             assert grads[k][col] == fn.diff(c).value_at(bound)
-    # pi left unbound: the entries that keep it stay in the function field
+    # pi left unbound: the entries that keep it take values in Q(@pi)
     vals, grads = jets.at(point)
-    assert isinstance(vals[2], RationalFn) and vals[2] == entries[2].eval_frac(point)
-    assert grads[1][4] == pi and vals[0] == Fraction(-2, 15)
+    # (1/3 + @pi) / (29/25)
+    assert isinstance(vals[2], QPi) and vals[2] == qpi([Fraction(25, 87), Fraction(25, 29)])
+    assert grads[1][4] == qpi([0, 1]) and vals[0] == Fraction(-2, 15)
     with pytest.raises(ZeroDivisionError):
         jets.at({"x": Fraction(1, 2), "y": Fraction(1, 2), PI: Fraction(3)})
+
+
+def _upoly(coeffs) -> Poly:
+    return Poly.from_terms((PI,), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def _as_ratfn(v) -> RationalFn:
+    if isinstance(v, QPi):
+        return RationalFn(_upoly(v.num), _upoly(v.den))
+    return RationalFn.const(v)
+
+
+_UPOLY = st.lists(st.integers(min_value=-3, max_value=3).map(Fraction), max_size=3)
+# mostly rational entries, some in Q(@pi), many zeros
+_QPI_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    _Q_ENTRY,
+    st.builds(qpi, _UPOLY, _UPOLY.filter(any)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.lists(st.lists(_QPI_ENTRY, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))))
+def test_rref_over_q_pi_matches_the_function_field(m):
+    # the function-field elimination, the old path for @pi values, is the oracle
+    lifted = [[_as_ratfn(x) for x in row] for row in m]
+    assert linalg._field_of(lifted) is linalg._FN
+    want = rref(lifted)
+    got = [list(row) for row in m]
+    field = linalg._field_of(got)
+    assert field is (linalg._QPI if any(isinstance(x, QPi) for row in m for x in row) else linalg._Q)
+    assert rref(got) == want
+    assert all(_as_ratfn(x) == y for row, ref in zip(got, lifted) for x, y in zip(row, ref))
+    assert all(isinstance(x, (Fraction, QPi)) for row in got for x in row)

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from diracavg.config import PI, CapacityError
 from diracavg.rings import (
     Poly,
+    QPi,
     RationalFn,
     TrigPoly,
     integrate_mean,
     integrate_weighted,
     parse_fraction,
+    qpi,
 )
 
 from conftest import rand_poly, rand_rational
@@ -270,10 +272,99 @@ def test_value_at_raises_on_a_vanishing_denominator_and_keeps_pi():
         f.value_at({"x": Fraction(1, 3), "y": Fraction(0)})
     g = RationalFn(Poly.var(PI) * x, Poly.const(1) + x * x)
     point = {"x": Fraction(1, 2)}
-    assert isinstance(g.value_at(point), RationalFn)
-    assert g.value_at(point) == g.eval_frac(point)
+    # (1/2) @pi / (5/4): a value in Q(@pi), equal to the substituted function
+    assert g.value_at(point) == qpi([0, Fraction(2, 5)])
+    assert _as_ratfn(g.value_at(point)) == g.eval_frac(point)
     # pi with a zero exponent does not force the function-field fallback
     h = RationalFn(Poly.from_terms(("x", PI), {(2, 0): 3}), Poly.const(1))
     assert h.value_at(point) == Fraction(3, 4)
     # a point that maps pi to a value binds it
     assert g.value_at({"x": Fraction(1, 2), PI: Fraction(3)}) == Fraction(6, 5)
+
+
+# -- Q(@pi) --------------------------------------------------------------------
+
+def _upoly(coeffs) -> Poly:
+    return Poly.from_terms((PI,), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def _as_ratfn(v) -> RationalFn:
+    """A value in Q or Q(@pi) as a rational function of @pi."""
+    if isinstance(v, QPi):
+        return RationalFn(_upoly(v.num), _upoly(v.den))
+    return RationalFn.const(v)
+
+
+upolys_st = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=4)
+nonzero_upolys_st = upolys_st.filter(any)
+
+
+@st.composite
+def qpi_values(draw):
+    """A Fraction or QPi built from a random numerator and denominator."""
+    return qpi(draw(upolys_st), draw(nonzero_upolys_st))
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(upolys_st, nonzero_upolys_st, nonzero_upolys_st)
+def test_qpi_is_canonical_so_equal_values_hash_alike(num, den, factor):
+    sympy = pytest.importorskip("sympy")
+    a = qpi(num, den)
+    # the same value with a common factor multiplied in
+    b = qpi(_convolve(num, factor), _convolve(den, factor))
+    assert a == b and hash(a) == hash(b)
+    pi_sym = sympy.Symbol("pi")
+
+    def expand(c):
+        return sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(c)] or [0],
+                          pi_sym)
+
+    if not isinstance(a, QPi):
+        # a rational value is a plain Fraction
+        assert type(a) is Fraction
+        assert sympy.cancel(expand(num).as_expr() / expand(den).as_expr()).is_Rational
+        return
+    # stored reduced: no trailing zero, a monic denominator, coprime parts
+    assert a.num[-1] != 0 and a.den[-1] == 1
+    assert len(a.num) > 1 or len(a.den) > 1
+    assert sympy.gcd(expand(a.num), expand(a.den)).degree() == 0
+    assert a != Fraction(0) and a != 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(qpi_values(), qpi_values())
+def test_qpi_field_operations_agree_with_rational_functions(a, b):
+    ra, rb = _as_ratfn(a), _as_ratfn(b)
+    assert _as_ratfn(a + b) == ra + rb
+    assert _as_ratfn(a - b) == ra - rb
+    assert _as_ratfn(a * b) == ra * rb
+    assert _as_ratfn(-a) == -ra
+    if b != 0:
+        assert _as_ratfn(a / b) == ra / rb
+    # equality is exact: equal values are equal objects, and only those
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_qpi_mixes_with_fractions_and_ints():
+    p = qpi([0, 1])
+    assert isinstance(p, QPi) and repr(p) == "(@pi)"
+    assert p * 0 == 0 and type(p * 0) is Fraction
+    assert p - p == 0 and p / p == 1
+    assert 1 / p == qpi([1], [0, 1])
+    assert Fraction(1, 2) + p == p + Fraction(1, 2) == qpi([Fraction(1, 2), 1])
+    assert 3 - p == -(p - 3)
+    assert repr(qpi([-1, 0, -3], [1, -1])) == "(3*@pi^2 + 1)/(@pi - 1)"
+    with pytest.raises(ZeroDivisionError):
+        p / Fraction(0)
+    with pytest.raises(ValueError):
+        Poly.var("x")._value_at({"y": Fraction(1)})
