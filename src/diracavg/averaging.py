@@ -221,7 +221,6 @@ class AveragingResult:
 
     theta: DifferentialForm
     q: DifferentialForm
-    b_form: DifferentialForm  # -d(theta), the frame gauge form
     data: GeometricData
     poisson: Optional[CouplingPoisson]
     certificate: CompatibilityCertificate
@@ -338,7 +337,6 @@ def average_coupling(
         q_total = (q_total + q_c).simplified()
         theta_total = (theta_total + theta_c).simplified()
 
-    b_form = (-exterior_derivative(theta_total)).simplified()
     poisson: Optional[CouplingPoisson]
     try:
         poisson = d.coupling(cur)
@@ -349,7 +347,6 @@ def average_coupling(
     result = AveragingResult(
         theta=theta_total,
         q=q_total,
-        b_form=b_form,
         data=cur,
         poisson=poisson,
         certificate=cert,

@@ -49,7 +49,7 @@ from .moser import (
     FlowConfig,
     NumericEvaluator,
     flow_and_verify,
-    homotopy_residual,
+    homotopy_residuals,
     z_batch,
 )
 from .reports import CheckResult, failed, passed
@@ -479,10 +479,9 @@ def _cmd_moser_verify(spec, args, d):
     hr_max = 0.0
     hr_bad = None
     for t in times:
-        for p in hr_pts:
-            try:
-                r = homotopy_residual(ev, t, p)
-            except (ArithmeticError, ZeroDivisionError):
+        residuals, skipped = homotopy_residuals(ev, t, hr_pts)
+        for k, (p, r) in enumerate(zip(hr_pts, residuals)):
+            if k in skipped:
                 continue
             hr_run.usable += 1
             hr_max = max(hr_max, r)

@@ -58,14 +58,30 @@ def _point_vec(chart: Chart, point: FloatPoint) -> np.ndarray:
     return vec
 
 
+def _pi_padded(xs: np.ndarray) -> np.ndarray:
+    """Rows of coordinates, with the formal constant's slot appended."""
+    vecs = np.empty((xs.shape[0], xs.shape[1] + 1))
+    vecs[:, :-1] = xs
+    vecs[:, -1] = math.pi
+    return vecs
+
+
 class _Polys:
     """Stacked evaluation of polynomials over one list of monomials.
 
-    Each monomial is the product of its factors, gathered from per-variable
-    power tables.
+    ``names`` are the chart coordinates and then ``@pi``, which is always
+    ``math.pi``.  A monomial is the product of its factors in name order,
+    each read from a table of the powers that some monomial uses, times its
+    coefficient; a polynomial adds its terms in order.  A product over
+    every name would give the same floats, since a factor left out is an
+    exact 1.0, and a short sum is padded with +0.0 terms as a stacked sum
+    over the longest is.  Powers of ``@pi``, and the monomials free of the
+    coordinates, are the same at every point and worked out once per batch
+    size.  Arrays run (row, point), so that each numpy call spans the batch.
     """
 
     def __init__(self, names: Tuple[str, ...], polys: Sequence[Poly]):
+        n = len(names) - 1
         exps: List[Tuple[int, ...]] = []
         coeffs: List[float] = []
         terms: List[List[int]] = []
@@ -78,61 +94,136 @@ class _Polys:
         # a zero monomial pads every term list to the longest
         exps.append((0,) * len(names))
         coeffs.append(0.0)
-        self.coeffs = np.array(coeffs)
-        self._terms = _padded(terms, len(exps) - 1)
-        exp_mat = np.array(exps, dtype=np.int64)
-        self._used = np.flatnonzero(exp_mat.any(axis=0))
-        self._powers = np.arange(int(exp_mat.max(initial=0)) + 1)
-        d = len(self._powers)
-        self._width = len(self._used) * d
-        # table column u * d + k holds used variable u to the power k, and
-        # column 0 (any variable to the power 0) pads the factor lists
-        self._factors = _padded(
-            [[u * d + e[v] for u, v in enumerate(self._used) if e[v]] for e in exps], 0
+        # table rows: the coordinates read to the power 1, copied per call,
+        # the higher coordinate powers, raised per call, then the @pi powers
+        # and the 1.0 that pads the factor lists
+        read = sorted(
+            {(v, e[v]) for e in exps for v in range(n + 1) if e[v]},
+            key=lambda vk: (vk[0] == n, vk[1] > 1, vk),
         )
+        raised = [vk for vk in read if vk[0] < n]
+        fixed = [k for v, k in read if v == n]
+        row = {vk: r for r, vk in enumerate(read)}
+        self._var = np.array([v for v, _k in raised], dtype=np.int64)
+        self._copied = sum(k == 1 for _v, k in raised)
+        self._exp = np.array([k for _v, k in raised[self._copied :]], dtype=float).reshape(-1, 1)
+        self._fixed_rows = np.append(np.full(len(fixed), math.pi) ** np.array(fixed, float), 1.0)
+        factors = [[row[(v, e[v])] for v in range(n + 1) if e[v]] for e in exps]
+        # monomials that read a coordinate come first; the rest are constant
+        varies = [m for m, e in enumerate(exps) if any(e[:n])]
+        const = [m for m, e in enumerate(exps) if not any(e[:n])]
+        pos = {m: r for r, m in enumerate(varies + const)}
+        one = len(read)
+        self._factors = _padded([factors[m] for m in varies], one)
+        self._coeffs = np.array([coeffs[m] for m in varies]).reshape(-1, 1)
+        const_factors = _padded([factors[m] for m in const], one)
+        table = self._fixed_rows[:, np.newaxis]
+        self._const = np.multiply.reduce(
+            table.take(const_factors - len(raised), axis=0), axis=0
+        ) * np.array([coeffs[m] for m in const]).reshape(-1, 1)
+        self._terms = _padded([[pos[m] for m in t] for t in terms], pos[len(exps) - 1])
+        self._size = -1
 
-    def __call__(self, vecs: np.ndarray) -> np.ndarray:
-        """Every polynomial at a batch of points: (B, k) -> (B, len(polys))."""
-        b = vecs.shape[0]
-        table = (vecs[:, self._used, np.newaxis] ** self._powers).reshape(b, self._width)
-        # factors multiply in coordinate order, as a product over every
-        # coordinate would: the ones left out are exact 1.0 factors
-        vals = np.multiply.reduce(table.take(self._factors, axis=1), axis=1) * self.coeffs
-        # terms add in order, so a row's sums do not depend on the batch
-        return np.add.reduce(vals.take(self._terms, axis=1), axis=1)
+    def _resize(self, b: int) -> None:
+        # the rows that do not depend on the point are written here, once
+        self._size = b
+        w, mv = len(self._var), len(self._coeffs)
+        self._table = np.empty((w + len(self._fixed_rows), b))
+        self._table[w:] = self._fixed_rows[:, np.newaxis]
+        # numpy raises to a power with its vector routine only where no
+        # operand is broadcast, and its scalar fallback rounds differently
+        self._powers = np.repeat(self._exp, b, axis=1)
+        self._monos = np.empty((mv + len(self._const), b))
+        self._monos[mv:] = self._const
+
+    def __call__(self, vecs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Every polynomial at a batch of points: (B, k) -> (len(polys), B)."""
+        if vecs.shape[0] != self._size:
+            self._resize(vecs.shape[0])
+        w, mv, c = len(self._var), len(self._coeffs), self._copied
+        # numpy's x ** 1.0 is exactly x; a higher power keeps numpy's
+        # rounding, which x * x would not
+        coords = vecs.T.take(self._var, axis=0)
+        self._table[:c] = coords[:c]
+        np.power(coords[c:], self._powers, out=self._table[c:w])
+        # factors multiply in name order, then the coefficient
+        head = self._monos[:mv]
+        np.multiply.reduce(self._table.take(self._factors, axis=0), axis=0, out=head)
+        head *= self._coeffs
+        # terms add in order, so a point's sums do not depend on the batch
+        return np.add.reduce(self._monos.take(self._terms, axis=0), axis=0, out=out)
 
 
 class _CompiledEntries:
     """Stacked float evaluation for a family of rational components.
 
-    Only entries with a nonzero numerator are evaluated.  A denominator
-    free of the chart coordinates is evaluated once, into a float divisor;
-    the others are evaluated per point and masked where they vanish.
+    Only entries with a nonzero numerator are evaluated, and of those only
+    the ones that ``mirrors`` does not name: it maps an entry to an earlier
+    one whose exact negation it is, and the entry reads as that one's value
+    negated.  A denominator free of the chart coordinates is evaluated
+    once, into a float divisor; the others are evaluated per point and
+    masked where they vanish.
     """
 
-    def __init__(self, chart: Chart, entries: Sequence[Tuple[object, RationalFn]]):
+    def __init__(
+        self,
+        chart: Chart,
+        entries: Sequence[Tuple[object, RationalFn]],
+        mirrors: Optional[Mapping[int, int]] = None,
+    ):
         names = chart.coords + (PI,)
+        mirrors = dict(mirrors or {})
         self.keys: List[object] = [key for key, _fn in entries]
         fns = [fn.simplified() for _key, fn in entries]
-        live = [col for col, fn in enumerate(fns) if not fn.is_zero()]
-        # positions in `live` of the entries whose denominator varies
-        varying = [
-            pos for pos, col in enumerate(live)
-            if any(fns[col].den.diff(c).terms for c in chart.coords)
-        ]
-        fixed = sorted(set(range(len(live))) - set(varying))
-        self._live = np.array(live, dtype=np.int64)
-        self._varying = np.array(varying, dtype=np.int64)
-        self._varying_cols = self._live[self._varying]
+        for col, src in mirrors.items():
+            if src >= col or src in mirrors or not fns[col] == -fns[src]:
+                raise ValueError(
+                    f"entry {self.keys[col]!r} does not mirror {self.keys[src]!r}"
+                )
+
+        def varies(fn: RationalFn) -> bool:
+            return any(fn.den.diff(c).terms for c in chart.coords)
+
+        live = [col for col, fn in enumerate(fns) if not fn.is_zero() and col not in mirrors]
+        # rows: the entries whose denominator varies come first
+        rows = [col for col in live if varies(fns[col])]
+        self._n_varying = len(rows)
+        rows += [col for col in live if not varies(fns[col])]
+        self._n_rows = len(rows)
         self._polys = _Polys(
-            names, [fns[col].num for col in live] + [fns[live[pos]].den for pos in varying]
+            names,
+            [fns[col].num for col in rows] + [fns[col].den for col in rows[: self._n_varying]],
         )
         # a denominator free of the coordinates takes the same value, with
         # the same rounding, at every point: the formal constant's slot
         pi_row = np.zeros((1, len(names)))
         pi_row[0, -1] = math.pi
-        self._divisors = np.ones(len(live))
-        self._divisors[fixed] = _Polys(names, [fns[live[pos]].den for pos in fixed])(pi_row)[0]
+        fixed = rows[self._n_varying :]
+        self._divisors = _Polys(names, [fns[col].den for col in fixed])(pi_row)[:, 0]
+        self._divide = bool(self._n_varying) or bool(np.any(self._divisors != 1.0))
+        # each entry gathers a row, or the zero row after the last, with a sign
+        pos = {col: r for r, col in enumerate(rows)}
+        self._source = np.full(len(fns), len(rows), dtype=np.int64)
+        self._sign = np.ones(len(fns))
+        for col in live:
+            self._source[col] = pos[col]
+        for col, src in mirrors.items():
+            if src in pos:
+                self._source[col] = pos[src]
+                self._sign[col] = -1.0
+        self._signed = bool(mirrors)
+        self._size = -1
+
+    def _resize(self, b: int) -> None:
+        self._size = b
+        r, v = self._n_rows, self._n_varying
+        # numerators, varying denominators, fixed divisors
+        self._sums = np.empty((2 * r, b))
+        self._sums[r + v :] = self._divisors[:, np.newaxis]
+        # the values, then a zero row for the entries that vanish
+        self._values = np.zeros((r + 1, b))
+        self._clear = np.zeros((b, len(self.keys)), dtype=bool)
+        self._clear.flags.writeable = False
 
     def eval_stack(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """All entries at a batch of points: (B, k) -> (B, len(keys)).
@@ -141,19 +232,36 @@ class _CompiledEntries:
         an entry reads as its numerator.
         """
         b = vecs.shape[0]
-        sums = self._polys(vecs)
-        live = sums[:, : len(self._live)] / self._divisors
-        bad = np.zeros((b, len(self.keys)), dtype=bool)
-        if len(self._varying):
-            den = sums[:, len(self._live) :]
-            vanished = np.abs(den) < 1e-300
-            if vanished.any():
-                den = np.where(vanished, 1.0, den)
-                bad[:, self._varying_cols] = vanished
-            live[:, self._varying] /= den
-        vals = np.zeros((b, len(self.keys)))
-        vals[:, self._live] = live
-        return vals, bad
+        if b != self._size:
+            self._resize(b)
+        r, v = self._n_rows, self._n_varying
+        values = self._values[:r]
+        vanished = None
+        if not self._divide:
+            self._polys(vecs, out=values)
+        else:
+            self._polys(vecs, out=self._sums[: r + v])
+            if v:
+                den = self._sums[r : r + v]
+                vanished = np.abs(den) < 1e-300
+                if vanished.any():
+                    den[vanished] = 1.0
+                else:
+                    vanished = None
+            np.divide(self._sums[:r], self._sums[r:], out=values)
+        vals = self._values.T.take(self._source, axis=1)
+        if self._signed:
+            vals *= self._sign
+        if vanished is None:
+            return vals, self._clear
+        bad = np.zeros((r + 1, b), dtype=bool)
+        bad[:v] = vanished
+        return vals, bad.T.take(self._source, axis=1)
+
+    @property
+    def can_vanish(self) -> bool:
+        """Whether some denominator varies, so that it can vanish at a point."""
+        return bool(self._n_varying)
 
     def vanished(self, col: int) -> ZeroDivisionError:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
@@ -207,7 +315,15 @@ class NumericEvaluator:
             + [(k, sb[k[0]][k[1]]) for k in square]
             + [(i, self.theta_exact.comps.get((i,), RationalFn.zero())) for i in range(n)]
         )
-        self._entries = _CompiledEntries(self.chart, self._exact)
+        # both matrices are antisymmetric: below the diagonal, an entry is
+        # its mirror image negated
+        mirrors = {
+            base + j * n + i: base + i * n + j
+            for base in (0, n * n)
+            for j in range(n)
+            for i in range(j)
+        }
+        self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
         self._sp_sym = sp
         self._sb_sym = sb
         self._pi_t_cache: Dict[Fraction, MultivectorField] = {}
@@ -242,30 +358,55 @@ class NumericEvaluator:
         nn = n * n
         vals, bad = self._entries.eval_stack(vecs)
         fails: Failures = {}
-        for row in np.flatnonzero(bad.any(axis=1)):
-            # the first bad column lies in the first family that fails
-            col = int(bad[row].argmax())
-            fails[int(row)] = (1 + col // nn, self._entries.vanished(col))
+        if self._entries.can_vanish and bad.any():
+            for row in np.flatnonzero(bad.any(axis=1)):
+                # the first bad column lies in the first family that fails
+                col = int(bad[row].argmax())
+                fails[int(row)] = (1 + col // nn, self._entries.vanished(col))
         sp = vals[:, :nn].reshape(b, n, n)
         sb = vals[:, nn : 2 * nn].reshape(b, n, n)
         return sp, sb, vals[:, 2 * nn :], fails
 
+    def pi_matrices(self, vecs: np.ndarray) -> Tuple[np.ndarray, Dict[int, Exception]]:
+        """Pi# at a batch of padded points: (B, n, n), and row -> error
+        where a denominator of Pi# vanished."""
+        sp, _sb, _th, fails = self._matrices(vecs)
+        return sp, {row: exc for row, (rank, exc) in fails.items() if rank == 1}
+
     def pi_matrix(self, point: FloatPoint) -> np.ndarray:
-        nn = self._n * self._n
-        vals, bad = self._entries.eval_stack(_point_vec(self.chart, point)[np.newaxis])
-        if bad[0, :nn].any():
-            raise self._entries.vanished(int(bad[0].argmax()))
-        return vals[0, :nn].reshape(self._n, self._n)
+        sp, fails = self.pi_matrices(_point_vec(self.chart, point)[np.newaxis])
+        if fails:
+            raise fails[0]
+        return sp[0]
+
+    def interp_matrices(
+        self, ts: Sequence[float], vecs: np.ndarray
+    ) -> Tuple[np.ndarray, Dict[int, Exception]]:
+        """Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1} for each t at a batch of
+        padded points: (len(ts), B, n, n).
+
+        A row fails, row -> error, where a denominator vanished, or else
+        where the matrix to invert trips the guard at some t (the first).
+        """
+        sp, sb, _th, fails = self._matrices(vecs)
+        m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
+        small = np.abs(np.linalg.det(m)) < self.guard
+        for k, row in zip(*np.nonzero(small)):
+            fails.setdefault(
+                int(row), (4, GuardError(f"interpolation matrix near singular at t={ts[k]}"))
+            )
+        ok = np.ones(len(vecs), dtype=bool)
+        ok[list(fails)] = False
+        out = np.zeros(m.shape)
+        out[:, ok] = sp[ok] @ np.linalg.inv(m[:, ok])
+        return out, {row: exc for row, (_rank, exc) in fails.items()}
 
     def interp_matrix(self, t: float, point: FloatPoint) -> np.ndarray:
         """The float matrix of Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1}."""
-        sp, sb, _th, fails = self._matrices(_point_vec(self.chart, point)[np.newaxis])
+        mats, fails = self.interp_matrices([t], _point_vec(self.chart, point)[np.newaxis])
         if fails:
-            raise fails[0][1]
-        m = np.eye(self._n) + t * (sb[0] @ sp[0])
-        if abs(np.linalg.det(m)) < self.guard:
-            raise GuardError(f"interpolation matrix near singular at t={t}")
-        return sp[0] @ np.linalg.inv(m)
+            raise fails[0]
+        return mats[0, 0]
 
     # -- exact companions --------------------------------------------------
 
@@ -426,7 +567,8 @@ def z_batch(
     Rows where Z_t cannot be evaluated read zero and are returned as
     failures, row -> (rank, error).
     """
-    return _z_rows(ev, t, np.array([_point_vec(ev.chart, p) for p in points]))
+    vecs = np.array([_point_vec(ev.chart, p) for p in points])
+    return _z_rows(ev, t, vecs.reshape(len(points), ev.chart.dim + 1))
 
 
 def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarray, Failures]:
@@ -436,11 +578,16 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     failures: a vanishing denominator, or else the guard.
     """
     sp, sb, th, fails = ev._matrices(vecs)
-    m = ev._eye[np.newaxis, :, :] + t * (sb @ sp)
-    for row in np.flatnonzero(np.abs(np.linalg.det(m)) < ev.guard):
-        fails.setdefault(
-            int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))
-        )
+    m = ev._eye + t * (sb @ sp)
+    # det and solve each factor m.  numpy's det is the sign times exp of
+    # the summed log |u_ii| of its own LU, and solve does not hand out its
+    # factors, so no numpy-only merge of the two keeps the bits of either.
+    small = np.abs(np.linalg.det(m)) < ev.guard
+    if small.any():
+        for row in np.flatnonzero(small):
+            fails.setdefault(
+                int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))
+            )
     if not fails:
         return -(sp @ np.linalg.solve(m, th[:, :, np.newaxis]))[:, :, 0], fails
     ok = np.ones(len(vecs), dtype=bool)
@@ -451,31 +598,60 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     return z, fails
 
 
+def homotopy_residuals(
+    ev: NumericEvaluator,
+    t: Union[float, Fraction],
+    points: Sequence[FloatPoint],
+    fd_step: float = 1e-5,
+) -> Tuple[List[float], Dict[int, Exception]]:
+    """Max-norm of [[Z_t, Pi_t]] + d(Pi_t)/dt at each point.
+
+    The bracket is computed exactly at the point and then rounded to
+    floats; the time derivative uses central differences with the given
+    step, from Pi_t# at t +- step for every point in one batch.  A point
+    where either side cannot be evaluated is returned as row -> error, the
+    bracket's error first; its residual reads 0.
+    """
+    t_frac = Fraction(t)
+    n = ev.chart.dim
+    tf = float(t_frac)
+    vecs = np.array([_point_vec(ev.chart, p) for p in points]).reshape(len(points), n + 1)
+    (plus, minus), float_fails = ev.interp_matrices([tf + fd_step, tf - fd_step], vecs)
+    dpidt = (plus - minus) / (2.0 * fd_step)
+    out: List[float] = []
+    fails: Dict[int, Exception] = {}
+    for row, point in enumerate(points):
+        out.append(0.0)
+        try:
+            bracket = ev.bracket_exact(t_frac, point)
+        except ArithmeticError as exc:
+            fails[row] = exc
+            continue
+        if row in float_fails:
+            fails[row] = float_fails[row]
+            continue
+        bmat = np.array([[float(v) for v in r] for r in bracket])
+        # sharp-matrix slot (j, i) holds the (i, j) component
+        resid = 0.0
+        for i in range(n):
+            for j in range(n):
+                resid = max(resid, abs(bmat[i, j] + dpidt[row, j, i]))
+        out[row] = resid
+    return out, fails
+
+
 def homotopy_residual(
     ev: NumericEvaluator,
     t: Union[float, Fraction],
     point: FloatPoint,
     fd_step: float = 1e-5,
 ) -> float:
-    """Max-norm of [[Z_t, Pi_t]] + d(Pi_t)/dt at the point.
-
-    The bracket is computed exactly at the point and then rounded to
-    floats; the time derivative uses central differences with the given
-    step.
-    """
-    t_frac = Fraction(t)
-    bmat = np.array([[float(v) for v in row] for row in ev.bracket_exact(t_frac, point)])
-    n = ev.chart.dim
-    tf = float(t_frac)
-    plus = ev.interp_matrix(tf + fd_step, point)
-    minus = ev.interp_matrix(tf - fd_step, point)
-    dpidt = (plus - minus) / (2.0 * fd_step)
-    # sharp-matrix slot (j, i) holds the (i, j) component
-    resid = 0.0
-    for i in range(n):
-        for j in range(n):
-            resid = max(resid, abs(bmat[i, j] + dpidt[j, i]))
-    return resid
+    """Max-norm of [[Z_t, Pi_t]] + d(Pi_t)/dt at one point; raises where
+    it cannot be evaluated.  See homotopy_residuals."""
+    out, fails = homotopy_residuals(ev, t, [point], fd_step)
+    if fails:
+        raise fails[0]
+    return out[0]
 
 
 @dataclass
@@ -510,42 +686,53 @@ def flow_batch(
     h = -1.0 / steps
     t = 1.0
     live = np.ones(b, dtype=bool)
+    # while every row is live, the stages skip the per-row bookkeeping
+    whole = b > 0
     mid = np.empty((b, n + 1))
     mid[:, n] = math.pi
     stage = 0
 
-    def in_box(xx: np.ndarray) -> np.ndarray:
-        # pads xx into mid, stops the live rows outside the box, returns the rest
+    def stop(rows: np.ndarray, rank_exc: Dict[int, Tuple[int, Exception]]) -> None:
+        nonlocal whole
+        for row, (rank, exc) in rank_exc.items():
+            live[rows[row]] = False
+            aborts[int(rows[row])] = (stage, rank, exc)
+        whole = whole and not rank_exc
+
+    def in_box(xx: np.ndarray) -> Optional[np.ndarray]:
+        # pads xx into mid, stops the live rows outside the box; returns the
+        # live rows, or None while that is every row
         mid[:, :n] = xx
-        inside = np.all((xx >= ev._box_lo) & (xx <= ev._box_hi), axis=1)
-        for row in np.flatnonzero(live & ~inside):
-            live[row] = False
-            aborts[int(row)] = (stage, 0, BoxExit("trajectory left the box"))
+        inside = (xx >= ev._box_lo) & (xx <= ev._box_hi)
+        if whole and inside.all():
+            return None
+        exits = np.flatnonzero(live & ~inside.all(axis=1))
+        stop(exits, {k: (0, BoxExit("trajectory left the box")) for k in range(len(exits))})
         return np.flatnonzero(live)
 
     def z(tt: float, xx: np.ndarray) -> np.ndarray:
         nonlocal stage
         rows = in_box(xx)
-        if len(rows) == b:
+        if rows is None:
             out, fails = _z_rows(ev, tt, mid)
+            stop(all_rows, fails)
         else:
             out = np.zeros((b, n))
             out[rows], fails = _z_rows(ev, tt, mid[rows])
-        for row, (rank, exc) in fails.items():
-            live[rows[row]] = False
-            aborts[int(rows[row])] = (stage, rank, exc)
+            stop(rows, fails)
         stage += 1
         return out
 
+    all_rows = np.arange(b)
     for _ in range(steps):
-        if not live.any():
+        if not (whole or live.any()):
             break
         k1 = z(t, x)
         k2 = z(t + h / 2.0, x + (h / 2.0) * k1)
         k3 = z(t + h / 2.0, x + (h / 2.0) * k2)
         k4 = z(t + h, x + h * k3)
         step = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = step if live.all() else np.where(live[:, np.newaxis], step, x)
+        x = step if whole else np.where(live[:, np.newaxis], step, x)
         t += h
     stage = 4 * steps
     in_box(x)
@@ -613,31 +800,40 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     aborts: Dict[int, Abort] = {}
     ends = flow_batch(ev, starts, cfg.steps, aborts)
 
+    # the earliest stage stops a point, then the lowest rank
+    stops: Dict[int, Exception] = {}
+    for idx in range(len(cfg.points)):
+        first = idx * width
+        hit = [aborts[r][:2] + (r,) for r in range(first, first + width) if r in aborts]
+        if hit:
+            stops[idx] = aborts[min(hit)[2]][2]
+    flowed = [idx for idx in range(len(cfg.points)) if idx not in stops]
+    row_of = {idx: k for k, idx in enumerate(flowed)}
+    centers = [idx * width for idx in flowed]
+    (pi1s,), interp_fails = ev.interp_matrices([1.0], _pi_padded(starts[centers]))
+    pi_imgs, pi_fails = ev.pi_matrices(_pi_padded(ends[centers]))
+    for k, idx in enumerate(flowed):
+        if k in interp_fails or k in pi_fails:
+            stops[idx] = interp_fails.get(k, pi_fails.get(k))
+
     outcomes: List[PointOutcome] = []
     devs: List[float] = []
     notes: List[str] = []
     aborted = 0
     for idx, p in enumerate(cfg.points):
-        first = idx * width
-        try:
-            # the earliest stage stops the point, then the lowest rank
-            hit = [aborts[r][:2] + (r,) for r in range(first, first + width) if r in aborts]
-            if hit:
-                raise aborts[min(hit)[2]][2]
-            image = ends[first]
-            jac = np.empty((n, n))
-            for k in range(n):
-                jac[:, k] = (ends[first + 1 + 2 * k] - ends[first + 2 + 2 * k]) / (2.0 * h)
-            pi1 = ev.interp_matrix(1.0, p)
-            image_pt = {name: image[k] for k, name in enumerate(ev.chart.coords)}
-            pi_img = ev.pi_matrix(image_pt)
-            dev = float(np.max(np.abs(jac @ pi1 @ jac.T - pi_img)))
-            devs.append(dev)
-            outcomes.append(PointOutcome(dict(p), [float(v) for v in image], dev))
-        except (BoxExit, GuardError, ZeroDivisionError) as exc:
+        if idx in stops:
             aborted += 1
-            notes.append(f"aborted point {p!r}: {exc}")
+            notes.append(f"aborted point {p!r}: {stops[idx]}")
             outcomes.append(PointOutcome(dict(p), None, None, aborted=True))
+            continue
+        first = idx * width
+        k = row_of[idx]
+        jac = np.empty((n, n))
+        for c in range(n):
+            jac[:, c] = (ends[first + 1 + 2 * c] - ends[first + 2 + 2 * c]) / (2.0 * h)
+        dev = float(np.max(np.abs(jac @ pi1s[k] @ jac.T - pi_imgs[k])))
+        devs.append(dev)
+        outcomes.append(PointOutcome(dict(p), [float(v) for v in ends[first]], dev))
     leaf_max: Optional[float] = None
     if cfg.leaf_points:
         leaf_max = 0.0

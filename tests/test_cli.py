@@ -153,13 +153,17 @@ def test_moser_verify_small_run(capsys):
 
 
 def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
-    real = cli.homotopy_residual
+    real = cli.homotopy_residuals
 
-    def guarded(ev, t, point):
+    def guarded(ev, t, points):
         # every time after t = 0 trips the guard: 3 of 15 pairs stay usable
+        out, fails = real(ev, t, points)
         if t:
-            raise GuardError(f"interpolation matrix near singular at t={t}")
-        return real(ev, t, point)
+            fails = {
+                row: GuardError(f"interpolation matrix near singular at t={t}")
+                for row in range(len(points))
+            }
+        return out, fails
 
     argv = ("moser-verify", "--spec", "transversal_leaf", "--samples", "3",
             "--steps", "150", "--format", "json-like")
@@ -167,7 +171,7 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
     assert code == 0
     hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
     assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (15, 0)
-    monkeypatch.setattr(cli, "homotopy_residual", guarded)
+    monkeypatch.setattr(cli, "homotopy_residuals", guarded)
     code, out, _ = _run(capsys, *argv)
     assert code == 1
     hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]

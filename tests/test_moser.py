@@ -23,10 +23,14 @@ from diracavg.moser import (
     GuardError,
     NumericEvaluator,
     _CompiledEntries,
+    _padded,
+    _Polys,
     flow_and_verify,
     flow_batch,
     flow_point,
     homotopy_residual,
+    homotopy_residuals,
+    z_batch,
     z_field,
 )
 from diracavg.rings import Poly, RationalFn
@@ -251,6 +255,159 @@ def test_eval_stack_matches_a_plain_loop_bit_for_bit():
     assert str(entries.vanished(3)) == "denominator vanished for component 3"
 
 
+def _same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of each zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _table_polys(names, polys, vecs):
+    """Reference for _Polys: every used variable to every power 0..maxdeg in
+    a per-row table, products by multiply.reduce and sums by add.reduce,
+    with the zero monomial padding the term lists.  Returns (B, len(polys))."""
+    exps, coeffs, terms = [], [], []
+    for poly in polys:
+        terms.append([])
+        for e, c in poly.aligned_to(names).terms.items():
+            terms[-1].append(len(exps))
+            exps.append(e)
+            coeffs.append(float(c))
+    exps.append((0,) * len(names))
+    coeffs.append(0.0)
+    exp_mat = np.array(exps, dtype=np.int64)
+    used = np.flatnonzero(exp_mat.any(axis=0))
+    powers = np.arange(int(exp_mat.max(initial=0)) + 1)
+    d = len(powers)
+    table = (vecs[:, used, np.newaxis] ** powers).reshape(len(vecs), len(used) * d)
+    factors = _padded([[u * d + e[v] for u, v in enumerate(used) if e[v]] for e in exps], 0)
+    vals = np.multiply.reduce(table.take(factors, axis=1), axis=1) * np.array(coeffs)
+    return np.add.reduce(vals.take(_padded(terms, len(exps) - 1), axis=1), axis=1)
+
+
+_NAMES = CHART4.coords + (PI,)
+# a monomial reads the coordinates and @pi, @pi alone, or nothing
+_EXPONENTS = st.one_of(
+    st.tuples(*[st.integers(0, 3)] * len(_NAMES)),
+    st.integers(1, 3).map(lambda k: (0,) * len(CHART4.coords) + (k,)),
+    st.just((0,) * len(_NAMES)),
+)
+_COEFF = st.fractions(-3, 3, max_denominator=7)
+_POLY = st.lists(st.tuples(_EXPONENTS, _COEFF), max_size=5).map(
+    lambda terms: sum(
+        (
+            functools.reduce(
+                lambda p, q: p * q,
+                [Poly.var(name) ** k for name, k in zip(_NAMES, e) if k],
+                Poly.const(c),
+            )
+            for e, c in terms
+        ),
+        Poly.zero(),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_POLY, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_polys_match_the_full_power_table_bit_for_bit(polys, seed):
+    rng = np.random.default_rng(seed)
+    evaluate = _Polys(_NAMES, polys)
+    for size in (0, 1, 120):
+        vecs = np.empty((size, len(_NAMES)))
+        vecs[:, :-1] = rng.uniform(-2, 2, (size, len(CHART4.coords)))
+        vecs[:, -1] = math.pi
+        # the same instance twice: the rows written once per size stay put
+        for _ in range(2):
+            assert _same_bits(evaluate(vecs).T, _table_polys(_NAMES, polys, vecs))
+
+
+def _mirror_model():
+    # Pi and d(theta) carry denominators that vanish at x = y and x = z
+    chart = Chart(("x", "y", "z"))
+    x, y, z = (RationalFn.var(c) for c in chart.coords)
+    one = RationalFn.const(1)
+    pi = MultivectorField(
+        chart, 2, {(0, 1): one / (x - y), (0, 2): z * y, (1, 2): (x + z) / (x - y)}
+    )
+    theta = one_form(chart, {1: one / (x - z), 2: x * y})
+    box = {c: (Fraction(-1), Fraction(1)) for c in chart.coords}
+    return NumericEvaluator(pi, theta, box)
+
+
+def test_mirrored_entries_read_as_the_negated_source():
+    ev = _mirror_model()
+    rng = np.random.default_rng(3)
+    vecs = np.empty((50, 4))
+    vecs[:, :3] = rng.uniform(-1, 1, (50, 3))
+    vecs[:, 3] = math.pi
+    vecs[7, 1] = vecs[7, 0]  # Pi's denominator vanishes
+    vecs[9, [0, 2]] = 0.5  # d(theta)'s and theta's do, (x - z)^2 expanded too
+    vals, bad = ev._entries.eval_stack(vecs)
+    n, nn = 3, 9
+    for base in (0, nn):
+        for j in range(n):
+            for i in range(j):
+                assert _same_bits(vals[:, base + j * n + i], -vals[:, base + i * n + j])
+    # compiled one by one, as before mirroring, the entries read the same
+    # values and vanish at the same points
+    alone_vals, alone_bad = _CompiledEntries(ev.chart, ev._exact).eval_stack(vecs)
+    assert np.array_equal(vals, alone_vals)
+    assert bad.tolist() == alone_bad.tolist()
+    _sp, _sb, _th, fails = ev._matrices(vecs)
+    assert {row: (rank, str(exc)) for row, (rank, exc) in fails.items()} == {
+        7: (1, "denominator vanished for component (0, 1)"),
+        9: (2, "denominator vanished for component (0, 1)"),
+    }
+    for row in (7, 9):
+        col = int(alone_bad[row].argmax())
+        assert fails[row][0] == 1 + col // nn
+        assert str(fails[row][1]) == str(ev._entries.vanished(col))
+
+
+def test_mirrors_must_be_exact_negations():
+    chart = Chart(("x", "y"))
+    x = RationalFn.var("x")
+    with pytest.raises(ValueError):
+        _CompiledEntries(chart, [(0, x), (1, x)], {1: 0})
+    with pytest.raises(ValueError):
+        _CompiledEntries(chart, [(0, x), (1, -x)], {0: 1})
+
+
+@pytest.mark.parametrize(
+    "name", ["flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "shifted_lift"]
+)
+def test_batched_interpolation_matches_single_matrices_bit_for_bit(name):
+    spec, res, pi, box, ev = _setup(name)
+    n = ev.chart.dim
+    points = [
+        {k: float(v) for k, v in p.items()} for p in sample_box(ev.chart, box, 12, 94)
+    ]
+    vecs = np.array([[p[c] for c in ev.chart.coords] + [math.pi] for p in points])
+    ts = [0.75 + 1e-5, 0.75 - 1e-5, 1.0]
+    mats, fails = ev.interp_matrices(ts, vecs)
+    assert not fails
+    pis, pi_fails = ev.pi_matrices(vecs)
+    assert not pi_fails
+    for row, p in enumerate(points):
+        # one point at a time with 2-D products and inverses
+        sp, sb, _th, row_fails = ev._matrices(vecs[row : row + 1])
+        assert not row_fails and _same_bits(pis[row], sp[0])
+        for k, t in enumerate(ts):
+            m = np.eye(n) + t * (sb[0] @ sp[0])
+            assert _same_bits(mats[k, row], sp[0] @ np.linalg.inv(m))
+        assert _same_bits(ev.interp_matrix(1.0, p), mats[2, row])
+        assert _same_bits(ev.pi_matrix(p), pis[row])
+
+
+def test_homotopy_residual_is_its_batch_row():
+    spec, res, pi, box, ev = _setup()
+    points = [{k: float(v) for k, v in p.items()} for p in sample_box(ev.chart, box, 4, 95)]
+    for t in (Fraction(0), Fraction(1, 2)):
+        residuals, fails = homotopy_residuals(ev, t, points)
+        assert not fails
+        assert residuals == [homotopy_residual(ev, t, p) for p in points]
+
+
 _COORD = st.floats(-0.6, 0.6, allow_nan=False)
 
 
@@ -271,6 +428,47 @@ def test_batch_rows_match_single_trajectories(rows):
         else:
             assert k not in aborts
             assert np.array_equal(ends[k], alone)
+
+
+_COORD3 = st.floats(-0.9, 0.9, allow_nan=False)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_COORD3, _COORD3, _COORD3), min_size=1, max_size=4))
+def test_flow_batch_rows_match_rows_flowed_alone_bit_for_bit(rows):
+    # the mirror model stops rows on either vanishing denominator; the first
+    # two rows stop at once, one on Pi's denominator and one on d(theta)'s
+    ev = _mirror_model()
+    starts = np.array([(0.3, 0.3, 0.1), (0.5, -0.4, 0.5)] + rows)
+    aborts = {}
+    ends = flow_batch(ev, starts, 100, aborts)
+    assert aborts[0][:2] == (0, 1) and aborts[1][:2] == (0, 2)
+    for k, start in enumerate(starts):
+        alone = {}
+        end = flow_batch(ev, start[np.newaxis], 100, alone)
+        assert _same_bits(ends[k], end[0])
+        assert (k in aborts) == (0 in alone)
+        if k in aborts:
+            got, want = aborts[k], alone[0]
+            assert got[:2] == want[:2]
+            assert (type(got[2]), str(got[2])) == (type(want[2]), str(want[2]))
+
+
+def test_a_batch_that_starts_outside_the_box_stops_at_once():
+    ev = _mirror_model()
+    starts = np.array([[2.0, 0.0, 0.0], [0.0, -3.0, 0.5]])
+    aborts = {}
+    ends = flow_batch(ev, starts, 100, aborts)
+    assert _same_bits(ends, starts)
+    assert {row: (stage, rank, type(exc)) for row, (stage, rank, exc) in aborts.items()} == {
+        0: (0, 0, BoxExit),
+        1: (0, 0, BoxExit),
+    }
+    # the later stages of that step evaluate an empty batch
+    vals, bad = ev._entries.eval_stack(np.empty((0, 4)))
+    assert vals.shape == bad.shape == (0, len(ev._exact))
+    z, fails = z_batch(ev, 0.5, [])
+    assert z.shape == (0, 3) and not fails
 
 
 def test_bad_trajectories_abort_alone():
