@@ -200,7 +200,6 @@ class _CompiledEntries:
         pi_row[0, -1] = math.pi
         fixed = rows[self._n_varying :]
         self._divisors = _Polys(names, [fns[col].den for col in fixed])(pi_row)[:, 0]
-        self._divide = bool(self._n_varying) or bool(np.any(self._divisors != 1.0))
         # each entry gathers a row, or the zero row after the last, with a sign
         pos = {col: r for r, col in enumerate(rows)}
         self._source = np.full(len(fns), len(rows), dtype=np.int64)
@@ -211,7 +210,6 @@ class _CompiledEntries:
             if src in pos:
                 self._source[col] = pos[src]
                 self._sign[col] = -1.0
-        self._signed = bool(mirrors)
         self._size = -1
 
     def _resize(self, b: int) -> None:
@@ -235,27 +233,20 @@ class _CompiledEntries:
         if b != self._size:
             self._resize(b)
         r, v = self._n_rows, self._n_varying
-        values = self._values[:r]
-        vanished = None
-        if not self._divide:
-            self._polys(vecs, out=values)
-        else:
-            self._polys(vecs, out=self._sums[: r + v])
-            if v:
-                den = self._sums[r : r + v]
-                vanished = np.abs(den) < 1e-300
-                if vanished.any():
-                    den[vanished] = 1.0
-                else:
-                    vanished = None
-            np.divide(self._sums[:r], self._sums[r:], out=values)
+        sums = self._sums
+        self._polys(vecs, out=sums[: r + v])
+        bad = None
+        if v:
+            vanished = np.abs(sums[r : r + v]) < 1e-300
+            if vanished.any():
+                sums[r : r + v][vanished] = 1.0
+                bad = np.zeros((r + 1, b), dtype=bool)
+                bad[:v] = vanished
+        np.divide(sums[:r], sums[r:], out=self._values[:r])
         vals = self._values.T.take(self._source, axis=1)
-        if self._signed:
-            vals *= self._sign
-        if vanished is None:
+        vals *= self._sign
+        if bad is None:
             return vals, self._clear
-        bad = np.zeros((r + 1, b), dtype=bool)
-        bad[:v] = vanished
         return vals, bad.T.take(self._source, axis=1)
 
     @property
