@@ -50,20 +50,7 @@ Failures = Dict[int, Tuple[int, Exception]]
 
 
 def _point_vec(chart: Chart, point: FloatPoint) -> np.ndarray:
-    # last slot carries the value of the formal constant
-    vec = np.empty(chart.dim + 1)
-    for k, name in enumerate(chart.coords):
-        vec[k] = float(point[name])
-    vec[chart.dim] = math.pi
-    return vec
-
-
-def _pi_padded(xs: np.ndarray) -> np.ndarray:
-    """Rows of coordinates, with the formal constant's slot appended."""
-    vecs = np.empty((xs.shape[0], xs.shape[1] + 1))
-    vecs[:, :-1] = xs
-    vecs[:, -1] = math.pi
-    return vecs
+    return np.array([float(point[name]) for name in chart.coords])
 
 
 class _Polys:
@@ -137,7 +124,11 @@ class _Polys:
         self._monos[mv:] = self._const
 
     def __call__(self, vecs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Every polynomial at a batch of points: (B, k) -> (len(polys), B)."""
+        """Every polynomial at a batch of points: (B, n) -> (len(polys), B).
+
+        Columns after the n coordinates, such as a slot for ``@pi``, are
+        not read.
+        """
         if vecs.shape[0] != self._size:
             self._resize(vecs.shape[0])
         w, mv, c = len(self._var), len(self._coeffs), self._copied
@@ -195,21 +186,20 @@ class _CompiledEntries:
             [fns[col].num for col in rows] + [fns[col].den for col in rows[: self._n_varying]],
         )
         # a denominator free of the coordinates takes the same value, with
-        # the same rounding, at every point: the formal constant's slot
-        pi_row = np.zeros((1, len(names)))
-        pi_row[0, -1] = math.pi
+        # the same rounding, at every point
         fixed = rows[self._n_varying :]
-        self._divisors = _Polys(names, [fns[col].den for col in fixed])(pi_row)[:, 0]
-        # each entry gathers a row, or the zero row after the last, with a sign
+        self._divisors = _Polys(names, [fns[col].den for col in fixed])(
+            np.zeros((1, chart.dim))
+        )[:, 0]
+        # each entry gathers a row of values, the zero row after them, or a
+        # row of the negated values after that
         pos = {col: r for r, col in enumerate(rows)}
         self._source = np.full(len(fns), len(rows), dtype=np.int64)
-        self._sign = np.ones(len(fns))
         for col in live:
             self._source[col] = pos[col]
         for col, src in mirrors.items():
             if src in pos:
-                self._source[col] = pos[src]
-                self._sign[col] = -1.0
+                self._source[col] = len(rows) + 1 + pos[src]
         self._size = -1
 
     def _resize(self, b: int) -> None:
@@ -218,13 +208,13 @@ class _CompiledEntries:
         # numerators, varying denominators, fixed divisors
         self._sums = np.empty((2 * r, b))
         self._sums[r + v :] = self._divisors[:, np.newaxis]
-        # the values, then a zero row for the entries that vanish
-        self._values = np.zeros((r + 1, b))
+        # the values, a zero row for the entries that vanish, the negations
+        self._values = np.zeros((2 * r + 1, b))
         self._clear = np.zeros((b, len(self.keys)), dtype=bool)
         self._clear.flags.writeable = False
 
     def eval_stack(self, vecs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """All entries at a batch of points: (B, k) -> (B, len(keys)).
+        """All entries at a batch of points: (B, n) -> (B, len(keys)).
 
         Also returns the (B, len(keys)) mask of vanished denominators; such
         an entry reads as its numerator.
@@ -240,14 +230,16 @@ class _CompiledEntries:
             vanished = np.abs(sums[r : r + v]) < 1e-300
             if vanished.any():
                 sums[r : r + v][vanished] = 1.0
-                bad = np.zeros((r + 1, b), dtype=bool)
-                bad[:v] = vanished
-        np.divide(sums[:r], sums[r:], out=self._values[:r])
-        vals = self._values.T.take(self._source, axis=1)
-        vals *= self._sign
+                bad = np.zeros((2 * r + 1, b), dtype=bool)
+                bad[:v] = bad[r + 1 : r + 1 + v] = vanished
+        values = self._values
+        np.divide(sums[:r], sums[r:], out=values[:r])
+        np.negative(values[:r], out=values[r + 1 :])
+        # points as rows, as the matrix routines read them
+        vals = np.ascontiguousarray(values.take(self._source, axis=0).T)
         if bad is None:
             return vals, self._clear
-        return vals, bad.T.take(self._source, axis=1)
+        return vals, np.ascontiguousarray(bad.take(self._source, axis=0).T)
 
     @property
     def can_vanish(self) -> bool:
@@ -341,7 +333,7 @@ class NumericEvaluator:
     def _matrices(
         self, vecs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Failures]:
-        """Pi#, dTheta# and Theta at a batch of padded points (B, n+1).
+        """Pi#, dTheta# and Theta at a batch of points (B, n).
 
         Rows where a denominator vanished are returned as failures.
         """
@@ -359,7 +351,7 @@ class NumericEvaluator:
         return sp, sb, vals[:, 2 * nn :], fails
 
     def pi_matrices(self, vecs: np.ndarray) -> Tuple[np.ndarray, Dict[int, Exception]]:
-        """Pi# at a batch of padded points: (B, n, n), and row -> error
+        """Pi# at a batch of points: (B, n, n), and row -> error
         where a denominator of Pi# vanished."""
         sp, _sb, _th, fails = self._matrices(vecs)
         return sp, {row: exc for row, (rank, exc) in fails.items() if rank == 1}
@@ -374,7 +366,7 @@ class NumericEvaluator:
         self, ts: Sequence[float], vecs: np.ndarray
     ) -> Tuple[np.ndarray, Dict[int, Exception]]:
         """Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1} for each t at a batch of
-        padded points: (len(ts), B, n, n).
+        points: (len(ts), B, n, n).
 
         A row fails, row -> error, where a denominator vanished, or else
         where the matrix to invert trips the guard at some t (the first).
@@ -559,17 +551,19 @@ def z_batch(
     failures, row -> (rank, error).
     """
     vecs = np.array([_point_vec(ev.chart, p) for p in points])
-    return _z_rows(ev, t, vecs.reshape(len(points), ev.chart.dim + 1))
+    return _z_rows(ev, t, vecs.reshape(len(points), ev.chart.dim))
 
 
 def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarray, Failures]:
-    """Z_t at a batch of padded points: (B, n+1) -> (B, n).
+    """Z_t at a batch of points: (B, n) -> (B, n).
 
     Rows where Z_t cannot be evaluated read zero and are returned as
     failures: a vanishing denominator, or else the guard.
     """
     sp, sb, th, fails = ev._matrices(vecs)
-    m = ev._eye + t * (sb @ sp)
+    m = sb @ sp
+    m *= t
+    m += ev._eye
     # det and solve each factor m.  numpy's det is the sign times exp of
     # the summed log |u_ii| of its own LU, and solve does not hand out its
     # factors, so no numpy-only merge of the two keeps the bits of either.
@@ -606,7 +600,7 @@ def homotopy_residuals(
     t_frac = Fraction(t)
     n = ev.chart.dim
     tf = float(t_frac)
-    vecs = np.array([_point_vec(ev.chart, p) for p in points]).reshape(len(points), n + 1)
+    vecs = np.array([_point_vec(ev.chart, p) for p in points]).reshape(len(points), n)
     (plus, minus), float_fails = ev.interp_matrices([tf + fd_step, tf - fd_step], vecs)
     dpidt = (plus - minus) / (2.0 * fd_step)
     out: List[float] = []
@@ -679,8 +673,8 @@ def flow_batch(
     live = np.ones(b, dtype=bool)
     # while every row is live, the stages skip the per-row bookkeeping
     whole = b > 0
-    mid = np.empty((b, n + 1))
-    mid[:, n] = math.pi
+    # the bounds repeated for every row, so the box test is one flat loop
+    lo, hi = np.tile(ev._box_lo, (b, 1)), np.tile(ev._box_hi, (b, 1))
     stage = 0
 
     def stop(rows: np.ndarray, rank_exc: Dict[int, Tuple[int, Exception]]) -> None:
@@ -691,10 +685,9 @@ def flow_batch(
         whole = whole and not rank_exc
 
     def in_box(xx: np.ndarray) -> Optional[np.ndarray]:
-        # pads xx into mid, stops the live rows outside the box; returns the
-        # live rows, or None while that is every row
-        mid[:, :n] = xx
-        inside = (xx >= ev._box_lo) & (xx <= ev._box_hi)
+        # stops the live rows outside the box; returns the live rows, or
+        # None while that is every row
+        inside = (xx >= lo) & (xx <= hi)
         if whole and inside.all():
             return None
         exits = np.flatnonzero(live & ~inside.all(axis=1))
@@ -705,11 +698,11 @@ def flow_batch(
         nonlocal stage
         rows = in_box(xx)
         if rows is None:
-            out, fails = _z_rows(ev, tt, mid)
+            out, fails = _z_rows(ev, tt, xx)
             stop(all_rows, fails)
         else:
             out = np.zeros((b, n))
-            out[rows], fails = _z_rows(ev, tt, mid[rows])
+            out[rows], fails = _z_rows(ev, tt, xx[rows])
             stop(rows, fails)
         stage += 1
         return out
@@ -735,9 +728,8 @@ def flow_point(ev: NumericEvaluator, point: FloatPoint, steps: int) -> np.ndarra
 
     Raises BoxExit, ZeroDivisionError or GuardError if it stops.
     """
-    vec = _point_vec(ev.chart, point)
     aborts: Dict[int, Abort] = {}
-    end = flow_batch(ev, vec[np.newaxis, : ev.chart.dim], steps, aborts)
+    end = flow_batch(ev, _point_vec(ev.chart, point)[np.newaxis], steps, aborts)
     if aborts:
         raise aborts[0][2]
     return end[0]
@@ -780,13 +772,13 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     width = 1 + 2 * n
     rows: List[np.ndarray] = []
     for p in cfg.points:
-        center = _point_vec(ev.chart, p)[:n]
+        center = _point_vec(ev.chart, p)
         group = np.repeat(center[np.newaxis, :], width, axis=0)
         for k in range(n):
             group[1 + 2 * k, k] += h
             group[2 + 2 * k, k] -= h
         rows.extend(group)
-    rows.extend(_point_vec(ev.chart, p)[:n] for p in cfg.leaf_points)
+    rows.extend(_point_vec(ev.chart, p) for p in cfg.leaf_points)
     starts = np.array(rows).reshape(-1, n)
     aborts: Dict[int, Abort] = {}
     ends = flow_batch(ev, starts, cfg.steps, aborts)
@@ -801,8 +793,8 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     flowed = [idx for idx in range(len(cfg.points)) if idx not in stops]
     row_of = {idx: k for k, idx in enumerate(flowed)}
     centers = [idx * width for idx in flowed]
-    (pi1s,), interp_fails = ev.interp_matrices([1.0], _pi_padded(starts[centers]))
-    pi_imgs, pi_fails = ev.pi_matrices(_pi_padded(ends[centers]))
+    (pi1s,), interp_fails = ev.interp_matrices([1.0], starts[centers])
+    pi_imgs, pi_fails = ev.pi_matrices(ends[centers])
     for k, idx in enumerate(flowed):
         if k in interp_fails or k in pi_fails:
             stops[idx] = interp_fails.get(k, pi_fails.get(k))
