@@ -181,6 +181,32 @@ def test_degenerate_interpolation_trips_the_guard():
     z_field(ev, 0.5, {"x": 0.1, "y": 0.2})
 
 
+def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():
+    chart = Chart(("x", "y"))
+    pi = MultivectorField(chart, 2, {(0, 1): RationalFn.const(1)})
+    theta = one_form(chart, {1: RationalFn.var("x")})
+    box = {"x": (Fraction(-1), Fraction(1)), "y": (Fraction(-1), Fraction(1))}
+    ev = NumericEvaluator(pi, theta, box)
+    mats, fails = ev.interp_matrices([0.5, 1.0, 1.0], np.array([[0.1, 0.2]]))
+    assert list(fails) == [0]
+    assert (type(fails[0]), str(fails[0])) == (
+        GuardError,
+        "interpolation matrix near singular at t=1.0",
+    )
+    assert not mats.any()
+
+
+def test_homotopy_residual_raises_the_bracket_error_first():
+    # at x = y both sides meet Pi's vanishing denominator; the exact
+    # bracket's error is the one reported
+    ev = _mirror_model()
+    point = {"x": 0.3, "y": 0.3, "z": 0.1}
+    with pytest.raises(ZeroDivisionError, match="vanishes at the point"):
+        homotopy_residual(ev, Fraction(1, 2), point)
+    residuals, fails = homotopy_residuals(ev, Fraction(1, 2), [{"x": 0.3, "y": 0.1, "z": 0.2}, point])
+    assert list(fails) == [1] and residuals[1] == 0.0
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(points=[], steps=50)
