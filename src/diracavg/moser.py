@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from . import linalg
 from .config import PI
 from .rings import Poly, RationalFn
@@ -39,6 +37,17 @@ class GuardError(ArithmeticError):
 class BoxExit(RuntimeError):
     """A trajectory left the configured box."""
 
+
+class _NumpyOnFirstUse:
+    # numpy's stand-in until first use, so that only moser-verify imports it
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 FloatPoint = Mapping[str, float]
 # why a trajectory stopped: (stage, rank, error), where the rank orders the

@@ -61,13 +61,15 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly((), {})
+        return _ZERO
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
+        if c == 1 and isinstance(c, (int, Fraction)):
+            return _UNIT
         c = _as_fraction(c)
         if c == 0:
-            return Poly.zero()
+            return _ZERO
         return Poly((), {(): c})
 
     @staticmethod
@@ -102,7 +104,8 @@ class Poly:
                 )
             c = _as_fraction(c)
             if c != 0:
-                out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + c
+                s = out.get(tuple(exps))
+                out[tuple(exps)] = c if s is None else s + c
         p = Poly(vs, {e: c for e, c in out.items() if c != 0})
         return p._sorted()
 
@@ -143,7 +146,8 @@ class Poly:
         a, b = self.aligned_to(vs), other.aligned_to(vs)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e)
+            s = c if s is None else s + c
             if s == 0:
                 terms.pop(e, None)
             else:
@@ -157,6 +161,11 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # a product by the shared unit is the other factor, within the cap
+        if other is _UNIT and len(self.terms) <= LIMITS.max_terms:
+            return self
+        if self is _UNIT and len(other.terms) <= LIMITS.max_terms:
+            return other
         vs = Poly._merge_vars(self, other)
         a, b = self.aligned_to(vs), other.aligned_to(vs)
         if len(a.terms) > len(b.terms):
@@ -165,7 +174,8 @@ class Poly:
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(e, Fraction(0)) + ca * cb
+                s = terms.get(e)
+                s = ca * cb if s is None else s + ca * cb
                 if s == 0:
                     terms.pop(e, None)
                 else:
@@ -200,14 +210,15 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return not any(any(e) for e in self.terms)
 
     def const_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return sum(self.terms.values(), Fraction(0))
+        # a constant has one term, the all-zero exponent
+        return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -243,7 +254,7 @@ class Poly:
                 continue
             new = list(e)
             new[i] -= 1
-            terms[tuple(new)] = c * e[i]
+            terms[tuple(new)] = c if e[i] == 1 else c * e[i]
         return Poly(self.vars, terms)
 
     def eval_frac(self, point: Mapping[str, Fraction]) -> "Poly":
@@ -261,19 +272,24 @@ class Poly:
                 if v in point and v != PI and e[i]:
                     val *= _as_fraction(point[v]) ** e[i]
             key = tuple(e[i] for i in keep)
-            s = out.get(key, Fraction(0)) + val
+            s = out.get(key)
+            s = val if s is None else s + val
             if s == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
         return Poly(vs, out)
 
-    def _value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "QPi"]:
+    def _value_at(
+        self, point: Mapping[str, Fraction], pair: bool = False
+    ) -> Union[Fraction, "QPi", Tuple[int, int]]:
         """The exact value at a point: a Fraction, or a ``QPi`` where ``@pi``
         survives.
 
         ``@pi`` is bound only where the point maps it to a value.  Any other
-        variable that occurs with a nonzero exponent must be bound.
+        variable that occurs with a nonzero exponent must be bound.  With
+        ``pair``, a value free of ``@pi`` comes back unreduced, as an integer
+        numerator and a positive integer denominator.
         """
         xs = []
         free = -1
@@ -288,11 +304,12 @@ class Poly:
             else:
                 xs.append((x.numerator, x.denominator))
         if free < 0:
-            return _sum_at(self.terms.items(), xs)
+            num, den = _sum_at(self.terms.items(), xs)
+            return (num, den) if pair else Fraction(num, den)
         by_power: Dict[int, list] = {}
         for e, c in self.terms.items():
             by_power.setdefault(e[free], []).append((e, c))
-        coeffs = [_sum_at(by_power.get(k, ()), xs) for k in range(max(by_power) + 1)]
+        coeffs = [Fraction(*_sum_at(by_power.get(k, ()), xs)) for k in range(max(by_power) + 1)]
         return _lowest(_utrim(coeffs), _ONE)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
@@ -340,9 +357,9 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _sum_at(terms: Iterable[Tuple[Exponent, Fraction]], xs: Sequence[Tuple[int, int]]) -> Fraction:
-    """The sum of the terms with variable i at xs[i] = (numerator, denominator)."""
-    # integer numerators over a running common denominator, reduced once
+def _sum_at(terms: Iterable[Tuple[Exponent, Fraction]], xs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """The sum of the terms with variable i at xs[i] = (numerator, denominator),
+    unreduced: an integer numerator over a positive running common denominator."""
     num, den = 0, 1
     for e, c in terms:
         tn, td = c.numerator, c.denominator
@@ -356,7 +373,7 @@ def _sum_at(terms: Iterable[Tuple[Exponent, Fraction]], xs: Sequence[Tuple[int, 
             g = math.gcd(den, td)
             num = num * (td // g) + tn * (den // g)
             den = den // g * td
-    return Fraction(num, den)
+    return num, den
 
 
 def poly_gcd_content(p: Poly) -> Fraction:
@@ -413,7 +430,8 @@ def poly_divmod_exact(num: Poly, den: Poly) -> Union[Poly, None]:
         if any(d < 0 for d in diff):
             return None
         coeff = r.terms[lead_r] / cb
-        q[diff] = q.get(diff, Fraction(0)) + coeff
+        s = q.get(diff)
+        q[diff] = coeff if s is None else s + coeff
         r = r - Poly(vs, {diff: coeff}) * b
     return Poly(vs, {e: c for e, c in q.items() if c != 0})
 
@@ -424,13 +442,17 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.const(1)
-        elif den.is_const():
-            num = num.scale(Fraction(1) / den.const_value())
-            den = Poly.const(1)
+        # every constant denominator becomes the shared unit
+        if den is not _UNIT:
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num.is_zero():
+                den = _UNIT
+            elif den.is_const():
+                c = den.const_value()
+                if c != 1:
+                    num = num.scale(1 / c)
+                den = _UNIT
         self.num = num
         self.den = den
 
@@ -438,19 +460,19 @@ class RationalFn:
 
     @staticmethod
     def zero() -> "RationalFn":
-        return RationalFn(Poly.zero(), Poly.const(1))
+        return _RZERO
 
     @staticmethod
     def const(c: Scalar) -> "RationalFn":
-        return RationalFn(Poly.const(c), Poly.const(1))
+        return RationalFn(Poly.const(c), _UNIT)
 
     @staticmethod
     def var(name: str) -> "RationalFn":
-        return RationalFn(Poly.var(name), Poly.const(1))
+        return RationalFn(Poly.var(name), _UNIT)
 
     @staticmethod
     def from_poly(p: Poly) -> "RationalFn":
-        return RationalFn(p, Poly.const(1))
+        return RationalFn(p, _UNIT)
 
     @staticmethod
     def of(x: Union["RationalFn", Poly, int, Fraction]) -> "RationalFn":
@@ -500,7 +522,7 @@ class RationalFn:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.is_const()
+        return self.den is _UNIT
 
     def as_poly(self) -> Poly:
         if not self.is_poly():
@@ -517,6 +539,8 @@ class RationalFn:
             other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
+        if self.den is other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self) -> int:
@@ -545,7 +569,12 @@ class RationalFn:
         ZeroDivisionError where the denominator vanishes, as ``eval_frac``
         does.
         """
-        num, den = self.num._value_at(point), self.den._value_at(point)
+        num = self.num._value_at(point, True)
+        den = (1, 1) if self.den is _UNIT else self.den._value_at(point, True)
+        if type(num) is type(den) is tuple and den[0]:
+            # neither side keeps @pi: one reduction for the value
+            return Fraction(num[0] * den[1], num[1] * den[0])
+        num, den = (Fraction(*x) if type(x) is tuple else x for x in (num, den))
         if not den:
             raise ZeroDivisionError("denominator vanishes at sample point")
         return num / den
@@ -569,7 +598,7 @@ class RationalFn:
         if len(num.terms) * len(den.terms) <= 20_000:
             q = poly_divmod_exact(num, den)
             if q is not None:
-                return RationalFn(q, Poly.const(1))
+                return RationalFn(q, _UNIT)
         vs = Poly._merge_vars(num, den)
         num, den = num.aligned_to(vs), den.aligned_to(vs)
         mn, md = _common_monomial(num), _common_monomial(den)
@@ -670,6 +699,13 @@ def qpi(num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> Union[Fraction, 
     if not d:
         raise ZeroDivisionError("zero denominator in Q(@pi)")
     return _lowest(_utrim([_as_fraction(c) for c in num]), d)
+
+
+# Poly and RationalFn are never changed after construction, so every caller
+# shares these; a RationalFn with a constant denominator holds _UNIT there
+_ZERO = Poly((), {})
+_UNIT = Poly((), {(): Fraction(1)})
+_RZERO = RationalFn(_ZERO, _UNIT)
 
 
 class QPi:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,9 +316,9 @@ def test_jac_route_keeps_pi_symbolic_in_a_model_file_bivector(capsys, monkeypatc
     real_value_at, real_at = Poly._value_at, linalg.Jets.at
     values = []
 
-    def unbound(self, point):
+    def unbound(self, point, *pair):
         assert PI not in point
-        return real_value_at(self, point)
+        return real_value_at(self, point, *pair)
 
     def recording(self, point):
         vals, grads = real_at(self, point)
@@ -565,3 +567,17 @@ def test_a_short_sweep_inside_averaging_reports_gt1(capsys, monkeypatch, tmp_pat
     gt1 = _report_checks(report)["GT1"]
     assert gt1["status"] == "error"
     assert gt1["witness"] == "only 5/10 sample points usable"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only moser-verify needs numpy; moser loads it on its first use
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import diracavg.cli; "
+        "from diracavg import moser; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')); "
+        "moser.np.zeros; print(moser.np is sys.modules['numpy'])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -368,3 +368,119 @@ def test_qpi_mixes_with_fractions_and_ints():
         p / Fraction(0)
     with pytest.raises(ValueError):
         Poly.var("x")._value_at({"y": Fraction(1)})
+
+
+# -- shared constants, the equality shortcut and integer-pair values -----------
+
+def _snapshot():
+    one, zero, rzero = Poly.const(1), Poly.zero(), RationalFn.zero()
+    return [
+        (one.vars, dict(one.terms)),
+        (zero.vars, dict(zero.terms)),
+        (rzero.num.vars, dict(rzero.num.terms), rzero.den.vars, dict(rzero.den.terms)),
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polys(), polys(), fractions_st)
+def test_shared_constants_survive_every_operation(a, b, c):
+    before = _snapshot()
+    one, zero = Poly.const(1), Poly.zero()
+    assert Poly.const(Fraction(1)) is one and RationalFn.zero() is RationalFn.zero()
+    for p in (a, b, one, zero):
+        for q in (a, b, one, zero):
+            p + q, p - q, p * q, -p
+        p.scale(c), p.scale(0), p.diff("x"), p ** 0, p ** 2, p.eval_frac(POINT)
+    fns = [RationalFn.zero(), RationalFn.const(1), RationalFn.from_poly(a), RationalFn.of(zero)]
+    if not b.is_zero():
+        fns.append(RationalFn(a, b))
+    for f in fns:
+        for g in fns:
+            f + g, f - g, f * g, f == g, -f
+            if not g.is_zero():
+                f / g, g.inverse()
+        f.scale(c), f.diff("y"), f.simplified(), hash(f)
+    assert _snapshot() == before
+    assert Poly.const(1) is one and one.terms == {(): Fraction(1)} and not zero.terms
+    assert RationalFn.const(3).den is one and RationalFn.zero().num.is_zero()
+
+
+def test_float_constants_still_raise_type_error():
+    with pytest.raises(TypeError):
+        Poly.const(1.0)
+    with pytest.raises(TypeError):
+        RationalFn.const(1.0)
+    with pytest.raises(TypeError):
+        Poly.const(0.0)
+
+
+def _cross_equal(f: RationalFn, g: RationalFn) -> bool:
+    return f.num * g.den == g.num * f.den
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), polys(), polys(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_rational_equality_shortcut_agrees_with_cross_multiplication(a, b, d, c):
+    d = d * d + Poly.const(Fraction(1, 2))
+    e = Poly.var("x") * Poly.var("x") + Poly.const(1)
+    pairs = [
+        # one denominator object on both sides
+        (RationalFn(a, d), RationalFn(b, d)),
+        (RationalFn(a, d), RationalFn(a, d)),
+        (RationalFn.from_poly(a), RationalFn.from_poly(b)),
+        # equal numerators over different denominators
+        (RationalFn(a, d), RationalFn(a, e)),
+        (RationalFn(a, d), RationalFn.from_poly(a)),
+        # one value over different denominators
+        (RationalFn(a * e, d * e), RationalFn(a, d)),
+        (RationalFn(a * d, d), RationalFn.from_poly(a)),
+    ]
+    if c:
+        # a constant denominator other than 1
+        pairs += [
+            (RationalFn(a, Poly.const(c)), RationalFn.from_poly(a.scale(1 / c))),
+            (RationalFn(a, Poly.const(c)), RationalFn(b, Poly.const(c))),
+            (RationalFn(a, Poly.const(c)), RationalFn.from_poly(a)),
+        ]
+    for f, g in pairs:
+        assert (f == g) == _cross_equal(f, g) == (g == f)
+
+
+fraction_coords_st = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+unreduced_points_st = st.fixed_dictionaries({"x": fraction_coords_st, "y": fraction_coords_st})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), polys(), unreduced_points_st, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_integer_pair_value_equals_eval_frac(num, den, point, c):
+    for d in (den, den - Poly.const(1), Poly.const(c)):
+        if d.is_zero():
+            continue
+        f = RationalFn(num, d)
+        if f.den.eval_frac(point).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f.value_at(point)
+            continue
+        v = f.value_at(point)
+        # one canonical Fraction: lowest terms over a positive denominator
+        assert type(v) is Fraction and v.denominator > 0
+        assert math.gcd(v.numerator, v.denominator) == 1
+        assert v == f.eval_frac(point).const_value()
+
+
+def test_value_at_reports_an_unbound_numerator_before_a_vanishing_denominator():
+    x, z = Poly.var("x"), Poly.var("z")
+    vanishing = x - Poly.const(Fraction(1, 3))
+    at = {"x": Fraction(1, 3)}
+    with pytest.raises(ValueError, match="'z'"):
+        RationalFn(z, vanishing).value_at(at)
+    # the numerator is evaluated first
+    with pytest.raises(ValueError, match="'z'"):
+        RationalFn(z, vanishing * Poly.var("w")).value_at(at)
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(x, vanishing).value_at(at)
+    with pytest.raises(ValueError):
+        RationalFn(x, vanishing + z).value_at(at)
+    # @pi in the numerator keeps the old order too
+    with pytest.raises(ZeroDivisionError):
+        RationalFn(Poly.var(PI) * x, vanishing).value_at(at)
