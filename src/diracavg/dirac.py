@@ -10,6 +10,7 @@ algebra at those points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -54,15 +55,30 @@ class DiracSection:
         return self.vector.chart
 
     def components_at(self, point: Point) -> List[Value]:
-        """The 2n exact component values at a rational point.
+        """The 2n component values at a rational point, times one positive
+        integer that rank, span and solvability do not see.
 
-        Values lie in Q, or in Q(@pi) (``QPi``) where ``@pi`` survives; a
-        vanishing denominator raises ZeroDivisionError.
+        Over Q the row is of ``int``s, cleared from the unreduced integer
+        pairs of ``Poly._value_at`` with no ``Fraction`` built.  Where
+        ``@pi`` survives it holds the exact values, in Q or Q(@pi) (``QPi``).
+        A vanishing denominator raises ZeroDivisionError.
         """
         n = self.chart.dim
         comps = [self.vector.comps.get((i,)) for i in range(n)]
         comps += [self.covector.comps.get((i,)) for i in range(n)]
-        return [Fraction(0) if c is None else c.value_at(point) for c in comps]
+        nums, dens = [], []
+        for c in comps:
+            num = (0, 1) if c is None else c.num._value_at(point, True)
+            den = (1, 1) if c is None or c.is_poly() else c.den._value_at(point, True)
+            if type(num) is not tuple or type(den) is not tuple:
+                return [Fraction(0) if c is None else c.value_at(point) for c in comps]
+            if not den[0]:
+                raise ZeroDivisionError("denominator vanishes at sample point")
+            nums.append(num[0] * den[1])
+            # a zero value leaves its denominator out of the lcm
+            dens.append(num[1] * den[0] if num[0] else 1)
+        lcm = math.lcm(*dens)
+        return [p * (lcm // q) for p, q in zip(nums, dens)]
 
 
 def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
@@ -87,6 +103,9 @@ class DiracFrame:
             )
         self.chart = chart
         self.sections: Tuple[DiracSection, ...] = tuple(sections)
+        # id(point) -> (point, rows), as in ``Derivation``: the point is held
+        # so its id is not reused while the frame lives
+        self._rows: Dict[int, Tuple[Point, Tuple[Tuple[Value, ...], ...]]] = {}
         if check_isotropy:
             for i, j in itertools.combinations_with_replacement(
                 range(len(self.sections)), 2
@@ -99,9 +118,17 @@ class DiracFrame:
 
     # -- pointwise data ----------------------------------------------------
 
-    def matrix_at(self, point: Point) -> List[List[Value]]:
-        """Rows are the 2n-component section values at the point."""
-        return [s.components_at(point) for s in self.sections]
+    def matrix_at(self, point: Point) -> List[Sequence[Value]]:
+        """One row per section: its ``components_at`` the point.
+
+        The rows are evaluated once per point object and kept while the
+        frame lives; each call returns a new list of immutable rows.
+        """
+        hit = self._rows.get(id(point))
+        if hit is None:
+            rows = tuple(tuple(s.components_at(point)) for s in self.sections)
+            hit = self._rows[id(point)] = (point, rows)
+        return list(hit[1])
 
     def rank_ok_at(self, point: Point) -> bool:
         return linalg.rank(self.matrix_at(point)) == self.chart.dim
@@ -129,7 +156,7 @@ class DiracFrame:
                 break
         n = len(rows)
         m = [[r[c] for r in rows] + [v[c] for v in vals] for c in range(2 * self.chart.dim)]
-        cols = [c for _, c in linalg.rref(m)]
+        cols = linalg.pivot_columns(m)
         outside = next((c - n for c in cols if c >= n), None)
         if outside is None and late is not None:
             raise late
@@ -196,18 +223,11 @@ def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
 
 
 def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
-    """True when the two frames span the same subspace at the point.
-
-    Each frame is reduced once; the joint rank is that of the two reduced
-    row blocks stacked.
-    """
+    """True when the two frames span the same subspace at the point: each
+    frame's rank equals the rank of their rows stacked."""
     m1 = f1.matrix_at(point)
     m2 = f2.matrix_at(point)
-    r1 = len(linalg.rref(m1))
-    r2 = len(linalg.rref(m2))
-    if r1 != r2:
-        return False
-    return linalg.rank(m1[:r1] + m2[:r2]) == r1
+    return linalg.rank(m1) == linalg.rank(m2) == linalg.rank(m1 + m2)
 
 
 def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
@@ -301,7 +321,7 @@ def presymplectic_on_characteristic(
     """
     n = frame.chart.dim
     rows = frame.matrix_at(point)
-    vec_rows = [r[:n] for r in rows]
+    vec_rows = [list(r[:n]) for r in rows]
     cov_rows = [r[n:] for r in rows]
 
     if basis is None:

@@ -2,24 +2,27 @@
 
 Matrices are nested lists over one of:
 
-* Q: ``Fraction`` entries, a pointwise check's matrix evaluated at a
-  rational sample point (``eval_at``);
+* Q: ``Fraction`` or ``int`` entries, a pointwise check's matrix
+  evaluated at a rational sample point (``eval_at``);
 * Q(@pi): the same with ``QPi`` entries where ``@pi`` survives the point;
 * the rational-function field: ``RationalFn`` entries, for symbolic
   matrices such as a kernel basis or an inverse.
 
-Every elimination is one Gauss-Jordan kernel, ``rref``, whose pivots give
-the answers of ``rank``, ``solve``, ``kernel_basis`` and the
-non-polynomial branch of ``inverse``.  Over Q and Q(@pi) values are
-canonical, so zero entries skip their multiply; over the function field
-each row operation ends in ``simplified()``.  Determinants and polynomial
-inverses use fraction-free Bareiss elimination and cofactors.  ``Jets``
-gives exact values and coordinate gradients of a family of entries at a
-point.
+Rank and pivot columns over Q are decided over Z by ``pivot_columns``:
+fraction-free Bareiss elimination of the rows cleared to integers.  The
+answers that need reduced values (``solve``, ``kernel_basis`` and the
+non-polynomial branch of ``inverse``), and the pivots over Q(@pi) and the
+function field, come from one Gauss-Jordan kernel, ``rref``.  Over Q and
+Q(@pi) values are canonical, so zero entries skip their multiply; over the
+function field each row operation ends in ``simplified()``.  Determinants
+and polynomial inverses use Bareiss elimination over polynomials and
+cofactors.  ``Jets`` gives exact values and coordinate gradients of a
+family of entries at a point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import not_
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -28,7 +31,7 @@ from .rings import Poly, QPi, RationalFn, poly_divmod_exact
 
 Mat = List[List[RationalFn]]
 # an entry over Q, over Q(@pi) (both at points), or over the function field
-Value = Union[Fraction, QPi, RationalFn]
+Value = Union[int, Fraction, QPi, RationalFn]
 
 
 class _Field(NamedTuple):
@@ -52,9 +55,9 @@ _Q = _Field(
     lambda row, c: [x * c if x else x for x in row],
     lambda row, f, prow: [x - f * y if y else x for x, y in zip(row, prow)],
 )
-# Q(@pi) takes the same steps on Fractions mixed with canonical QPi values;
-# a QPi operand takes over each mixed operation
-_QPI = _Q._replace(inverse=lambda x: 1 / x)
+# Q(@pi) takes the same steps on ints and Fractions mixed with canonical QPi
+# values; a QPi operand takes over each mixed operation
+_QPI = _Q._replace(inverse=lambda x: Fraction(1) / x)
 _FN = _Field(
     RationalFn.zero(), RationalFn.const(1), RationalFn.is_zero, RationalFn.inverse,
     lambda row, c: [x * c for x in row],
@@ -239,9 +242,47 @@ def rref(m: List[list]) -> List[Tuple[int, int]]:
     return pivots
 
 
+def pivot_columns(a: Sequence[Sequence[Value]]) -> List[int]:
+    """The pivot columns of a's echelon form (its column rank profile); a is
+    not mutated.
+
+    Over Q the rows, each cleared to integers by the lcm of its denominators,
+    go through Bareiss elimination: every entry is then a minor of the
+    cleared rows, so each division by the previous pivot is exact.  A matrix
+    with a QPi or RationalFn entry is reduced by ``rref`` on a copy.
+    """
+    rows = []
+    for row in a:
+        kinds = set(map(type, row))
+        if not kinds <= {int, Fraction}:
+            return [c for _, c in rref([list(row) for row in a])]
+        if Fraction in kinds:
+            lcm = math.lcm(*[x.denominator for x in row])
+            row = [x.numerator * (lcm // x.denominator) for x in row]
+        rows.append(row)
+    cols: List[int] = []
+    # the rows not yet pivots hold the columns from `start` on
+    start, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        j = col - start
+        k = next((i for i, row in enumerate(rows) if row[j]), None)
+        if k is None:
+            continue
+        prow = rows.pop(k)
+        p, ptail = prow[j], prow[j + 1:]
+        # a row with a zero in the pivot column still takes the factor p / prev
+        rows = [[(x * p - row[j] * y) // prev for x, y in zip(row[j + 1:], ptail)] if row[j]
+                else [x * p // prev for x in row[j + 1:]] for row in rows]
+        cols.append(col)
+        if not rows:
+            break
+        start, prev = col + 1, p
+    return cols
+
+
 def rank(a: Sequence[Sequence[Value]]) -> int:
-    """Row rank by exact elimination (matrix is copied, not mutated)."""
-    return len(rref([list(row) for row in a]))
+    """Row rank, the number of pivot columns (a is not mutated)."""
+    return len(pivot_columns(a))
 
 
 def solve(a: Sequence[Sequence[Value]], b: Sequence[Value]) -> Optional[List[Value]]:

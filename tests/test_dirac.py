@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from diracavg import cli
 from diracavg.dirac import (
     DiracFrame,
     DiracSection,
@@ -235,3 +237,95 @@ def test_involutivity_witness_is_the_first_pair_outside_the_span():
         is None
     ]
     assert outside and res.witness == {"pair": outside[0]}
+
+
+def _values(s, point):
+    """The exact component values of a section, one by one."""
+    comps = [s.vector.comps.get((i,)) for i in range(s.chart.dim)]
+    comps += [s.covector.comps.get((i,)) for i in range(s.chart.dim)]
+    return [0 if c is None else c.value_at(point) for c in comps]
+
+
+def _rational_section():
+    # denominators on both legs, a zero leg and a constant one
+    x, y = RationalFn.var("x"), RationalFn.var("y")
+    one = RationalFn.const(1)
+    return DiracSection(
+        vector_field(CHART2, {0: x / (one + y * y) * RationalFn.const(Fraction(3, 4)),
+                              1: RationalFn.const(Fraction(-2, 9))}),
+        one_form(CHART2, {1: (x * y - one) / (x + RationalFn.const(2))}),
+    )
+
+
+def test_components_at_over_q_is_an_int_row_times_a_positive_integer():
+    s = _rational_section()
+    rng = random.Random(64)
+    for _ in range(30):
+        p = frac_point(rng, CHART2.coords)
+        if p["x"] == -2:
+            continue
+        row, vals = s.components_at(p), _values(s, p)
+        assert all(type(v) is int for v in row)
+        k = next(i for i, v in enumerate(vals) if v)
+        scale = Fraction(row[k]) / vals[k]
+        assert scale > 0 and scale.denominator == 1
+        assert row == [scale * v for v in vals]
+
+
+def test_components_at_raises_on_a_vanishing_denominator():
+    with pytest.raises(ZeroDivisionError):
+        _rational_section().components_at({"x": Fraction(-2), "y": Fraction(1, 3)})
+
+
+def test_components_at_keeps_the_exact_values_where_pi_survives():
+    s = _rational_section()
+    x, pi = RationalFn.var("x"), RationalFn.var(PI)
+    t = DiracSection(s.vector, s.covector + one_form(CHART2, {0: (pi + x) / (x + pi * pi)}))
+    p = {"x": Fraction(1, 3), "y": Fraction(-5, 7)}
+    row = t.components_at(p)
+    assert any(isinstance(v, QPi) for v in row)
+    assert row == _values(t, p)
+
+
+def test_full_pipeline_evaluates_the_averaged_frame_once_per_point(capsys, monkeypatch):
+    calls = collections.Counter()
+    kept = []
+    real = DiracSection.components_at
+
+    def counting(self, point):
+        # holding each pair keeps its ids from being reused
+        kept.append((self, point))
+        calls[id(self), id(point)] += 1
+        return real(self, point)
+
+    frames = []
+    real_rank = DiracFrame.validate_rank
+
+    def validate_rank(self, points):
+        frames.append((self, points))
+        return real_rank(self, points)
+
+    monkeypatch.setattr(DiracSection, "components_at", counting)
+    monkeypatch.setattr(DiracFrame, "validate_rank", validate_rank)
+    assert cli.main(["full-pipeline", "--spec", "shifted_lift", "--samples", "6"]) == 0
+    capsys.readouterr()
+    # frame-rank runs on the averaged frame, which GT1 and involutivity read too
+    (frame, points), = frames
+    counts = [calls[id(s), id(p)] for s in frame.sections for p in points]
+    assert max(counts) == 1 and sum(counts) == len(frame.sections) * len(points)
+
+
+def test_matrix_at_rows_cannot_change_what_it_keeps():
+    x1 = RationalFn.var("x1")
+    frame = graph_of_bivector(
+        MultivectorField(CHART4, 2, {(0, 1): x1 / (x1 + RationalFn.const(3)), (2, 3): x1})
+    )
+    p = _points(CHART4, 1)[0]
+    rows = frame.matrix_at(p)
+    want = [list(r) for r in rows]
+    rows[0] = [99] * 8
+    rows.append(rows[1])
+    with pytest.raises(TypeError):
+        rows[1][0] = 99
+    assert [list(r) for r in frame.matrix_at(p)] == want
+    assert want == [s.components_at(p) for s in frame.sections]

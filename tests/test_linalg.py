@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from diracavg.linalg import (
     mat_mul,
     mat_of,
     mat_vec,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -273,3 +275,83 @@ def test_rref_over_q_pi_matches_the_function_field(m):
     assert rref(got) == want
     assert all(_as_ratfn(x) == y for row, ref in zip(got, lifted) for x, y in zip(row, ref))
     assert all(isinstance(x, (Fraction, QPi)) for row in got for x in row)
+
+
+@st.composite
+def _int_or_q_matrices(draw):
+    """Q matrices whose rows are ints or Fractions, of any shape and rank.
+
+    Drawn rows of full or deficient rank, each maybe scaled to an int row
+    (as ``components_at`` gives), with zero rows mixed in; the shapes take
+    in zero columns and zero rows.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    k = draw(st.integers(0, nrows))
+    base = [[draw(_Q_ENTRY) for _ in range(ncols)] for _ in range(k)]
+    rows = list(base)
+    for _ in range(nrows - k):
+        if draw(st.booleans()):
+            rows.append([Fraction(0)] * ncols)
+            continue
+        coeffs = [draw(_Q_ENTRY) for _ in base]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, base)), Fraction(0)) for j in range(ncols)])
+    out = []
+    for i in draw(st.permutations(range(nrows))):
+        row = rows[i]
+        if draw(st.booleans()):
+            scale = draw(st.integers(1, 6)) * math.lcm(*[x.denominator for x in row])
+            row = [int(x * scale) for x in row]
+        out.append(row)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_int_or_q_matrices())
+def test_pivot_columns_match_rref_over_q(a):
+    before = [list(row) for row in a]
+    held = [row for row in a]
+    cols = pivot_columns(a)
+    assert cols == [c for _, c in rref([list(row) for row in a])]
+    assert rank(a) == len(cols)
+    # neither call changes the matrix or any row it holds
+    assert a == before and all(x is y for x, y in zip(a, held))
+
+
+def test_pivot_columns_rescale_a_row_whose_pivot_entry_is_zero():
+    # the second row holds a zero in the first pivot's column; unless it is
+    # scaled by that pivot, the division by it in the next step truncates
+    # and the last column looks dependent
+    a = [[0, 1, 2, 2], [0, -2, -3, -3], [2, 3, 0, 3]]
+    assert pivot_columns(a) == [0, 1, 2]
+
+
+# Q(@pi) entries next to ints: a Q(@pi) matrix may hold int rows beside rows
+# that keep @pi
+_QPI_OR_INT_ENTRY = st.one_of(st.integers(-3, 3), _QPI_ENTRY)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.one_of(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                      st.lists(_QPI_OR_INT_ENTRY, min_size=cols, max_size=cols)),
+            min_size=rows, max_size=rows))))
+def test_q_pi_matrices_with_int_entries_reduce_exactly(m):
+    lifted = [[_as_ratfn(x) for x in row] for row in m]
+    want = rref(lifted)
+    before = [list(row) for row in m]
+    assert pivot_columns(m) == [c for _, c in want]
+    assert rank(m) == len(want) and m == before
+    got = [list(row) for row in m]
+    assert rref(got) == want
+    assert all(_as_ratfn(x) == y for row, ref in zip(got, lifted) for x, y in zip(row, ref))
+    assert all(isinstance(x, (int, Fraction, QPi)) for row in got for x in row)
+
+
+def test_q_pi_inverts_an_int_pivot_exactly():
+    half = linalg._QPI.inverse(2)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert rank([[2, 1], [qpi([0, 1]), 3]]) == 2
+    m = [[2, 1], [qpi([0, 1]), 3]]
+    assert rref(m) == [(0, 0), (1, 1)] and m == [[1, 0], [0, 1]]
