@@ -75,7 +75,8 @@ class DiracSection:
             if not den[0]:
                 raise ZeroDivisionError("denominator vanishes at sample point")
             nums.append(num[0] * den[1])
-            # a zero value leaves its denominator out of the lcm
+            # a zero value keeps its denominator out of the lcm, so the row
+            # stays small
             dens.append(num[1] * den[0] if num[0] else 1)
         lcm = math.lcm(*dens)
         return [p * (lcm // q) for p, q in zip(nums, dens)]
@@ -119,7 +120,7 @@ class DiracFrame:
     # -- pointwise data ----------------------------------------------------
 
     def matrix_at(self, point: Point) -> List[Sequence[Value]]:
-        """One row per section: its ``components_at`` the point.
+        """One row per section, its ``components_at(point)``.
 
         The rows are evaluated once per point object and kept while the
         frame lives; each call returns a new list of immutable rows.
