@@ -22,8 +22,7 @@ reserved ring variable), keeping every identity coefficient-exact.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .config import PI
 from .rings import Poly, RationalFn, TrigPoly
@@ -34,8 +33,6 @@ from .tensors import (
     MultivectorField,
     VectorValued1Form,
     _Tensor,
-    lie_derivative,
-    lie_derivative_multivector,
     sort_with_sign,
     vector_field,
     vf_bracket,
@@ -320,15 +317,6 @@ class CircleAction:
             return got.scalar_value()
         return pulled.integrate_delta()
 
-    def lie_along_generator(self, t: AnyTensor) -> AnyTensor:
-        a = self.generator()
-        if isinstance(t, VectorValued1Form):
-            return lie_vv1(a, t)
-        return lie_derivative(a, t)
-
-    def l_g(self, t: AnyTensor) -> List[AnyTensor]:
-        return [self.lie_along_generator(t)]
-
 
 class TorusAction:
     """A torus action given by circle factors on pairwise disjoint planes."""
@@ -352,17 +340,11 @@ class TorusAction:
             if not vf_bracket(a.generator(), b.generator()).is_zero():
                 raise AssertionError("torus generators do not commute")
 
-    def generators(self) -> List[MultivectorField]:
-        return [c.generator() for c in self.circles]
-
     def average(self, t: AnyTensor) -> AnyTensor:
         cur = t
         for c in self.circles:
             cur = c.average(cur)
         return cur
-
-    def l_g(self, t: AnyTensor) -> List[AnyTensor]:
-        return [c.lie_along_generator(t) for c in self.circles]
 
 
 Action = Union[CircleAction, TorusAction]
@@ -390,23 +372,3 @@ def lie_vv1(a: MultivectorField, k: VectorValued1Form) -> VectorValued1Form:
             out[i][j] = v.simplified()
     return VectorValued1Form(chart, out)
 
-
-# ----------------------------------------------------------------------
-# module-level operator entry points
-# ----------------------------------------------------------------------
-
-
-def pullback_flow(act: CircleAction, t: AnyTensor) -> Union[TrigTensor, TrigMatrix]:
-    return act.pullback_flow(t)
-
-
-def average(act: Action, t: AnyTensor) -> AnyTensor:
-    return act.average(t)
-
-
-def delta_g(act: CircleAction, t: AnyTensor) -> AnyTensor:
-    return act.delta_g(t)
-
-
-def l_g(act: Action, t: AnyTensor) -> List[AnyTensor]:
-    return act.l_g(t)

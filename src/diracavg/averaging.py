@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .actions import Action, CircleAction, TorusAction, lie_vv1
@@ -21,11 +21,10 @@ from .coupling import (
     Foliation,
     GeometricData,
     d10_scalar,
-    data_to_dirac,
     q_gauge,
 )
 from .derivation import Derivation
-from .dirac import DiracSection, gauge_transform, same_span_at
+from .dirac import gauge_transform, same_span_at
 from .reports import CheckResult, failed, passed
 from .rings import Poly, RationalFn
 from .sampling import Point, PointwiseRun, VerificationError, format_point, sweep
@@ -37,7 +36,6 @@ from .tensors import (
     d10_horizontal,
     d_scalar,
     exterior_derivative,
-    interior_product,
     lie_derivative,
     sharp_bivector,
     sharp_matrix,
@@ -131,35 +129,6 @@ def check_compatibility(
         verified=not failures,
         failures=failures,
     )
-
-
-def compute_theta(
-    cert: CompatibilityCertificate,
-    rho: Union[DifferentialForm, Sequence[DifferentialForm]],
-) -> Tuple[DifferentialForm, DifferentialForm]:
-    """The homotopy 1-form Theta = delta(rho) and its zero-average version.
-
-    For a torus the per-generator forms are run through their own circle's
-    homotopy operator and summed.  Theta0 = Theta - <Theta> has zero average.
-    """
-    if not cert.verified:
-        raise ValueError("certificate is not verified")
-    circles = cert.circles
-    if isinstance(rho, DifferentialForm):
-        rhos = [rho]
-    else:
-        rhos = list(rho)
-    if len(rhos) != len(circles):
-        raise ValueError("need one form per generator")
-    theta = None
-    for circ, r in zip(circles, rhos):
-        part = circ.delta_g(r)
-        theta = part if theta is None else theta + part
-    avg = theta
-    for circ in circles:
-        avg = circ.average(avg)
-    theta0 = (theta - avg).simplified()
-    return theta.simplified(), theta0
 
 
 def gauge_poisson(
@@ -464,53 +433,6 @@ def tr4_check(
     except ArithmeticError:
         results.append(failed("AL", witness={"error": "gauge matrix singular"}))
     return results
-
-
-def invariant_sections(
-    result: AveragingResult,
-    x: MultivectorField,
-    beta: DifferentialForm,
-    points: Optional[List[Point]] = None,
-) -> Tuple[DiracSection, DiracSection]:
-    """Invariant frame sections from a lift field and a vertical coframe form.
-
-    Returns (<X>, -i_X new-sigma) with <X> = X + P# d(Q(X)), and (P# beta,
-    beta).  beta must annihilate the averaged horizontal frame and be
-    invariant.  Both sections are checked invariant; with points given they
-    are checked to lie in the averaged frame's span.  A failed check raises
-    ``VerificationError``: OB3 for the lift and the span, OB1 for the
-    covector built from the averaged 2-form.
-    """
-    gd = result.data
-    chart = gd.conn.chart
-    if x.degree != 1 or beta.degree != 1:
-        raise ValueError("expects a vector field and a 1-form")
-    qx = result.q.evaluate(x)
-    x_avg = (x + sharp_bivector(gd.p, d_scalar(qx, chart))).simplified()
-    s1 = DiracSection(x_avg, (-interior_product(x_avg, gd.sigma)).simplified())
-
-    for i in range(gd.conn.fol.b):
-        v = beta.evaluate(gd.conn.lift(i))
-        if not v.is_zero():
-            raise ValueError("beta must annihilate the averaged horizontal frame")
-    for circ in result.certificate.circles:
-        gen = circ.generator()
-        if not lie_derivative(gen, beta).is_zero():
-            raise ValueError("beta is not invariant")
-        if not lie_derivative(gen, s1.vector).is_zero():
-            raise VerificationError("OB3", "averaged lift section is not invariant")
-        if not lie_derivative(gen, s1.covector).is_zero():
-            raise VerificationError("OB1", "averaged lift covector is not invariant")
-    s2 = DiracSection(sharp_bivector(gd.p, beta).simplified(), beta)
-
-    if points is not None:
-        frame = data_to_dirac(gd)
-
-        def probe(p: Point) -> bool:
-            return frame.reduce_at(p, (s1, s2))[1] is None
-
-        _verify_at(points, probe, "OB3", "section leaves the averaged frame span")
-    return s1, s2
 
 
 @dataclass

@@ -12,7 +12,7 @@ the gauge transformation attached to a horizontal 1-form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -453,25 +453,6 @@ def data_to_dirac(gd: GeometricData) -> DiracFrame:
         ej = conn.eta(j)
         sections.append(DiracSection(sharp_bivector(gd.p, ej).simplified(), ej))
     return DiracFrame(sections)
-
-
-def hamiltonian_check(gd: GeometricData, x: MultivectorField, f: RationalFn) -> bool:
-    """Is (x, f) a Hamiltonian pair for the coupling Dirac structure?
-
-    Requires the vertical part of x to be the fiberwise Hamiltonian field of
-    f and the horizontal part to satisfy i_X sigma = -(horizontal df).
-    """
-    if x.degree != 1 or x.chart != gd.conn.chart:
-        raise ValueError("expects a vector field on the data chart")
-    proj = gd.conn.projector()
-    x01 = proj.apply(x)
-    x10 = (x - x01).simplified()
-    chart = gd.conn.chart
-    if x01.simplified() != sharp_bivector(gd.p, d_scalar(f, chart)).simplified():
-        return False
-    lhs = interior_product(x10, gd.sigma).simplified()
-    rhs = (-d10_scalar(gd.conn, f)).simplified()
-    return lhs == rhs
 
 
 def is_horizontal_one_form(q: DifferentialForm, conn: Connection) -> bool:

@@ -192,11 +192,6 @@ def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
     return DiracFrame(sections)
 
 
-def cotangent_frame(chart: Chart) -> DiracFrame:
-    """The frame {(0, du_i)} (graph of the zero bivector)."""
-    return graph_of_bivector(MultivectorField.zero(chart, 2))
-
-
 def gauge_transform(frame: DiracFrame, b: DifferentialForm) -> DiracFrame:
     """Shift the covector parts by the closed 2-form b: (X, a - i_X b)."""
     if b.degree != 2:
@@ -303,52 +298,3 @@ def coupling_test(
 
     check = _verdict("coupling", *sweep(points, probe))
     return check, h_fields if check.passed else None
-
-
-def presymplectic_on_characteristic(
-    frame: DiracFrame,
-    point: Point,
-    basis: Optional[List[List[Value]]] = None,
-) -> Tuple[List[List[Value]], List[List[Value]]]:
-    """The leafwise 2-form on the tangent projection of the frame at a point.
-
-    For tangent vectors Y, Z in p_T(D) the form is w(Y, Z) = -a(Z) where
-    (Y, a) lies in the frame's pointwise span; isotropy of the frame makes
-    the value independent of the chosen a, which is re-checked here.
-
-    Returns (basis vectors, matrix of w on that basis), with entries in Q or
-    Q(@pi).  A caller-supplied basis must consist of vectors inside p_T(D)
-    at the point.
-    """
-    n = frame.chart.dim
-    rows = frame.matrix_at(point)
-    vec_rows = [list(r[:n]) for r in rows]
-    cov_rows = [r[n:] for r in rows]
-
-    if basis is None:
-        # greedy independent subset of the section vector parts
-        basis = []
-        for r in vec_rows:
-            if any(r) and linalg.rank(basis + [r]) > len(basis):
-                basis.append(r)
-
-    # express each basis vector in the section vector parts
-    cols = [[vec_rows[k][m] for k in range(len(vec_rows))] for m in range(n)]
-    covs: List[List[Value]] = []
-    for v in basis:
-        combo = linalg.solve(cols, list(v))
-        if combo is None:
-            raise ValueError("basis vector is not tangent to the frame at the point")
-        covs.append([sum((ck * cov_rows[k][m] for k, ck in enumerate(combo) if ck), Fraction(0))
-                     for m in range(n)])
-
-    # well-definedness: a section with zero vector part must annihilate p_T(D)
-    for c in linalg.kernel_basis(cols):
-        for v in basis:
-            s = sum(ck * cov_rows[k][m] * v[m] for k, ck in enumerate(c) if ck for m in range(n))
-            if s:
-                raise ArithmeticError("leafwise form is not well defined (isotropy broken)")
-
-    mat = [[-sum((covs[a][m] * basis[b][m] for m in range(n)), Fraction(0))
-            for b in range(len(basis))] for a in range(len(basis))]
-    return basis, mat

@@ -72,10 +72,6 @@ def _field_of(m: Sequence[Sequence[Value]]) -> _Field:
     return _QPI if QPi in kinds else _Q
 
 
-def mat_of(rows: Sequence[Sequence[object]]) -> Mat:
-    return [[RationalFn.of(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Mat:
     return [
         [RationalFn.const(1 if i == j else 0) for j in range(n)] for i in range(n)
@@ -103,17 +99,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                 s = s + a[i][t] * b[t][j]
             row.append(s.simplified())
         out.append(row)
-    return out
-
-
-def mat_vec(a: Mat, v: Sequence[RationalFn]) -> List[RationalFn]:
-    out = []
-    for row in a:
-        s = RationalFn.zero()
-        for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
-                s = s + x * y
-        out.append(s.simplified())
     return out
 
 
@@ -373,6 +358,3 @@ class Jets:
                 grads[k][col] = (d_num - v * d_den) / den
         return vals, grads
 
-
-def frac_mat(rows: Sequence[Sequence[Fraction]]) -> Mat:
-    return [[RationalFn.const(x) for x in row] for row in rows]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .actions import Action, CircleAction, TorusAction
 from .config import LIMITS, PI

@@ -316,9 +316,6 @@ class NumericEvaluator:
             for i in range(j)
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
-        self._sp_sym = sp
-        self._sb_sym = sb
-        self._pi_t_cache: Dict[Fraction, MultivectorField] = {}
         self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
         self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
@@ -365,12 +362,6 @@ class NumericEvaluator:
         sp, _sb, _th, fails = self._matrices(vecs)
         return sp, {row: exc for row, (rank, exc) in fails.items() if rank == 1}
 
-    def pi_matrix(self, point: FloatPoint) -> np.ndarray:
-        sp, fails = self.pi_matrices(_point_vec(self.chart, point)[np.newaxis])
-        if fails:
-            raise fails[0]
-        return sp[0]
-
     def interp_matrices(
         self, ts: Sequence[float], vecs: np.ndarray
     ) -> Tuple[np.ndarray, Dict[int, Exception]]:
@@ -401,26 +392,6 @@ class NumericEvaluator:
         return mats[0, 0]
 
     # -- exact companions --------------------------------------------------
-
-    def pi_t_exact(self, t: Fraction) -> MultivectorField:
-        """The interpolated bivector at rational t, by exact inversion."""
-        t = Fraction(t)
-        if t not in self._pi_t_cache:
-            n = self._n
-            tm = [
-                [(self._sb_sym[j][k] * RationalFn.const(t)) for k in range(n)]
-                for j in range(n)
-            ]
-            m = linalg.mat_add(linalg.identity(n), linalg.mat_mul(tm, self._sp_sym))
-            new_sharp = linalg.mat_mul(self._sp_sym, linalg.inverse(m))
-            comps: Dict[Tuple[int, int], RationalFn] = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    val = new_sharp[j][i].simplified()
-                    if not val.is_zero():
-                        comps[(i, j)] = val
-            self._pi_t_cache[t] = MultivectorField(self.chart, 2, comps)
-        return self._pi_t_cache[t]
 
     def bracket_exact(
         self, t: Fraction, point: Mapping[str, Union[float, Fraction]]
@@ -543,14 +514,6 @@ def _combine(coeffs: Sequence, mats: Sequence[Rows], n: int) -> List[list]:
     return out
 
 
-def z_field(ev: NumericEvaluator, t: float, point: FloatPoint) -> np.ndarray:
-    """Z_t at a point: -Pi#(Id + t dTheta# Pi#)^{-1} Theta, in floats."""
-    z, fails = z_batch(ev, t, [point])
-    if fails:
-        raise fails[0][1]
-    return z[0]
-
-
 def z_batch(
     ev: NumericEvaluator, t: float, points: Sequence[FloatPoint]
 ) -> Tuple[np.ndarray, Failures]:
@@ -632,20 +595,6 @@ def homotopy_residuals(
                 resid = max(resid, abs(bmat[i, j] + dpidt[row, j, i]))
         out[row] = resid
     return out, fails
-
-
-def homotopy_residual(
-    ev: NumericEvaluator,
-    t: Union[float, Fraction],
-    point: FloatPoint,
-    fd_step: float = 1e-5,
-) -> float:
-    """Max-norm of [[Z_t, Pi_t]] + d(Pi_t)/dt at one point; raises where
-    it cannot be evaluated.  See homotopy_residuals."""
-    out, fails = homotopy_residuals(ev, t, [point], fd_step)
-    if fails:
-        raise fails[0]
-    return out[0]
 
 
 @dataclass
@@ -730,18 +679,6 @@ def flow_batch(
     stage = 4 * steps
     in_box(x)
     return x
-
-
-def flow_point(ev: NumericEvaluator, point: FloatPoint, steps: int) -> np.ndarray:
-    """Integrate one point from t = 1 back to t = 0.
-
-    Raises BoxExit, ZeroDivisionError or GuardError if it stops.
-    """
-    aborts: Dict[int, Abort] = {}
-    end = flow_batch(ev, _point_vec(ev.chart, point)[np.newaxis], steps, aborts)
-    if aborts:
-        raise aborts[0][2]
-    return end[0]
 
 
 @dataclass

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .config import LIMITS, PI, CapacityError
 
@@ -77,45 +77,6 @@ class Poly:
         if not name or name.startswith("@") and name != PI:
             raise ValueError(f"invalid variable name {name!r}")
         return Poly((name,), {(1,): Fraction(1)})
-
-    @staticmethod
-    def from_terms(
-        variables: Sequence[str], terms: Mapping[Exponent, Scalar]
-    ) -> "Poly":
-        """Public checked constructor: validates names, caps and canonicalizes."""
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable names")
-        spatial = [v for v in vs if v != PI]
-        if len(spatial) > LIMITS.max_variables:
-            raise CapacityError(
-                f"{len(spatial)} variables exceeds cap {LIMITS.max_variables}"
-            )
-        out: Dict[Exponent, Fraction] = {}
-        for exps, c in terms.items():
-            if len(exps) != len(vs):
-                raise ValueError("exponent tuple length does not match variables")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            deg = sum(e for e, v in zip(exps, vs) if v != PI)
-            if deg > LIMITS.max_input_degree:
-                raise CapacityError(
-                    f"total degree {deg} exceeds cap {LIMITS.max_input_degree}"
-                )
-            c = _as_fraction(c)
-            if c != 0:
-                s = out.get(tuple(exps))
-                out[tuple(exps)] = c if s is None else s + c
-        p = Poly(vs, {e: c for e, c in out.items() if c != 0})
-        return p._sorted()
-
-    def _sorted(self) -> "Poly":
-        order = tuple(sorted(range(len(self.vars)), key=lambda i: self.vars[i]))
-        if order == tuple(range(len(self.vars))):
-            return self
-        vs = tuple(self.vars[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return Poly(vs, terms)
 
     # -- alignment -------------------------------------------------------
 
@@ -220,11 +181,6 @@ class Poly:
         # a constant has one term, the all-zero exponent
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -322,26 +278,6 @@ class Poly:
                     val *= x ** e[i]
             total += val
         return total
-
-    def subst(self, assignment: Mapping[str, "Poly"]) -> "Poly":
-        """Polynomial substitution var -> Poly (vars not listed are kept)."""
-        out = Poly.zero()
-        cache: Dict[Tuple[str, int], Poly] = {}
-
-        def power(v: str, n: int) -> Poly:
-            key = (v, n)
-            if key not in cache:
-                base = assignment.get(v, Poly.var(v))
-                cache[key] = base ** n
-            return cache[key]
-
-        for e, c in self.terms.items():
-            term = Poly.const(c)
-            for i, v in enumerate(self.vars):
-                if e[i]:
-                    term = term * power(v, e[i])
-            out = out + term
-        return out
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -957,16 +893,6 @@ class TrigPoly:
             if part == SIN and k >= 1:
                 out = out + p.scale(Fraction(1, k))
         return out
-
-
-def integrate_mean(g: TrigPoly) -> Poly:
-    """Normalized Haar average of a one-period Fourier series."""
-    return g.mean()
-
-
-def integrate_weighted(g: TrigPoly) -> Poly:
-    """The homotopy kernel integral ``-(1/2pi) int_0^{2pi} (t-pi) g dt``."""
-    return g.weighted_moment()
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -39,11 +39,6 @@ class VerificationError(ArithmeticError):
         self.check = check
 
 
-def default_box(chart: Chart) -> Dict[str, Tuple[Fraction, Fraction]]:
-    half = Fraction(1, 2)
-    return {name: (-half, half) for name in chart.coords}
-
-
 def sample_box(chart: Chart, box: Box, count: int, seed: int) -> List[Point]:
     """Draw `count` rational points uniformly from the box, reproducibly."""
     for name in chart.coords:

@@ -22,18 +22,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .config import LIMITS, CapacityError
-from .rings import Poly, RationalFn, Scalar
+from .rings import Poly, RationalFn
 
 if TYPE_CHECKING:
     from .coupling import Connection
 
 Idx = Tuple[int, ...]
 Components = Dict[Idx, RationalFn]
-
-MAX_PUBLIC_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -289,13 +287,6 @@ def one_form(chart: Chart, comps: Mapping[int, object]) -> DifferentialForm:
     )
 
 
-def check_public_degree(degree: int) -> None:
-    if degree > MAX_PUBLIC_DEGREE:
-        raise CapacityError(
-            f"tensor degree {degree} exceeds supported degree {MAX_PUBLIC_DEGREE}"
-        )
-
-
 # ----------------------------------------------------------------------
 # contraction, sharp
 # ----------------------------------------------------------------------
@@ -341,13 +332,6 @@ def sharp_bivector(pi: MultivectorField, alpha: DifferentialForm) -> Multivector
     if alpha.degree != 1:
         raise ValueError("sharp expects a 1-form")
     return interior_product(alpha, pi)
-
-
-def sharp_two_form(b: DifferentialForm, x: MultivectorField) -> DifferentialForm:
-    """``B#(X) = i_X B`` for a 2-form."""
-    if b.degree != 2 or x.degree != 1:
-        raise ValueError("expects a 2-form and a vector field")
-    return interior_product(x, b)
 
 
 def sharp_matrix(pi: MultivectorField) -> List[List[RationalFn]]:
@@ -553,18 +537,6 @@ class VectorValued1Form:
             [RationalFn.of(x) for x in row] for row in matrix
         ]
 
-    @staticmethod
-    def zero(chart: Chart) -> "VectorValued1Form":
-        n = chart.dim
-        return VectorValued1Form(chart, [[RationalFn.zero()] * n for _ in range(n)])
-
-    @staticmethod
-    def identity(chart: Chart) -> "VectorValued1Form":
-        n = chart.dim
-        return VectorValued1Form(
-            chart, [[RationalFn.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
     def column(self, j: int) -> MultivectorField:
         """K(d_j) as a vector field."""
         return vector_field(
@@ -749,42 +721,6 @@ def bigrade_decompose(
         if not part.is_zero():
             out[(p, q)] = part.simplified()
     return out
-
-
-def d_decompose(
-    beta: DifferentialForm, conn: "Connection"
-) -> Dict[str, DifferentialForm]:
-    """Split d(beta) into its three bidegree shifts.
-
-    Returns components named "d10" (shift (+1, 0)), "d2m1" (shift (+2, -1))
-    and "d01" (shift (0, +1)).  Their sum is d(beta); any component of d at a
-    different shift would violate the derivation structure and raises.
-    """
-    chart = beta.chart
-    k1 = beta.degree + 1
-    acc = {
-        "d10": DifferentialForm.zero(chart, k1),
-        "d2m1": DifferentialForm.zero(chart, k1),
-        "d01": DifferentialForm.zero(chart, k1),
-    }
-    for (p, q), part in bigrade_decompose(beta, conn).items():
-        dpart = exterior_derivative(part)
-        for (pp, qq), piece in bigrade_decompose(dpart, conn).items():
-            shift = (pp - p, qq - q)
-            if shift == (1, 0):
-                acc["d10"] = acc["d10"] + piece
-            elif shift == (2, -1):
-                acc["d2m1"] = acc["d2m1"] + piece
-            elif shift == (0, 1):
-                acc["d01"] = acc["d01"] + piece
-            else:
-                raise ArithmeticError(
-                    f"unexpected bidegree shift {shift} in exterior derivative"
-                )
-    total = acc["d10"] + acc["d2m1"] + acc["d01"]
-    if total != exterior_derivative(beta):
-        raise ArithmeticError("bigraded pieces do not reassemble d(beta)")
-    return acc
 
 
 def is_horizontal_form(t: DifferentialForm, conn: "Connection") -> bool:

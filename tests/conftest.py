@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
+from diracavg.actions import CircleAction, lie_vv1
 from diracavg.rings import Poly, RationalFn
-from diracavg.tensors import Chart
+from diracavg.tensors import Chart, VectorValued1Form, lie_derivative
 
 CHART2 = Chart(("x", "y"))
 CHART4 = Chart(("x1", "x2", "y1", "y2"))
@@ -42,5 +43,18 @@ def rand_rational(rng: random.Random, names: Sequence[str], degree: int = 2) -> 
     return RationalFn(num, den)
 
 
+def default_box(chart: Chart) -> Dict[str, Tuple[Fraction, Fraction]]:
+    """The box [-1/2, 1/2] on every coordinate."""
+    half = Fraction(1, 2)
+    return {name: (-half, half) for name in chart.coords}
+
+
 def frac_point(rng: random.Random, names: Sequence[str], span: int = 3) -> Dict[str, Fraction]:
     return {n: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for n in names}
+
+
+def lie_along(circ: CircleAction, t):
+    """The Lie derivative of t along the generator of a circle action."""
+    if isinstance(t, VectorValued1Form):
+        return lie_vv1(circ.generator(), t)
+    return lie_derivative(circ.generator(), t)

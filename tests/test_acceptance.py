@@ -44,9 +44,9 @@ from diracavg.moser import (
     FlowConfig,
     NumericEvaluator,
     flow_and_verify,
-    flow_point,
-    homotopy_residual,
-    z_field,
+    flow_batch,
+    homotopy_residuals,
+    z_batch,
 )
 from diracavg.rings import (
     COS,
@@ -54,8 +54,6 @@ from diracavg.rings import (
     Poly,
     RationalFn,
     TrigPoly,
-    integrate_mean,
-    integrate_weighted,
 )
 from diracavg.sampling import sample_box, sweep
 from diracavg.tensors import (
@@ -72,7 +70,7 @@ from diracavg.tensors import (
     schouten_bracket,
 )
 
-from conftest import CHART2, CHART4, rand_poly
+from conftest import CHART2, CHART4, lie_along, rand_poly
 
 CHART6 = Chart(("x1", "x2", "x3", "x4", "x5", "x6"))
 
@@ -123,7 +121,7 @@ def test_criterion_1_averaging_representation_identity():
             }
             t = cls(chart, deg, comps)
         lhs = circ.average(t)
-        rhs = t + circ.delta_g(circ.lie_along_generator(t))
+        rhs = t + circ.delta_g(lie_along(circ, t))
         if isinstance(t, RationalFn):
             assert (lhs - rhs).is_zero()
         else:
@@ -166,8 +164,8 @@ def test_criterion_2_kernel_integrals_match_quadrature():
         wm_num = -wtrap / (2.0 * math.pi)
         worst = max(
             worst,
-            abs(integrate_mean(g).eval_float({}) - mean_num),
-            abs(integrate_weighted(g).eval_float({}) - wm_num),
+            abs(g.mean().eval_float({}) - mean_num),
+            abs(g.weighted_moment().eval_float({}) - wm_num),
         )
     elapsed = time.monotonic() - start
     assert worst <= 1e-9
@@ -322,15 +320,30 @@ def test_criterion_7_flow_intertwines_endpoints():
     assert rep.max_deviation <= 1e-6
     assert rep.leaf_max_error is not None and rep.leaf_max_error <= 1e-12
     # the deformation field vanishes on the fixed leaf
-    zmax = max(float(np.max(np.abs(z_field(ev, t, p)))) for p in leaf for t in (0.25, 1.0))
+    zmax = 0.0
+    for t in (0.25, 1.0):
+        z, fails = z_batch(ev, t, leaf)
+        assert not fails
+        zmax = max(zmax, float(np.max(np.abs(z))))
     assert zmax <= 1e-12
     # the transport field balances the path derivative pointwise
-    hr = max(homotopy_residual(ev, t, p) for t in (0.25, 0.75) for p in starts[:5])
+    hr = 0.0
+    for t in (0.25, 0.75):
+        residuals, fails = homotopy_residuals(ev, t, starts[:5])
+        assert not fails
+        hr = max(hr, *residuals)
     assert hr <= 1e-6
+
     # fourth-order convergence under step halving
-    ref = flow_point(ev, starts[0], 3200)
-    e1 = float(np.max(np.abs(flow_point(ev, starts[0], 100) - ref)))
-    e2 = float(np.max(np.abs(flow_point(ev, starts[0], 200) - ref)))
+    def flow(steps):
+        aborts = {}
+        end = flow_batch(ev, np.array([[starts[0][c] for c in chart.coords]]), steps, aborts)
+        assert not aborts
+        return end[0]
+
+    ref = flow(3200)
+    e1 = float(np.max(np.abs(flow(100) - ref)))
+    e2 = float(np.max(np.abs(flow(200) - ref)))
     assert e2 > 0.0
     assert 8.0 < e1 / e2 < 32.0
     elapsed = time.monotonic() - start

@@ -13,9 +13,7 @@ from diracavg.averaging import (
     adiabatic_check,
     average_coupling,
     check_compatibility,
-    compute_theta,
     gauge_poisson,
-    invariant_sections,
     tr4_check,
 )
 from diracavg.config import PI
@@ -23,7 +21,7 @@ from diracavg.coupling import data_to_poisson, structure_eq_check
 from diracavg.dirac import gauge_transform, graph_of_bivector, same_span_at
 from diracavg.fixtures import load
 from diracavg.rings import Poly, RationalFn
-from diracavg.sampling import default_box, sample_box
+from diracavg.sampling import sample_box
 from diracavg.tensors import (
     Chart,
     DifferentialForm,
@@ -33,10 +31,9 @@ from diracavg.tensors import (
     lie_derivative,
     one_form,
     schouten_bracket,
-    vector_field,
 )
 
-from conftest import CHART4
+from conftest import CHART4, default_box
 
 
 def _pipeline(name):
@@ -170,25 +167,6 @@ def test_average_coupling_preconditions():
         average_coupling(gd, cert_compat)  # wrong mode for averaging
 
 
-def test_compute_theta_applies_the_homotopy_kernel():
-    spec = load("rotating_lift")
-    gd, _ = structure_eq_check(spec.geometric_data())
-    cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=spec.certificate_j)
-    chart = gd.conn.chart
-    # a non-invariant input: delta turns y1 dx1 into -y2 dx1, already mean-free
-    rho = one_form(chart, {0: RationalFn.var("y1")})
-    theta, theta0 = compute_theta(cert, rho)
-    assert theta == one_form(chart, {0: -RationalFn.var("y2")})
-    assert theta0 == theta
-    # an invariant input is scaled by the formal circle constant
-    inv = one_form(chart, {2: RationalFn.var("y1"), 3: RationalFn.var("y2")})
-    theta, theta0 = compute_theta(cert, inv)
-    assert theta == inv.scale(RationalFn.var(PI))
-    assert theta0.is_zero()
-    circ = cert.circles[0]
-    assert circ.average(theta0).is_zero()
-
-
 def test_gauge_poisson_matches_the_frame_gauge():
     chart = CHART4
     pi = MultivectorField(chart, 2, {(0, 1): RationalFn.const(1), (2, 3): RationalFn.const(1)})
@@ -227,35 +205,6 @@ def test_tr4_block_identities_on_the_rotating_model():
     assert checks and all(c.passed for c in checks)
     names = {c.check for c in checks}
     assert names == {"TR4", "AL"}
-
-
-def test_invariant_sections_of_the_averaged_model():
-    gd, res = _pipeline("rotating_lift")
-    chart = gd.conn.chart
-    # feed the source lift; its averaged version comes out invariant
-    x = res.source.conn.lift(0)
-    y1, y2 = RationalFn.var("y1"), RationalFn.var("y2")
-    beta = one_form(chart, {2: y1, 3: y2})
-    pts = sample_box(chart, default_box(chart), 5, 82)
-    s1, s2 = invariant_sections(res, x, beta, pts)
-    assert s1.vector == vector_field(chart, {0: 1})
-    gen = res.certificate.circles[0].generator()
-    for s in (s1, s2):
-        assert lie_derivative(gen, s.vector).is_zero()
-        assert lie_derivative(gen, s.covector).is_zero()
-
-
-def test_invariant_sections_rejects_bad_beta():
-    gd, res = _pipeline("rotating_lift")
-    chart = gd.conn.chart
-    x = res.source.conn.lift(0)
-    # does not annihilate the horizontal frame
-    bad = one_form(chart, {0: RationalFn.const(1)})
-    with pytest.raises(ValueError):
-        invariant_sections(res, x, bad)
-    # vertical but not invariant under the rotation
-    with pytest.raises(ValueError):
-        invariant_sections(res, x, one_form(chart, {2: RationalFn.const(1)}))
 
 
 def test_adiabatic_obstruction_is_detected():

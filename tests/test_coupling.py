@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from diracavg.coupling import (
     d10_scalar,
     data_to_dirac,
     data_to_poisson,
-    hamiltonian_check,
     is_horizontal_one_form,
     poisson_to_data,
     q_gauge,
@@ -24,7 +22,7 @@ from diracavg.coupling import (
 from diracavg.dirac import gauge_transform, involutivity_check, same_span_at
 from diracavg.fixtures import load
 from diracavg.rings import Poly, RationalFn
-from diracavg.sampling import default_box, sample_box
+from diracavg.sampling import sample_box
 from diracavg.tensors import (
     Chart,
     DifferentialForm,
@@ -37,7 +35,7 @@ from diracavg.tensors import (
     vector_field,
 )
 
-from conftest import CHART4, rand_poly
+from conftest import CHART4, default_box, rand_poly
 
 
 def _flat_gd():
@@ -240,16 +238,6 @@ def test_fiberwise_bracket():
     assert gd.p_bracket(y1, y2) == RationalFn.const(1)
     assert gd.p_bracket(y2, y1) == RationalFn.const(-1)
     assert gd.p_bracket(y1, RationalFn.var("x1")).is_zero()
-
-
-def test_hamiltonian_check_on_the_radial_hamiltonian():
-    gd = _verified(_flat_gd())
-    cp = data_to_poisson(gd)
-    y1, y2 = RationalFn.var("y1"), RationalFn.var("y2")
-    j = (y1 * y1 + y2 * y2).scale(Fraction(1, 2))
-    rot = vector_field(CHART4, {3: y1, 2: -y2})
-    assert hamiltonian_check(gd, rot, j)
-    assert not hamiltonian_check(gd, vector_field(CHART4, {2: 1}), j)
 
 
 def test_dirac_frame_of_data_is_involutive_and_matches_the_graph():

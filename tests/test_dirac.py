@@ -13,19 +13,17 @@ from diracavg import cli
 from diracavg.dirac import (
     DiracFrame,
     DiracSection,
-    cotangent_frame,
     courant_bracket,
     gauge_transform,
     graph_of_bivector,
     involutivity_check,
     pairing,
-    presymplectic_on_characteristic,
     same_span_at,
 )
 from diracavg.config import PI
 from diracavg.linalg import solve
 from diracavg.rings import Poly, QPi, RationalFn
-from diracavg.sampling import default_box, sample_box
+from diracavg.sampling import sample_box
 from diracavg.tensors import (
     Chart,
     DifferentialForm,
@@ -34,7 +32,7 @@ from diracavg.tensors import (
     vector_field,
 )
 
-from conftest import CHART2, CHART4, frac_point
+from conftest import CHART2, CHART4, default_box, frac_point
 
 
 def _standard_pi(chart=CHART4):
@@ -80,7 +78,7 @@ def test_frame_rejects_anisotropic_sections():
 
 
 def test_cotangent_frame_is_involutive():
-    frame = cotangent_frame(CHART4)
+    frame = graph_of_bivector(MultivectorField.zero(CHART4, 2))
     pts = _points(CHART4)
     assert frame.validate_rank(pts).passed
     assert involutivity_check(frame, pts).passed
@@ -141,7 +139,7 @@ def test_same_span_accepts_recombinations():
 def test_same_span_detects_different_structures():
     pi = _standard_pi()
     frame = graph_of_bivector(pi)
-    cot = cotangent_frame(CHART4)
+    cot = graph_of_bivector(MultivectorField.zero(CHART4, 2))
     for p in _points(CHART4, 3):
         assert not same_span_at(frame, cot, p)
 
@@ -182,21 +180,6 @@ def test_gauge_transform_preserves_isotropy_and_rank():
         for t in out.sections:
             assert pairing(s, t).is_zero()
     assert out.validate_rank(_points(CHART4, 4)).passed
-
-
-def test_presymplectic_matrix_inverts_the_bivector():
-    # on the graph of an invertible bivector the leaf 2-form is minus
-    # the matrix inverse of the bivector components
-    chart = CHART2
-    pi = MultivectorField(chart, 2, {(0, 1): RationalFn.const(1)})
-    frame = graph_of_bivector(pi)
-    pt = {"x": Fraction(1, 3), "y": Fraction(-1, 2)}
-    basis, mat = presymplectic_on_characteristic(frame, pt)
-    assert len(basis) == 2
-    # antisymmetric with a nonzero off-diagonal entry, exact over Q
-    assert mat[0][0] == 0 and mat[1][1] == 0
-    assert mat[0][1] == -mat[1][0]
-    assert mat[0][1] != 0
 
 
 def test_same_span_at_decides_frames_with_pi_entries_both_ways():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHART4, rand_poly
+from diracavg import linalg
 from diracavg.averaging import average_coupling, check_compatibility
 from diracavg.config import PI
 from diracavg.coupling import data_to_poisson, structure_eq_check
@@ -27,17 +28,15 @@ from diracavg.moser import (
     _Polys,
     flow_and_verify,
     flow_batch,
-    flow_point,
-    homotopy_residual,
     homotopy_residuals,
     z_batch,
-    z_field,
 )
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import sample_box
 from diracavg.tensors import (
     Chart,
     MultivectorField,
+    flat_matrix,
     one_form,
     schouten_bracket,
     sharp_matrix,
@@ -59,10 +58,43 @@ def _setup(name="rotating_lift"):
     return spec, res, pi, box, ev
 
 
+def _vec(ev, point):
+    """A point as a batch of one row."""
+    return np.array([[float(point[c]) for c in ev.chart.coords]])
+
+
+def _flow_one(ev, point, steps):
+    """One start flowed alone: its end, and its abort or None."""
+    aborts = {}
+    end = flow_batch(ev, _vec(ev, point), steps, aborts)
+    return end[0], aborts.get(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_t_exact(ev, t):
+    """The interpolated bivector at rational t, by exact inversion:
+    Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1}.  The oracle of bracket_exact."""
+    n = ev.chart.dim
+    sp = sharp_matrix(ev.pi_exact)
+    sb = flat_matrix(ev.dtheta_exact)
+    tm = [[sb[j][k] * RationalFn.const(t) for k in range(n)] for j in range(n)]
+    m = linalg.mat_add(linalg.identity(n), linalg.mat_mul(tm, sp))
+    new_sharp = linalg.mat_mul(sp, linalg.inverse(m))
+    comps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = new_sharp[j][i].simplified()
+            if not val.is_zero():
+                comps[(i, j)] = val
+    return MultivectorField(ev.chart, 2, comps)
+
+
 def test_compiled_evaluator_matches_exact_components():
     spec, res, pi, box, ev = _setup()
     pt = {"x1": 0.21, "x2": -0.13, "y1": 0.34, "y2": -0.07}
-    got = ev.pi_matrix(pt)
+    sps, fails = ev.pi_matrices(_vec(ev, pt))
+    assert not fails
+    got = sps[0]
     sym = sharp_matrix(pi)
     for j in range(4):
         for i in range(4):
@@ -71,15 +103,15 @@ def test_compiled_evaluator_matches_exact_components():
 
 def test_path_endpoints_are_the_two_bivectors():
     spec, res, pi, box, ev = _setup()
-    assert ev.pi_t_exact(Fraction(0)) == pi
+    assert _pi_t_exact(ev, Fraction(0)) == pi
     assert res.poisson is not None
-    assert ev.pi_t_exact(Fraction(1)) == res.poisson.pi
+    assert _pi_t_exact(ev, Fraction(1)) == res.poisson.pi
 
 
 def test_interior_path_points_stay_poisson():
     spec, res, pi, box, ev = _setup()
     for t in (Fraction(1, 4), Fraction(2, 3)):
-        pit = ev.pi_t_exact(t)
+        pit = _pi_t_exact(ev, t)
         assert schouten_bracket(pit, pit).is_zero()
     # the transport field balances the time derivative, so it is nonzero
     point = dict(zip(ev.chart.coords, map(Fraction, ("1/5", "-1/8", "1/3", "1/7"))))
@@ -109,7 +141,7 @@ def test_jet_bracket_matches_the_symbolic_bracket(name):
     points = sample_box(ev.chart, box, 3, 93)
     nonzero = 0
     for t in (Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1)):
-        pit = ev.pi_t_exact(t)
+        pit = _pi_t_exact(ev, t)
         sharp = sharp_matrix(pit)
         theta = [ev.theta_exact.component((i,)) for i in range(n)]
         z = {
@@ -132,17 +164,20 @@ def test_jet_bracket_matches_the_symbolic_bracket(name):
 def test_homotopy_residual_is_small_along_the_path():
     spec, res, pi, box, ev = _setup()
     pts = sample_box(ev.chart, box, 3, 92)
+    fps = [{k: float(v) for k, v in p.items()} for p in pts]
     for t in (0.25, 0.75):
-        for p in pts:
-            fp = {k: float(v) for k, v in p.items()}
-            assert homotopy_residual(ev, t, fp) <= 1e-6
+        residuals, fails = homotopy_residuals(ev, t, fps)
+        assert not fails
+        assert max(residuals) <= 1e-6
 
 
 def test_deformation_field_vanishes_on_the_fixed_leaf():
     spec, res, pi, box, ev = _setup()
     leaf = {"x1": 0.2, "x2": -0.3, "y1": 0.0, "y2": 0.0}
     for t in (0.3, 1.0):
-        assert float(np.max(np.abs(z_field(ev, t, leaf)))) <= 1e-12
+        z, fails = z_batch(ev, t, [leaf])
+        assert not fails
+        assert float(np.max(np.abs(z))) <= 1e-12
 
 
 def test_flow_intertwines_the_endpoint_bivectors():
@@ -164,8 +199,8 @@ def test_flow_intertwines_the_endpoint_bivectors():
 
 def test_flow_rejects_starts_outside_the_box():
     spec, res, pi, box, ev = _setup()
-    with pytest.raises(BoxExit):
-        flow_point(ev, {"x1": 5.0, "x2": 0.0, "y1": 0.0, "y2": 0.0}, 100)
+    _end, abort = _flow_one(ev, {"x1": 5.0, "x2": 0.0, "y1": 0.0, "y2": 0.0}, 100)
+    assert isinstance(abort[2], BoxExit)
 
 
 def test_degenerate_interpolation_trips_the_guard():
@@ -175,10 +210,11 @@ def test_degenerate_interpolation_trips_the_guard():
     box = {"x": (Fraction(-1), Fraction(1)), "y": (Fraction(-1), Fraction(1))}
     ev = NumericEvaluator(pi, theta, box)
     # the interpolation collapses at t = 1: (1 - t) scales the whole matrix
-    with pytest.raises(GuardError):
-        z_field(ev, 1.0, {"x": 0.1, "y": 0.2})
+    _z, fails = z_batch(ev, 1.0, [{"x": 0.1, "y": 0.2}])
+    assert isinstance(fails[0][1], GuardError)
     # away from the collapse the field is finite
-    z_field(ev, 0.5, {"x": 0.1, "y": 0.2})
+    z, fails = z_batch(ev, 0.5, [{"x": 0.1, "y": 0.2}])
+    assert not fails and np.isfinite(z).all()
 
 
 def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():
@@ -201,8 +237,8 @@ def test_homotopy_residual_raises_the_bracket_error_first():
     # bracket's error is the one reported
     ev = _mirror_model()
     point = {"x": 0.3, "y": 0.3, "z": 0.1}
-    with pytest.raises(ZeroDivisionError, match="vanishes at the point"):
-        homotopy_residual(ev, Fraction(1, 2), point)
+    _alone, fails = homotopy_residuals(ev, Fraction(1, 2), [point])
+    assert isinstance(fails[0], ZeroDivisionError) and "vanishes at the point" in str(fails[0])
     residuals, fails = homotopy_residuals(ev, Fraction(1, 2), [{"x": 0.3, "y": 0.1, "z": 0.2}, point])
     assert list(fails) == [1] and residuals[1] == 0.0
 
@@ -215,9 +251,12 @@ def test_flow_config_validation():
 def test_rk4_error_drops_by_sixteen_per_halving():
     spec, res, pi, box, ev = _setup()
     start = {"x1": 0.1, "x2": -0.2, "y1": 0.25, "y2": 0.15}
-    ref = flow_point(ev, start, 3200)
-    e1 = float(np.max(np.abs(flow_point(ev, start, 100) - ref)))
-    e2 = float(np.max(np.abs(flow_point(ev, start, 200) - ref)))
+    ends = {}
+    for steps in (3200, 100, 200):
+        ends[steps], abort = _flow_one(ev, start, steps)
+        assert abort is None
+    e1 = float(np.max(np.abs(ends[100] - ends[3200])))
+    e2 = float(np.max(np.abs(ends[200] - ends[3200])))
     assert e2 > 0
     ratio = e1 / e2
     assert 8.0 < ratio < 32.0
@@ -422,7 +461,7 @@ def test_batched_interpolation_matches_single_matrices_bit_for_bit(name):
             m = np.eye(n) + t * (sb[0] @ sp[0])
             assert _same_bits(mats[k, row], sp[0] @ np.linalg.inv(m))
         assert _same_bits(ev.interp_matrix(1.0, p), mats[2, row])
-        assert _same_bits(ev.pi_matrix(p), pis[row])
+        assert _same_bits(ev.pi_matrices(_vec(ev, p))[0][0], pis[row])
 
 
 def test_homotopy_residual_is_its_batch_row():
@@ -431,7 +470,9 @@ def test_homotopy_residual_is_its_batch_row():
     for t in (Fraction(0), Fraction(1, 2)):
         residuals, fails = homotopy_residuals(ev, t, points)
         assert not fails
-        assert residuals == [homotopy_residual(ev, t, p) for p in points]
+        alone = [homotopy_residuals(ev, t, [p]) for p in points]
+        assert not any(row_fails for _r, row_fails in alone)
+        assert residuals == [r[0] for r, _f in alone]
 
 
 _COORD = st.floats(-0.6, 0.6, allow_nan=False)
@@ -446,11 +487,11 @@ def test_batch_rows_match_single_trajectories(rows):
     ends = flow_batch(ev, np.array(rows), 100, aborts)
     for k, row in enumerate(rows):
         point = dict(zip(ev.chart.coords, row))
-        try:
-            alone = flow_point(ev, point, 100)
-        except BoxExit as exc:
+        alone, abort = _flow_one(ev, point, 100)
+        if abort is not None:
+            assert isinstance(abort[2], BoxExit)
             assert k in aborts
-            assert (type(aborts[k][2]), str(aborts[k][2])) == (BoxExit, str(exc))
+            assert (type(aborts[k][2]), str(aborts[k][2])) == (BoxExit, str(abort[2]))
         else:
             assert k not in aborts
             assert np.array_equal(ends[k], alone)
@@ -507,8 +548,8 @@ def test_bad_trajectories_abort_alone():
     leaf = [{"x1": 0.15, "x2": -0.1, "y1": 0.0, "y2": 0.0}]
     # starts in the box and leaves it during the flow
     leaving = {"x1": -0.45, "x2": 0.0, "y1": -0.45, "y2": 0.45}
-    with pytest.raises(BoxExit):
-        flow_point(ev, leaving, 200)
+    _end, abort = _flow_one(ev, leaving, 200)
+    assert isinstance(abort[2], BoxExit)
     # the fixed leaf does not move, so this one starts outside
     outside_leaf = {"x1": 0.7, "x2": 0.0, "y1": 0.0, "y2": 0.0}
     clean = flow_and_verify(ev, FlowConfig(points=starts, steps=200, leaf_points=leaf))

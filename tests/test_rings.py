@@ -9,14 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracavg.config import PI, CapacityError
+from diracavg.config import PI
 from diracavg.rings import (
     Poly,
     QPi,
     RationalFn,
     TrigPoly,
-    integrate_mean,
-    integrate_weighted,
     parse_fraction,
     qpi,
 )
@@ -77,20 +75,11 @@ def test_poly_diff_product_rule(a, b):
     assert (a + b).diff("y") == a.diff("y") + b.diff("y")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(polys(), polys())
-def test_poly_substitution_is_a_homomorphism(a, b):
-    s = {"x": Poly.var("x") + Poly.var("y")}
-    assert (a * b).subst(s) == a.subst(s) * b.subst(s)
-    assert (a + b).subst(s) == a.subst(s) + b.subst(s)
-
-
 def test_poly_basics():
     x, y = Poly.var("x"), Poly.var("y")
     assert (x + y) ** 2 == x * x + x * y.scale(2) + y * y
     assert x ** 0 == Poly.const(1)
     assert Poly.const(0).is_zero()
-    assert (x * y).total_degree() == 2
     assert Poly.const(Fraction(3, 4)).const_value() == Fraction(3, 4)
     assert x.diff("x") == Poly.const(1)
     assert x.diff("y").is_zero()
@@ -103,26 +92,11 @@ def test_poly_partial_evaluation_keeps_remaining_variables():
     assert got == y.scale(2) + y ** 2
 
 
-def test_from_terms_validation():
-    ok = Poly.from_terms(("x", "y"), {(1, 2): Fraction(3)})
-    assert ok == Poly.var("x") * Poly.var("y") ** 2 * Poly.const(3)
-    with pytest.raises(ValueError):
-        Poly.from_terms(("x", "x"), {(1, 1): 1})
-    with pytest.raises(ValueError):
-        Poly.from_terms(("x",), {(-1,): 1})
-    with pytest.raises(CapacityError):
-        Poly.from_terms(("x",), {(13,): 1})
-    with pytest.raises(CapacityError):
-        Poly.from_terms(tuple(f"v{i}" for i in range(9)), {tuple([1] * 9): 1})
-
-
 def test_pi_symbol_is_formal_until_float_evaluation():
     p = Poly.var(PI) * Poly.var("x")
     kept = p.eval_frac({"x": Fraction(3)})
     assert kept == Poly.var(PI).scale(3)
     assert p.eval_float({"x": 1.0}) == pytest.approx(math.pi)
-    # pi does not count against the spatial degree cap
-    Poly.from_terms((PI, "x"), {(13, 1): 1})
 
 
 def test_rational_equality_uses_cross_multiplication():
@@ -208,16 +182,16 @@ def test_trig_powers_and_periodicity():
 def test_trig_mean_closed_forms():
     x = Poly.var("x")
     g = TrigPoly.const_poly(x) + TrigPoly.cosine(3, _one()) + TrigPoly.sine(2, _one())
-    assert integrate_mean(g) == x
+    assert g.mean() == x
     # cos(kt)**2 has mean 1/2
     sq = TrigPoly.cosine(4, _one()) * TrigPoly.cosine(4, _one())
-    assert integrate_mean(sq) == Poly.const(Fraction(1, 2))
+    assert sq.mean() == Poly.const(Fraction(1, 2))
 
 
 def test_trig_weighted_moment_closed_forms():
     # the weight kills cosines and keeps sin(kt) with coefficient 1/k
     g = TrigPoly.sine(3, Poly.const(6)) + TrigPoly.cosine(2, Poly.var("x")) + TrigPoly.const_poly(Poly.var("y"))
-    assert integrate_weighted(g) == Poly.const(2)
+    assert g.weighted_moment() == Poly.const(2)
 
 
 def test_trig_weighted_moment_matches_quadrature():
@@ -241,8 +215,8 @@ def test_trig_weighted_moment_matches_quadrature():
         slope0 = (vals[1] - vals[n - 1]) / (2.0 * h)
         wtrap -= (h * h / 12.0) * 2.0 * math.pi * slope0
         wm_num = -wtrap / (2.0 * math.pi)
-        assert integrate_mean(g).eval_float(pt) == pytest.approx(mean_num, abs=1e-9)
-        assert integrate_weighted(g).eval_float(pt) == pytest.approx(wm_num, abs=1e-9)
+        assert g.mean().eval_float(pt) == pytest.approx(mean_num, abs=1e-9)
+        assert g.weighted_moment().eval_float(pt) == pytest.approx(wm_num, abs=1e-9)
 
 
 points_st = st.fixed_dictionaries({"x": fractions_st, "y": fractions_st})
@@ -276,7 +250,7 @@ def test_value_at_raises_on_a_vanishing_denominator_and_keeps_pi():
     assert g.value_at(point) == qpi([0, Fraction(2, 5)])
     assert _as_ratfn(g.value_at(point)) == g.eval_frac(point)
     # pi with a zero exponent does not force the function-field fallback
-    h = RationalFn(Poly.from_terms(("x", PI), {(2, 0): 3}), Poly.const(1))
+    h = RationalFn(Poly((PI, "x"), {(0, 2): Fraction(3)}), Poly.const(1))
     assert h.value_at(point) == Fraction(3, 4)
     # a point that maps pi to a value binds it
     assert g.value_at({"x": Fraction(1, 2), PI: Fraction(3)}) == Fraction(6, 5)
@@ -285,7 +259,7 @@ def test_value_at_raises_on_a_vanishing_denominator_and_keeps_pi():
 # -- Q(@pi) --------------------------------------------------------------------
 
 def _upoly(coeffs) -> Poly:
-    return Poly.from_terms((PI,), {(k,): c for k, c in enumerate(coeffs)})
+    return sum((Poly.const(c) * Poly.var(PI) ** k for k, c in enumerate(coeffs)), Poly.zero())
 
 
 def _as_ratfn(v) -> RationalFn:

@@ -17,8 +17,6 @@ from diracavg.tensors import (
     VectorValued1Form,
     apply_vector,
     bigrade_decompose,
-    check_public_degree,
-    d_decompose,
     d_scalar,
     exterior_derivative,
     flat_matrix,
@@ -29,7 +27,6 @@ from diracavg.tensors import (
     schouten_bracket,
     sharp_bivector,
     sharp_matrix,
-    sharp_two_form,
     sort_with_sign,
     vector_field,
     vf_bracket,
@@ -123,7 +120,7 @@ def test_sharp_and_flat_conventions():
     fm = flat_matrix(w)
     assert fm[1][0] == RationalFn.const(1) and fm[0][1] == RationalFn.const(-1)
     ex = vector_field(chart, {0: 1})
-    assert sharp_two_form(w, ex) == dy
+    assert interior_product(ex, w) == dy
 
 
 def test_symplectic_inverse_pairing():
@@ -285,7 +282,7 @@ def test_hamiltonian_fields_represent_the_bracket():
 
 def test_vv1_apply_compose_projection():
     chart = CHART4
-    k = VectorValued1Form.identity(chart)
+    k = VectorValued1Form(chart, [[int(i == j) for j in range(4)] for i in range(4)])
     rng = random.Random(44)
     x = _rand_mv(rng, chart, 1, 1)
     assert k.apply(x) == x
@@ -308,7 +305,7 @@ def test_vv1_apply_compose_projection():
 
 def test_fn_bracket_of_identity_vanishes():
     chart = CHART4
-    k = VectorValued1Form.identity(chart)
+    k = VectorValued1Form(chart, [[int(i == j) for j in range(4)] for i in range(4)])
     assert fn_bracket(k, k).is_zero()
 
 
@@ -337,24 +334,6 @@ def test_bigrade_decompose_reassembles():
     for piece in parts.values():
         total = total + piece
     assert total == a
-
-
-def test_d_decompose_parts_sum_to_d():
-    chart = CHART4
-    conn = Connection(Foliation(chart, (0, 1), (2, 3)), [[0, 0], [0, 0]])
-    rng = random.Random(46)
-    a = _rand_form(rng, chart, 1)
-    parts = d_decompose(a, conn)
-    total = DifferentialForm.zero(chart, 2)
-    for piece in parts.values():
-        total = total + piece
-    assert total == exterior_derivative(a)
-
-
-def test_public_degree_cap():
-    check_public_degree(4)
-    with pytest.raises(CapacityError):
-        check_public_degree(5)
 
 
 def test_chart_validation():
