@@ -1,11 +1,12 @@
 """Global capacity limits for the exact symbolic kernel.
 
 The engine targets desk-scale models: a handful of chart coordinates and low
-polynomial degree.  The limits below are enforced at user-facing entry points
-(spec-file parsing, public constructors).  Internal arithmetic is allowed to
-exceed the degree cap, because exact intermediate objects (determinants,
-cross-multiplied Jacobiators) legitimately grow past it; runaway growth is
-stopped by the term-count guard instead of by hanging.
+polynomial degree.  The coordinate cap is enforced by the ``Chart``
+constructor and the degree cap when a model file is parsed.  Internal
+arithmetic is allowed to exceed the degree cap, because exact intermediate
+objects (determinants, cross-multiplied Jacobiators) legitimately grow past
+it; runaway growth is stopped by the term-count guard in ``Poly.__mul__``
+instead of by hanging.
 """
 
 from __future__ import annotations

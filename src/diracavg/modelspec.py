@@ -242,7 +242,8 @@ def _parse_poly(lit: object, chart: Chart, col: _Collector, loc: str) -> Poly:
                 col.add(mloc, f"exponent of {var!r} must be a positive integer")
                 ok = False
                 break
-            degree += exp
+            if var != PI:
+                degree += exp
             term = term * Poly.var(var) ** exp
         if not ok:
             continue

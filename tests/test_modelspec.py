@@ -127,6 +127,14 @@ def test_degree_cap_applies_at_parse_time():
     assert any("degree" in msg for _, msg in exc.value.diagnostics)
 
 
+def test_pi_exponents_do_not_count_against_the_degree_cap():
+    for mono in ({"@pi": 13}, {"@pi": 1, "x": 12}):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["tensors"]["pi"]["components"]["0,1"] = [["1", mono]]
+        pi = parse_spec_dict(doc).tensors["pi"]
+        assert not pi.component((0, 1)).is_zero()
+
+
 def test_bad_component_keys():
     for key in ("0", "1,0", "0,5", "0,0", "a,b"):
         doc = json.loads(json.dumps(MINIMAL))

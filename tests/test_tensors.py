@@ -9,6 +9,7 @@ import pytest
 
 from diracavg.config import CapacityError
 from diracavg.coupling import Connection, Foliation
+from diracavg.modelspec import SpecError, parse_spec_dict
 from diracavg.rings import Poly, RationalFn
 from diracavg.tensors import (
     Chart,
@@ -336,9 +337,24 @@ def test_bigrade_decompose_reassembles():
     assert total == a
 
 
+def test_public_degree_cap():
+    # a model file may declare tensors of degree 0..4
+    doc = {
+        "coordinates": list(CHART4.coords),
+        "tensors": {"w": {"kind": "form", "degree": 4, "components": {}}},
+    }
+    assert parse_spec_dict(doc).tensors["w"].degree == 4
+    doc["tensors"]["w"]["degree"] = 5
+    with pytest.raises(SpecError) as exc:
+        parse_spec_dict(doc)
+    assert exc.value.diagnostics == [("tensors.w.degree", "degree must be an integer in 0..4")]
+
+
 def test_chart_validation():
     with pytest.raises(ValueError):
         Chart(("x", "x"))
+    with pytest.raises(CapacityError):
+        Chart(tuple(f"v{i}" for i in range(9)))
     c = CHART4
     assert c.dim == 4
     assert c.index("y1") == 2
