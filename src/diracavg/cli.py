@@ -64,7 +64,6 @@ from .sampling import (
 )
 from .tensors import MultivectorField, schouten_bracket
 
-JACOBI_TOL = 1e-9
 FLOW_TOL = 1e-6
 LEAF_TOL = 1e-12
 
@@ -256,9 +255,9 @@ def _jacobi_checks(
     counts = {"points_used": run.usable, "points_skipped": run.total - run.usable}
     witness = bad.get("witness") or run.shortfall()
     if witness is not None:
-        checks.append(failed("JAC-route", witness=witness, tolerance=JACOBI_TOL, **counts))
+        checks.append(failed("JAC-route", witness=witness, **counts))
     else:
-        checks.append(passed("JAC-route", tolerance=JACOBI_TOL, **counts))
+        checks.append(passed("JAC-route", **counts))
     return checks
 
 

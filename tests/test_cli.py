@@ -59,6 +59,8 @@ def test_check_jacobi_fails_with_a_witness(capsys):
     # the dual bracket route still agrees with itself on the failure
     route = [c for c in payload["checks"] if c["check"] == "JAC-route"][0]
     assert route["status"] == "pass"
+    # the comparison is exact, so the check states no tolerance
+    assert "tolerance" not in route
 
 
 def test_check_structure_passes_and_fails(capsys):
