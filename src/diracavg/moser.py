@@ -68,10 +68,11 @@ class _Polys:
     ``names`` are the chart coordinates and then ``@pi``, which is always
     ``math.pi``.  A monomial is the product of its factors in name order,
     each read from a table of the powers that some monomial uses, times its
-    coefficient; a polynomial adds its terms in order.  A product over
-    every name would give the same floats, since a factor left out is an
-    exact 1.0, and a short sum is padded with +0.0 terms as a stacked sum
-    over the longest is.  Powers of ``@pi``, and the monomials free of the
+    coefficient; a polynomial adds its terms in sorted exponent order, so
+    its floats depend on its value and not on how it was built.  A product
+    over every name would give the same floats, since a factor left out is
+    an exact 1.0, and a short sum is padded with +0.0 terms as a stacked
+    sum over the longest is.  Powers of ``@pi``, and the monomials free of the
     coordinates, are the same at every point and worked out once per batch
     size.  Arrays run (row, point), so that each numpy call spans the batch.
     """
@@ -83,7 +84,7 @@ class _Polys:
         terms: List[List[int]] = []
         for poly in polys:
             terms.append([])
-            for e, c in poly.aligned_to(names).terms.items():
+            for e, c in sorted(poly.aligned_to(names).terms.items()):
                 terms[-1].append(len(exps))
                 exps.append(e)
                 coeffs.append(float(c))

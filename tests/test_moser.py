@@ -272,7 +272,7 @@ def _loop_eval(fn: RationalFn, names, vec):
     parts = []
     for poly in (fn.num, fn.den):
         acc = 0.0
-        for k, (exps, c) in enumerate(poly.aligned_to(names).terms.items()):
+        for k, (exps, c) in enumerate(sorted(poly.aligned_to(names).terms.items())):
             mono = 1.0
             for power in vec ** np.array(exps):
                 mono *= float(power)
@@ -333,7 +333,7 @@ def _table_polys(names, polys, vecs):
     exps, coeffs, terms = [], [], []
     for poly in polys:
         terms.append([])
-        for e, c in poly.aligned_to(names).terms.items():
+        for e, c in sorted(poly.aligned_to(names).terms.items()):
             terms[-1].append(len(exps))
             exps.append(e)
             coeffs.append(float(c))
@@ -462,6 +462,34 @@ def test_batched_interpolation_matches_single_matrices_bit_for_bit(name):
             assert _same_bits(mats[k, row], sp[0] @ np.linalg.inv(m))
         assert _same_bits(ev.interp_matrix(1.0, p), mats[2, row])
         assert _same_bits(ev.pi_matrices(_vec(ev, p))[0][0], pis[row])
+
+
+def _shuffled(t, rng):
+    """t with the terms of every numerator and denominator in another order."""
+
+    def shuffle(p):
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        return Poly(p.vars, dict(items))
+
+    comps = {idx: RationalFn(shuffle(v.num), shuffle(v.den)) for idx, v in t.comps.items()}
+    return type(t)(t.chart, t.degree, comps)
+
+
+@pytest.mark.parametrize(
+    "name", ["flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "shifted_lift"]
+)
+def test_flow_bits_do_not_depend_on_the_order_of_terms(name):
+    spec, res, pi, box, ev = _setup(name)
+    rng = random.Random(96)
+    other = NumericEvaluator(_shuffled(pi, rng), _shuffled(res.theta, rng), box)
+    starts = np.array(
+        [[float(p[c]) for c in ev.chart.coords] for p in sample_box(ev.chart, box, 6, 97)]
+    )
+    aborts, other_aborts = {}, {}
+    ends = flow_batch(ev, starts, 100, aborts)
+    assert _same_bits(ends, flow_batch(other, starts, 100, other_aborts))
+    assert aborts.keys() == other_aborts.keys()
 
 
 def test_homotopy_residual_is_its_batch_row():
