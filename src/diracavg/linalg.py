@@ -10,14 +10,14 @@ Matrices are nested lists over one of:
 
 Rank and pivot columns over Q are decided over Z by ``pivot_columns``:
 fraction-free Bareiss elimination of the rows cleared to integers.  The
-answers that need reduced values (``solve``, ``kernel_basis`` and the
-non-polynomial branch of ``inverse``), and the pivots over Q(@pi) and the
-function field, come from one Gauss-Jordan kernel, ``rref``.  Over Q and
-Q(@pi) values are canonical, so zero entries skip their multiply; over the
-function field each row operation ends in ``simplified()``.  Determinants
-and polynomial inverses use Bareiss elimination over polynomials and
-cofactors.  ``Jets`` gives exact values and coordinate gradients of a
-family of entries at a point.
+answers that need reduced values (``kernel_basis`` and the non-polynomial
+branch of ``inverse``), and the pivots over Q(@pi) and the function field,
+come from one Gauss-Jordan kernel, ``rref``.  Over Q and Q(@pi) values are
+canonical, so zero entries skip their multiply; over the function field
+each row operation ends in ``simplified()``.  Determinants and polynomial
+inverses use Bareiss elimination over polynomials and cofactors.  ``Jets``
+gives exact values and coordinate gradients of a family of entries at a
+point.
 """
 
 from __future__ import annotations
@@ -268,22 +268,6 @@ def pivot_columns(a: Sequence[Sequence[Value]]) -> List[int]:
 def rank(a: Sequence[Sequence[Value]]) -> int:
     """Row rank, the number of pivot columns (a is not mutated)."""
     return len(pivot_columns(a))
-
-
-def solve(a: Sequence[Sequence[Value]], b: Sequence[Value]) -> Optional[List[Value]]:
-    """One solution of A x = b, or None if inconsistent.
-
-    A may be rectangular (rows x cols); free variables are set to zero.
-    """
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    pivots = rref(aug)
-    if pivots and pivots[-1][1] == ncols:
-        return None
-    x = [_field_of(aug).zero] * ncols
-    for row_i, col_i in pivots:
-        x[col_i] = aug[row_i][ncols]
-    return x
 
 
 def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:

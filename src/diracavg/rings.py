@@ -4,7 +4,9 @@ trigonometric polynomials over Q.
 Representation choices:
 
 * ``Poly`` stores a sorted tuple of variable names and a dict mapping exponent
-  tuples to nonzero ``Fraction`` coefficients.  Variables are kept in sorted
+  tuples to nonzero coefficients: an ``int`` where the coefficient is
+  integral, a ``Fraction`` otherwise (never one with denominator 1, never a
+  float), so integral arithmetic takes no gcd.  Variables are kept in sorted
   order so structural equality is canonical; arithmetic on polynomials with
   different variable sets aligns them to the union first.
 * ``RationalFn`` is a numerator/denominator pair of ``Poly``.  No gcd
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .config import LIMITS, PI, CapacityError
@@ -47,13 +50,37 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def _coeff(c: Scalar) -> Scalar:
+    """c as a coefficient: an int where integral, else a Fraction."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _canon(c: Scalar) -> Scalar:
+    """An exact result as a coefficient: a Fraction with denominator 1 becomes an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _quo(x: Scalar, y: Scalar) -> Scalar:
+    """The exact coefficient x / y, for a nonzero y."""
+    if type(x) is int and type(y) is int:
+        q, m = divmod(x, y)
+        if not m:
+            return q
+    return _canon(Fraction(x) / y)
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponent, Fraction]):
-        # Internal constructor; assumes sorted vars and pruned nonzero terms.
+    def __init__(self, variables: Tuple[str, ...], terms: Dict[Exponent, Scalar]):
+        # Internal constructor; assumes sorted vars and pruned nonzero
+        # coefficients, each an int or a non-integral Fraction.
         self.vars = variables
         self.terms = terms
 
@@ -67,7 +94,7 @@ class Poly:
     def const(c: Scalar) -> "Poly":
         if c == 1 and isinstance(c, (int, Fraction)):
             return _UNIT
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return _ZERO
         return Poly((), {(): c})
@@ -76,7 +103,7 @@ class Poly:
     def var(name: str) -> "Poly":
         if not name or name.startswith("@") and name != PI:
             raise ValueError(f"invalid variable name {name!r}")
-        return Poly((name,), {(1,): Fraction(1)})
+        return Poly((name,), {(1,): 1})
 
     # -- alignment -------------------------------------------------------
 
@@ -86,7 +113,7 @@ class Poly:
             return self
         pos = {v: i for i, v in enumerate(variables)}
         n = len(variables)
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             new = [0] * n
             for v, exp in zip(self.vars, e):
@@ -112,7 +139,7 @@ class Poly:
             if s == 0:
                 terms.pop(e, None)
             else:
-                terms[e] = s
+                terms[e] = _canon(s)
         return Poly(vs, terms)
 
     def __neg__(self) -> "Poly":
@@ -131,10 +158,10 @@ class Poly:
         a, b = self.aligned_to(vs), other.aligned_to(vs)
         if len(a.terms) > len(b.terms):
             a, b = b, a
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, Scalar] = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = terms.get(e)
                 s = ca * cb if s is None else s + ca * cb
                 if s == 0:
@@ -143,13 +170,17 @@ class Poly:
                     terms[e] = s
             if len(terms) > LIMITS.max_terms:
                 raise CapacityError("polynomial term count exceeded max_terms")
+        # int products and sums stay ints; only Fraction ones may turn integral
+        for e, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[e] = c.numerator
         return Poly(vs, terms)
 
     def scale(self, c: Scalar) -> "Poly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero()
-        return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return Poly(self.vars, {e: _canon(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -173,9 +204,9 @@ class Poly:
     def is_const(self) -> bool:
         return not any(any(e) for e in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Scalar:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError("polynomial is not constant")
         # a constant has one term, the all-zero exponent
@@ -204,13 +235,13 @@ class Poly:
         if name not in self.vars:
             return Poly.zero()
         i = self.vars.index(name)
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             new = list(e)
             new[i] -= 1
-            terms[tuple(new)] = c if e[i] == 1 else c * e[i]
+            terms[tuple(new)] = c if e[i] == 1 else _canon(c * e[i])
         return Poly(self.vars, terms)
 
     def eval_frac(self, point: Mapping[str, Fraction]) -> "Poly":
@@ -221,7 +252,7 @@ class Poly:
         """
         keep = [i for i, v in enumerate(self.vars) if v not in point or v == PI]
         vs = tuple(self.vars[i] for i in keep)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             val = c
             for i, v in enumerate(self.vars):
@@ -233,7 +264,7 @@ class Poly:
             if s == 0:
                 out.pop(key, None)
             else:
-                out[key] = s
+                out[key] = _canon(s)
         return Poly(vs, out)
 
     def _value_at(
@@ -293,7 +324,7 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _sum_at(terms: Iterable[Tuple[Exponent, Fraction]], xs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+def _sum_at(terms: Iterable[Tuple[Exponent, Scalar]], xs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
     """The sum of the terms with variable i at xs[i] = (numerator, denominator),
     unreduced: an integer numerator over a positive running common denominator."""
     num, den = 0, 1
@@ -353,23 +384,32 @@ def poly_divmod_exact(num: Poly, den: Poly) -> Union[Poly, None]:
 
     lead_b = max(b.terms, key=key)
     cb = b.terms[lead_b]
-    q: Dict[Exponent, Fraction] = {}
-    r = a
+    rest = [(e, c) for e, c in b.terms.items() if e != lead_b]
+    # the remainder, updated in place: each step cancels its leading term
+    # and subtracts the quotient term times the rest of b
+    r = dict(a.terms)
+    q: Dict[Exponent, Scalar] = {}
     steps = 0
     limit = 4 * (len(a.terms) + 1) * (len(b.terms) + 1) + 64
-    while not r.is_zero():
+    while r:
         steps += 1
         if steps > limit:
             return None
-        lead_r = max(r.terms, key=key)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
+        lead_r = max(r, key=key)
+        diff = tuple(map(sub, lead_r, lead_b))
         if any(d < 0 for d in diff):
             return None
-        coeff = r.terms[lead_r] / cb
-        s = q.get(diff)
-        q[diff] = coeff if s is None else s + coeff
-        r = r - Poly(vs, {diff: coeff}) * b
-    return Poly(vs, {e: c for e, c in q.items() if c != 0})
+        # graded lex is a monomial order, so each leading term, and with it
+        # each quotient term, is smaller than the last: none repeats
+        coeff = q[diff] = _quo(r.pop(lead_r), cb)
+        for e, c in rest:
+            e = tuple(map(add, diff, e))
+            s = r.get(e, 0) - coeff * c
+            if s == 0:
+                r.pop(e, None)
+            else:
+                r[e] = _canon(s)
+    return Poly(vs, q)
 
 
 class RationalFn:
@@ -387,7 +427,7 @@ class RationalFn:
             elif den.is_const():
                 c = den.const_value()
                 if c != 1:
-                    num = num.scale(1 / c)
+                    num = num.scale(Fraction(1) / c)
                 den = _UNIT
         self.num = num
         self.den = den
@@ -522,7 +562,7 @@ class RationalFn:
         return self.num.eval_float(point) / d
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value()) / self.den.const_value()
 
     def simplified(self) -> "RationalFn":
         """Cheap normalization: content, shared monomials, trial division."""
@@ -640,7 +680,7 @@ def qpi(num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> Union[Fraction, 
 # Poly and RationalFn are never changed after construction, so every caller
 # shares these; a RationalFn with a constant denominator holds _UNIT there
 _ZERO = Poly((), {})
-_UNIT = Poly((), {(): Fraction(1)})
+_UNIT = Poly((), {(): 1})
 _RZERO = RationalFn(_ZERO, _UNIT)
 
 

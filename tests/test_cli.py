@@ -583,3 +583,38 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+# sha256 of the report and --out bytes of exact-only requests at a fixed seed;
+# a change to any of them is a change to report bytes and must be listed
+REPORT_DIGESTS = {
+    ("average", "torus"): (
+        "b162903e70bb6490da46dfd3988916377ab08071ba329afbf6c90451ce5d4eab",
+        "600ce5477625753af296273b604bec43014d207db4cb66fbe2d0d647aba07f2a",
+    ),
+    ("gauge", "torus"): (
+        "2dade0c9cd34c949148baf6fe55e45d38311449a338feb36f199dc92935c7770", None),
+    ("average", "obstructed_lift"): (
+        "9b3500855620f4156738c6fe4e4276ba3fb52ba1ab5df0b90d1e4f093b96d1f8",
+        "ef88559957844fca24157f82501481497b6dff3b9a96b8fa28f0dde230120b4a",
+    ),
+    ("gauge", "obstructed_lift"): (
+        "7af63633d950c8dc1aeb618948b6f16ae189d4bee69902cf491b3803e2cb92a5", None),
+    ("full-pipeline", "shifted_lift"): (
+        "c039cff4d9745f405290bc3861727017534b5336bcf0f3a232e43362c3872885", None),
+}
+
+
+@pytest.mark.parametrize("command, model", sorted(REPORT_DIGESTS))
+def test_exact_reports_keep_their_bytes(capsys, tmp_path, command, model):
+    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
+    spec = str(torus) if model == "torus" else model
+    report, out = tmp_path / "report.json", tmp_path / "averaged.json"
+    argv = [command, "--spec", spec, "--seed", "7", "--report", str(report)]
+    if command == "average":
+        argv += ["--out", str(out)]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
+                    for p in (report, out))
+    assert digests == REPORT_DIGESTS[(command, model)]

@@ -21,7 +21,6 @@ from diracavg.dirac import (
     same_span_at,
 )
 from diracavg.config import PI
-from diracavg.linalg import solve
 from diracavg.rings import Poly, QPi, RationalFn
 from diracavg.sampling import sample_box
 from diracavg.tensors import (
@@ -33,6 +32,7 @@ from diracavg.tensors import (
 )
 
 from conftest import CHART2, CHART4, default_box, frac_point
+from test_linalg import solve
 
 
 def _standard_pi(chart=CHART4):

@@ -21,7 +21,6 @@ from diracavg.linalg import (
     pivot_columns,
     rank,
     rref,
-    solve,
 )
 from diracavg import linalg
 from diracavg.rings import Poly, QPi, RationalFn, qpi
@@ -41,6 +40,23 @@ def _apply(a, v):
 
 def _rand_mat(rng, n, span=3):
     return _mat([[rand_fraction(rng, span) for _ in range(n)] for _ in range(n)])
+
+
+def solve(a, b):
+    """One solution of A x = b through ``rref``, or None if inconsistent.
+
+    A may be rectangular; free variables are set to zero.  ``test_dirac``
+    uses it too.
+    """
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    pivots = rref(aug)
+    if pivots and pivots[-1][1] == ncols:
+        return None
+    x = [linalg._field_of(aug).zero] * ncols
+    for row_i, col_i in pivots:
+        x[col_i] = aug[row_i][ncols]
+    return x
 
 
 def test_det_known_values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from diracavg.rings import (
     RationalFn,
     TrigPoly,
     parse_fraction,
+    poly_divmod_exact,
     qpi,
 )
 
@@ -458,3 +460,207 @@ def test_value_at_reports_an_unbound_numerator_before_a_vanishing_denominator():
     # @pi in the numerator keeps the old order too
     with pytest.raises(ZeroDivisionError):
         RationalFn(Poly.var(PI) * x, vanishing).value_at(at)
+
+
+# -- coefficient types and the in-place exact division ------------------------
+
+def _normal(c) -> bool:
+    # an int where integral, a Fraction otherwise, never a float
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _assert_normal(*objs):
+    for x in objs:
+        if isinstance(x, RationalFn):
+            _assert_normal(x.num, x.den)
+        else:
+            assert all(_normal(c) for c in x.terms.values()), x
+
+
+coeffs_st = st.one_of(st.integers(-6, 6), fractions_st)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(polys(), polys(), polys(), coeffs_st)
+def test_coefficients_are_ints_where_integral(a, b, d, c):
+    x = Poly.var("x")
+    _assert_normal(a, b, Poly.const(c), Poly.var("x"), Poly.const(1), Poly.zero())
+    _assert_normal(a + b, a - b, a * b, -a, a ** 0, a ** 3, a.scale(c), a.scale(Fraction(4, 2)))
+    _assert_normal(a.diff("x"), (a * x * x).diff("x"), a.eval_frac(POINT), a.eval_frac({"x": Fraction(2)}))
+    if not b.is_zero():
+        _assert_normal(poly_divmod_exact(a * b, b))
+        q = poly_divmod_exact(a, b)
+        if q is not None:
+            _assert_normal(q)
+    d = d * d + Poly.const(Fraction(1, 2))
+    fns = [RationalFn(a, d), RationalFn.from_poly(b), RationalFn.const(c), RationalFn(a * d, d)]
+    if c:
+        fns.append(RationalFn(a, Poly.const(c)))
+    if not b.is_zero():
+        fns.append(RationalFn(d, b))
+    for f in fns:
+        _assert_normal(f, f.scale(c), f.diff("x"), f.simplified(), -f)
+        for g in fns:
+            _assert_normal(f + g, f - g, f * g)
+            if not g.is_zero():
+                _assert_normal(f / g, g.inverse())
+
+
+def test_constant_values_are_exact_and_floats_are_refused():
+    assert RationalFn(Poly.const(1), Poly.const(2)).const_value() == Fraction(1, 2)
+    assert type(RationalFn(Poly.const(1), Poly.const(2)).const_value()) is Fraction
+    assert type(RationalFn(Poly.const(4), Poly.const(2)).const_value()) is Fraction
+    assert RationalFn(Poly.const(3), Poly.const(6)).num.terms == {(): Fraction(1, 2)}
+    assert type(Poly.const(Fraction(6, 3)).const_value()) is int
+    x = Poly.var("x")
+    q = poly_divmod_exact(x.scale(3), Poly.const(2))
+    assert q == x.scale(Fraction(3, 2)) and _normal(q.terms[(1,)])
+    with pytest.raises(TypeError):
+        Poly.const(1.0)
+    with pytest.raises(TypeError):
+        x.scale(0.5)
+
+
+def _polys_in(obj, seen):
+    """Every Poly reachable from obj through containers, attributes and slots."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Poly):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif type(obj).__module__.startswith("diracavg."):
+        slots = [s for k in type(obj).__mro__ for s in getattr(k, "__slots__", ())]
+        items = [getattr(obj, s) for s in slots if hasattr(obj, s)]
+        items += list(getattr(obj, "__dict__", {}).values())
+    else:
+        return
+    for x in items:
+        yield from _polys_in(x, seen)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6), st.integers(0, 3)), min_size=1, max_size=4))
+def test_parsed_coefficients_are_ints_where_integral(monos):
+    from diracavg.modelspec import parse_spec_dict
+
+    # the monomial y keeps the component nonzero
+    lit = [[f"{n}/{m}", {"x": e} if e else {}] for n, m, e in monos] + [["1", {"y": 1}]]
+    doc = {
+        "coordinates": ["x", "y"],
+        "tensors": {"pi": {"kind": "multivector", "degree": 2, "components": {"0,1": lit}}},
+    }
+    polys = list(_polys_in(parse_spec_dict(doc), set()))
+    assert polys
+    _assert_normal(*polys)
+
+
+def test_bundled_models_hold_normal_coefficients():
+    from diracavg.fixtures import FIXTURES, fixture_path
+    from diracavg.modelspec import parse_spec
+
+    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
+    for path in [fixture_path(name) for name in FIXTURES] + [torus]:
+        polys = list(_polys_in(parse_spec(str(path)), set()))
+        assert polys, path
+        _assert_normal(*polys)
+
+
+def _divmod_reference(num: Poly, den: Poly):
+    """poly_divmod_exact as it was before the in-place remainder: a new
+    product and a new remainder per quotient term (its quotient goes
+    through Fraction, as it did when every coefficient was one)."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero():
+        return Poly.zero()
+    vs = Poly._merge_vars(num, den)
+    a, b = num.aligned_to(vs), den.aligned_to(vs)
+
+    def key(e):
+        return (sum(e), e)
+
+    lead_b = max(b.terms, key=key)
+    cb = b.terms[lead_b]
+    q = {}
+    r = a
+    steps = 0
+    limit = 4 * (len(a.terms) + 1) * (len(b.terms) + 1) + 64
+    while not r.is_zero():
+        steps += 1
+        if steps > limit:
+            return None
+        lead_r = max(r.terms, key=key)
+        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(d < 0 for d in diff):
+            return None
+        coeff = Fraction(r.terms[lead_r]) / cb
+        s = q.get(diff)
+        q[diff] = coeff if s is None else s + coeff
+        r = r - Poly(vs, {diff: coeff}) * b
+    return Poly(vs, {e: c for e, c in q.items() if c != 0})
+
+
+def _same_division(num: Poly, den: Poly):
+    before = (dict(num.terms), dict(den.terms))
+    got, ref = poly_divmod_exact(num, den), _divmod_reference(num, den)
+    assert (dict(num.terms), dict(den.terms)) == before
+    if ref is None:
+        assert got is None
+        return None
+    # the same quotient terms in the same order
+    assert got.vars == ref.vars
+    assert list(got.terms.items()) == list(ref.terms.items())
+    return got
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(max_terms=5), polys(max_terms=4), polys(max_terms=2))
+def test_in_place_division_matches_the_reference(a, b, c):
+    z = Poly.var("z")
+    if b.is_zero():
+        return
+    for divisor in (b, b * z + Poly.const(3), b.scale(Fraction(2, 3))):
+        assert _same_division(a * divisor, divisor) == a
+        # pairs that do not divide, or do only by chance
+        _same_division(a * divisor + c + z, divisor)
+        _same_division(a + z * z, divisor)
+        _same_division(a, divisor * z)
+
+
+def test_in_place_division_keeps_the_step_limit():
+    x, one = Poly.var("x"), Poly.const(1)
+    # x^n - 1 = (x - 1)(x^(n-1) + ... + 1) takes n steps against a limit of 100
+    assert _same_division(x ** 100 - one, x - one) is not None
+    assert _same_division(x ** 101 - one, x - one) is None
+    # a remainder that never clears stops at the limit, not at a negative exponent
+    assert _same_division(x ** 120, x - one) is None
+    assert _same_division(x ** 3, x - one) is None
+
+
+def test_torus_gauge_determinant_matches_the_reference_division(monkeypatch):
+    from diracavg import cli, linalg
+
+    seen = []
+    bareiss = linalg.bareiss_det
+
+    def record(rows):
+        seen.append(rows)
+        return bareiss(rows)
+
+    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
+    monkeypatch.setattr(linalg, "bareiss_det", record)
+    assert cli.main(["gauge", "--spec", str(torus), "--samples", "3"]) == 0
+    monkeypatch.undo()
+    # the gauge matrix is the largest matrix; the rest are its cofactor minors
+    n = max(map(len, seen))
+    gauge = [rows for rows in seen if len(rows) == n]
+    assert gauge and n >= 4
+    got = [linalg.bareiss_det(rows) for rows in gauge]
+    monkeypatch.setattr(linalg, "poly_divmod_exact", _divmod_reference)
+    assert got == [linalg.bareiss_det(rows) for rows in gauge]
+    assert all(not d.is_zero() for d in got)
