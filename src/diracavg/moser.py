@@ -260,6 +260,19 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
+def _has_cycle(edges: Sequence[Sequence[bool]]) -> bool:
+    """Whether the graph with an edge i -> j wherever edges[i][j] has a
+    cycle; an edge i -> i is one."""
+    left = set(range(len(edges)))
+    while left:
+        # a node with no edge into the nodes left lies on no cycle among them
+        ends = {i for i in left if not any(edges[i][j] for j in left)}
+        if not ends:
+            return True
+        left -= ends
+    return False
+
+
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
     """Index lists as the columns of an array, padded to the longest."""
     out = np.full((max(map(len, lists), default=0), len(lists)), pad, dtype=np.int64)
@@ -274,7 +287,14 @@ class NumericEvaluator:
     Construction cross-checks the compiled route against exact evaluation at
     the supplied rational probe points (relative 1e-12); a disagreement is a
     compiler bug and raises.  ``guard`` rejects interpolation matrices whose
-    determinant magnitude falls below the threshold.
+    determinant magnitude falls below the threshold.  Construction also
+    decides whether the guard can trip at all: entry (i, j) of
+    dTheta# Pi# can be nonzero only where some k has dTheta#[i][k] and
+    Pi#[k][j] exactly nonzero, and where that pattern has no cycle (a
+    nonzero diagonal entry is one) the product is nilpotent, so
+    det(Id + t dTheta# Pi#) is 1 at every point and t.  With a guard below
+    1 such a model is evaluated without the determinant; any other model
+    is checked at every evaluation.
     """
 
     def __init__(
@@ -317,6 +337,15 @@ class NumericEvaluator:
             for i in range(j)
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
+        # an exact zero entry is never compiled and reads as 0.0, so the
+        # float product keeps the exact product's pattern too
+        live_sb = [[not fn.is_zero() for fn in row] for row in sb]
+        live_sp = [[not fn.is_zero() for fn in row] for row in sp]
+        pattern = [
+            [any(live_sb[i][k] and live_sp[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        self._guard_can_trip = guard >= 1 or _has_cycle(pattern)
         self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
         self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
@@ -374,11 +403,12 @@ class NumericEvaluator:
         """
         sp, sb, _th, fails = self._matrices(vecs)
         m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
-        small = np.abs(np.linalg.det(m)) < self.guard
-        for k, row in zip(*np.nonzero(small)):
-            fails.setdefault(
-                int(row), (4, GuardError(f"interpolation matrix near singular at t={ts[k]}"))
-            )
+        if self._guard_can_trip:
+            small = np.abs(np.linalg.det(m)) < self.guard
+            for k, row in zip(*np.nonzero(small)):
+                fails.setdefault(
+                    int(row), (4, GuardError(f"interpolation matrix near singular at t={ts[k]}"))
+                )
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
         out = np.zeros(m.shape)
@@ -537,11 +567,12 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     m = sb @ sp
     m *= t
     m += ev._eye
-    # det and solve each factor m.  numpy's det is the sign times exp of
-    # the summed log |u_ii| of its own LU, and solve does not hand out its
-    # factors, so no numpy-only merge of the two keeps the bits of either.
-    small = np.abs(np.linalg.det(m)) < ev.guard
-    if small.any():
+    # where the guard can trip, det and solve each factor m.  numpy's det
+    # is the sign times exp of the summed log |u_ii| of its own LU, and
+    # solve does not hand out its factors, so no numpy-only merge of the
+    # two keeps the bits of either.  Elsewhere det(m) is exactly 1.
+    if ev._guard_can_trip:
+        small = np.abs(np.linalg.det(m)) < ev.guard
         for row in np.flatnonzero(small):
             fails.setdefault(
                 int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))

@@ -11,7 +11,8 @@ Representation choices:
   different variable sets aligns them to the union first.
 * ``RationalFn`` is a numerator/denominator pair of ``Poly``.  No gcd
   normalization is performed; equality is decided by cross-multiplication
-  (``a*d == c*b``).  A cheap ``simplify`` pass (content, monomial factors,
+  (``a*d == c*b``), and the hash by the ratio of the leading terms in lex
+  order, which a common factor does not change.  A cheap ``simplify`` pass (content, monomial factors,
   exact trial division) keeps sizes reasonable.
 * ``QPi`` is an element of Q(@pi), the value at a rational point of an entry
   that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
@@ -520,8 +521,20 @@ class RationalFn:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self) -> int:
-        s = self.simplified()
-        return hash((s.num, s.den))
+        # leading terms in lex order (the order of the exponent tuples, as
+        # the variables are sorted) multiply, so the ratio of num's to den's
+        # is one value for every num/den that == calls equal; a constant c
+        # hashes as hash(c)
+        num, den = self.num, self.den
+        if num.is_zero():
+            return 0
+        en, ed = max(num.terms), max(den.terms)
+        shift = dict(zip(num.vars, en))
+        for v, k in zip(den.vars, ed):
+            shift[v] = shift.get(v, 0) - k
+        moved = frozenset((v, k) for v, k in shift.items() if k)
+        ratio = Fraction(num.terms[en]) / den.terms[ed]
+        return hash((ratio, moved)) if moved else hash(ratio)
 
     # -- calculus ---------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHART4, rand_poly
+from conftest import CHART4, default_box, rand_poly, rand_rational
 from diracavg import linalg
 from diracavg.averaging import average_coupling, check_compatibility
 from diracavg.config import PI
@@ -215,6 +216,115 @@ def test_degenerate_interpolation_trips_the_guard():
     # away from the collapse the field is finite
     z, fails = z_batch(ev, 0.5, [{"x": 0.1, "y": 0.2}])
     assert not fails and np.isfinite(z).all()
+
+
+def test_the_guard_models_keep_the_determinant():
+    # both guard models above: Pi = c dx^dy against d(x dy) = dx^dy, so
+    # dTheta# Pi# is diagonal and its pattern has a cycle
+    chart = Chart(("x", "y"))
+    theta = one_form(chart, {1: RationalFn.var("x")})
+    box = {"x": (Fraction(-1), Fraction(1)), "y": (Fraction(-1), Fraction(1))}
+    coeffs = [RationalFn.const(1), RationalFn(Poly.const(Fraction(1, 100000)), Poly.var("x"))]
+    for coeff in coeffs:
+        pi = MultivectorField(chart, 2, {(0, 1): coeff})
+        assert NumericEvaluator(pi, theta, box)._guard_can_trip
+
+
+def test_a_guard_of_one_or_more_keeps_the_determinant():
+    # Pi = dx^dy against d(x dz) = dx^dz: dTheta# Pi# is nilpotent, so the
+    # determinant is 1 and only a guard above it can trip
+    chart = Chart(("x", "y", "z"))
+    pi = MultivectorField(chart, 2, {(0, 1): RationalFn.const(1)})
+    theta = one_form(chart, {2: RationalFn.var("x")})
+    box = {c: (Fraction(-1), Fraction(1)) for c in chart.coords}
+    point = {"x": 0.1, "y": 0.2, "z": -0.3}
+    assert not NumericEvaluator(pi, theta, box)._guard_can_trip
+    assert NumericEvaluator(pi, theta, box, guard=1.0)._guard_can_trip
+    ev = NumericEvaluator(pi, theta, box, guard=2.0)
+    assert ev._guard_can_trip
+    _z, fails = z_batch(ev, 0.5, [point])
+    assert (fails[0][0], type(fails[0][1])) == (4, GuardError)
+    _mats, fails = ev.interp_matrices([0.5], _vec(ev, point))
+    assert type(fails[0]) is GuardError
+
+
+def _random_model(rng):
+    # sparse components in one or two coordinates each, so that both
+    # patterns, with and without a cycle, turn up
+    n = rng.randint(2, 4)
+    chart = Chart(tuple(f"q{i}" for i in range(n)))
+
+    def entry():
+        return rand_rational(rng, rng.sample(chart.coords, rng.randint(1, 2)))
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pi = MultivectorField(chart, 2, {ij: entry() for ij in pairs if rng.random() < 0.4})
+    theta = one_form(chart, {i: entry() for i in range(n) if rng.random() < 0.5})
+    return NumericEvaluator(pi, theta, default_box(chart))
+
+
+def test_a_guard_that_cannot_trip_has_determinant_one():
+    rng = random.Random(98)
+    # models whose guard can trip, and those where it cannot although
+    # dTheta# Pi# is not zero
+    seen = {"can trip": 0, "nilpotent": 0}
+    for _ in range(60):
+        ev = _random_model(rng)
+        if ev._guard_can_trip:
+            seen["can trip"] += 1
+            continue
+        n = ev.chart.dim
+        sp = sharp_matrix(ev.pi_exact)
+        sb = flat_matrix(ev.dtheta_exact)
+        seen["nilpotent"] += any(not x.is_zero() for row in linalg.mat_mul(sb, sp) for x in row)
+        for t in (Fraction(1), Fraction(-2, 3), Fraction(7, 5)):
+            tm = [[x * RationalFn.const(t) for x in row] for row in sb]
+            m = linalg.mat_add(linalg.identity(n), linalg.mat_mul(tm, sp))
+            assert linalg.det(m) == 1
+    assert min(seen.values()) >= 8, seen
+
+
+@pytest.mark.parametrize(
+    "name, can_trip",
+    [
+        ("flat", False),
+        ("rotating_lift", True),
+        ("transversal_leaf", False),
+        ("obstructed_lift", False),
+        ("shifted_lift", False),
+    ],
+)
+def test_skipping_the_determinant_keeps_every_bit(name, can_trip):
+    spec, res, pi, box, ev = _setup(name)
+    assert ev._guard_can_trip is can_trip
+    checked = copy.copy(ev)
+    checked._guard_can_trip = True
+    coords = ev.chart.coords
+    inside = np.array([[float(p[c]) for c in coords] for p in sample_box(ev.chart, box, 8, 99)])
+    # two starts outside the box, so that some rows abort
+    vecs = np.concatenate([inside, 3.0 * inside[:2]])
+
+    def same_fails(a, b):
+        # row -> error, or row -> (rank, error) or (stage, rank, error)
+        def key(v):
+            return tuple(v[:-1]) + (type(v[-1]), str(v[-1])) if isinstance(v, tuple) else (
+                type(v), str(v))
+
+        return {r: key(v) for r, v in a.items()} == {r: key(v) for r, v in b.items()}
+
+    aborts, checked_aborts = {}, {}
+    ends = flow_batch(ev, vecs, 100, aborts)
+    assert _same_bits(ends, flow_batch(checked, vecs, 100, checked_aborts))
+    assert 0 < len(aborts) < len(vecs) and same_fails(aborts, checked_aborts)
+    ts = [0.0, 0.37, 1.0]
+    mats, fails = ev.interp_matrices(ts, vecs)
+    checked_mats, checked_fails = checked.interp_matrices(ts, vecs)
+    assert _same_bits(mats, checked_mats) and same_fails(fails, checked_fails)
+    points = [dict(zip(coords, v)) for v in vecs]
+    for t in ts:
+        z, fails = z_batch(ev, t, points)
+        checked_z, checked_fails = z_batch(checked, t, points)
+        assert _same_bits(z, checked_z) and same_fails(fails, checked_fails)
 
 
 def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():

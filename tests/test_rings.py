@@ -390,6 +390,43 @@ def test_float_constants_still_raise_type_error():
         Poly.const(0.0)
 
 
+@st.composite
+def pi_polys(draw, max_terms=3, max_exp=2):
+    """Polynomials in x, y and @pi."""
+    terms = draw(
+        st.lists(
+            st.tuples(fractions_st, *[st.integers(0, max_exp)] * 3),
+            max_size=max_terms,
+        )
+    )
+    p = Poly.zero()
+    for c, ex, ey, ep in terms:
+        p = p + (Poly.var("x") ** ex * Poly.var("y") ** ey * Poly.var(PI) ** ep).scale(c)
+    return p
+
+
+_nonzero_pi_polys = pi_polys().filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pi_polys(), _nonzero_pi_polys, _nonzero_pi_polys)
+def test_equal_rational_functions_hash_alike(a, b, c):
+    f, g = RationalFn(a * c, b * c), RationalFn(a, b)
+    assert f == g and hash(f) == hash(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fractions_st, pi_polys())
+def test_constant_rational_functions_hash_as_their_number(c, p):
+    values = [c, Fraction(c.numerator), c.numerator]
+    for v in values:
+        fns = [RationalFn.const(v)]
+        if not p.is_zero():
+            fns.append(RationalFn(p.scale(v), p))
+        for f in fns:
+            assert f == v and hash(f) == hash(v)
+
+
 def _cross_equal(f: RationalFn, g: RationalFn) -> bool:
     return f.num * g.den == g.num * f.den
 
