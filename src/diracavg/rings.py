@@ -12,8 +12,8 @@ Representation choices:
 * ``RationalFn`` is a numerator/denominator pair of ``Poly``.  No gcd
   normalization is performed; equality is decided by cross-multiplication
   (``a*d == c*b``), and the hash by the ratio of the leading terms in lex
-  order, which a common factor does not change.  A cheap ``simplify`` pass (content, monomial factors,
-  exact trial division) keeps sizes reasonable.
+  order, which a common factor does not change.  A cheap ``simplify`` pass
+  (content, monomial factors, exact trial division) keeps sizes reasonable.
 * ``QPi`` is an element of Q(@pi), the value at a rational point of an entry
   that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
   in lowest terms (Euclid's gcd, Geddes, Czapor and Labahn, *Algorithms for
