@@ -31,7 +31,7 @@ from .tensors import (
 
 
 class GuardError(ArithmeticError):
-    """The interpolation matrix came too close to singular."""
+    """The interpolation matrix came too close to singular, or overflowed."""
 
 
 class BoxExit(RuntimeError):
@@ -260,17 +260,21 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-def _has_cycle(edges: Sequence[Sequence[bool]]) -> bool:
-    """Whether the graph with an edge i -> j wherever edges[i][j] has a
-    cycle; an edge i -> i is one."""
+def _nilpotency_index(edges: Sequence[Sequence[bool]]) -> Optional[int]:
+    """1 + the longest path of the graph with an edge i -> j wherever
+    edges[i][j], or None where it has a cycle (an edge i -> i is one): a
+    matrix whose nonzero entries lie on the edges has this power zero."""
     left = set(range(len(edges)))
+    rounds = 0
     while left:
-        # a node with no edge into the nodes left lies on no cycle among them
+        # a node with no edge into the nodes left lies on no cycle among
+        # them, and the paths from it are shorter than this many rounds
         ends = {i for i in left if not any(edges[i][j] for j in left)}
         if not ends:
-            return True
+            return None
         left -= ends
-    return False
+        rounds += 1
+    return rounds
 
 
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
@@ -287,14 +291,15 @@ class NumericEvaluator:
     Construction cross-checks the compiled route against exact evaluation at
     the supplied rational probe points (relative 1e-12); a disagreement is a
     compiler bug and raises.  ``guard`` rejects interpolation matrices whose
-    determinant magnitude falls below the threshold.  Construction also
-    decides whether the guard can trip at all: entry (i, j) of
-    dTheta# Pi# can be nonzero only where some k has dTheta#[i][k] and
-    Pi#[k][j] exactly nonzero, and where that pattern has no cycle (a
-    nonzero diagonal entry is one) the product is nilpotent, so
-    det(Id + t dTheta# Pi#) is 1 at every point and t.  With a guard below
-    1 such a model is evaluated without the determinant; any other model
-    is checked at every evaluation.
+    determinant magnitude falls below the threshold, or is not finite.
+    Construction also reads the exact zero pattern of S = dTheta# Pi#:
+    entry (i, j) can be nonzero only where some k has dTheta#[i][k] and
+    Pi#[k][j] exactly nonzero.  Where that pattern has no cycle (a nonzero
+    diagonal entry is one), S^K = 0 for K = 1 + its longest path, so
+    det(Id + t S) is 1 at every point and t, and (Id + t S)^{-1} is the
+    finite series sum_{k<K} (-t S)^k.  Z_t then needs no matrix solve, and
+    with a guard below 1 no determinant; a model with a cycle is solved
+    and checked at every evaluation.
     """
 
     def __init__(
@@ -345,7 +350,8 @@ class NumericEvaluator:
             [any(live_sb[i][k] and live_sp[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
-        self._guard_can_trip = guard >= 1 or _has_cycle(pattern)
+        self._nilpotency = _nilpotency_index(pattern)
+        self._guard_can_trip = guard >= 1 or self._nilpotency is None
         self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
         self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
@@ -386,6 +392,15 @@ class NumericEvaluator:
         sb = vals[:, nn : 2 * nn].reshape(b, n, n)
         return sp, sb, vals[:, 2 * nn :], fails
 
+    def _check_guard(self, ts: Sequence[float], m: np.ndarray, fails: Failures) -> None:
+        """Fail each row of m, (len(ts), B, n, n), at the first t where its
+        determinant is below the guard in magnitude or is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.abs(np.linalg.det(m))
+        for k, row in zip(*np.nonzero(~(det < np.inf) | (det < self.guard))):
+            why = "near singular" if det[k, row] < self.guard else "not finite"
+            fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={ts[k]}")))
+
     def pi_matrices(self, vecs: np.ndarray) -> Tuple[np.ndarray, Dict[int, Exception]]:
         """Pi# at a batch of points: (B, n, n), and row -> error
         where a denominator of Pi# vanished."""
@@ -402,13 +417,11 @@ class NumericEvaluator:
         where the matrix to invert trips the guard at some t (the first).
         """
         sp, sb, _th, fails = self._matrices(vecs)
-        m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
+        # a row that overflows here fails the guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
         if self._guard_can_trip:
-            small = np.abs(np.linalg.det(m)) < self.guard
-            for k, row in zip(*np.nonzero(small)):
-                fails.setdefault(
-                    int(row), (4, GuardError(f"interpolation matrix near singular at t={ts[k]}"))
-                )
+            self._check_guard(ts, m, fails)
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
         out = np.zeros(m.shape)
@@ -564,26 +577,32 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     failures: a vanishing denominator, or else the guard.
     """
     sp, sb, th, fails = ev._matrices(vecs)
-    m = sb @ sp
-    m *= t
-    m += ev._eye
-    # where the guard can trip, det and solve each factor m.  numpy's det
-    # is the sign times exp of the summed log |u_ii| of its own LU, and
-    # solve does not hand out its factors, so no numpy-only merge of the
-    # two keeps the bits of either.  Elsewhere det(m) is exactly 1.
+    th = th[:, :, np.newaxis]
+    # where the guard can trip, det and (on a model with a cycle) solve each
+    # factor m.  numpy's det is the sign times exp of the summed log |u_ii|
+    # of its own LU, and solve does not hand out its factors, so no
+    # numpy-only merge of the two keeps the bits of either.
     if ev._guard_can_trip:
-        small = np.abs(np.linalg.det(m)) < ev.guard
-        for row in np.flatnonzero(small):
-            fails.setdefault(
-                int(row), (4, GuardError(f"interpolation matrix near singular at t={t}"))
-            )
-    if not fails:
-        return -(sp @ np.linalg.solve(m, th[:, :, np.newaxis]))[:, :, 0], fails
-    ok = np.ones(len(vecs), dtype=bool)
-    ok[list(fails)] = False
+        # a row that overflows here fails the guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = sb @ sp
+            m *= t
+            m += ev._eye
+        ev._check_guard([t], m[np.newaxis], fails)
+    ok = slice(None)
+    if fails:
+        ok = np.ones(len(vecs), dtype=bool)
+        ok[list(fails)] = False
+    sp, sb, th = sp[ok], sb[ok], th[ok]
+    if ev._nilpotency is None:
+        y = np.linalg.solve(m[ok], th)
+    else:
+        # (Id + t S)^{-1} Theta as the finite series in S = dTheta# Pi#
+        y = th
+        for _ in range(ev._nilpotency - 1):
+            y = th - t * (sb @ (sp @ y))
     z = np.zeros((len(vecs), ev.chart.dim))
-    sol = np.linalg.solve(m[ok], th[ok, :, np.newaxis])
-    z[ok] = -(sp[ok] @ sol)[:, :, 0]
+    z[ok] = -(sp @ y)[:, :, 0]
     return z, fails
 
 

@@ -327,6 +327,124 @@ def test_skipping_the_determinant_keeps_every_bit(name, can_trip):
         assert _same_bits(z, checked_z) and same_fails(fails, checked_fails)
 
 
+def _exact_power_vanishes(ev, k) -> bool:
+    """Whether (dTheta# Pi#)^k is exactly the zero matrix."""
+    s = linalg.mat_mul(flat_matrix(ev.dtheta_exact), sharp_matrix(ev.pi_exact))
+    power = s
+    for _ in range(k - 1):
+        power = linalg.mat_mul(power, s)
+    return all(x.is_zero() for row in power for x in row)
+
+
+def _assert_z_is_the_solved_field(ev, points):
+    """z_batch against -Pi# (Id + t dTheta# Pi#)^{-1} Theta by solve, on
+    the rows whose denominators do not vanish, to a relative 1e-13."""
+    vecs = np.array([[p[c] for c in ev.chart.coords] for p in points])
+    sp, sb, th, fails = ev._matrices(vecs)
+    ok = [row for row in range(len(points)) if row not in fails]
+    assert ok
+    for t in (1.0, 0.37, -0.8):
+        z, z_fails = z_batch(ev, t, points)
+        assert z_fails.keys() == fails.keys()
+        m = np.eye(ev.chart.dim) + t * (sb @ sp)
+        want = -(sp @ np.linalg.solve(m, th[:, :, np.newaxis]))[:, :, 0]
+        err = np.abs(z[ok] - want[ok]).max(axis=1)
+        assert (err <= 1e-13 * np.maximum(1.0, np.abs(want[ok]).max(axis=1))).all()
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [
+        ("flat", 1),
+        ("rotating_lift", None),
+        ("transversal_leaf", 2),
+        ("obstructed_lift", 2),
+        ("shifted_lift", 2),
+    ],
+)
+def test_the_series_has_as_many_terms_as_the_product_needs(name, k):
+    # (Id + t S)^{-1} = sum_{j<K} (-t S)^j for S = dTheta# Pi#, and on the
+    # fixtures no term is wasted: S^(K-1) is not zero
+    spec, res, pi, box, ev = _setup(name)
+    assert ev._nilpotency == k
+    if k is None:
+        return
+    assert _exact_power_vanishes(ev, k)
+    assert k == 1 or not _exact_power_vanishes(ev, k - 1)
+    points = [{c: float(v) for c, v in p.items()} for p in sample_box(ev.chart, box, 8, 99)]
+    _assert_z_is_the_solved_field(ev, points)
+
+
+def test_the_series_solves_random_nilpotent_models():
+    rng = random.Random(98)
+    seen = {k: 0 for k in (1, 2, 3)}
+    for _ in range(300):
+        ev = _random_model(rng)
+        k = ev._nilpotency
+        if k is None:
+            continue
+        seen[k] += 1
+        assert _exact_power_vanishes(ev, k)
+        if k > 1:
+            box = default_box(ev.chart)
+            points = [{c: float(v) for c, v in p.items()} for p in sample_box(ev.chart, box, 4, 3)]
+            _assert_z_is_the_solved_field(ev, points)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_acyclic_batch_rows_match_rows_flowed_alone_bit_for_bit():
+    spec, res, pi, box, ev = _setup("transversal_leaf")
+    inside = np.array(
+        [[float(p[c]) for c in ev.chart.coords] for p in sample_box(ev.chart, box, 5, 98)]
+    )
+    # wide starts: some begin outside the box, some leave it mid-flow
+    starts = np.concatenate([inside, 1.9 * inside, 5.0 * inside[:1]])
+    aborts = {}
+    ends = flow_batch(ev, starts, 100, aborts)
+    assert 0 < len(aborts) < len(starts)
+    for k, start in enumerate(starts):
+        alone = {}
+        end = flow_batch(ev, start[np.newaxis], 100, alone)
+        assert _same_bits(ends[k], end[0])
+        assert (k in aborts) == (0 in alone)
+        if k in aborts:
+            assert aborts[k][:2] == alone[0][:2]
+
+
+def test_a_non_finite_determinant_trips_the_guard():
+    # at x = 1e-120 Pi#'s entries reach 1e120 and dTheta#'s 1e240, so
+    # Id + t dTheta# Pi# overflows and its determinant reads inf; at
+    # (0, 0.4, 1e-125) it reads -inf for t = 0.5
+    ev = _mirror_model()
+    good = [(0.2, -0.1, 0.4), (-0.5, 0.3, 0.1)]
+    bad = [(1e-120, 0.0, 0.0), (0.0, 0.4, 1e-125)]
+    points = [dict(zip(ev.chart.coords, v)) for v in good[:1] + bad + good[1:]]
+    alone_z, alone_fails = z_batch(ev, 0.5, [points[0], points[3]])
+    assert not alone_fails
+    z, fails = z_batch(ev, 0.5, points)
+    assert {row: (rank, type(exc), str(exc)) for row, (rank, exc) in fails.items()} == {
+        row: (4, GuardError, "interpolation matrix not finite at t=0.5") for row in (1, 2)
+    }
+    assert _same_bits(z[[0, 3]], alone_z) and not z[[1, 2]].any()
+    vecs = np.array([[p[c] for c in ev.chart.coords] for p in points])
+    mats, mat_fails = ev.interp_matrices([0.5], vecs)
+    assert sorted(mat_fails) == [1, 2]
+    assert all(type(exc) is GuardError for exc in mat_fails.values())
+    alone_mats, _ = ev.interp_matrices([0.5], vecs[[0, 3]])
+    assert _same_bits(mats[:, [0, 3]], alone_mats)
+    # the reverse flow starts at t = 1, where the first bad row overflows
+    aborts = {}
+    ends = flow_batch(ev, vecs[:2], 100, aborts)
+    assert aborts[1][:2] == (0, 4) and type(aborts[1][2]) is GuardError
+    alone = {}
+    assert _same_bits(ends[0], flow_batch(ev, vecs[:1], 100, alone)[0])
+    assert (0 in aborts) == (0 in alone)
+    # a NaN determinant trips it too
+    nan_fails = {}
+    ev._check_guard([0.5], np.full((1, 2, 3, 3), np.nan), nan_fails)
+    assert sorted(nan_fails) == [0, 1] and str(nan_fails[0][1]).endswith("not finite at t=0.5")
+
+
 def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():
     chart = Chart(("x", "y"))
     pi = MultivectorField(chart, 2, {(0, 1): RationalFn.const(1)})
@@ -370,6 +488,21 @@ def test_rk4_error_drops_by_sixteen_per_halving():
     assert e2 > 0
     ratio = e1 / e2
     assert 8.0 < ratio < 32.0
+
+
+def test_rk4_error_drops_by_sixteen_per_halving_on_a_nilpotent_model():
+    # the field comes from the finite series, not from solve
+    spec, res, pi, box, ev = _setup("transversal_leaf")
+    assert ev._nilpotency == 2
+    start = dict(zip(ev.chart.coords, (0.1, -0.2, 0.25, 0.15, -0.1)))
+    ends = {}
+    for steps in (3200, 100, 200):
+        ends[steps], abort = _flow_one(ev, start, steps)
+        assert abort is None
+    e1 = float(np.max(np.abs(ends[100] - ends[3200])))
+    e2 = float(np.max(np.abs(ends[200] - ends[3200])))
+    assert e2 > 0
+    assert 8.0 < e1 / e2 < 32.0
 
 
 def _loop_eval(fn: RationalFn, names, vec):
