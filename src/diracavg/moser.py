@@ -394,9 +394,9 @@ class NumericEvaluator:
 
     def _check_guard(self, ts: Sequence[float], m: np.ndarray, fails: Failures) -> None:
         """Fail each row of m, (len(ts), B, n, n), at the first t where its
-        determinant is below the guard in magnitude or is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = np.abs(np.linalg.det(m))
+        determinant is below the guard in magnitude or is not finite.
+        Callers run it where numpy ignores overflow and invalid values."""
+        det = np.abs(np.linalg.det(m))
         for k, row in zip(*np.nonzero(~(det < np.inf) | (det < self.guard))):
             why = "near singular" if det[k, row] < self.guard else "not finite"
             fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={ts[k]}")))
@@ -420,8 +420,8 @@ class NumericEvaluator:
         # a row that overflows here fails the guard
         with np.errstate(over="ignore", invalid="ignore"):
             m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
-        if self._guard_can_trip:
-            self._check_guard(ts, m, fails)
+            if self._guard_can_trip:
+                self._check_guard(ts, m, fails)
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
         out = np.zeros(m.shape)
@@ -588,7 +588,7 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
             m = sb @ sp
             m *= t
             m += ev._eye
-        ev._check_guard([t], m[np.newaxis], fails)
+            ev._check_guard([t], m[np.newaxis], fails)
     ok = slice(None)
     if fails:
         ok = np.ones(len(vecs), dtype=bool)
@@ -601,9 +601,12 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
         y = th
         for _ in range(ev._nilpotency - 1):
             y = th - t * (sb @ (sp @ y))
-    z = np.zeros((len(vecs), ev.chart.dim))
-    z[ok] = -(sp @ y)[:, :, 0]
-    return z, fails
+    z = -(sp @ y)[:, :, 0]
+    if not fails:
+        return z, fails
+    full = np.zeros((len(vecs), ev.chart.dim))
+    full[ok] = z
+    return full, fails
 
 
 def homotopy_residuals(
