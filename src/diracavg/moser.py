@@ -417,8 +417,9 @@ class NumericEvaluator:
         where the matrix to invert trips the guard at some t (the first).
         """
         sp, sb, _th, fails = self._matrices(vecs)
-        # a row that overflows here fails the guard
-        with np.errstate(over="ignore", invalid="ignore"):
+        # where the guard can trip, a row that overflows here fails it
+        quiet = {"over": "ignore", "invalid": "ignore"} if self._guard_can_trip else {}
+        with np.errstate(**quiet):
             m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
             if self._guard_can_trip:
                 self._check_guard(ts, m, fails)
