@@ -5,9 +5,13 @@ results of the model's coupling data, a bivector's coupling data and
 Jacobiator, the determinant and inverse of a gauge matrix.  A
 ``Derivation`` computes each on first use and hands the same result to
 every later reader.  Entries are keyed by the identity of the objects they
-derive from, not by value (``RationalFn`` hashes are not canonical), and
-hold those objects, so no id is reused while the derivation lives.  A
-derivation lives for one request; nothing is shared between requests.
+derive from, not by value.  A value key would let a fact recorded for one
+object, such as the vanishing Jacobiator ``data_to_poisson`` verified for
+its bivector, pass to an equal object another route built, and each lookup
+would compare entries by cross-multiplication (``GeometricData``, a
+mutable dataclass, has no hash at all).  Entries hold those objects, so no
+id is reused while the derivation lives.  A derivation lives for one
+request; nothing is shared between requests.
 
 Sharing never makes a check compare a value with itself: each route of a
 checked identity still computes its own side from its own inputs.
@@ -122,5 +126,5 @@ class Derivation:
 
     def gauge_inverse(self, pi: MultivectorField, b: DifferentialForm) -> linalg.Mat:
         """The inverse of the gauge matrix; raises ArithmeticError where it is singular."""
-        m, det_m = self.gauge_matrix(pi, b)
-        return self.once("gauge_inverse", (pi, b), lambda: linalg.inverse(m, det_m))
+        m = self.gauge_matrix(pi, b)[0]
+        return self.once("gauge_inverse", (pi, b), lambda: linalg.inverse(m))

@@ -8,14 +8,13 @@ Matrices are nested lists over one of:
 * the rational-function field: ``RationalFn`` entries, for symbolic
   matrices such as a kernel basis or an inverse.
 
-Rank and pivot columns over Q are decided over Z by ``pivot_columns``:
-fraction-free Bareiss elimination of the rows cleared to integers.  The
-answers that need reduced values (``kernel_basis`` and the non-polynomial
-branch of ``inverse``), and the pivots over Q(@pi) and the function field,
-come from one Gauss-Jordan kernel, ``rref``.  Over Q and Q(@pi) values are
-canonical, so zero entries skip their multiply; over the function field
-each row operation ends in ``simplified()``.  Determinants and polynomial
-inverses use Bareiss elimination over polynomials and cofactors.  ``Jets``
+Inverses are Gauss-Jordan on ``[a | Id]`` through one kernel, ``rref``,
+which also gives ``kernel_basis`` and the pivots over Q(@pi) and the
+function field.  Over Q and Q(@pi) values are canonical, so zero entries
+skip their multiply; over the function field each elimination step ends
+in ``simplified()``.  Ranks over Q and determinants come from one Bareiss
+(fraction-free) loop, ``_bareiss``: ``pivot_columns`` runs it on the rows
+cleared to integers, ``det`` on the rows cleared to polynomials.  ``Jets``
 gives exact values and coordinate gradients of a family of entries at a
 point.
 """
@@ -25,9 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import not_
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .rings import Poly, QPi, RationalFn, poly_divmod_exact
+from .rings import Poly, QPi, RationalFn
 
 Mat = List[List[RationalFn]]
 # an entry over Q, over Q(@pi) (both at points), or over the function field
@@ -106,41 +105,14 @@ def _all_poly(a: Mat) -> bool:
     return all(x.is_poly() for row in a for x in row)
 
 
-def bareiss_det(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free determinant of a square polynomial matrix."""
-    n = len(rows)
-    if n == 0:
-        return Poly.const(1)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = Poly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = poly_divmod_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("Bareiss division failed")
-                m[i][j] = q
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def det(a: Mat) -> RationalFn:
+    """Determinant by Bareiss elimination of the rows cleared to polynomials."""
     n = len(a)
     if n == 0:
         return RationalFn.const(1)
     if _all_poly(a):
-        return RationalFn.from_poly(bareiss_det([[x.as_poly() for x in row] for row in a]))
+        cols, d = _bareiss([[x.as_poly() for x in row] for row in a])
+        return RationalFn.from_poly(d) if len(cols) == n else RationalFn.zero()
     # Clear denominators row by row, track the correction factor.
     factor = RationalFn.const(1)
     rows: List[List[Poly]] = []
@@ -157,36 +129,16 @@ def det(a: Mat) -> RationalFn:
             v = RationalFn.from_poly(d) * x
             cleared.append(v.simplified().as_poly())
         rows.append(cleared)
-    return (RationalFn.from_poly(bareiss_det(rows)) / factor).simplified()
+    cols, d = _bareiss(rows)
+    if len(cols) < n:
+        return RationalFn.zero()
+    return (RationalFn.from_poly(d) / factor).simplified()
 
 
-def _minor(rows: List[List[Poly]], i: int, j: int) -> List[List[Poly]]:
-    return [
-        [x for c, x in enumerate(row) if c != j]
-        for r, row in enumerate(rows)
-        if r != i
-    ]
-
-
-def inverse(a: Mat, det_a: Optional[RationalFn] = None) -> Mat:
-    """Exact inverse; raises ArithmeticError if the determinant is zero.
-
-    ``det_a``, when given, is ``det(a)`` already computed.
-    """
+def inverse(a: Mat) -> Mat:
+    """Exact inverse by Gauss-Jordan on [a | Id]; raises ArithmeticError if
+    a is singular."""
     n = len(a)
-    d = det(a) if det_a is None else det_a
-    if d.is_zero():
-        raise ArithmeticError("matrix is singular over the function field")
-    if _all_poly(a) and n >= 1:
-        rows = [[x.as_poly() for x in row] for row in a]
-        out: Mat = [[RationalFn.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = bareiss_det(_minor(rows, j, i))
-                if (i + j) % 2:
-                    cof = -cof
-                out[i][j] = (RationalFn.from_poly(cof) / d).simplified()
-        return out
     aug = [list(row) + e for row, e in zip(a, identity(n))]
     if [c for _, c in rref(aug)] != list(range(n)):
         raise ArithmeticError("matrix is singular over the function field")
@@ -227,14 +179,45 @@ def rref(m: List[list]) -> List[Tuple[int, int]]:
     return pivots
 
 
+def _bareiss(rows: List[list]) -> Tuple[List[int], Union[int, Poly]]:
+    """Fraction-free (Bareiss) elimination of integer or polynomial rows,
+    which it consumes.
+
+    Returns the pivot columns and the last pivot times the sign of the row
+    order the pivots were taken in: the determinant of a square matrix of
+    full rank.  Each entry is a minor of the rows, so each division by the
+    previous pivot is exact.
+    """
+    cols: List[int] = []
+    # the rows not yet pivots hold the columns from `start` on
+    start, prev, sign, p = 0, 1, 1, 0
+    for col in range(len(rows[0]) if rows else 0):
+        j = col - start
+        k = next((i for i, row in enumerate(rows) if row[j]), None)
+        if k is None:
+            continue
+        # the pivot row moves up past the k rows above it
+        prow = rows.pop(k)
+        if k & 1:
+            sign = -sign
+        p, ptail = prow[j], prow[j + 1:]
+        # a row with a zero in the pivot column still takes the factor p / prev
+        rows = [[(x * p - row[j] * y) // prev for x, y in zip(row[j + 1:], ptail)] if row[j]
+                else [x * p // prev for x in row[j + 1:]] for row in rows]
+        cols.append(col)
+        if not rows:
+            break
+        start, prev = col + 1, p
+    return cols, p if sign > 0 else -p
+
+
 def pivot_columns(a: Sequence[Sequence[Value]]) -> List[int]:
     """The pivot columns of a's echelon form (its column rank profile); a is
     not mutated.
 
     Over Q the rows, each cleared to integers by the lcm of its denominators,
-    go through Bareiss elimination: every entry is then a minor of the
-    cleared rows, so each division by the previous pivot is exact.  A matrix
-    with a QPi or RationalFn entry is reduced by ``rref`` on a copy.
+    go through ``_bareiss``.  A matrix with a QPi or RationalFn entry is
+    reduced by ``rref`` on a copy.
     """
     rows = []
     for row in a:
@@ -245,24 +228,7 @@ def pivot_columns(a: Sequence[Sequence[Value]]) -> List[int]:
             lcm = math.lcm(*[x.denominator for x in row])
             row = [x.numerator * (lcm // x.denominator) for x in row]
         rows.append(row)
-    cols: List[int] = []
-    # the rows not yet pivots hold the columns from `start` on
-    start, prev = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        j = col - start
-        k = next((i for i, row in enumerate(rows) if row[j]), None)
-        if k is None:
-            continue
-        prow = rows.pop(k)
-        p, ptail = prow[j], prow[j + 1:]
-        # a row with a zero in the pivot column still takes the factor p / prev
-        rows = [[(x * p - row[j] * y) // prev for x, y in zip(row[j + 1:], ptail)] if row[j]
-                else [x * p // prev for x in row[j + 1:]] for row in rows]
-        cols.append(col)
-        if not rows:
-            break
-        start, prev = col + 1, p
-    return cols
+    return _bareiss(rows)[0]
 
 
 def rank(a: Sequence[Sequence[Value]]) -> int:

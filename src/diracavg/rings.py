@@ -177,6 +177,18 @@ class Poly:
                 terms[e] = c.numerator
         return Poly(vs, terms)
 
+    def __floordiv__(self, other: Union["Poly", int]) -> "Poly":
+        """The exact quotient self / other; raises ArithmeticError where
+        ``other`` does not divide self.  A unit divisor returns self."""
+        if not isinstance(other, Poly):
+            other = Poly.const(other)
+        if other is _UNIT:
+            return self
+        q = poly_divmod_exact(self, other)
+        if q is None:
+            raise ArithmeticError("polynomial division is not exact")
+        return q
+
     def scale(self, c: Scalar) -> "Poly":
         c = _coeff(c)
         if c == 0:
@@ -201,6 +213,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_const(self) -> bool:
         return not any(any(e) for e in self.terms)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import linalg
 from .config import LIMITS, CapacityError
 from .rings import Poly, RationalFn
 
@@ -556,17 +557,7 @@ class VectorValued1Form:
         return vector_field(self.chart, {i: v.simplified() for i, v in comps.items()})
 
     def compose(self, other: "VectorValued1Form") -> "VectorValued1Form":
-        n = self.chart.dim
-        out = [[RationalFn.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s = RationalFn.zero()
-                for k in range(n):
-                    a, b = self.matrix[i][k], other.matrix[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        s = s + a * b
-                out[i][j] = s.simplified()
-        return VectorValued1Form(self.chart, out)
+        return VectorValued1Form(self.chart, linalg.mat_mul(self.matrix, other.matrix))
 
     def __add__(self, other: "VectorValued1Form") -> "VectorValued1Form":
         return VectorValued1Form(

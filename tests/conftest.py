@@ -53,6 +53,19 @@ def frac_point(rng: random.Random, names: Sequence[str], span: int = 3) -> Dict[
     return {n: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for n in names}
 
 
+def to_sympy_poly(ring, p: Poly):
+    """p as an element of a sympy ``PolyRing`` whose generators carry p's variable names."""
+    names = [str(g) for g in ring.gens]
+    terms = {}
+    for e, c in p.terms.items():
+        exp = [0] * len(names)
+        for v, k in zip(p.vars, e):
+            exp[names.index(v)] = k
+        c = Fraction(c)
+        terms[tuple(exp)] = ring.domain(c.numerator, c.denominator)
+    return ring.from_dict(terms)
+
+
 def lie_along(circ: CircleAction, t):
     """The Lie derivative of t along the generator of a circle action."""
     if isinstance(t, VectorValued1Form):

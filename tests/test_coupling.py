@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from diracavg.coupling import (
     structure_eq_check,
 )
 from diracavg.dirac import gauge_transform, involutivity_check, same_span_at
-from diracavg.fixtures import load
+from diracavg.fixtures import FIXTURES, load
+from diracavg.modelspec import parse_spec
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import sample_box
 from diracavg.tensors import (
@@ -35,7 +37,7 @@ from diracavg.tensors import (
     vector_field,
 )
 
-from conftest import CHART4, default_box, rand_poly
+from conftest import CHART4, default_box, rand_poly, to_sympy_poly
 
 
 def _flat_gd():
@@ -289,3 +291,27 @@ def test_q_gauge_rejects_vertical_legs():
     q = one_form(CHART4, {2: RationalFn.const(1)})
     with pytest.raises(ValueError):
         q_gauge(gd, q)
+
+
+def test_bundled_models_derive_reduced_bivectors():
+    sympy = pytest.importorskip("sympy")
+    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
+    specs = {name: load(name) for name in FIXTURES}
+    specs["torus"] = parse_spec(str(torus))
+    sizes = {}
+    for name, spec in specs.items():
+        if "pi" in spec.tensors:
+            continue
+        gd, checks = structure_eq_check(spec.geometric_data())
+        if not all(c.passed for c in checks):
+            continue
+        for v in data_to_poisson(gd).pi.comps.values():
+            if v.is_poly():
+                continue
+            sizes.setdefault(name, []).append((len(v.num.terms), len(v.den.terms)))
+            names = sorted(set(v.num.vars) | set(v.den.vars))
+            ring = sympy.ring([sympy.Symbol(n) for n in names], sympy.QQ)[0]
+            num, den = (to_sympy_poly(ring, p) for p in (v.num, v.den))
+            assert num.gcd(den).is_ground
+    # numerator and denominator terms of each non-polynomial entry
+    assert sizes == {"rotating_lift": [(1, 2)] * 2, "torus": [(1, 3)] * 4}

@@ -25,7 +25,7 @@ from diracavg.linalg import (
 from diracavg import linalg
 from diracavg.rings import Poly, QPi, RationalFn, qpi
 
-from conftest import rand_fraction
+from conftest import rand_fraction, to_sympy_poly
 
 
 def _mat(rows):
@@ -215,6 +215,70 @@ def test_rank_solve_and_kernel_agree_with_sympy(sympy, a, data):
     b2 = [data.draw(_Q_ENTRY) for _ in a]
     consistent = ref.row_join(sympy.Matrix(b2)).rank() == ref.rank()
     assert (solve(a, b2) is not None) == consistent
+
+
+_X, _Y = Poly.var("x"), Poly.var("y")
+_POLY_ENTRY = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-3, 3)), max_size=2
+).map(lambda terms: sum((Poly.const(c) * _X ** i * _Y ** j for i, j, c in terms), Poly.zero()))
+_DENOMINATORS = (_X + Poly.const(1), _Y - Poly.const(2), _X * _Y + Poly.const(3))
+
+
+@st.composite
+def _square_fn_matrices(draw):
+    """1-5 square polynomial or rational matrices: random ones, ones whose
+    first nonzero pivot sits in an odd row, permutations, and singular ones."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "odd pivot row", "permutation", "singular"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return [[RationalFn.const(int(j == perm[i])) for j in range(n)] for i in range(n)]
+    rows = [[RationalFn.from_poly(draw(_POLY_ENTRY)) for _ in range(n)] for _ in range(n)]
+    # a rational matrix has up to two entries over a denominator
+    for i, j, den in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(_DENOMINATORS)), max_size=2)):
+        rows[i][j] = RationalFn(rows[i][j].num, den)
+    if kind == "odd pivot row" and n > 1:
+        r = draw(st.sampled_from(range(1, n, 2)))
+        for row in rows[:r]:
+            row[0] = RationalFn.zero()
+        if rows[r][0].is_zero():
+            rows[r][0] = RationalFn.const(1)
+    if kind == "singular":
+        # the last row is f times the first, plus the second where there is
+        # one; a 1x1 matrix is zero
+        f = RationalFn.from_poly(draw(_POLY_ENTRY))
+        rows[-1] = [f * x for x in rows[0]] if n > 1 else [RationalFn.zero()]
+        if n > 2:
+            rows[-1] = [x + y for x, y in zip(rows[-1], rows[1])]
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=_square_fn_matrices())
+def test_det_and_inverse_agree_with_sympy(sympy, a):
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.frac_field(sympy.Symbol("x"), sympy.Symbol("y"))
+    ring = field.field.ring
+
+    def same(x, ref):
+        # num / den == ref.numer / ref.denom, by cross-multiplication
+        num, den = (to_sympy_poly(ring, p) for p in (x.num, x.den))
+        return num * ref.denom == ref.numer * den
+
+    n = len(a)
+    ref = DomainMatrix([[field.field.new(*(to_sympy_poly(ring, p) for p in (x.num, x.den)))
+                         for x in row] for row in a], (n, n), field)
+    ref_det = ref.det()
+    assert same(det(a), ref_det)
+    if not ref_det:
+        with pytest.raises(ArithmeticError, match="singular"):
+            inverse(a)
+        return
+    ref_inv = ref.inv().to_list()
+    got = inverse(a)
+    assert all(same(x, r) for row, ref_row in zip(got, ref_inv) for x, r in zip(row, ref_row))
 
 
 def test_rref_pivots_and_reduced_form():

@@ -680,24 +680,35 @@ def test_in_place_division_keeps_the_step_limit():
 
 
 def test_torus_gauge_determinant_matches_the_reference_division(monkeypatch):
-    from diracavg import cli, linalg
+    from diracavg import cli, linalg, rings
 
     seen = []
-    bareiss = linalg.bareiss_det
+    bareiss = linalg._bareiss
 
     def record(rows):
-        seen.append(rows)
+        # det's rows are polynomials, cleared of denominators; rank's are ints
+        if rows and isinstance(rows[0][0], Poly):
+            seen.append([list(row) for row in rows])
         return bareiss(rows)
 
     torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
-    monkeypatch.setattr(linalg, "bareiss_det", record)
+    monkeypatch.setattr(linalg, "_bareiss", record)
     assert cli.main(["gauge", "--spec", str(torus), "--samples", "3"]) == 0
     monkeypatch.undo()
-    # the gauge matrix is the largest matrix; the rest are its cofactor minors
+    # the gauge matrix is the largest matrix linalg.det sees
     n = max(map(len, seen))
     gauge = [rows for rows in seen if len(rows) == n]
     assert gauge and n >= 4
-    got = [linalg.bareiss_det(rows) for rows in gauge]
-    monkeypatch.setattr(linalg, "poly_divmod_exact", _divmod_reference)
-    assert got == [linalg.bareiss_det(rows) for rows in gauge]
+
+    def dets():
+        out = []
+        for rows in gauge:
+            cols, d = linalg._bareiss([list(row) for row in rows])
+            assert cols == list(range(n))
+            out.append(d)
+        return out
+
+    got = dets()
+    monkeypatch.setattr(rings, "poly_divmod_exact", _divmod_reference)
+    assert got == dets()
     assert all(not d.is_zero() for d in got)
