@@ -52,7 +52,8 @@ np = _NumpyOnFirstUse()
 FloatPoint = Mapping[str, float]
 # why a trajectory stopped: (stage, rank, error), where the rank orders the
 # causes met within one stage: a box exit (0), a vanishing denominator in
-# Pi# (1), dTheta# (2) or Theta (3), then the guard (4)
+# Pi# (1), dTheta# (2) or Theta (3), or in a coefficient of Z_t alone (3),
+# then the guard (4)
 Abort = Tuple[int, int, Exception]
 # rows of a batch where a field could not be evaluated: row -> (rank, error)
 Failures = Dict[int, Tuple[int, Exception]]
@@ -297,9 +298,12 @@ class NumericEvaluator:
     Pi#[k][j] exactly nonzero.  Where that pattern has no cycle (a nonzero
     diagonal entry is one), S^K = 0 for K = 1 + its longest path, so
     det(Id + t S) is 1 at every point and t, and (Id + t S)^{-1} is the
-    finite series sum_{k<K} (-t S)^k.  Z_t then needs no matrix solve, and
-    with a guard below 1 no determinant; a model with a cycle is solved
-    and checked at every evaluation.
+    finite series sum_{k<K} (-t S)^k.  Z_t is then the polynomial in t
+    sum_{k<K} t^k c_k, whose n K coefficients c_k = -(-1)^k Pi# S^k Theta
+    are derived exactly once and compiled, and checked at the probes, like
+    the entries; it needs no matrix solve, and with a guard below 1 no
+    determinant.  A model with a cycle is solved and checked at every
+    evaluation.
     """
 
     def __init__(
@@ -352,6 +356,17 @@ class NumericEvaluator:
         ]
         self._nilpotency = _nilpotency_index(pattern)
         self._guard_can_trip = guard >= 1 or self._nilpotency is None
+        # Z_t = sum_{k<K} t^k c_k with c_k = -(-1)^k Pi# S^k Theta; column
+        # (k, i) holds entry i of c_k
+        self._z_exact: List[Tuple[object, RationalFn]] = []
+        self._z_entries: Optional[_CompiledEntries] = None
+        if self._nilpotency is not None:
+            v = [[fn] for _key, fn in self._exact[2 * n * n :]]
+            for k in range(self._nilpotency):
+                w = linalg.mat_mul(sp, v)
+                self._z_exact += [((k, i), -x if k % 2 == 0 else x) for i, (x,) in enumerate(w)]
+                v = linalg.mat_mul(sb, w)
+            self._z_entries = _CompiledEntries(self.chart, self._z_exact)
         self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
         self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
         if probes:
@@ -361,16 +376,21 @@ class NumericEvaluator:
 
     def _verify_probes(self, probes: Sequence[Mapping[str, Fraction]]) -> None:
         fps = [{k: float(v) for k, v in p.items()} for p in probes]
-        vals, bad = self._entries.eval_stack(np.stack([_point_vec(self.chart, fp) for fp in fps]))
-        for p, fp, row, row_bad in zip(probes, fps, vals, bad):
-            if row_bad.any():
-                raise self._entries.vanished(int(row_bad.argmax()))
-            for got, (_key, sym) in zip(row, self._exact):
-                want = sym.eval_float(fp)
-                if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                    raise AssertionError(
-                        f"compiled evaluator disagrees at {p!r}: {got} vs {want}"
-                    )
+        vecs = np.stack([_point_vec(self.chart, fp) for fp in fps])
+        compiled = [(self._entries, self._exact)]
+        if self._z_entries is not None:
+            compiled.append((self._z_entries, self._z_exact))
+        for entries, exact in compiled:
+            vals, bad = entries.eval_stack(vecs)
+            for p, fp, row, row_bad in zip(probes, fps, vals, bad):
+                if row_bad.any():
+                    raise entries.vanished(int(row_bad.argmax()))
+                for got, (_key, sym) in zip(row, exact):
+                    want = sym.eval_float(fp)
+                    if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                        raise AssertionError(
+                            f"compiled evaluator disagrees at {p!r}: {got} vs {want}"
+                        )
 
     def _matrices(
         self, vecs: np.ndarray
@@ -575,10 +595,24 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     """Z_t at a batch of points: (B, n) -> (B, n).
 
     Rows where Z_t cannot be evaluated read zero and are returned as
-    failures: a vanishing denominator, or else the guard.
+    failures: a vanishing denominator, or else the guard.  On a model
+    without a cycle Z_t comes from its compiled coefficients in t, by
+    Horner's rule; on one with a cycle, from solve.
     """
-    sp, sb, th, fails = ev._matrices(vecs)
-    th = th[:, :, np.newaxis]
+    fails: Failures = {}
+    # Pi#, dTheta# and Theta are read only for their vanishing denominators,
+    # for the guard, or to solve
+    if ev._guard_can_trip or ev._entries.can_vanish:
+        sp, sb, th, fails = ev._matrices(vecs)
+    coeffs = None
+    if ev._z_entries is not None:
+        coeffs, bad = ev._z_entries.eval_stack(vecs)
+        if ev._z_entries.can_vanish:
+            # a coefficient's denominator divides a product of theirs, so it
+            # vanishes where none of theirs does only by rounding
+            for row in np.flatnonzero(bad.any(axis=1)):
+                col = int(bad[row].argmax())
+                fails.setdefault(int(row), (3, ev._z_entries.vanished(col)))
     # where the guard can trip, det and (on a model with a cycle) solve each
     # factor m.  numpy's det is the sign times exp of the summed log |u_ii|
     # of its own LU, and solve does not hand out its factors, so no
@@ -594,15 +628,14 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     if fails:
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
-    sp, sb, th = sp[ok], sb[ok], th[ok]
-    if ev._nilpotency is None:
-        y = np.linalg.solve(m[ok], th)
+    if coeffs is None:
+        z = -(sp[ok] @ np.linalg.solve(m[ok], th[ok][:, :, np.newaxis]))[:, :, 0]
     else:
-        # (Id + t S)^{-1} Theta as the finite series in S = dTheta# Pi#
-        y = th
-        for _ in range(ev._nilpotency - 1):
-            y = th - t * (sb @ (sp @ y))
-    z = -(sp @ y)[:, :, 0]
+        # the compiled coefficients of Z_t, summed by Horner's rule in t
+        c = coeffs[ok].reshape(-1, ev._nilpotency, ev._n)
+        z = c[:, -1]
+        for k in range(ev._nilpotency - 2, -1, -1):
+            z = z * t + c[:, k]
     if not fails:
         return z, fails
     full = np.zeros((len(vecs), ev.chart.dim))

@@ -392,8 +392,72 @@ def test_the_series_solves_random_nilpotent_models():
     assert min(seen.values()) >= 3, seen
 
 
-def test_acyclic_batch_rows_match_rows_flowed_alone_bit_for_bit():
+def _assert_coefficients_sum_to_the_inverted_field(ev, points):
+    """sum_k t^k c_k, the compiled coefficients' exact sources, equals
+    -Pi_t# Theta with Pi_t# by exact inversion, at rational t and points.
+    Returns how many (t, point) pairs were compared."""
+    n = ev.chart.dim
+    theta = [ev.theta_exact.component((i,)) for i in range(n)]
+    coeffs = dict(ev._z_exact)
+    assert sorted(coeffs) == [(k, i) for k in range(ev._nilpotency) for i in range(n)]
+    compared = 0
+    for t in (Fraction(1, 3), Fraction(1)):
+        sharp = sharp_matrix(_pi_t_exact(ev, t))
+        for p in points:
+            try:
+                got = [
+                    sum(t**k * coeffs[(k, j)].value_at(p) for k in range(ev._nilpotency))
+                    for j in range(n)
+                ]
+                want = [
+                    -sum(sharp[j][i].value_at(p) * theta[i].value_at(p) for i in range(n))
+                    for j in range(n)
+                ]
+            except ZeroDivisionError:
+                continue
+            assert got == want
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", ["flat", "transversal_leaf", "obstructed_lift", "shifted_lift"])
+def test_the_compiled_coefficients_sum_to_the_inverted_field(name):
+    spec, res, pi, box, ev = _setup(name)
+    assert _assert_coefficients_sum_to_the_inverted_field(ev, sample_box(ev.chart, box, 3, 90))
+
+
+def test_the_coefficients_of_random_acyclic_models_sum_to_the_inverted_field():
+    rng = random.Random(98)
+    seen = {k: 0 for k in (1, 2, 3)}
+    while min(seen.values()) < 2:
+        ev = _random_model(rng)
+        k = ev._nilpotency
+        if k is None or seen[k] >= 2:
+            continue
+        seen[k] += 1
+        points = sample_box(ev.chart, default_box(ev.chart), 3, 4)
+        assert _assert_coefficients_sum_to_the_inverted_field(ev, points)
+
+
+def test_a_corrupted_coefficient_fails_the_probe_check():
     spec, res, pi, box, ev = _setup("transversal_leaf")
+    probes = sample_box(ev.chart, box, 4, 91)
+    ev._verify_probes(probes)
+    # one entry of the top coefficient compiled off by a relative 1e-9
+    col = max(c for c, (_key, fn) in enumerate(ev._z_exact) if not fn.is_zero())
+    assert ev._z_exact[col][0][0] == ev._nilpotency - 1
+    off = RationalFn.const(Fraction(10**9 + 1, 10**9))
+    corrupted = copy.copy(ev)
+    corrupted._z_entries = _CompiledEntries(
+        ev.chart, [(key, fn * off if c == col else fn) for c, (key, fn) in enumerate(ev._z_exact)]
+    )
+    with pytest.raises(AssertionError, match="compiled evaluator disagrees"):
+        corrupted._verify_probes(probes)
+
+
+@pytest.mark.parametrize("name", ["flat", "transversal_leaf", "obstructed_lift", "shifted_lift"])
+def test_acyclic_batch_rows_match_rows_flowed_alone_bit_for_bit(name):
+    spec, res, pi, box, ev = _setup(name)
     inside = np.array(
         [[float(p[c]) for c in ev.chart.coords] for p in sample_box(ev.chart, box, 5, 98)]
     )
@@ -409,6 +473,63 @@ def test_acyclic_batch_rows_match_rows_flowed_alone_bit_for_bit():
         assert (k in aborts) == (0 in alone)
         if k in aborts:
             assert aborts[k][:2] == alone[0][:2]
+
+
+def _varying_acyclic_model():
+    # Pi = (dw^dx + dy^dz) / (x - y) against Theta = w dw / (z - 1/2) + y dy:
+    # dTheta# Pi#'s pattern has no cycle, Z_t's coefficient in t is not zero,
+    # and each family has a denominator that vanishes in the box
+    chart = Chart(("w", "x", "y", "z"))
+    w, x, y, z = (RationalFn.var(c) for c in chart.coords)
+    pole = RationalFn.const(1) / (x - y)
+    pi = MultivectorField(chart, 2, {(0, 1): pole, (2, 3): pole})
+    theta = one_form(chart, {0: w / (z - RationalFn.const(Fraction(1, 2))), 2: y})
+    box = {c: (Fraction(-1), Fraction(1)) for c in chart.coords}
+    return NumericEvaluator(pi, theta, box)
+
+
+def test_an_acyclic_row_stops_where_a_denominator_vanishes():
+    ev = _varying_acyclic_model()
+    assert ev._nilpotency == 2 and not ev._guard_can_trip and ev._entries.can_vanish
+    assert any(not fn.is_zero() for (k, _i), fn in ev._z_exact if k == 1)
+    # Pi#'s denominator vanishes, then dTheta#'s and Theta's, then all three
+    starts = np.array([
+        (0.2, 0.3, 0.3, 0.1),
+        (0.2, -0.4, 0.1, 0.5),
+        (-0.3, -0.6, -0.6, 0.5),
+        (0.1, -0.3, -0.2, 0.2),
+        (-0.2, 0.4, 0.1, -0.3),
+        (0.05, 0.3, -0.6, -0.1),
+        # Pi#'s denominator is 1e-160, and the square in the coefficient of
+        # t underflows: that coefficient's own denominator vanishes
+        (0.3, 1e-160, 0.0, 0.1),
+    ])
+    aborts = {}
+    ends = flow_batch(ev, starts, 100, aborts)
+    assert {row: aborts[row][:2] for row in (0, 1, 2, 6)} == {
+        0: (0, 1), 1: (0, 2), 2: (0, 1), 6: (0, 3)
+    }
+    assert str(aborts[6][2]) == "denominator vanished for component (1, 1)"
+    assert len(aborts) < len(starts)
+    # the rank and error of the first family, in the order Pi#, dTheta#,
+    # Theta, whose denominator vanished
+    _vals, bad = ev._entries.eval_stack(starts[:3])
+    for row in range(3):
+        col = int(bad[row].argmax())
+        assert aborts[row][1] == 1 + col // 16
+        assert str(aborts[row][2]) == str(ev._entries.vanished(col))
+    for k, start in enumerate(starts):
+        alone = {}
+        end = flow_batch(ev, start[np.newaxis], 100, alone)
+        assert _same_bits(ends[k], end[0])
+        assert (k in aborts) == (0 in alone)
+        if k in aborts:
+            assert aborts[k][:2] == alone[0][:2]
+    # the stopped rows read zero, the others the solved field
+    points = [dict(zip(ev.chart.coords, v)) for v in starts]
+    z, fails = z_batch(ev, 0.5, points)
+    assert sorted(fails) == [0, 1, 2, 6] and not z[[0, 1, 2, 6]].any()
+    _assert_z_is_the_solved_field(ev, points[:6])
 
 
 def test_a_non_finite_determinant_trips_the_guard():

@@ -11,8 +11,16 @@ checkouts compare by diffing their outputs:
     python3 tools/report_digests.py --root ../parent > parent.txt
     diff parent.txt change.txt
 
+``--workload W`` runs one workload only.  ``--dump DIR`` also writes those
+bytes, one directory per request and one file per part, so that two
+checkouts compare value by value:
+
+    python3 tools/report_digests.py --workload flow --dump change
+    python3 tools/report_digests.py --workload flow --root ../parent --dump parent
+    diff -r parent change
+
 Standard library only; it writes only under the checkout's ``.bench_tmp/``,
-which it removes afterwards.
+which it removes afterwards, and under ``--dump``.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ import os
 import pathlib
 import shutil
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 SEEDS = (1, 20261017)
+WORKLOADS = ("construct", "sweep", "flow")
+# the file each part of a request is dumped to, in digest order
+PARTS = ("exit_code", "stdout", "stderr", "report.json", "out.json")
 
 
 def _read(path: str) -> Optional[bytes]:
@@ -38,8 +49,9 @@ def _read(path: str) -> Optional[bytes]:
         return None
 
 
-def request_digest(main, argv: Sequence[str], outputs: Sequence[str]) -> str:
-    """The sha256 of one request's exit code, stdout, stderr and output files."""
+def run_request(main, argv: Sequence[str], outputs: Sequence[str]) -> List[Optional[bytes]]:
+    """One request's exit code, stdout, stderr and output files, as bytes;
+    None for an output file the request did not write."""
     for path in outputs:
         if os.path.exists(path):
             os.remove(path)
@@ -51,12 +63,24 @@ def request_digest(main, argv: Sequence[str], outputs: Sequence[str]) -> str:
             code = exc.code
         except Exception as exc:  # a raised exception is a result to compare
             code = f"raised {type(exc).__name__}: {exc}"
-    digest = hashlib.sha256()
     parts = [str(code).encode(), out.getvalue().encode(), err.getvalue().encode()]
-    for part in parts + [_read(path) for path in outputs]:
-        digest.update(b"-" if part is None else part)
-        digest.update(b"\0")
-    return digest.hexdigest()
+    return parts + [_read(path) for path in outputs]
+
+
+def digest(parts: Sequence[Optional[bytes]]) -> str:
+    out = hashlib.sha256()
+    for part in parts:
+        out.update(b"-" if part is None else part)
+        out.update(b"\0")
+    return out.hexdigest()
+
+
+def dump(folder: pathlib.Path, parts: Sequence[Optional[bytes]]) -> None:
+    """Write each part that exists to its own file under folder."""
+    folder.mkdir(parents=True, exist_ok=True)
+    for name, part in zip(PARTS, parts):
+        if part is not None:
+            (folder / name).write_bytes(part)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -67,8 +91,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=pathlib.Path(__file__).resolve().parent.parent,
         help="the checkout to run (default: the one holding this script)",
     )
+    parser.add_argument("--workload", choices=WORKLOADS, help="run this workload only")
+    parser.add_argument(
+        "--dump", type=pathlib.Path, help="also write each request's bytes under this directory"
+    )
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    dump_dir = args.dump.resolve() if args.dump else None
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     os.chdir(root)
     from diracavg import cli
@@ -76,13 +105,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     os.makedirs(workload.TMP_DIR, exist_ok=True)
     try:
-        for name in ("construct", "sweep", "flow"):
+        for name in [args.workload] if args.workload else WORKLOADS:
             for seed in SEEDS:
-                for req in workload.generate(name, seed):
-                    digest = request_digest(
+                for k, req in enumerate(workload.generate(name, seed)):
+                    parts = run_request(
                         cli.main, req["argv"], (workload.REPORT, workload.AVERAGED)
                     )
-                    print(digest, name, seed, req["command"], req["model"], flush=True)
+                    if dump_dir is not None:
+                        folder = f"{name}-{seed}-{k:02d}-{req['command']}-{req['model']}"
+                        dump(dump_dir / folder, parts)
+                    print(digest(parts), name, seed, req["command"], req["model"], flush=True)
     finally:
         shutil.rmtree(workload.TMP_DIR, ignore_errors=True)
     return 0
