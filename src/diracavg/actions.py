@@ -57,7 +57,7 @@ def _entry_zero() -> TrigEntry:
 
 
 def _entry_to_rational(n: Poly, d: Poly) -> RationalFn:
-    return RationalFn(n, d).simplified()
+    return RationalFn(n, d)
 
 
 class TrigTensor:
@@ -220,7 +220,6 @@ class CircleAction:
         return self._coord_pull[k]
 
     def pullback_rational(self, f: RationalFn) -> TrigEntry:
-        f = f.simplified()
         if not f.den.is_const() and not self.is_invariant_scalar(RationalFn.from_poly(f.den)):
             raise ValueError(
                 "denominator is not invariant under the circle action; "
@@ -369,6 +368,6 @@ def lie_vv1(a: MultivectorField, k: VectorValued1Form) -> VectorValued1Form:
             if jj == j:
                 col = col + cols[l].scale(d)
         for (i,), v in col.comps.items():
-            out[i][j] = v.simplified()
+            out[i][j] = v
     return VectorValued1Form(chart, out)
 

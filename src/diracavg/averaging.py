@@ -106,7 +106,7 @@ def check_compatibility(
     failures: List[CheckResult] = []
     for k, circ in enumerate(circles):
         gen = circ.generator()
-        img = sharp_bivector(bivector, mu_list[k]).simplified()
+        img = sharp_bivector(bivector, mu_list[k])
         if img != gen:
             failures.append(
                 failed(
@@ -169,8 +169,8 @@ def gauge_poisson(
     comps: Dict[Tuple[int, int], RationalFn] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            val = new_sharp[j][i].simplified()
-            mirrored = (-new_sharp[i][j]).simplified()
+            val = new_sharp[j][i]
+            mirrored = -new_sharp[i][j]
             if val != mirrored:
                 raise VerificationError("GT1", "gauge image is not antisymmetric")
             if not val.is_zero():
@@ -223,8 +223,8 @@ def _average_once(
     parts = bigrade_decompose(mu, gd.conn)
     mu10 = parts.get((1, 0), DifferentialForm.zero(gd.conn.chart, 1))
     mu01 = parts.get((0, 1), DifferentialForm.zero(gd.conn.chart, 1))
-    q = (-circ.delta_g(mu10)).simplified()
-    theta = circ.delta_g(mu01).simplified()
+    q = -circ.delta_g(mu10)
+    theta = circ.delta_g(mu01)
     # closed mu makes both exterior derivatives agree
     if exterior_derivative(theta) != exterior_derivative(q):
         raise VerificationError("OB1", "d(Theta) differs from d(Q) for closed mu")
@@ -253,7 +253,7 @@ def _average_once(
     avg_qq = circ.average(qq)
     avg_q = circ.average(q)
     d10_avg_q = d10_horizontal(avg_q, new_gd.conn)
-    indep = (avg_sigma + avg_qq - d10_avg_q).simplified()
+    indep = avg_sigma + avg_qq - d10_avg_q
     if indep != new_gd.sigma:
         raise VerificationError(
             "OB1",
@@ -263,7 +263,7 @@ def _average_once(
     logs.append("2-form average equals gauge formula (dual route)")
 
     # vertical part of the gauge form vanishes for closed mu
-    b = (-exterior_derivative(theta)).simplified()
+    b = -exterior_derivative(theta)
     b02 = bigrade_decompose(b, gd.conn).get((0, 2))
     if b02 is not None and not b02.is_zero():
         raise VerificationError("OB1", "vertical gauge block is nonzero for closed mu")
@@ -303,8 +303,8 @@ def average_coupling(
     theta_total = DifferentialForm.zero(chart, 1)
     for circ, mu in zip(cert.circles, cert.mu):
         cur, q_c, theta_c = _average_once(cur, circ, mu, logs, d)
-        q_total = (q_total + q_c).simplified()
-        theta_total = (theta_total + theta_c).simplified()
+        q_total = q_total + q_c
+        theta_total = theta_total + theta_c
 
     poisson: Optional[CouplingPoisson]
     try:
@@ -327,7 +327,7 @@ def average_coupling(
     if points is not None:
         before = d.dirac(gd)
         after = d.dirac(cur)
-        gauged = gauge_transform(before, (-exterior_derivative(q_total)).simplified())
+        gauged = gauge_transform(before, -exterior_derivative(q_total))
 
         def probe(p: Point) -> bool:
             return same_span_at(after, gauged, p)
@@ -382,7 +382,7 @@ def tr4_check(
     try:
         rhs = linalg.mat_mul(p_block, linalg.inverse(m))
         ok = all(
-            (rhs[i][j] - pbar_block[i][j]).simplified().is_zero()
+            (rhs[i][j] - pbar_block[i][j]).is_zero()
             for i in range(f)
             for j in range(f)
         )
@@ -393,8 +393,8 @@ def tr4_check(
                 failed(
                     "TR4",
                     witness={
-                        "got": [[repr(x.simplified()) for x in row] for row in pbar_block],
-                        "expected": [[repr(x.simplified()) for x in row] for row in rhs],
+                        "got": [[repr(x) for x in row] for row in pbar_block],
+                        "expected": [[repr(x) for x in row] for row in rhs],
                     },
                 )
             )
@@ -414,7 +414,7 @@ def tr4_check(
         lhs = sharp_matrix(pi20_bar)
         rhs2 = linalg.mat_mul(horiz, linalg.mat_mul(sp20, inv))
         ok2 = all(
-            (lhs[i][j] - rhs2[i][j]).simplified().is_zero()
+            (lhs[i][j] - rhs2[i][j]).is_zero()
             for i in range(n)
             for j in range(n)
         )
@@ -425,8 +425,8 @@ def tr4_check(
                 failed(
                     "AL",
                     witness={
-                        "got": [[repr(x.simplified()) for x in row] for row in lhs],
-                        "expected": [[repr(x.simplified()) for x in row] for row in rhs2],
+                        "got": [[repr(x) for x in row] for row in lhs],
+                        "expected": [[repr(x) for x in row] for row in rhs2],
                     },
                 )
             )
@@ -487,7 +487,6 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
         nu = d10_scalar(conn, jf)
         for c in cert.circles:
             nu = c.average(nu)
-        nu = nu.simplified()
         # Casimir property of the lift coefficients
         coeffs: List[RationalFn] = []
         for i in range(fol.b):
@@ -508,7 +507,7 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
                 if not dnu.evaluate(conn.lift(a), conn.lift(b)).is_zero():
                     dz_zero = False
         if fiber_symp:
-            for c in (x.simplified() for x in coeffs):
+            for c in coeffs:
                 if not c.is_poly() or _mentions(c, fiber_names):
                     raise VerificationError(
                         "AD2",
@@ -536,7 +535,6 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
 
 def _mentions(f: RationalFn, names: Sequence[str]) -> bool:
     """Does the simplified function use any of the named variables?"""
-    f = f.simplified()
     for poly in (f.num, f.den):
         for pos, v in enumerate(poly.vars):
             if v in names and any(e[pos] > 0 for e in poly.terms):
@@ -556,7 +554,6 @@ def _radial_potential(
     base_names = [chart.coords[i] for i in fol.base]
     total = Poly.zero()
     for i, c in enumerate(coeffs):
-        c = c.simplified()
         if c.is_zero():
             continue
         if not c.is_poly():
@@ -571,7 +568,7 @@ def _radial_potential(
             total = total + mono.scale(Fraction(1, deg + 1))
     cand = RationalFn.from_poly(total)
     for i, c in enumerate(coeffs):
-        if (cand.diff(base_names[i]) - c).simplified().is_zero():
+        if (cand.diff(base_names[i]) - c).is_zero():
             continue
         return None
     return cand

@@ -210,7 +210,7 @@ def _jacobi_checks(
     """
     checks: List[CheckResult] = []
     if jac is None:
-        jac = schouten_bracket(pi, pi).simplified()
+        jac = schouten_bracket(pi, pi)
     if jac.is_zero():
         checks.append(passed("JAC"))
     else:
@@ -333,7 +333,7 @@ def _cmd_gauge(spec, args, d):
         return checks, {}
     checks.append(passed("GT1", route="exact inverse; antisymmetry and Jacobi hold"))
 
-    gauged = gauge_transform(graph_of_bivector(pi), (-b_form).simplified())
+    gauged = gauge_transform(graph_of_bivector(pi), -b_form)
     bar_frame = graph_of_bivector(pi_bar)
 
     def probe(p: Point) -> bool:

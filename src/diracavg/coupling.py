@@ -172,7 +172,7 @@ def curvature(conn: Connection) -> Curvature:
     for i in range(fol.b):
         for j in range(i + 1, fol.b):
             via_bracket = vv2.evaluate(lifts[i], lifts[j])
-            via_lift = proj.apply(vf_bracket(lifts[i], lifts[j])).simplified()
+            via_lift = proj.apply(vf_bracket(lifts[i], lifts[j]))
             if via_bracket != via_lift:
                 raise VerificationError(
                     "SE3", f"curvature routes disagree on lift pair ({i}, {j})"
@@ -229,7 +229,6 @@ def d10_scalar(conn: Connection, f: RationalFn) -> DifferentialForm:
             dfk = f.diff(conn.chart.coords[k])
             if not dfk.is_zero():
                 v = v + c * dfk
-        v = v.simplified()
         if not v.is_zero():
             comps[fol.base[i]] = v
     return DifferentialForm(conn.chart, 1, {(i,): c for i, c in comps.items()})
@@ -321,7 +320,7 @@ class CouplingPoisson:
     @cached_property
     def pi(self) -> MultivectorField:
         # one object per structure, so a derivation can key on it
-        return (self.pi20 + self.pi02).simplified()
+        return self.pi20 + self.pi02
 
 
 def sigma_on_lifts(gd: GeometricData) -> List[List[RationalFn]]:
@@ -350,14 +349,13 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
         raise ValueError(
             "sigma is singular on the horizontal frame; not a coupling candidate"
         ) from exc
-    w = [[(-x).simplified() for x in row] for row in w]
+    w = [[-x for x in row] for row in w]
     lifts = [conn.lift(i) for i in range(fol.b)]
     pi20 = MultivectorField.zero(conn.chart, 2)
     for i in range(fol.b):
         for j in range(i + 1, fol.b):
             if not w[i][j].is_zero():
                 pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(w[i][j])
-    pi20 = pi20.simplified()
     cp = CouplingPoisson(conn, pi20, gd.p)
     pi = cp.pi
     jac = schouten_bracket(pi, pi)
@@ -408,14 +406,13 @@ def poisson_to_data(
     conn = Connection(fol, gamma)
 
     # sigma from the inverse of the base block: S = -(A^T)^{-1}
-    s = [[(-a_inv[j][i]).simplified() for j in range(b)] for i in range(b)]
+    s = [[-a_inv[j][i] for j in range(b)] for i in range(b)]
     sigma = DifferentialForm.zero(fol.chart, 2)
     for i in range(b):
         for j in range(i + 1, b):
             if not s[i][j].is_zero():
                 basis = DifferentialForm.basis(fol.chart, (fol.base[i], fol.base[j]))
                 sigma = sigma + basis.scale(s[i][j])
-    sigma = sigma.simplified()
 
     lifts = [conn.lift(i) for i in range(b)]
     pi20 = MultivectorField.zero(fol.chart, 2)
@@ -424,7 +421,7 @@ def poisson_to_data(
             wij = a[j][i]  # W = A^T
             if not wij.is_zero():
                 pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(wij)
-    p = (pi - pi20).simplified()
+    p = pi - pi20
     if not is_vertical_multivector(p, conn):
         raise VerificationError("coupling", "mixed-degree remainder; adapted splitting failed")
 
@@ -448,10 +445,10 @@ def data_to_dirac(gd: GeometricData) -> DiracFrame:
     sections: List[DiracSection] = []
     for i in range(fol.b):
         hi = conn.lift(i)
-        sections.append(DiracSection(hi, (-interior_product(hi, gd.sigma)).simplified()))
+        sections.append(DiracSection(hi, -interior_product(hi, gd.sigma)))
     for j in range(fol.f):
         ej = conn.eta(j)
-        sections.append(DiracSection(sharp_bivector(gd.p, ej).simplified(), ej))
+        sections.append(DiracSection(sharp_bivector(gd.p, ej), ej))
     return DiracFrame(sections)
 
 
@@ -488,7 +485,7 @@ def q_gauge(
         xi = sharp_bivector(gd.p, d_scalar(qi[i], chart))
         for (k,), val in xi.comps.items():
             j = fol.fiber.index(k)
-            new_gamma[j][i] = (new_gamma[j][i] + val).simplified()
+            new_gamma[j][i] = new_gamma[j][i] + val
     new_conn = Connection(conn.fol, new_gamma)
 
     dq = exterior_derivative(q)
@@ -499,12 +496,12 @@ def q_gauge(
                 gd.sigma.evaluate(lifts[i], lifts[j])
                 - dq.evaluate(lifts[i], lifts[j])
                 - gd.p_bracket(qi[i], qi[j])
-            ).simplified()
+            )
             if not val.is_zero():
                 basis = DifferentialForm.basis(chart, (fol.base[i], fol.base[j]))
                 new_sigma = new_sigma + basis.scale(val)
 
-    out = GeometricData(new_conn, new_sigma.simplified(), gd.p)
+    out = GeometricData(new_conn, new_sigma, gd.p)
     check = structure_eq_check if derivation is None else derivation.structure
     out, results = check(out)
     if out.integrable != "verified":

@@ -99,7 +99,7 @@ class Derivation:
 
         def make() -> Tuple[GeometricData, MultivectorField]:
             gd = poisson_to_data(pi, fol, jacobiator=self.jacobiator(pi))
-            return gd, (pi - gd.p).simplified()
+            return gd, pi - gd.p
 
         return self.once("data", (pi,), make)
 
@@ -109,7 +109,7 @@ class Derivation:
 
     def gauge_form(self, theta: DifferentialForm) -> DifferentialForm:
         """The closed 2-form d(Theta) that gauges by Theta."""
-        return self.once("gauge_form", (theta,), lambda: exterior_derivative(theta).simplified())
+        return self.once("gauge_form", (theta,), lambda: exterior_derivative(theta))
 
     def gauge_matrix(
         self, pi: MultivectorField, b: DifferentialForm

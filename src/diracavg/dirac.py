@@ -86,7 +86,7 @@ def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
     """The symmetric pairing <(X, a), (Y, b)> = b(X) + a(Y)."""
     if s.chart != t.chart:
         raise ValueError("charts differ")
-    return (t.covector.evaluate(s.vector) + s.covector.evaluate(t.vector)).simplified()
+    return t.covector.evaluate(s.vector) + s.covector.evaluate(t.vector)
 
 
 class DiracFrame:
@@ -201,7 +201,7 @@ def gauge_transform(frame: DiracFrame, b: DifferentialForm) -> DiracFrame:
     out = []
     for s in frame.sections:
         shift = interior_product(s.vector, b)
-        out.append(DiracSection(s.vector, (s.covector - shift).simplified()))
+        out.append(DiracSection(s.vector, s.covector - shift))
     return DiracFrame(out)
 
 
@@ -215,7 +215,7 @@ def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
     cov = lie_derivative(x, b) - lie_derivative(y, a)
     half = (a.evaluate(y) - b.evaluate(x)).scale(Fraction(1, 2))
     cov = cov + d_scalar(half, s.chart)
-    return DiracSection(vec.simplified(), cov.simplified())
+    return DiracSection(vec, cov)
 
 
 def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
@@ -279,7 +279,7 @@ def coupling_test(
         for k, ck in enumerate(c):
             if not ck.is_zero():
                 acc = acc + frame.sections[k].vector.scale(ck)
-        h_fields.append(acc.simplified())
+        h_fields.append(acc)
 
     if len(h_fields) != b:
         return (

@@ -60,7 +60,7 @@ _QPI = _Q._replace(inverse=lambda x: Fraction(1) / x)
 _FN = _Field(
     RationalFn.zero(), RationalFn.const(1), RationalFn.is_zero, RationalFn.inverse,
     lambda row, c: [x * c for x in row],
-    lambda row, f, prow: [(x - f * y).simplified() for x, y in zip(row, prow)],
+    lambda row, f, prow: [x - f * y for x, y in zip(row, prow)],
 )
 
 
@@ -96,7 +96,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                 if a[i][t].is_zero() or b[t][j].is_zero():
                     continue
                 s = s + a[i][t] * b[t][j]
-            row.append(s.simplified())
+            row.append(s)
         out.append(row)
     return out
 
@@ -127,12 +127,12 @@ def det(a: Mat) -> RationalFn:
         cleared = []
         for x in row:
             v = RationalFn.from_poly(d) * x
-            cleared.append(v.simplified().as_poly())
+            cleared.append(v.as_poly())
         rows.append(cleared)
     cols, d = _bareiss(rows)
     if len(cols) < n:
         return RationalFn.zero()
-    return (RationalFn.from_poly(d) / factor).simplified()
+    return RationalFn.from_poly(d) / factor
 
 
 def inverse(a: Mat) -> Mat:
@@ -280,7 +280,6 @@ class Jets:
         # varies, and [N, D, d_k N, d_k D, ...] over those k
         self._polys: List[Tuple[int, List[int], List[Poly]]] = []
         for col, fn in enumerate(entries):
-            fn = fn.simplified()
             if fn.is_zero():
                 continue
             ks, polys = [], [fn.num, fn.den]

@@ -157,7 +157,6 @@ def _poly_literal(p: Poly) -> List[List[object]]:
 
 
 def _ratfn_literal(f: RationalFn) -> object:
-    f = f.simplified()
     if f.is_poly():
         return _poly_literal(f.as_poly())
     return {"num": _poly_literal(f.num), "den": _poly_literal(f.den)}

@@ -176,7 +176,7 @@ class _CompiledEntries:
         names = chart.coords + (PI,)
         mirrors = dict(mirrors or {})
         self.keys: List[object] = [key for key, _fn in entries]
-        fns = [fn.simplified() for _key, fn in entries]
+        fns = [fn for _key, fn in entries]
         for col, src in mirrors.items():
             if src >= col or src in mirrors or not fns[col] == -fns[src]:
                 raise ValueError(
@@ -317,9 +317,9 @@ class NumericEvaluator:
         if pi.degree != 2 or theta.degree != 1 or pi.chart != theta.chart:
             raise ValueError("expects a bivector and a 1-form on one chart")
         self.chart = pi.chart
-        self.pi_exact = pi.simplified()
-        self.theta_exact = theta.simplified()
-        self.dtheta_exact = exterior_derivative(self.theta_exact).simplified()
+        self.pi_exact = pi
+        self.theta_exact = theta
+        self.dtheta_exact = exterior_derivative(self.theta_exact)
         self.box = dict(box)
         self.guard = guard
         n = self.chart.dim

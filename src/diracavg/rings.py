@@ -9,11 +9,10 @@ Representation choices:
   float), so integral arithmetic takes no gcd.  Variables are kept in sorted
   order so structural equality is canonical; arithmetic on polynomials with
   different variable sets aligns them to the union first.
-* ``RationalFn`` is a numerator/denominator pair of ``Poly``.  No gcd
-  normalization is performed; equality is decided by cross-multiplication
-  (``a*d == c*b``), and the hash by the ratio of the leading terms in lex
-  order, which a common factor does not change.  A cheap ``simplify`` pass
-  (content, monomial factors, exact trial division) keeps sizes reasonable.
+* ``RationalFn`` is a numerator/denominator pair of ``Poly`` in lowest
+  terms, reduced on construction by a heuristic gcd over Z[x] (GCDHEU,
+  Char, Geddes and Gonnet, 1989), so that equality compares terms.  A
+  polynomial skips the gcd: its denominator is the shared unit.
 * ``QPi`` is an element of Q(@pi), the value at a rational point of an entry
   that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
   in lowest terms (Euclid's gcd, Geddes, Czapor and Labahn, *Algorithms for
@@ -359,31 +358,124 @@ def _sum_at(terms: Iterable[Tuple[Exponent, Scalar]], xs: Sequence[Tuple[int, in
     return num, den
 
 
-def poly_gcd_content(p: Poly) -> Fraction:
-    """Positive rational content (gcd of numerators / lcm of denominators)."""
-    if p.is_zero():
-        return Fraction(1)
-    num = 0
-    den = 1
+def _primitive(p: Poly) -> Tuple[Dict[Exponent, int], Fraction]:
+    """p as c q: a positive rational c and q over Z with content 1."""
+    g, lcm = 0, 1
     for c in p.terms.values():
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+        g = math.gcd(g, c.numerator)
+        lcm = math.lcm(lcm, c.denominator)
+    return {e: c.numerator * (lcm // c.denominator) // g for e, c in p.terms.items()}, Fraction(g, lcm)
 
 
-def _common_monomial(p: Poly) -> Exponent:
-    if p.is_zero():
-        return ()
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins or ()
+# GCDHEU gives up after this many evaluation points: each failure grows the
+# point, and only finitely many points fail, so the cap stops runaway sizes
+_HEU_TRIES = 12
+
+ZPoly = Dict[Exponent, int]
 
 
-def _shift_down(p: Poly, mono: Exponent) -> Poly:
-    if not any(mono):
-        return p
-    return Poly(p.vars, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})
+def _heugcd(f: ZPoly, g: ZPoly, vs: Tuple[str, ...]) -> Tuple[ZPoly, ZPoly, ZPoly]:
+    """The gcd h of two nonzero polynomials over Z in the variables vs, and
+    the cofactors f / h and g / h.
+
+    GCDHEU (Char, Geddes and Gonnet, 1989, as in sympy's heuristicgcd): the
+    last variable is set to an integer x, the gcd of the images is found
+    one variable down, and a candidate is read back from the symmetric
+    base-x digits of its coefficients.  A candidate counts only once exact
+    division proves it, so a wrong guess costs a larger x, never a wrong gcd.
+    """
+    if not vs:
+        h = math.gcd(f[()], g[()])
+        return {(): h}, {(): f[()] // h}, {(): g[()] // h}
+    c = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if c > 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
+    )
+    for _ in range(_HEU_TRIES):
+        ff, gg = _at_last(f, x), _at_last(g, x)
+        if ff and gg:
+            h, cff, cfg = _heugcd(ff, gg, vs[:-1])
+            h = _digits(h, x)
+            content = math.gcd(*h.values())
+            h = {e: v // content for e, v in h.items()}
+            cff_, cfg_ = _quotient(f, h, vs), _quotient(g, h, vs)
+            if cff_ is not None and cfg_ is not None:
+                return _times(h, c), cff_, cfg_
+            cff = _digits(cff, x)
+            h = _quotient(f, cff, vs)
+            cfg_ = None if h is None else _quotient(g, h, vs)
+            if cfg_ is not None:
+                return _times(h, c), cff, cfg_
+            cfg = _digits(cfg, x)
+            h = _quotient(g, cfg, vs)
+            cff_ = None if h is None else _quotient(f, h, vs)
+            if cff_ is not None:
+                return _times(h, c), cff_, cfg
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    raise CapacityError("heuristic gcd found no evaluation point")
+
+
+def _at_last(f: ZPoly, x: int) -> ZPoly:
+    """f with its last variable set to x."""
+    out: ZPoly = {}
+    for e, c in f.items():
+        k = e[:-1]
+        out[k] = out.get(k, 0) + c * x ** e[-1]
+    return {k: c for k, c in out.items() if c}
+
+
+def _digits(h: ZPoly, x: int) -> ZPoly:
+    """The polynomial whose coefficients in a new last variable are the
+    symmetric base-x digits of h's coefficients, with a positive leading
+    coefficient."""
+    out: ZPoly = {}
+    half = x // 2
+    for e, c in h.items():
+        i = 0
+        while c:
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[e + (i,)] = r
+            c = (c - r) // x
+            i += 1
+    return _times(out, -1) if out[max(out)] < 0 else out
+
+
+def _quotient(f: ZPoly, h: ZPoly, vs: Tuple[str, ...]) -> Union[ZPoly, None]:
+    """f / h where h divides f over Z, else None."""
+    q = poly_divmod_exact(Poly(vs, f), Poly(vs, h))
+    if q is None or any(type(c) is not int for c in q.terms.values()):
+        return None
+    return q.terms
+
+
+def _times(f: ZPoly, c: int) -> ZPoly:
+    return f if c == 1 else {e: v * c for e, v in f.items()}
+
+
+def _lowest_terms(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num / den with a non-constant den, in the normal form of RationalFn."""
+    vs = Poly._merge_vars(num, den)
+    a, ca = _primitive(num.aligned_to(vs))
+    b, cb = _primitive(den.aligned_to(vs))
+    if len(a) > 1 or any(next(iter(a))):
+        _h, a, b = _heugcd(a, b, vs)
+    scale = ca / cb
+    if b[max(b)] < 0:
+        scale = -scale
+        b = _times(b, -1)
+    num = Poly(vs, {e: _canon(c * scale) for e, c in a.items()})
+    if len(b) == 1 and not any(next(iter(b))):
+        return num, _UNIT
+    return num, Poly(vs, b)
 
 
 def poly_divmod_exact(num: Poly, den: Poly) -> Union[Poly, None]:
@@ -429,7 +521,14 @@ def poly_divmod_exact(num: Poly, den: Poly) -> Union[Poly, None]:
 
 
 class RationalFn:
-    """Exact rational function num/den with cross-multiplication equality."""
+    """Exact rational function num/den, held in one normal form.
+
+    A polynomial has ``den`` the shared unit ``_UNIT``.  Any other value
+    has num and den coprime, found by GCDHEU, with den over Z, of content
+    1 and with a positive leading coefficient in lex order (the order of
+    the exponent tuples); num carries the rational scale.  So ``==``
+    compares terms and ``hash`` agrees with it.
+    """
 
     __slots__ = ("num", "den")
 
@@ -445,6 +544,8 @@ class RationalFn:
                 if c != 1:
                     num = num.scale(Fraction(1) / c)
                 den = _UNIT
+            else:
+                num, den = _lowest_terms(num, den)
         self.num = num
         self.den = den
 
@@ -485,7 +586,7 @@ class RationalFn:
         )
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-RationalFn.of(other))
@@ -501,12 +602,18 @@ class RationalFn:
         return RationalFn(self.num * other.den, self.den * other.num)
 
     def scale(self, c: Scalar) -> "RationalFn":
-        return RationalFn(self.num.scale(c), self.den)
+        return _reduced(self.num.scale(c), self.den) if c else _RZERO
 
     def inverse(self) -> "RationalFn":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFn(self.den, self.num)
+        if self.num.is_const():
+            return RationalFn(self.den, self.num)
+        # num and den are coprime already: only the scale moves
+        b, c = _primitive(self.num)
+        if b[max(b)] < 0:
+            b, c = _times(b, -1), -c
+        return _reduced(self.den.scale(1 / c), Poly(self.num.vars, b))
 
     # -- queries ----------------------------------------------------------
 
@@ -518,10 +625,7 @@ class RationalFn:
 
     def as_poly(self) -> Poly:
         if not self.is_poly():
-            q = poly_divmod_exact(self.num, self.den)
-            if q is None:
-                raise ValueError("rational function is not polynomial")
-            return q
+            raise ValueError("rational function is not polynomial")
         return self.num
 
     def __eq__(self, other: object) -> bool:
@@ -531,25 +635,14 @@ class RationalFn:
             other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn):
             return NotImplemented
-        if self.den is other.den:
-            return self.num == other.num
-        return (self.num * other.den) == (other.num * self.den)
+        # both sides are in normal form
+        return self.num == other.num and (self.den is other.den or self.den == other.den)
 
     def __hash__(self) -> int:
-        # leading terms in lex order (the order of the exponent tuples, as
-        # the variables are sorted) multiply, so the ratio of num's to den's
-        # is one value for every num/den that == calls equal; a constant c
-        # hashes as hash(c)
-        num, den = self.num, self.den
-        if num.is_zero():
-            return 0
-        en, ed = max(num.terms), max(den.terms)
-        shift = dict(zip(num.vars, en))
-        for v, k in zip(den.vars, ed):
-            shift[v] = shift.get(v, 0) - k
-        moved = frozenset((v, k) for v, k in shift.items() if k)
-        ratio = Fraction(num.terms[en]) / den.terms[ed]
-        return hash((ratio, moved)) if moved else hash(ratio)
+        # a constant c hashes as hash(c)
+        if self.den is _UNIT and self.num.is_const():
+            return hash(self.num.const_value())
+        return hash((self.num, self.den))
 
     # -- calculus ---------------------------------------------------------
 
@@ -557,7 +650,7 @@ class RationalFn:
         if self.is_poly():
             return RationalFn.from_poly(self.num.diff(name))
         n = self.num.diff(name) * self.den - self.num * self.den.diff(name)
-        return RationalFn(n, self.den * self.den).simplified()
+        return RationalFn(n, self.den * self.den)
 
     def eval_frac(self, point: Mapping[str, Fraction]) -> "RationalFn":
         den = self.den.eval_frac(point)
@@ -591,29 +684,6 @@ class RationalFn:
 
     def const_value(self) -> Fraction:
         return Fraction(self.num.const_value()) / self.den.const_value()
-
-    def simplified(self) -> "RationalFn":
-        """Cheap normalization: content, shared monomials, trial division."""
-        num, den = self.num, self.den
-        if num.is_zero():
-            return RationalFn.zero()
-        if den.is_const():
-            return RationalFn(num, den)
-        if len(num.terms) * len(den.terms) <= 20_000:
-            q = poly_divmod_exact(num, den)
-            if q is not None:
-                return RationalFn(q, _UNIT)
-        vs = Poly._merge_vars(num, den)
-        num, den = num.aligned_to(vs), den.aligned_to(vs)
-        mn, md = _common_monomial(num), _common_monomial(den)
-        shared = tuple(min(a, b) for a, b in zip(mn, md)) if mn and md else ()
-        if any(shared):
-            num, den = _shift_down(num, shared), _shift_down(den, shared)
-        cn, cd = poly_gcd_content(num), poly_gcd_content(den)
-        c = cn / cd
-        num = num.scale(Fraction(1) / cn)
-        den = den.scale(Fraction(1) / cd)
-        return RationalFn(num.scale(c), den)
 
     def __repr__(self) -> str:
         if self.is_poly():
@@ -710,6 +780,13 @@ def qpi(num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> Union[Fraction, 
 _ZERO = Poly((), {})
 _UNIT = Poly((), {(): 1})
 _RZERO = RationalFn(_ZERO, _UNIT)
+
+
+def _reduced(num: Poly, den: Poly) -> RationalFn:
+    """The RationalFn num / den, where that pair is already in normal form."""
+    fn = object.__new__(RationalFn)
+    fn.num, fn.den = num, den
+    return fn
 
 
 class QPi:

@@ -171,11 +171,6 @@ class _Tensor:
             self.chart, self.degree, {i: v * f for i, v in self.comps.items()}
         )
 
-    def simplified(self) -> "_Tensor":
-        return type(self)(
-            self.chart, self.degree, {i: v.simplified() for i, v in self.comps.items()}
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Tensor):
             return NotImplemented
@@ -248,7 +243,7 @@ class _Tensor:
                     det = det + prod
             if not det.is_zero():
                 total = total + val * det
-        return total.simplified()
+        return total
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -386,7 +381,7 @@ def apply_vector(x: MultivectorField, f: RationalFn) -> RationalFn:
         df = f.diff(x.chart.coords[i])
         if not df.is_zero():
             out = out + xi * df
-    return out.simplified()
+    return out
 
 
 def lie_derivative_multivector(x: MultivectorField, t: MultivectorField) -> MultivectorField:
@@ -419,7 +414,7 @@ def lie_derivative_multivector(x: MultivectorField, t: MultivectorField) -> Mult
                 if sign == -1:
                     contrib = -contrib
                 out = out - MultivectorField(chart, t.degree, {srt: contrib})
-    return out.simplified()
+    return out
 
 
 def lie_derivative(x: MultivectorField, t: Union[_Tensor, RationalFn]) -> Union[_Tensor, RationalFn]:
@@ -436,7 +431,7 @@ def lie_derivative(x: MultivectorField, t: Union[_Tensor, RationalFn]) -> Union[
         # Cartan formula
         a = interior_product(x, exterior_derivative(t))
         b = exterior_derivative(interior_product(x, t))
-        return (a + b).simplified()
+        return a + b
     raise TypeError(f"unsupported operand {type(t).__name__}")
 
 
@@ -510,8 +505,8 @@ def schouten_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorFie
     sign = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 == 0 else 1
     # [[A,B]] = A*B - (-1)^((a-1)(b-1)) B*A
     if sign == -1:
-        return (first - second).simplified()
-    return (first + second).simplified()
+        return first - second
+    return first + second
 
 
 def vf_bracket(x: MultivectorField, y: MultivectorField) -> MultivectorField:
@@ -554,7 +549,7 @@ class VectorValued1Form:
                 if kij.is_zero():
                     continue
                 comps[i] = comps.get(i, RationalFn.zero()) + kij * xj
-        return vector_field(self.chart, {i: v.simplified() for i, v in comps.items()})
+        return vector_field(self.chart, comps)
 
     def compose(self, other: "VectorValued1Form") -> "VectorValued1Form":
         return VectorValued1Form(self.chart, linalg.mat_mul(self.matrix, other.matrix))
@@ -612,7 +607,7 @@ class VectorValued2Form:
             coeff = ui * vj - uj * vi
             if not coeff.is_zero():
                 out = out + vec.scale(coeff)
-        return out.simplified()
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorValued2Form):
@@ -658,7 +653,6 @@ def fn_bracket(k: VectorValued1Form, l: VectorValued1Form) -> VectorValued2Form:
             term = vf_bracket(kcols[i], lcols[j]) - vf_bracket(kcols[j], lcols[i])
             term = term - l.apply(vf_bracket(kcols[i], basis[j]) - vf_bracket(kcols[j], basis[i]))
             term = term - k.apply(vf_bracket(lcols[i], basis[j]) - vf_bracket(lcols[j], basis[i]))
-            term = term.simplified()
             if not term.is_zero():
                 out[(i, j)] = term
     return VectorValued2Form(chart, out)
@@ -710,7 +704,7 @@ def bigrade_decompose(
                     basis = basis.wedge(fct)
                 part = part + basis.scale(coeff)
         if not part.is_zero():
-            out[(p, q)] = part.simplified()
+            out[(p, q)] = part
     return out
 
 
@@ -744,4 +738,4 @@ def d10_horizontal(beta: DifferentialForm, conn: "Connection") -> DifferentialFo
         for i in bi:
             basis = basis.wedge(conn.dx(i))
         out = out + basis.scale(coeff)
-    return out.simplified()
+    return out

@@ -84,7 +84,7 @@ def _pi_t_exact(ev, t):
     comps = {}
     for i in range(n):
         for j in range(i + 1, n):
-            val = new_sharp[j][i].simplified()
+            val = new_sharp[j][i]
             if not val.is_zero():
                 comps[(i, j)] = val
     return MultivectorField(ev.chart, 2, comps)
@@ -667,7 +667,6 @@ def test_eval_stack_matches_a_plain_loop_bit_for_bit():
         RationalFn.zero(),
         RationalFn(rand_poly(rng, CHART4.coords, 2, 4), x2 - x1),
     ]
-    fns = [fn.simplified() for fn in fns]
     for fn in (fns[6], fns[-3]):
         assert not fn.den.is_const() and not any(fn.den.diff(c).terms for c in CHART4.coords)
     entries = _CompiledEntries(CHART4, list(enumerate(fns)))

@@ -106,7 +106,7 @@ def test_rational_equality_uses_cross_multiplication():
     a = RationalFn(x ** 2 - Poly.const(1), x - Poly.const(1))
     b = RationalFn(x + Poly.const(1), Poly.const(1))
     assert a == b
-    assert a.simplified().den.is_const()
+    assert a.den.is_const()
 
 
 def test_rational_arithmetic_and_inverse():
@@ -375,7 +375,7 @@ def test_shared_constants_survive_every_operation(a, b, c):
             f + g, f - g, f * g, f == g, -f
             if not g.is_zero():
                 f / g, g.inverse()
-        f.scale(c), f.diff("y"), f.simplified(), hash(f)
+        f.scale(c), f.diff("y"), hash(f)
     assert _snapshot() == before
     assert Poly.const(1) is one and one.terms == {(): Fraction(1)} and not zero.terms
     assert RationalFn.const(3).den is one and RationalFn.zero().num.is_zero()
@@ -536,7 +536,7 @@ def test_coefficients_are_ints_where_integral(a, b, d, c):
     if not b.is_zero():
         fns.append(RationalFn(d, b))
     for f in fns:
-        _assert_normal(f, f.scale(c), f.diff("x"), f.simplified(), -f)
+        _assert_normal(f, f.scale(c), f.diff("x"), -f)
         for g in fns:
             _assert_normal(f + g, f - g, f * g)
             if not g.is_zero():
