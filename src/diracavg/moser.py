@@ -26,7 +26,9 @@ from .tensors import (
     MultivectorField,
     exterior_derivative,
     flat_matrix,
+    lie_derivative_multivector,
     sharp_matrix,
+    vector_field,
 )
 
 
@@ -48,6 +50,11 @@ class _NumpyOnFirstUse:
 
 
 np = _NumpyOnFirstUse()
+
+# the path parameter of Pi_t as a variable of the exact bracket; a model's
+# coordinates cannot start with "@"
+T = "@t"
+_T = RationalFn.from_poly(Poly((T,), {(1,): 1}))
 
 FloatPoint = Mapping[str, float]
 # why a trajectory stopped: (stage, rank, error), where the rank orders the
@@ -163,8 +170,8 @@ class _CompiledEntries:
     the ones that ``mirrors`` does not name: it maps an entry to an earlier
     one whose exact negation it is, and the entry reads as that one's value
     negated.  A denominator free of the chart coordinates is evaluated
-    once, into a float divisor; the others are evaluated per point and
-    masked where they vanish.
+    once, into a float divisor; the others are evaluated per point, each
+    distinct one once, and masked where they vanish.
     """
 
     def __init__(
@@ -192,10 +199,13 @@ class _CompiledEntries:
         self._n_varying = len(rows)
         rows += [col for col in live if not varies(fns[col])]
         self._n_rows = len(rows)
-        self._polys = _Polys(
-            names,
-            [fns[col].num for col in rows] + [fns[col].den for col in rows[: self._n_varying]],
+        dens: Dict[Poly, int] = {}
+        self._den_of = np.array(
+            [dens.setdefault(fns[col].den, len(dens)) for col in rows[: self._n_varying]],
+            dtype=np.int64,
         )
+        self._polys = _Polys(names, [fns[col].num for col in rows] + list(dens))
+        self._n_polys = len(rows) + len(dens)
         # a denominator free of the coordinates takes the same value, with
         # the same rounding, at every point
         fixed = rows[self._n_varying :]
@@ -216,9 +226,11 @@ class _CompiledEntries:
     def _resize(self, b: int) -> None:
         self._size = b
         r, v = self._n_rows, self._n_varying
-        # numerators, varying denominators, fixed divisors
-        self._sums = np.empty((2 * r, b))
-        self._sums[r + v :] = self._divisors[:, np.newaxis]
+        # numerators, then each varying denominator once
+        self._sums = np.empty((self._n_polys, b))
+        # each row's denominator: varying, then fixed divisors
+        self._dens = np.empty((r, b))
+        self._dens[v:] = self._divisors[:, np.newaxis]
         # the values, a zero row for the entries that vanish, the negations
         self._values = np.zeros((2 * r + 1, b))
         self._clear = np.zeros((b, len(self.keys)), dtype=bool)
@@ -235,16 +247,17 @@ class _CompiledEntries:
             self._resize(b)
         r, v = self._n_rows, self._n_varying
         sums = self._sums
-        self._polys(vecs, out=sums[: r + v])
+        self._polys(vecs, out=sums)
         bad = None
         if v:
-            vanished = np.abs(sums[r : r + v]) < 1e-300
+            vanished = np.abs(sums[r:]) < 1e-300
             if vanished.any():
-                sums[r : r + v][vanished] = 1.0
+                sums[r:][vanished] = 1.0
                 bad = np.zeros((2 * r + 1, b), dtype=bool)
-                bad[:v] = bad[r + 1 : r + 1 + v] = vanished
+                bad[:v] = bad[r + 1 : r + 1 + v] = vanished.take(self._den_of, axis=0)
+            sums[r:].take(self._den_of, axis=0, out=self._dens[:v])
         values = self._values
-        np.divide(sums[:r], sums[r:], out=values[:r])
+        np.divide(sums[:r], self._dens, out=values[:r])
         np.negative(values[:r], out=values[r + 1 :])
         # points as rows, as the matrix routines read them
         vals = np.ascontiguousarray(values.take(self._source, axis=0).T)
@@ -261,21 +274,69 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-def _nilpotency_index(edges: Sequence[Sequence[bool]]) -> Optional[int]:
-    """1 + the longest path of the graph with an edge i -> j wherever
-    edges[i][j], or None where it has a cycle (an edge i -> i is one): a
-    matrix whose nonzero entries lie on the edges has this power zero."""
+def _has_cycle(edges: Sequence[Sequence[bool]]) -> bool:
+    """Whether the graph with an edge i -> j wherever edges[i][j] has a
+    cycle (an edge i -> i is one); a matrix whose nonzero entries lie on
+    the edges of a graph without one is nilpotent."""
     left = set(range(len(edges)))
-    rounds = 0
     while left:
-        # a node with no edge into the nodes left lies on no cycle among
-        # them, and the paths from it are shorter than this many rounds
+        # a node with no edge into the nodes left lies on no cycle among them
         ends = {i for i in left if not any(edges[i][j] for j in left)}
         if not ends:
-            return None
+            return True
         left -= ends
-        rounds += 1
-    return rounds
+    return False
+
+
+def _det_coefficients(s: linalg.Mat) -> List[RationalFn]:
+    """[1, e_1, ..., e_m]: det(Id + t s) = sum_k e_k t^k, with e_m its last
+    nonzero coefficient, from the power sums p_i = tr(s^i) by Newton's
+    identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} p_i.  tr(s^i) is read
+    as tr(s^a s^b) with a + b = i, so only powers up to n/2 are formed."""
+    n = len(s)
+    powers = [s]
+    while 2 * len(powers) < n:
+        powers.append(linalg.mat_mul(powers[-1], s))
+    e = [RationalFn.const(1)]
+    signed: List[RationalFn] = []
+    for k in range(1, n + 1):
+        if k == 1:
+            terms = [s[i][i] for i in range(n)]
+        else:
+            a, b = powers[(k - 1) // 2], powers[k // 2 - 1]
+            terms = [
+                a[i][j] * b[j][i]
+                for i in range(n)
+                for j in range(n)
+                if not (a[i][j].is_zero() or b[j][i].is_zero())
+            ]
+        trace = sum(terms, RationalFn.zero())
+        signed.append(trace if k % 2 else -trace)
+        total = sum((e[k - i] * signed[i - 1] for i in range(1, k + 1)), RationalFn.zero())
+        e.append(total.scale(Fraction(1, k)))
+    while len(e) > 1 and e[-1].is_zero():
+        e.pop()
+    return e
+
+
+def _adjugate_series(
+    det: Sequence[RationalFn], terms: Sequence[Sequence[RationalFn]], n: int
+) -> List[List[RationalFn]]:
+    """The coefficients in t of det(t) sum_j t^j terms[j] up to t^(n-1),
+    trailing zero ones dropped.  With det(t) = det(Id + t S) and terms[j] =
+    (-S)^j X, that is adj(Id + t S) X, whose degree in t is below n."""
+    width = len(terms[0]) if terms else 0
+    out = [
+        [
+            sum((det[k - j] * terms[j][i] for j in range(len(terms)) if 0 <= k - j < len(det)),
+                RationalFn.zero())
+            for i in range(width)
+        ]
+        for k in range(n)
+    ]
+    while out and all(x.is_zero() for x in out[-1]):
+        out.pop()
+    return out
 
 
 def _padded(lists: Sequence[Sequence[int]], pad: int) -> np.ndarray:
@@ -293,17 +354,18 @@ class NumericEvaluator:
     the supplied rational probe points (relative 1e-12); a disagreement is a
     compiler bug and raises.  ``guard`` rejects interpolation matrices whose
     determinant magnitude falls below the threshold, or is not finite.
-    Construction also reads the exact zero pattern of S = dTheta# Pi#:
-    entry (i, j) can be nonzero only where some k has dTheta#[i][k] and
-    Pi#[k][j] exactly nonzero.  Where that pattern has no cycle (a nonzero
-    diagonal entry is one), S^K = 0 for K = 1 + its longest path, so
-    det(Id + t S) is 1 at every point and t, and (Id + t S)^{-1} is the
-    finite series sum_{k<K} (-t S)^k.  Z_t is then the polynomial in t
-    sum_{k<K} t^k c_k, whose n K coefficients c_k = -(-1)^k Pi# S^k Theta
-    are derived exactly once and compiled, and checked at the probes, like
-    the entries; it needs no matrix solve, and with a guard below 1 no
-    determinant.  A model with a cycle is solved and checked at every
-    evaluation.
+
+    Z_t = -Pi# (Id + t S)^{-1} Theta, with S = dTheta# Pi#, is derived once,
+    exactly, as N(t) / D(t).  D(t) = det(Id + t S) = sum_k e_k t^k, whose
+    e_k follow from the traces of the powers of S by Newton's identities,
+    and N(t) = sum_k t^k N_k with N_k = sum_{j<=k} e_{k-j} c_j and
+    c_j = -(-1)^j Pi# S^j Theta, since D(t) (Id + t S)^{-1} is the
+    adjugate.  The N_k and e_k are compiled and checked at the probes like
+    the entries, so a stage needs no matrix algebra, and the guard reads
+    the compiled D.  Where D is exactly 1 (S nilpotent, as on every model
+    whose S has no cycle in its zero pattern) N_k = c_k, and a guard below
+    1 cannot trip.  [[Z_t, Pi_t]] is derived once too, as a rational
+    function of the point and ``T``, when HR first asks for it.
     """
 
     def __init__(
@@ -346,41 +408,60 @@ class NumericEvaluator:
             for i in range(j)
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
-        # an exact zero entry is never compiled and reads as 0.0, so the
-        # float product keeps the exact product's pattern too
-        live_sb = [[not fn.is_zero() for fn in row] for row in sb]
-        live_sp = [[not fn.is_zero() for fn in row] for row in sp]
-        pattern = [
-            [any(live_sb[i][k] and live_sp[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        self._nilpotency = _nilpotency_index(pattern)
-        self._guard_can_trip = guard >= 1 or self._nilpotency is None
-        # Z_t = sum_{k<K} t^k c_k with c_k = -(-1)^k Pi# S^k Theta; column
-        # (k, i) holds entry i of c_k
-        self._z_exact: List[Tuple[object, RationalFn]] = []
+        self._sp, self._sb, self._s = sp, sb, linalg.mat_mul(sb, sp)
+        self._cyclic = _has_cycle([[not x.is_zero() for x in row] for row in self._s])
+        self._guard_can_trip = guard >= 1 or self._cyclic
+        # on a model with a cycle the exact objects can be large, so they
+        # are derived on first use, unless the probes check them now
         self._z_entries: Optional[_CompiledEntries] = None
-        if self._nilpotency is not None:
-            v = [[fn] for _key, fn in self._exact[2 * n * n :]]
-            for k in range(self._nilpotency):
-                w = linalg.mat_mul(sp, v)
-                self._z_exact += [((k, i), -x if k % 2 == 0 else x) for i, (x,) in enumerate(w)]
-                v = linalg.mat_mul(sb, w)
-            self._z_entries = _CompiledEntries(self.chart, self._z_exact)
-        self._jets = linalg.Jets([fn for _key, fn in self._exact], self.chart.coords)
-        self._jet_cache: Dict[Tuple[Fraction, ...], tuple] = {}
+        self._bracket: Optional[Tuple[RationalFn, MultivectorField]] = None
+        if probes or not self._cyclic:
+            self._compile()
         if probes:
             self._verify_probes(probes)
+
+    def _compile(self) -> None:
+        """Derive N(t) and D(t) and compile them, after the denominators of
+        Pi#, dTheta# and Theta that vary, whose vanishing stops a row."""
+        n, sp = self._n, self._sp
+        # where S's pattern has no cycle S is nilpotent, so D = 1
+        self._det = _det_coefficients(self._s) if self._cyclic else [RationalFn.const(1)]
+        # c_j = -(-1)^j Pi# S^j Theta from u_j = Pi# (dTheta# Pi#)^j Theta,
+        # until some u_j is zero, when every later one is
+        u = linalg.mat_mul(sp, [[fn] for _key, fn in self._exact[2 * n * n :]])
+        c: List[List[RationalFn]] = []
+        while len(c) < n and any(not x.is_zero() for (x,) in u):
+            c.append([-x if len(c) % 2 == 0 else x for (x,) in u])
+            u = linalg.mat_mul(sp, linalg.mat_mul(self._sb, u))
+        self._numer = _adjugate_series(self._det, c, n)
+        # N may be zero, but it takes one row
+        self._order = max(len(self._numer), 1)
+        poles: Dict[Poly, int] = {}
+        for col, (_key, fn) in enumerate(self._exact):
+            if any(fn.den.diff(x).terms for x in self.chart.coords):
+                poles.setdefault(fn.den, col)
+        self._poles = list(poles.values())
+        self._pole_exact = [
+            (self._exact[col][0], RationalFn(Poly.const(1), self._exact[col][1].den))
+            for col in self._poles
+        ]
+        # columns: the poles, N_k's entries (k, i), then e_k for k >= 1
+        self._z_exact: List[Tuple[object, RationalFn]] = [
+            ((k, i), self._numer[k][i] if self._numer else RationalFn.zero())
+            for k in range(self._order)
+            for i in range(n)
+        ] + [((k, "det"), e) for k, e in enumerate(self._det) if k]
+        self._z_entries = _CompiledEntries(self.chart, self._pole_exact + self._z_exact)
 
     # -- compiled evaluation ----------------------------------------------
 
     def _verify_probes(self, probes: Sequence[Mapping[str, Fraction]]) -> None:
         fps = [{k: float(v) for k, v in p.items()} for p in probes]
         vecs = np.stack([_point_vec(self.chart, fp) for fp in fps])
-        compiled = [(self._entries, self._exact)]
-        if self._z_entries is not None:
-            compiled.append((self._z_entries, self._z_exact))
-        for entries, exact in compiled:
+        for entries, exact in (
+            (self._entries, self._exact),
+            (self._z_entries, self._pole_exact + self._z_exact),
+        ):
             vals, bad = entries.eval_stack(vecs)
             for p, fp, row, row_bad in zip(probes, fps, vals, bad):
                 if row_bad.any():
@@ -461,122 +542,63 @@ class NumericEvaluator:
     def bracket_exact(
         self, t: Fraction, point: Mapping[str, Union[float, Fraction]]
     ) -> List[List[Fraction]]:
-        """[[Z_t, Pi_t]] at one point, exactly, from first-order jets.
+        """[[Z_t, Pi_t]] at one point, exactly.
 
-        Returns the matrix B[i][j] = [[Z_t, Pi_t]]^{ij}.  With M the inverse
-        of A = Id + t dTheta# Pi#, the sharp matrix of Pi_t is Pi# M and
-        Z_t = -Pi# M Theta; their first derivatives follow from those of
-        Pi#, dTheta# and Theta by d(M) = -M d(A) M, and the bracket is
-        (L_Z Pi)^{ij} = Z^k d_k Pi^{ij} - Pi^{kj} d_k Z^i - Pi^{ik} d_k Z^j.
-        ``@pi`` is bound to Fraction(math.pi), the value the float side
-        uses.  Raises ZeroDivisionError where a denominator vanishes and
-        GuardError where A is singular.
+        Returns the matrix B[i][j] = [[Z_t, Pi_t]]^{ij}, read from the
+        bracket that ``_bracket_fns`` derives once.  ``@pi`` is bound to
+        Fraction(math.pi), the value the float side uses.  Raises
+        ZeroDivisionError where a denominator of Pi#, dTheta# or Theta
+        vanishes and GuardError where Id + t dTheta# Pi# is singular.
         """
-        t = Fraction(t)
-        n = self._n
-        sp_rows, sp, sb_rows, th, sb_sp, d_sp_rows, d_sb_rows, d_th = self._jets_at(point)
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        aug = [row + e for row, e in zip(_add(eye, sb_sp, t), eye)]
-        if len(linalg.rref(aug)) < n:
+        det, bracket = self._bracket_fns()
+        at = {c: Fraction(point[c]) for c in self.chart.coords}
+        at[PI] = Fraction(math.pi)
+        for col in self._poles:
+            if not RationalFn.from_poly(self._exact[col][1].den).value_at(at):
+                raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
+        at[T] = Fraction(t)
+        if not det.value_at(at):
             raise GuardError(f"interpolation matrix singular at t={t}")
-        inv = [row[n:] for row in aug]
-        sharp = _mul(sp_rows, inv)
-        sharp_rows = _rows(sharp)
-        w = _apply(_rows(inv), th)
-        z = [-x for x in _apply(sp_rows, w)]
-        # the derivative of Pi_t# along Z
-        sp_z = _combine(z, d_sp_rows, n)
-        a_z = _add(_mul(_rows(_combine(z, d_sb_rows, n)), sp), _mul(sb_rows, sp_z))
-        sharp_z = _mul(_rows(_add(sp_z, _mul(sharp_rows, a_z), -t)), inv)
-        # jac_t[k][i] = d_k Z^i = -(d_k Pi_t#) Theta - Pi_t# d_k Theta, where
-        # (d_k Pi_t#) Theta = d_k(Pi#) w - Pi_t# d_k(A) w and Pi# w = -Z
-        jac_t = []
-        for k in range(n):
-            dsp_w = _apply(d_sp_rows[k], w)
-            da_w = [t * (x - y) for x, y in zip(_apply(sb_rows, dsp_w), _apply(d_sb_rows[k], z))]
-            jac_t.append([
-                y - x - u
-                for x, y, u in zip(dsp_w, _apply(sharp_rows, da_w), _apply(sharp_rows, d_th[k]))
-            ])
-        # Pi_t^{ij} is sharp[j][i], and sharp is antisymmetric, so with
-        # c = jac sharp the last two terms are c[i][j] - c[j][i]
-        c = _mul(_rows(zip(*jac_t)), sharp)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i][j] = sharp_z[j][i] + c[i][j] - c[j][i]
-                out[j][i] = -out[i][j]
+        n = self._n
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), fn in bracket.comps.items():
+            out[i][j] = fn.value_at(at)
+            out[j][i] = -out[i][j]
         return out
 
-    def _jets_at(self, point: Mapping[str, Union[float, Fraction]]) -> tuple:
-        """Pi#, dTheta#, Theta and dTheta# Pi# at a point, then the
-        derivatives of Pi#, dTheta# and Theta along each coordinate
-        (cached).  Matrices that multiply from the left also come as rows."""
-        key = tuple(Fraction(point[c]) for c in self.chart.coords)
-        if key not in self._jet_cache:
-            at = dict(zip(self.chart.coords, key))
-            at[PI] = Fraction(math.pi)
-            n, nn = self._n, self._n * self._n
+    def _bracket_fns(self) -> Tuple[RationalFn, MultivectorField]:
+        """det(Id + T S) and [[Z_T, Pi_T]], as rational functions of the
+        point and T, derived on first use.
 
-            def families(flat: list) -> tuple:
-                # the column order of self._exact
-                sp = [flat[j * n : (j + 1) * n] for j in range(n)]
-                sb = [flat[nn + j * n : nn + (j + 1) * n] for j in range(n)]
-                return sp, sb, flat[2 * nn :]
+        Pi_T# = Pi# adj(Id + T S) / det(Id + T S), and adj(Id + T S) =
+        sum_k T^k sum_{j<=k} e_{k-j} (-S)^j; Z_T = N(T) / det(Id + T S)."""
+        if self._bracket is None:
+            if self._z_entries is None:
+                self._compile()
+            n = self._n
+            # Pi# (-S)^j, above the diagonal only: Pi_T is antisymmetric
+            upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            powers = [self._sp]
+            for _ in range(1, n):
+                powers.append(linalg.mat_mul(powers[-1], self._s))
+            terms = [[-m[j][i] if k % 2 else m[j][i] for i, j in upper] for k, m in enumerate(powers)]
+            sharp = _adjugate_series(self._det, terms, n)
 
-            vals, grads = self._jets.at(at)
-            sp, sb, th = families(vals)
-            d_sp, d_sb, d_th = zip(*map(families, grads))
-            sb_rows = _rows(sb)
-            self._jet_cache[key] = (
-                _rows(sp), sp, sb_rows, th, _mul(sb_rows, sp),
-                [_rows(m) for m in d_sp], [_rows(m) for m in d_sb], d_th,
-            )
-        return self._jet_cache[key]
+            def in_t(coeffs: Sequence[RationalFn]) -> RationalFn:
+                out = RationalFn.zero()
+                for c in reversed(coeffs):
+                    out = out * _T + c
+                return out
 
-
-# exact algebra on the jets: a left factor comes as Rows, the nonzero
-# entries of each row as (column, value) pairs, so zero entries cost nothing
-Rows = List[List[Tuple[int, object]]]
-
-
-def _rows(m) -> Rows:
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
-def _mul(a: Rows, b: Sequence[Sequence]) -> List[list]:
-    out = [[0] * len(b[0]) for _ in a]
-    for row, entries in zip(out, a):
-        for k, x in entries:
-            for j, y in enumerate(b[k]):
-                if y:
-                    row[j] += x * y
-    return out
-
-
-def _apply(a: Rows, v: Sequence) -> list:
-    out = [0] * len(a)
-    for i, entries in enumerate(a):
-        for j, x in entries:
-            if v[j]:
-                out[i] += x * v[j]
-    return out
-
-
-def _add(a: Sequence[Sequence], b: Sequence[Sequence], c=1) -> List[list]:
-    """a + c b."""
-    return [[x + c * y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _combine(coeffs: Sequence, mats: Sequence[Rows], n: int) -> List[list]:
-    """sum_k coeffs[k] mats[k]."""
-    out = [[0] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for row, entries in zip(out, m):
-                for j, x in entries:
-                    row[j] += c * x
-    return out
+            det = in_t(self._det)
+            pi_t = MultivectorField(self.chart, 2, {
+                ij: in_t([row[col] for row in sharp]) / det for col, ij in enumerate(upper)
+            })
+            z_t = vector_field(self.chart, {
+                i: in_t([row[i] for row in self._numer]) / det for i in range(n)
+            })
+            self._bracket = det, lie_derivative_multivector(z_t, pi_t)
+        return self._bracket
 
 
 def z_batch(
@@ -595,47 +617,54 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
     """Z_t at a batch of points: (B, n) -> (B, n).
 
     Rows where Z_t cannot be evaluated read zero and are returned as
-    failures: a vanishing denominator, or else the guard.  On a model
-    without a cycle Z_t comes from its compiled coefficients in t, by
-    Horner's rule; on one with a cycle, from solve.
+    failures: a vanishing denominator, or else the guard on D(t).  Z_t is
+    N(t) / D(t), each summed from its compiled coefficients by Horner's
+    rule in t.
     """
+    if ev._z_entries is None:
+        ev._compile()
+    vals, bad = ev._z_entries.eval_stack(vecs)
     fails: Failures = {}
-    # Pi#, dTheta# and Theta are read only for their vanishing denominators,
-    # for the guard, or to solve
-    if ev._guard_can_trip or ev._entries.can_vanish:
-        sp, sb, th, fails = ev._matrices(vecs)
-    coeffs = None
-    if ev._z_entries is not None:
-        coeffs, bad = ev._z_entries.eval_stack(vecs)
-        if ev._z_entries.can_vanish:
-            # a coefficient's denominator divides a product of theirs, so it
-            # vanishes where none of theirs does only by rounding
-            for row in np.flatnonzero(bad.any(axis=1)):
-                col = int(bad[row].argmax())
-                fails.setdefault(int(row), (3, ev._z_entries.vanished(col)))
-    # where the guard can trip, det and (on a model with a cycle) solve each
-    # factor m.  numpy's det is the sign times exp of the summed log |u_ii|
-    # of its own LU, and solve does not hand out its factors, so no
-    # numpy-only merge of the two keeps the bits of either.
+    poles, n, order = len(ev._poles), ev._n, ev._order
+    det = vals[:, poles + order * n :]
+    unknown = []
+    if ev._z_entries.can_vanish:
+        for row in np.flatnonzero(bad.any(axis=1)):
+            col = int(bad[row].argmax())
+            if col < poles:
+                # the first family, Pi#, dTheta# or Theta, whose denominator vanished
+                src = ev._poles[col]
+                fails[int(row)] = (1 + src // (n * n), ev._entries.vanished(src))
+            elif det.shape[1]:
+                # a coefficient's denominator divides a product of theirs, so
+                # it vanishes where none of theirs does only by rounding; then
+                # D(t) is out of float range, and the row fails the guard
+                unknown.append(row)
+            else:
+                fails[int(row)] = (3, ev._z_entries.vanished(col))
     if ev._guard_can_trip:
-        # a row that overflows here fails the guard
+        # D(t) = 1 + t (e_1 + t (e_2 + ...)); a row that overflows here
+        # fails the guard
+        d = np.zeros(len(vecs))
         with np.errstate(over="ignore", invalid="ignore"):
-            m = sb @ sp
-            m *= t
-            m += ev._eye
-            ev._check_guard([t], m[np.newaxis], fails)
+            for k in range(det.shape[1] - 1, -1, -1):
+                d = (d + det[:, k]) * t
+            d += 1.0
+            d[unknown] = np.nan
+            mag = np.abs(d)
+        for row in np.flatnonzero(~(mag < np.inf) | (mag < ev.guard)):
+            why = "near singular" if mag[row] < ev.guard else "not finite"
+            fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={t}")))
     ok = slice(None)
     if fails:
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
-    if coeffs is None:
-        z = -(sp[ok] @ np.linalg.solve(m[ok], th[ok][:, :, np.newaxis]))[:, :, 0]
-    else:
-        # the compiled coefficients of Z_t, summed by Horner's rule in t
-        c = coeffs[ok].reshape(-1, ev._nilpotency, ev._n)
-        z = c[:, -1]
-        for k in range(ev._nilpotency - 2, -1, -1):
-            z = z * t + c[:, k]
+    c = vals[ok, poles : poles + order * n].reshape(-1, order, n)
+    z = c[:, -1]
+    for k in range(order - 2, -1, -1):
+        z = z * t + c[:, k]
+    if det.shape[1]:
+        z = z / d[ok, np.newaxis]
     if not fails:
         return z, fails
     full = np.zeros((len(vecs), ev.chart.dim))

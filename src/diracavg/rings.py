@@ -374,20 +374,26 @@ _HEU_TRIES = 12
 ZPoly = Dict[Exponent, int]
 
 
-def _heugcd(f: ZPoly, g: ZPoly, vs: Tuple[str, ...]) -> Tuple[ZPoly, ZPoly, ZPoly]:
-    """The gcd h of two nonzero polynomials over Z in the variables vs, and
-    the cofactors f / h and g / h.
+def _heugcd(f: ZPoly, g: ZPoly) -> Tuple[ZPoly, ZPoly, ZPoly]:
+    """The gcd h of two nonzero polynomials over Z, and the cofactors f / h
+    and g / h.
 
     GCDHEU (Char, Geddes and Gonnet, 1989, as in sympy's heuristicgcd): the
     last variable is set to an integer x, the gcd of the images is found
     one variable down, and a candidate is read back from the symmetric
     base-x digits of its coefficients.  A candidate counts only once exact
     division proves it, so a wrong guess costs a larger x, never a wrong gcd.
+    A monomial, and a last variable that neither polynomial reads, take no
+    evaluation.
     """
-    if not vs:
-        h = math.gcd(f[()], g[()])
-        return {(): h}, {(): f[()] // h}, {(): g[()] // h}
-    c = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if len(f) == 1 or len(g) == 1:
+        # the gcd of the coefficients times the shared monomial
+        h = dict([(tuple(map(min, *f, *g)), math.gcd(*f.values(), *g.values()))])
+        return h, _quotient(f, h), _quotient(g, h)
+    if not any(e[-1] for e in f) and not any(e[-1] for e in g):
+        h, cff, cfg = _heugcd(*({e[:-1]: v for e, v in p.items()} for p in (f, g)))
+        return tuple({e + (0,): v for e, v in p.items()} for p in (h, cff, cfg))
+    c = math.gcd(*f.values(), *g.values())
     if c > 1:
         f = {e: v // c for e, v in f.items()}
         g = {e: v // c for e, v in g.items()}
@@ -400,21 +406,21 @@ def _heugcd(f: ZPoly, g: ZPoly, vs: Tuple[str, ...]) -> Tuple[ZPoly, ZPoly, ZPol
     for _ in range(_HEU_TRIES):
         ff, gg = _at_last(f, x), _at_last(g, x)
         if ff and gg:
-            h, cff, cfg = _heugcd(ff, gg, vs[:-1])
+            h, cff, cfg = _heugcd(ff, gg)
             h = _digits(h, x)
             content = math.gcd(*h.values())
             h = {e: v // content for e, v in h.items()}
-            cff_, cfg_ = _quotient(f, h, vs), _quotient(g, h, vs)
+            cff_, cfg_ = _quotient(f, h), _quotient(g, h)
             if cff_ is not None and cfg_ is not None:
                 return _times(h, c), cff_, cfg_
             cff = _digits(cff, x)
-            h = _quotient(f, cff, vs)
-            cfg_ = None if h is None else _quotient(g, h, vs)
+            h = _quotient(f, cff)
+            cfg_ = None if h is None else _quotient(g, h)
             if cfg_ is not None:
                 return _times(h, c), cff, cfg_
             cfg = _digits(cfg, x)
-            h = _quotient(g, cfg, vs)
-            cff_ = None if h is None else _quotient(f, h, vs)
+            h = _quotient(g, cfg)
+            cff_ = None if h is None else _quotient(f, h)
             if cff_ is not None:
                 return _times(h, c), cff_, cfg
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
@@ -449,16 +455,51 @@ def _digits(h: ZPoly, x: int) -> ZPoly:
     return _times(out, -1) if out[max(out)] < 0 else out
 
 
-def _quotient(f: ZPoly, h: ZPoly, vs: Tuple[str, ...]) -> Union[ZPoly, None]:
-    """f / h where h divides f over Z, else None."""
-    q = poly_divmod_exact(Poly(vs, f), Poly(vs, h))
-    if q is None or any(type(c) is not int for c in q.terms.values()):
-        return None
-    return q.terms
+def _quotient(f: ZPoly, h: ZPoly) -> Union[ZPoly, None]:
+    """f / h where h divides f over Z, else None.
+
+    Exact division in lex order.  A quotient's degree in each variable is
+    f's less h's, which bounds the steps where h does not divide f.
+    """
+    lead = max(h)
+    ch = h[lead]
+    if len(h) == 1:
+        q = {tuple(map(sub, e, lead)): divmod(v, ch) for e, v in f.items()}
+        if any(m or any(d < 0 for d in e) for e, (_v, m) in q.items()):
+            return None
+        return {e: v for e, (v, _m) in q.items()}
+    rest = [(e, c) for e, c in h.items() if e != lead]
+    room = [max(col) - k for col, k in zip(zip(*f), map(max, zip(*h)))]
+    r = dict(f)
+    q: ZPoly = {}
+    while r:
+        top = max(r)
+        diff = tuple(map(sub, top, lead))
+        if any(d < 0 or d > m for d, m in zip(diff, room)):
+            return None
+        c, m = divmod(r.pop(top), ch)
+        if m:
+            return None
+        q[diff] = c
+        for e, v in rest:
+            e = tuple(map(add, diff, e))
+            s = r.get(e, 0) - c * v
+            if s:
+                r[e] = s
+            else:
+                del r[e]
+    return q
 
 
 def _times(f: ZPoly, c: int) -> ZPoly:
     return f if c == 1 else {e: v * c for e, v in f.items()}
+
+
+def _coprime(a: Poly, b: Poly) -> bool:
+    """Whether two denominators in normal form share no factor."""
+    vs = Poly._merge_vars(a, b)
+    h = _heugcd(a.aligned_to(vs).terms, b.aligned_to(vs).terms)[0]
+    return len(h) == 1 and not any(next(iter(h)))
 
 
 def _lowest_terms(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
@@ -467,7 +508,7 @@ def _lowest_terms(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     a, ca = _primitive(num.aligned_to(vs))
     b, cb = _primitive(den.aligned_to(vs))
     if len(a) > 1 or any(next(iter(a))):
-        _h, a, b = _heugcd(a, b, vs)
+        _h, a, b = _heugcd(a, b)
     scale = ca / cb
     if b[max(b)] < 0:
         scale = -scale
@@ -579,11 +620,17 @@ class RationalFn:
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         other = RationalFn.of(other)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return other if not a else self
+        if b is d or b == d:
+            return RationalFn(a + c, b)
+        num = a * d + c * b
+        # the sum of two reduced fractions over coprime denominators is
+        # reduced (Henrici); the unit is coprime to every denominator
+        if b is _UNIT or d is _UNIT or _coprime(b, d):
+            return _reduced(num, b * d) if num else _RZERO
+        return RationalFn(num, b * d)
 
     def __neg__(self) -> "RationalFn":
         return _reduced(-self.num, self.den)
@@ -593,13 +640,23 @@ class RationalFn:
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         other = RationalFn.of(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        if self.den is _UNIT and other.den is _UNIT:
+            return RationalFn(self.num * other.num, _UNIT)
+        # a constant factor scales
+        for x, y in ((self, other), (other, self)):
+            if x.den is _UNIT and x.num.is_const():
+                return y.scale(x.num.const_value())
+        # each numerator is coprime to its own denominator, so reducing it
+        # against the other one leaves a reduced product (Henrici)
+        x, y = RationalFn(self.num, other.den), RationalFn(other.num, self.den)
+        num = x.num * y.num
+        return _reduced(num, x.den * y.den) if num else _RZERO
 
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         other = RationalFn.of(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def scale(self, c: Scalar) -> "RationalFn":
         return _reduced(self.num.scale(c), self.den) if c else _RZERO

@@ -336,6 +336,17 @@ def _exact_power_vanishes(ev, k) -> bool:
     return all(x.is_zero() for row in power for x in row)
 
 
+def _path_index(ev) -> int:
+    """1 + the longest path of the graph with an edge i -> j wherever
+    S = dTheta# Pi# has a nonzero entry (i, j), which has no cycle."""
+    s = linalg.mat_mul(flat_matrix(ev.dtheta_exact), sharp_matrix(ev.pi_exact))
+    left, rounds = set(range(len(s))), 0
+    while left:
+        left -= {i for i in left if all(s[i][j].is_zero() for j in left)}
+        rounds += 1
+    return rounds
+
+
 def _assert_z_is_the_solved_field(ev, points):
     """z_batch against -Pi# (Id + t dTheta# Pi#)^{-1} Theta by solve, on
     the rows whose denominators do not vanish, to a relative 1e-13."""
@@ -363,12 +374,15 @@ def _assert_z_is_the_solved_field(ev, points):
     ],
 )
 def test_the_series_has_as_many_terms_as_the_product_needs(name, k):
-    # (Id + t S)^{-1} = sum_{j<K} (-t S)^j for S = dTheta# Pi#, and on the
-    # fixtures no term is wasted: S^(K-1) is not zero
+    # (Id + t S)^{-1} = sum_{j<K} (-t S)^j for S = dTheta# Pi#, so D = 1 and
+    # N has K coefficients, and on the fixtures no term is wasted: S^(K-1)
+    # is not zero
     spec, res, pi, box, ev = _setup(name)
-    assert ev._nilpotency == k
+    assert ev._cyclic is (k is None)
     if k is None:
+        assert len(ev._det) > 1
         return
+    assert len(ev._det) == 1 and ev._order == k
     assert _exact_power_vanishes(ev, k)
     assert k == 1 or not _exact_power_vanishes(ev, k - 1)
     points = [{c: float(v) for c, v in p.items()} for p in sample_box(ev.chart, box, 8, 99)]
@@ -380,11 +394,14 @@ def test_the_series_solves_random_nilpotent_models():
     seen = {k: 0 for k in (1, 2, 3)}
     for _ in range(300):
         ev = _random_model(rng)
-        k = ev._nilpotency
-        if k is None:
+        if ev._cyclic:
             continue
-        seen[k] += 1
+        # K = 1 + the longest path of S's pattern: S^K = 0, and N needs no
+        # more than K coefficients
+        k = _path_index(ev)
         assert _exact_power_vanishes(ev, k)
+        assert len(ev._det) == 1 and ev._order <= k
+        seen[k] += 1
         if k > 1:
             box = default_box(ev.chart)
             points = [{c: float(v) for c, v in p.items()} for p in sample_box(ev.chart, box, 4, 3)]
@@ -399,14 +416,14 @@ def _assert_coefficients_sum_to_the_inverted_field(ev, points):
     n = ev.chart.dim
     theta = [ev.theta_exact.component((i,)) for i in range(n)]
     coeffs = dict(ev._z_exact)
-    assert sorted(coeffs) == [(k, i) for k in range(ev._nilpotency) for i in range(n)]
+    assert sorted(coeffs) == [(k, i) for k in range(ev._order) for i in range(n)]
     compared = 0
     for t in (Fraction(1, 3), Fraction(1)):
         sharp = sharp_matrix(_pi_t_exact(ev, t))
         for p in points:
             try:
                 got = [
-                    sum(t**k * coeffs[(k, j)].value_at(p) for k in range(ev._nilpotency))
+                    sum(t**k * coeffs[(k, j)].value_at(p) for k in range(ev._order))
                     for j in range(n)
                 ]
                 want = [
@@ -431,9 +448,9 @@ def test_the_coefficients_of_random_acyclic_models_sum_to_the_inverted_field():
     seen = {k: 0 for k in (1, 2, 3)}
     while min(seen.values()) < 2:
         ev = _random_model(rng)
-        k = ev._nilpotency
-        if k is None or seen[k] >= 2:
+        if ev._cyclic or seen[_path_index(ev)] >= 2:
             continue
+        k = _path_index(ev)
         seen[k] += 1
         points = sample_box(ev.chart, default_box(ev.chart), 3, 4)
         assert _assert_coefficients_sum_to_the_inverted_field(ev, points)
@@ -445,11 +462,13 @@ def test_a_corrupted_coefficient_fails_the_probe_check():
     ev._verify_probes(probes)
     # one entry of the top coefficient compiled off by a relative 1e-9
     col = max(c for c, (_key, fn) in enumerate(ev._z_exact) if not fn.is_zero())
-    assert ev._z_exact[col][0][0] == ev._nilpotency - 1
+    assert ev._z_exact[col][0][0] == ev._order - 1
     off = RationalFn.const(Fraction(10**9 + 1, 10**9))
     corrupted = copy.copy(ev)
     corrupted._z_entries = _CompiledEntries(
-        ev.chart, [(key, fn * off if c == col else fn) for c, (key, fn) in enumerate(ev._z_exact)]
+        ev.chart,
+        ev._pole_exact
+        + [(key, fn * off if c == col else fn) for c, (key, fn) in enumerate(ev._z_exact)],
     )
     with pytest.raises(AssertionError, match="compiled evaluator disagrees"):
         corrupted._verify_probes(probes)
@@ -490,7 +509,7 @@ def _varying_acyclic_model():
 
 def test_an_acyclic_row_stops_where_a_denominator_vanishes():
     ev = _varying_acyclic_model()
-    assert ev._nilpotency == 2 and not ev._guard_can_trip and ev._entries.can_vanish
+    assert ev._order == 2 and not ev._guard_can_trip and ev._entries.can_vanish
     assert any(not fn.is_zero() for (k, _i), fn in ev._z_exact if k == 1)
     # Pi#'s denominator vanishes, then dTheta#'s and Theta's, then all three
     starts = np.array([
@@ -615,7 +634,7 @@ def test_rk4_error_drops_by_sixteen_per_halving():
 def test_rk4_error_drops_by_sixteen_per_halving_on_a_nilpotent_model():
     # the field comes from the finite series, not from solve
     spec, res, pi, box, ev = _setup("transversal_leaf")
-    assert ev._nilpotency == 2
+    assert ev._order == 2 and len(ev._det) == 1
     start = dict(zip(ev.chart.coords, (0.1, -0.2, 0.25, 0.15, -0.1)))
     ends = {}
     for steps in (3200, 100, 200):
