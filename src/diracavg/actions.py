@@ -56,10 +56,6 @@ def _entry_zero() -> TrigEntry:
     return TrigPoly.zero(), Poly.const(1)
 
 
-def _entry_to_rational(n: Poly, d: Poly) -> RationalFn:
-    return RationalFn(n, d)
-
-
 class TrigTensor:
     """A tensor whose components are trig polynomials in the flow time."""
 
@@ -76,7 +72,7 @@ class TrigTensor:
     def integrate_mean(self) -> _Tensor:
         out: Dict[Idx, RationalFn] = {}
         for idx, (g, den) in self.comps.items():
-            out[idx] = _entry_to_rational(g.mean(), den)
+            out[idx] = RationalFn(g.mean(), den)
         return self._rebuild(out)
 
     def integrate_delta(self) -> _Tensor:
@@ -84,7 +80,7 @@ class TrigTensor:
         out: Dict[Idx, RationalFn] = {}
         for idx, (g, den) in self.comps.items():
             num = g.weighted_moment() + pi_var * g.mean()
-            out[idx] = _entry_to_rational(num, den)
+            out[idx] = RationalFn(num, den)
         return self._rebuild(out)
 
     def eval_float(self, t: float, point: Mapping[str, float]) -> Dict[Idx, float]:
@@ -104,7 +100,7 @@ class TrigMatrix:
     def integrate_mean(self) -> VectorValued1Form:
         return VectorValued1Form(
             self.chart,
-            [[_entry_to_rational(g.mean(), d) for (g, d) in row] for row in self.entries],
+            [[RationalFn(g.mean(), d) for (g, d) in row] for row in self.entries],
         )
 
     def integrate_delta(self) -> VectorValued1Form:
@@ -113,7 +109,7 @@ class TrigMatrix:
             self.chart,
             [
                 [
-                    _entry_to_rational(g.weighted_moment() + pi_var * g.mean(), d)
+                    RationalFn(g.weighted_moment() + pi_var * g.mean(), d)
                     for (g, d) in row
                 ]
                 for row in self.entries

@@ -534,7 +534,7 @@ def adiabatic_check(result: AveragingResult, j: Sequence[RationalFn]) -> Adiabat
 
 
 def _mentions(f: RationalFn, names: Sequence[str]) -> bool:
-    """Does the simplified function use any of the named variables?"""
+    """Does the function use any of the named variables?"""
     for poly in (f.num, f.den):
         for pos, v in enumerate(poly.vars):
             if v in names and any(e[pos] > 0 for e in poly.terms):

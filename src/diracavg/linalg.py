@@ -10,13 +10,12 @@ Matrices are nested lists over one of:
 
 Inverses are Gauss-Jordan on ``[a | Id]`` through one kernel, ``rref``,
 which also gives ``kernel_basis`` and the pivots over Q(@pi) and the
-function field.  Over Q and Q(@pi) values are canonical, so zero entries
-skip their multiply; over the function field each elimination step ends
-in ``simplified()``.  Ranks over Q and determinants come from one Bareiss
-(fraction-free) loop, ``_bareiss``: ``pivot_columns`` runs it on the rows
-cleared to integers, ``det`` on the rows cleared to polynomials.  ``Jets``
-gives exact values and coordinate gradients of a family of entries at a
-point.
+function field.  Every value is in a normal form (a ``RationalFn`` in
+lowest terms), so zero entries skip their multiply.  Ranks over Q and
+determinants come from one Bareiss (fraction-free) loop, ``_bareiss``:
+``pivot_columns`` runs it on the rows cleared to integers, ``det`` on the
+rows cleared to polynomials.  ``Jets`` gives exact values and coordinate
+gradients of a family of entries at a point.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class _Field(NamedTuple):
 
 
 # exact values are canonical over Q, so zero entries skip their multiply;
-# over the function field every entry takes every step, each row operation
-# ending in simplified(), so symbolic outputs keep their representation
+# over the function field every entry takes every step, and each result is
+# reduced as it is built
 _Q = _Field(
     Fraction(0), Fraction(1), not_, Fraction(1).__truediv__,
     lambda row, c: [x * c if x else x for x in row],
@@ -101,38 +100,20 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def _all_poly(a: Mat) -> bool:
-    return all(x.is_poly() for row in a for x in row)
-
-
 def det(a: Mat) -> RationalFn:
-    """Determinant by Bareiss elimination of the rows cleared to polynomials."""
-    n = len(a)
-    if n == 0:
+    """Determinant by Bareiss elimination of the rows, each cleared to
+    polynomials by the product of its distinct denominators."""
+    if not a:
         return RationalFn.const(1)
-    if _all_poly(a):
-        cols, d = _bareiss([[x.as_poly() for x in row] for row in a])
-        return RationalFn.from_poly(d) if len(cols) == n else RationalFn.zero()
-    # Clear denominators row by row, track the correction factor.
-    factor = RationalFn.const(1)
-    rows: List[List[Poly]] = []
+    rows, factor = [], RationalFn.const(1)
     for row in a:
-        d = Poly.const(1)
-        seen = []
-        for x in row:
-            if not x.is_poly() and all(x.den != s for s in seen):
-                seen.append(x.den)
-                d = d * x.den
-        factor = factor * RationalFn.from_poly(d)
-        cleared = []
-        for x in row:
-            v = RationalFn.from_poly(d) * x
-            cleared.append(v.as_poly())
-        rows.append(cleared)
-    cols, d = _bareiss(rows)
-    if len(cols) < n:
-        return RationalFn.zero()
-    return RationalFn.from_poly(d) / factor
+        d = RationalFn.const(1)
+        for den in {x.den for x in row}:
+            d = d * RationalFn.from_poly(den)
+        factor = factor * d
+        rows.append([(x * d).as_poly() for x in row])
+    cols, p = _bareiss(rows)
+    return RationalFn.from_poly(p) / factor if len(cols) == len(a) else RationalFn.zero()
 
 
 def inverse(a: Mat) -> Mat:
@@ -152,8 +133,8 @@ def rref(m: List[list]) -> List[Tuple[int, int]]:
     entry at or below the current row is the pivot; its row is swapped up
     and scaled to a leading 1, and the column is cleared in every other
     row.  A matrix with any RationalFn entry is lifted to the function
-    field first, and each row operation there ends in ``simplified()``;
-    one with a QPi entry and no RationalFn is reduced over Q(@pi).
+    field first; one with a QPi entry and no RationalFn is reduced over
+    Q(@pi).
     """
     field = _field_of(m)
     if field is _FN:

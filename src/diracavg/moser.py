@@ -274,14 +274,13 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-def _has_cycle(edges: Sequence[Sequence[bool]]) -> bool:
-    """Whether the graph with an edge i -> j wherever edges[i][j] has a
-    cycle (an edge i -> i is one); a matrix whose nonzero entries lie on
-    the edges of a graph without one is nilpotent."""
-    left = set(range(len(edges)))
+def _has_cycle(m: linalg.Mat) -> bool:
+    """Whether the graph with an edge i -> j wherever m[i][j] is not zero
+    has a cycle (an edge i -> i is one); without one, m is nilpotent."""
+    left = set(range(len(m)))
     while left:
         # a node with no edge into the nodes left lies on no cycle among them
-        ends = {i for i in left if not any(edges[i][j] for j in left)}
+        ends = {i for i in left if all(m[i][j].is_zero() for j in left)}
         if not ends:
             return True
         left -= ends
@@ -289,31 +288,21 @@ def _has_cycle(edges: Sequence[Sequence[bool]]) -> bool:
 
 
 def _det_coefficients(s: linalg.Mat) -> List[RationalFn]:
-    """[1, e_1, ..., e_m]: det(Id + t s) = sum_k e_k t^k, with e_m its last
-    nonzero coefficient, from the power sums p_i = tr(s^i) by Newton's
-    identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} p_i.  tr(s^i) is read
-    as tr(s^a s^b) with a + b = i, so only powers up to n/2 are formed."""
+    """[1, e_1, ..., e_m]: det(Id + t s) = sum_k e_k t^k, e_m its last nonzero
+    coefficient, by Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i}
+    tr(s^i), with tr(s^i) = tr(s^a s^b) for a + b = i, so that only the
+    powers up to n/2 are formed."""
     n = len(s)
-    powers = [s]
-    while 2 * len(powers) < n:
+    powers = [linalg.identity(n), s]
+    while len(powers) <= (n + 1) // 2:
         powers.append(linalg.mat_mul(powers[-1], s))
-    e = [RationalFn.const(1)]
-    signed: List[RationalFn] = []
+    e, signed = [RationalFn.const(1)], []
     for k in range(1, n + 1):
-        if k == 1:
-            terms = [s[i][i] for i in range(n)]
-        else:
-            a, b = powers[(k - 1) // 2], powers[k // 2 - 1]
-            terms = [
-                a[i][j] * b[j][i]
-                for i in range(n)
-                for j in range(n)
-                if not (a[i][j].is_zero() or b[j][i].is_zero())
-            ]
-        trace = sum(terms, RationalFn.zero())
+        a, b = powers[(k + 1) // 2], powers[k // 2]
+        pairs = [(a[i][j], b[j][i]) for i in range(n) for j in range(n)]
+        trace = sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), RationalFn.zero())
         signed.append(trace if k % 2 else -trace)
-        total = sum((e[k - i] * signed[i - 1] for i in range(1, k + 1)), RationalFn.zero())
-        e.append(total.scale(Fraction(1, k)))
+        e.append(sum((x * y for x, y in zip(reversed(e), signed)), RationalFn.zero()).scale(Fraction(1, k)))
     while len(e) > 1 and e[-1].is_zero():
         e.pop()
     return e
@@ -325,17 +314,21 @@ def _adjugate_series(
     """The coefficients in t of det(t) sum_j t^j terms[j] up to t^(n-1),
     trailing zero ones dropped.  With det(t) = det(Id + t S) and terms[j] =
     (-S)^j X, that is adj(Id + t S) X, whose degree in t is below n."""
-    width = len(terms[0]) if terms else 0
     out = [
-        [
-            sum((det[k - j] * terms[j][i] for j in range(len(terms)) if 0 <= k - j < len(det)),
-                RationalFn.zero())
-            for i in range(width)
-        ]
+        [sum((det[k - j] * row[i] for j, row in enumerate(terms) if 0 <= k - j < len(det)),
+             RationalFn.zero()) for i in range(len(terms[0]) if terms else 0)]
         for k in range(n)
     ]
     while out and all(x.is_zero() for x in out[-1]):
         out.pop()
+    return out
+
+
+def _in_t(coeffs: Sequence[RationalFn]) -> RationalFn:
+    """sum_k T^k coeffs[k], by Horner's rule."""
+    out = RationalFn.zero()
+    for c in reversed(coeffs):
+        out = out * _T + c
     return out
 
 
@@ -409,7 +402,7 @@ class NumericEvaluator:
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
         self._sp, self._sb, self._s = sp, sb, linalg.mat_mul(sb, sp)
-        self._cyclic = _has_cycle([[not x.is_zero() for x in row] for row in self._s])
+        self._cyclic = _has_cycle(self._s)
         self._guard_can_trip = guard >= 1 or self._cyclic
         # on a model with a cycle the exact objects can be large, so they
         # are derived on first use, unless the probes check them now
@@ -433,23 +426,20 @@ class NumericEvaluator:
         while len(c) < n and any(not x.is_zero() for (x,) in u):
             c.append([-x if len(c) % 2 == 0 else x for (x,) in u])
             u = linalg.mat_mul(sp, linalg.mat_mul(self._sb, u))
-        self._numer = _adjugate_series(self._det, c, n)
         # N may be zero, but it takes one row
-        self._order = max(len(self._numer), 1)
+        self._numer = _adjugate_series(self._det, c, n) or [[RationalFn.zero()] * n]
+        self._order = len(self._numer)
         poles: Dict[Poly, int] = {}
         for col, (_key, fn) in enumerate(self._exact):
             if any(fn.den.diff(x).terms for x in self.chart.coords):
                 poles.setdefault(fn.den, col)
         self._poles = list(poles.values())
         self._pole_exact = [
-            (self._exact[col][0], RationalFn(Poly.const(1), self._exact[col][1].den))
-            for col in self._poles
+            (self._exact[col][0], RationalFn(Poly.const(1), den)) for den, col in poles.items()
         ]
         # columns: the poles, N_k's entries (k, i), then e_k for k >= 1
         self._z_exact: List[Tuple[object, RationalFn]] = [
-            ((k, i), self._numer[k][i] if self._numer else RationalFn.zero())
-            for k in range(self._order)
-            for i in range(n)
+            ((k, i), x) for k, row in enumerate(self._numer) for i, x in enumerate(row)
         ] + [((k, "det"), e) for k, e in enumerate(self._det) if k]
         self._z_entries = _CompiledEntries(self.chart, self._pole_exact + self._z_exact)
 
@@ -542,13 +532,11 @@ class NumericEvaluator:
     def bracket_exact(
         self, t: Fraction, point: Mapping[str, Union[float, Fraction]]
     ) -> List[List[Fraction]]:
-        """[[Z_t, Pi_t]] at one point, exactly.
+        """[[Z_t, Pi_t]] at one point, exactly: B[i][j] = [[Z_t, Pi_t]]^{ij}.
 
-        Returns the matrix B[i][j] = [[Z_t, Pi_t]]^{ij}, read from the
-        bracket that ``_bracket_fns`` derives once.  ``@pi`` is bound to
-        Fraction(math.pi), the value the float side uses.  Raises
-        ZeroDivisionError where a denominator of Pi#, dTheta# or Theta
-        vanishes and GuardError where Id + t dTheta# Pi# is singular.
+        ``@pi`` is bound to Fraction(math.pi), the value the float side
+        uses.  Raises ZeroDivisionError where a denominator of Pi#, dTheta#
+        or Theta vanishes and GuardError where Id + t dTheta# Pi# is singular.
         """
         det, bracket = self._bracket_fns()
         at = {c: Fraction(point[c]) for c in self.chart.coords}
@@ -567,11 +555,9 @@ class NumericEvaluator:
         return out
 
     def _bracket_fns(self) -> Tuple[RationalFn, MultivectorField]:
-        """det(Id + T S) and [[Z_T, Pi_T]], as rational functions of the
-        point and T, derived on first use.
-
-        Pi_T# = Pi# adj(Id + T S) / det(Id + T S), and adj(Id + T S) =
-        sum_k T^k sum_{j<=k} e_{k-j} (-S)^j; Z_T = N(T) / det(Id + T S)."""
+        """D(T) and [[Z_T, Pi_T]], as rational functions of the point and
+        T, derived on first use: Pi_T# = Pi# adj(Id + T S) / D(T), where
+        adj(Id + T S) = sum_k T^k sum_{j<=k} e_{k-j} (-S)^j."""
         if self._bracket is None:
             if self._z_entries is None:
                 self._compile()
@@ -579,23 +565,16 @@ class NumericEvaluator:
             # Pi# (-S)^j, above the diagonal only: Pi_T is antisymmetric
             upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
             powers = [self._sp]
-            for _ in range(1, n):
+            while len(powers) < n:
                 powers.append(linalg.mat_mul(powers[-1], self._s))
             terms = [[-m[j][i] if k % 2 else m[j][i] for i, j in upper] for k, m in enumerate(powers)]
             sharp = _adjugate_series(self._det, terms, n)
-
-            def in_t(coeffs: Sequence[RationalFn]) -> RationalFn:
-                out = RationalFn.zero()
-                for c in reversed(coeffs):
-                    out = out * _T + c
-                return out
-
-            det = in_t(self._det)
+            det = _in_t(self._det)
             pi_t = MultivectorField(self.chart, 2, {
-                ij: in_t([row[col] for row in sharp]) / det for col, ij in enumerate(upper)
+                ij: _in_t([row[col] for row in sharp]) / det for col, ij in enumerate(upper)
             })
             z_t = vector_field(self.chart, {
-                i: in_t([row[i] for row in self._numer]) / det for i in range(n)
+                i: _in_t([row[i] for row in self._numer]) / det for i in range(n)
             })
             self._bracket = det, lie_derivative_multivector(z_t, pi_t)
         return self._bracket

@@ -406,23 +406,16 @@ def _heugcd(f: ZPoly, g: ZPoly) -> Tuple[ZPoly, ZPoly, ZPoly]:
     for _ in range(_HEU_TRIES):
         ff, gg = _at_last(f, x), _at_last(g, x)
         if ff and gg:
-            h, cff, cfg = _heugcd(ff, gg)
-            h = _digits(h, x)
+            images = _heugcd(ff, gg)
+            h = _digits(images[0], x)
             content = math.gcd(*h.values())
-            h = {e: v // content for e, v in h.items()}
-            cff_, cfg_ = _quotient(f, h), _quotient(g, h)
-            if cff_ is not None and cfg_ is not None:
-                return _times(h, c), cff_, cfg_
-            cff = _digits(cff, x)
-            h = _quotient(f, cff)
-            cfg_ = None if h is None else _quotient(g, h)
-            if cfg_ is not None:
-                return _times(h, c), cff, cfg_
-            cfg = _digits(cfg, x)
-            h = _quotient(g, cfg)
-            cff_ = None if h is None else _quotient(f, h)
-            if cff_ is not None:
-                return _times(h, c), cff_, cfg
+            primitive = {e: v // content for e, v in h.items()}
+            # the gcd read back, else f or g over a cofactor read back
+            for h in (primitive if i == 0 else _quotient((f, g)[i - 1], _digits(images[i], x))
+                      for i in range(3)):
+                cff, cfg = (None, None) if h is None else (_quotient(f, h), _quotient(g, h))
+                if cff is not None and cfg is not None:
+                    return _times(h, c), cff, cfg
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     raise CapacityError("heuristic gcd found no evaluation point")
 
