@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from diracavg.linalg import (
 from diracavg import linalg
 from diracavg.rings import Poly, QPi, RationalFn, qpi
 
-from conftest import rand_fraction, to_sympy_poly
+from conftest import rand_fraction, rand_poly, to_sympy_poly
 
 
 def _mat(rows):
@@ -442,3 +443,16 @@ def test_q_pi_inverts_an_int_pivot_exactly():
     assert rank([[2, 1], [qpi([0, 1]), 3]]) == 2
     m = [[2, 1], [qpi([0, 1]), 3]]
     assert rref(m) == [(0, 0), (1, 1)] and m == [[1, 0], [0, 1]]
+
+
+def test_a_dense_polynomial_inverse_stays_small():
+    # Gauss-Jordan over the function field reduces every entry as it goes:
+    # without a gcd this inverse took seconds and its entries thousands of
+    # terms
+    rng = random.Random(7)
+    a = [[RationalFn.from_poly(rand_poly(rng, ("x", "y"), 2, 2)) for _ in range(5)] for _ in range(5)]
+    start = time.perf_counter()
+    inv = inverse(a)
+    assert time.perf_counter() - start < 1.0
+    assert max(max(len(x.num.terms), len(x.den.terms)) for row in inv for x in row) <= 53
+    assert mat_mul(a, inv) == identity(5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHART4, default_box, rand_poly, rand_rational
-from diracavg import linalg
+from diracavg import cli, linalg
 from diracavg.averaging import average_coupling, check_compatibility
 from diracavg.config import PI
 from diracavg.coupling import data_to_poisson, structure_eq_check
+from diracavg.derivation import Derivation
 from diracavg.fixtures import load
+from diracavg.modelspec import parse_spec
 from diracavg.moser import (
     BoxExit,
     FlowConfig,
@@ -160,6 +163,187 @@ def test_jet_bracket_matches_the_symbolic_bracket(name):
                     assert float(got[i][j]) == at_p.eval_float({})
                     nonzero += got[i][j] != 0
     assert nonzero
+
+
+# -- the jet route, the oracle of the symbolic bracket -------------------------
+
+# exact algebra on first-order jets: a left factor comes as rows, the nonzero
+# entries of each row as (column, value) pairs, so zero entries cost nothing
+
+
+def _rows(m):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _mul(a, b):
+    out = [[0] * len(b[0]) for _ in a]
+    for row, entries in zip(out, a):
+        for k, x in entries:
+            for j, y in enumerate(b[k]):
+                if y:
+                    row[j] += x * y
+    return out
+
+
+def _apply(a, v):
+    out = [0] * len(a)
+    for i, entries in enumerate(a):
+        for j, x in entries:
+            if v[j]:
+                out[i] += x * v[j]
+    return out
+
+
+def _add(a, b, c=1):
+    """a + c b."""
+    return [[x + c * y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _combine(coeffs, mats, n):
+    """sum_k coeffs[k] mats[k]."""
+    out = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for row, entries in zip(out, m):
+                for j, x in entries:
+                    row[j] += c * x
+    return out
+
+
+def _jet_bracket(ev, t, point):
+    """[[Z_t, Pi_t]] at one point, exactly, from first-order jets of Pi#,
+    dTheta# and Theta: the route HR took before the bracket was derived
+    once per request, kept here as its oracle.
+
+    With M the inverse of A = Id + t dTheta# Pi#, the sharp matrix of Pi_t
+    is Pi# M and Z_t = -Pi# M Theta; their first derivatives follow by
+    d(M) = -M d(A) M, and (L_Z Pi)^{ij} = Z^k d_k Pi^{ij} - Pi^{kj} d_k Z^i
+    - Pi^{ik} d_k Z^j.  Raises ZeroDivisionError where a denominator
+    vanishes and GuardError where A is singular.
+    """
+    t = Fraction(t)
+    n, nn = ev.chart.dim, ev.chart.dim ** 2
+    at = {c: Fraction(point[c]) for c in ev.chart.coords}
+    at[PI] = Fraction(math.pi)
+    vals, grads = linalg.Jets([fn for _key, fn in ev._exact], ev.chart.coords).at(at)
+
+    def families(flat):
+        # the column order of ev._exact: Pi# and dTheta# row-major, then Theta
+        return (
+            [flat[j * n : (j + 1) * n] for j in range(n)],
+            [flat[nn + j * n : nn + (j + 1) * n] for j in range(n)],
+            flat[2 * nn :],
+        )
+
+    sp, sb, th = families(vals)
+    d_sp, d_sb, d_th = zip(*map(families, grads))
+    sp_rows, sb_rows = _rows(sp), _rows(sb)
+    d_sp_rows, d_sb_rows = [_rows(m) for m in d_sp], [_rows(m) for m in d_sb]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    aug = [row + e for row, e in zip(_add(eye, _mul(sb_rows, sp), t), eye)]
+    if len(linalg.rref(aug)) < n:
+        raise GuardError(f"interpolation matrix singular at t={t}")
+    inv = [row[n:] for row in aug]
+    sharp = _mul(sp_rows, inv)
+    sharp_rows = _rows(sharp)
+    w = _apply(_rows(inv), th)
+    z = [-x for x in _apply(sp_rows, w)]
+    # the derivative of Pi_t# along Z
+    sp_z = _combine(z, d_sp_rows, n)
+    a_z = _add(_mul(_rows(_combine(z, d_sb_rows, n)), sp), _mul(sb_rows, sp_z))
+    sharp_z = _mul(_rows(_add(sp_z, _mul(sharp_rows, a_z), -t)), inv)
+    # jac_t[k][i] = d_k Z^i = -(d_k Pi_t#) Theta - Pi_t# d_k Theta, where
+    # (d_k Pi_t#) Theta = d_k(Pi#) w - Pi_t# d_k(A) w and Pi# w = -Z
+    jac_t = []
+    for k in range(n):
+        dsp_w = _apply(d_sp_rows[k], w)
+        da_w = [t * (x - y) for x, y in zip(_apply(sb_rows, dsp_w), _apply(d_sb_rows[k], z))]
+        jac_t.append([
+            y - x - u
+            for x, y, u in zip(dsp_w, _apply(sharp_rows, da_w), _apply(sharp_rows, d_th[k]))
+        ])
+    # Pi_t^{ij} is sharp[j][i], and sharp is antisymmetric, so with
+    # c = jac sharp the last two terms are c[i][j] - c[j][i]
+    c = _mul(_rows(zip(*jac_t)), sharp)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i][j] = sharp_z[j][i] + c[i][j] - c[j][i]
+            out[j][i] = -out[i][j]
+    return out
+
+
+def _outcome(route, *args):
+    """The bracket a route gives, or the type of the error it raises."""
+    try:
+        return route(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _torus():
+    """The torus model's evaluator and box, as moser-verify builds them."""
+    spec = parse_spec(str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"))
+    d = Derivation()
+    _checks, res = cli._run_average(spec, None, None, d)
+    box = spec.get_box(None)
+    ev = NumericEvaluator(d.coupling(res.source).pi, res.theta, box, sample_box(spec.chart, box, 5, 1))
+    return ev, box
+
+
+def _small_random_model(rng):
+    # three coordinates and entries of degree 1 in one coordinate each: both
+    # patterns of dTheta# Pi#, with and without a cycle, turn up
+    chart = Chart(("q0", "q1", "q2"))
+
+    def entry():
+        return rand_rational(rng, rng.sample(chart.coords, 1), degree=1)
+
+    pi = MultivectorField(chart, 2, {ij: entry() for ij in ((0, 1), (0, 2), (1, 2)) if rng.random() < 0.8})
+    theta = one_form(chart, {i: entry() for i in range(3) if rng.random() < 0.8})
+    return NumericEvaluator(pi, theta, default_box(chart)), default_box(chart)
+
+
+_QUARTERS = [Fraction(k, 4) for k in range(5)]
+
+
+@pytest.mark.parametrize(
+    "name", ["flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "shifted_lift", "torus"]
+)
+def test_the_symbolic_bracket_is_the_jet_bracket(name):
+    if name == "torus":
+        ev, box = _torus()
+    else:
+        _spec, _res, _pi, box, ev = _setup(name)
+    points = sample_box(ev.chart, box, 3, 93)
+    nonzero = 0
+    for t in _QUARTERS:
+        for p in points:
+            got = _outcome(ev.bracket_exact, t, p)
+            assert got == _outcome(_jet_bracket, ev, t, p)
+            nonzero += any(v != 0 for row in got for v in row)
+    assert nonzero or name == "flat"
+
+
+def test_the_symbolic_bracket_is_the_jet_bracket_on_random_models():
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 3:
+        ev, box = _small_random_model(rng)
+        if seen[ev._cyclic] >= 3:
+            continue
+        seen[ev._cyclic] += 1
+        for t in _QUARTERS:
+            for p in sample_box(ev.chart, box, 2, 94):
+                assert _outcome(ev.bracket_exact, t, p) == _outcome(_jet_bracket, ev, t, p)
+
+
+def test_the_bracket_of_rotating_lift_is_reduced():
+    # 1,202 numerator and denominator terms where fractions were not reduced
+    _spec, _res, _pi, _box, ev = _setup("rotating_lift")
+    _det, bracket = ev._bracket_fns()
+    assert sum(len(f.num.terms) + len(f.den.terms) for f in bracket.comps.values()) == 14
 
 
 def test_homotopy_residual_is_small_along_the_path():

@@ -21,7 +21,7 @@ from diracavg.rings import (
     qpi,
 )
 
-from conftest import rand_poly, rand_rational
+from conftest import rand_poly, rand_rational, to_sympy_poly
 
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -413,6 +413,26 @@ _nonzero_pi_polys = pi_polys().filter(lambda p: not p.is_zero())
 def test_equal_rational_functions_hash_alike(a, b, c):
     f, g = RationalFn(a * c, b * c), RationalFn(a, b)
     assert f == g and hash(f) == hash(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pi_polys(), _nonzero_pi_polys, _nonzero_pi_polys)
+def test_a_common_factor_cancels_to_the_same_terms(a, b, c):
+    from sympy import QQ, Symbol
+    from sympy.polys.rings import ring
+
+    f, g = RationalFn(a * c, b * c), RationalFn(a, b)
+    assert (f.num, f.den) == (g.num, g.den) and hash(f) == hash(g)
+    if f.is_poly():
+        return
+    # the normal form: a denominator over Z of content 1 with a positive
+    # leading coefficient in lex order, coprime to the numerator
+    coeffs = list(f.den.terms.values())
+    assert all(type(x) is int for x in coeffs) and math.gcd(*coeffs) == 1
+    assert f.den.terms[max(f.den.terms)] > 0
+    sym, *_gens = ring([Symbol("x"), Symbol("y"), Symbol(PI)], QQ)
+    num, den = to_sympy_poly(sym, f.num), to_sympy_poly(sym, f.den)
+    assert num.gcd(den).is_ground
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
