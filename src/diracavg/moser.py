@@ -2,11 +2,12 @@
 
 The family Pi_t interpolates a bivector and its gauge image; the field
 Z_t = -Pi_t#(Theta) generates a flow whose time-1 map intertwines the two.
-This module compiles exact components to fast float evaluators (checked
-against exact evaluation at probe points), computes Z_t, measures the
-homotopy residual [[Z_t, Pi_t]] + d(Pi_t)/dt, and integrates the flow with
-a fixed-step classical 4th-order scheme to verify the intertwining
-identity through finite-difference Jacobians.
+This module derives Z_t and [[Z_t, Pi_t]] exactly once per request,
+compiles exact components to fast float evaluators (checked against exact
+evaluation at probe points), measures the homotopy residual
+[[Z_t, Pi_t]] + d(Pi_t)/dt, and integrates the flow with a fixed-step
+classical 4th-order scheme to verify the intertwining identity through
+finite-difference Jacobians.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ np = _NumpyOnFirstUse()
 # coordinates cannot start with "@"
 T = "@t"
 _T = RationalFn.from_poly(Poly((T,), {(1,): 1}))
+_ONE = Poly.const(1)
 
 FloatPoint = Mapping[str, float]
 # why a trajectory stopped: (stage, rank, error), where the rank orders the
 # causes met within one stage: a box exit (0), a vanishing denominator in
-# Pi# (1), dTheta# (2) or Theta (3), or in a coefficient of Z_t alone (3),
-# then the guard (4)
+# Pi# (1), dTheta# (2) or Theta (3), or in a coefficient of N(t) alone where
+# D(t) is 1 (3), then the guard (4)
 Abort = Tuple[int, int, Exception]
 # rows of a batch where a field could not be evaluated: row -> (rank, error)
 Failures = Dict[int, Tuple[int, Exception]]
@@ -302,8 +304,9 @@ def _det_coefficients(s: linalg.Mat) -> List[RationalFn]:
         pairs = [(a[i][j], b[j][i]) for i in range(n) for j in range(n)]
         trace = sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), RationalFn.zero())
         signed.append(trace if k % 2 else -trace)
-        e.append(sum((x * y for x, y in zip(reversed(e), signed)), RationalFn.zero()).scale(Fraction(1, k)))
-    while len(e) > 1 and e[-1].is_zero():
+        total = sum((x * y for x, y in zip(reversed(e), signed)), RationalFn.zero())
+        e.append(total.scale(Fraction(1, k)))
+    while e[-1].is_zero():
         e.pop()
     return e
 
@@ -348,17 +351,16 @@ class NumericEvaluator:
     compiler bug and raises.  ``guard`` rejects interpolation matrices whose
     determinant magnitude falls below the threshold, or is not finite.
 
-    Z_t = -Pi# (Id + t S)^{-1} Theta, with S = dTheta# Pi#, is derived once,
-    exactly, as N(t) / D(t).  D(t) = det(Id + t S) = sum_k e_k t^k, whose
-    e_k follow from the traces of the powers of S by Newton's identities,
+    Z_t = -Pi# (Id + t S)^{-1} Theta, with S = dTheta# Pi#, is derived
+    once, exactly, as N(t) / D(t).  D(t) = det(Id + t S) = sum_k e_k t^k,
     and N(t) = sum_k t^k N_k with N_k = sum_{j<=k} e_{k-j} c_j and
     c_j = -(-1)^j Pi# S^j Theta, since D(t) (Id + t S)^{-1} is the
     adjugate.  The N_k and e_k are compiled and checked at the probes like
     the entries, so a stage needs no matrix algebra, and the guard reads
-    the compiled D.  Where D is exactly 1 (S nilpotent, as on every model
-    whose S has no cycle in its zero pattern) N_k = c_k, and a guard below
-    1 cannot trip.  [[Z_t, Pi_t]] is derived once too, as a rational
-    function of the point and ``T``, when HR first asks for it.
+    the compiled D.  Where the zero pattern of S has no cycle, S is
+    nilpotent: D = 1, N_k = c_k, and a guard below 1 cannot trip.
+    [[Z_t, Pi_t]] is derived once too, as rational functions of the point
+    and ``T``, when HR first asks for it.
     """
 
     def __init__(
@@ -371,16 +373,13 @@ class NumericEvaluator:
     ):
         if pi.degree != 2 or theta.degree != 1 or pi.chart != theta.chart:
             raise ValueError("expects a bivector and a 1-form on one chart")
-        self.chart = pi.chart
-        self.pi_exact = pi
-        self.theta_exact = theta
-        self.dtheta_exact = exterior_derivative(self.theta_exact)
+        self.chart, self.pi_exact, self.theta_exact = pi.chart, pi, theta
+        self.dtheta_exact = exterior_derivative(theta)
         self.box = dict(box)
         self.guard = guard
-        n = self.chart.dim
-        self._n = n
-        self._box_lo = np.array([float(self.box[c][0]) for c in self.chart.coords])
-        self._box_hi = np.array([float(self.box[c][1]) for c in self.chart.coords])
+        n = self._n = self.chart.dim
+        bounds = [[float(self.box[c][k]) for c in pi.chart.coords] for k in (0, 1)]
+        self._box_lo, self._box_hi = np.array(bounds)
         self._eye = np.eye(n)
 
         sp = sharp_matrix(self.pi_exact)
@@ -417,7 +416,6 @@ class NumericEvaluator:
         """Derive N(t) and D(t) and compile them, after the denominators of
         Pi#, dTheta# and Theta that vary, whose vanishing stops a row."""
         n, sp = self._n, self._sp
-        # where S's pattern has no cycle S is nilpotent, so D = 1
         self._det = _det_coefficients(self._s) if self._cyclic else [RationalFn.const(1)]
         # c_j = -(-1)^j Pi# S^j Theta from u_j = Pi# (dTheta# Pi#)^j Theta,
         # until some u_j is zero, when every later one is
@@ -426,17 +424,14 @@ class NumericEvaluator:
         while len(c) < n and any(not x.is_zero() for (x,) in u):
             c.append([-x if len(c) % 2 == 0 else x for (x,) in u])
             u = linalg.mat_mul(sp, linalg.mat_mul(self._sb, u))
-        # N may be zero, but it takes one row
-        self._numer = _adjugate_series(self._det, c, n) or [[RationalFn.zero()] * n]
+        self._numer = _adjugate_series(self._det, c, n) or [[RationalFn.zero()] * n]  # N = 0: one row
         self._order = len(self._numer)
         poles: Dict[Poly, int] = {}
         for col, (_key, fn) in enumerate(self._exact):
             if any(fn.den.diff(x).terms for x in self.chart.coords):
                 poles.setdefault(fn.den, col)
         self._poles = list(poles.values())
-        self._pole_exact = [
-            (self._exact[col][0], RationalFn(Poly.const(1), den)) for den, col in poles.items()
-        ]
+        self._pole_exact = [(self._exact[c][0], RationalFn(_ONE, den)) for den, c in poles.items()]
         # columns: the poles, N_k's entries (k, i), then e_k for k >= 1
         self._z_exact: List[Tuple[object, RationalFn]] = [
             ((k, i), x) for k, row in enumerate(self._numer) for i, x in enumerate(row)
@@ -539,20 +534,16 @@ class NumericEvaluator:
         or Theta vanishes and GuardError where Id + t dTheta# Pi# is singular.
         """
         det, bracket = self._bracket_fns()
-        at = {c: Fraction(point[c]) for c in self.chart.coords}
-        at[PI] = Fraction(math.pi)
+        at = {**{c: Fraction(point[c]) for c in self.chart.coords}, PI: Fraction(math.pi)}
         for col in self._poles:
             if not RationalFn.from_poly(self._exact[col][1].den).value_at(at):
                 raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
         at[T] = Fraction(t)
         if not det.value_at(at):
             raise GuardError(f"interpolation matrix singular at t={t}")
-        n = self._n
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), fn in bracket.comps.items():
-            out[i][j] = fn.value_at(at)
-            out[j][i] = -out[i][j]
-        return out
+        vals = {ij: fn.value_at(at) for ij, fn in bracket.comps.items()}
+        n = range(self._n)
+        return [[vals.get((i, j), 0) if i < j else -vals.get((j, i), 0) for j in n] for i in n]
 
     def _bracket_fns(self) -> Tuple[RationalFn, MultivectorField]:
         """D(T) and [[Z_T, Pi_T]], as rational functions of the point and
