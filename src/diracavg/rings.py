@@ -451,7 +451,9 @@ def _digits(h: ZPoly, x: int) -> ZPoly:
 def _quotient(f: ZPoly, h: ZPoly) -> Union[ZPoly, None]:
     """f / h where h divides f over Z, else None.
 
-    Exact division in lex order.  A quotient's degree in each variable is
+    GCDHEU's trial division, its hottest step: over Z, in lex order, which
+    compares exponent tuples as they are, and stopping at the first
+    remainder of a coefficient.  A quotient's degree in each variable is
     f's less h's, which bounds the steps where h does not divide f.
     """
     lead = max(h)
