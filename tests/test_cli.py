@@ -602,6 +602,12 @@ REPORT_DIGESTS = {
         "7af63633d950c8dc1aeb618948b6f16ae189d4bee69902cf491b3803e2cb92a5", None),
     ("full-pipeline", "shifted_lift"): (
         "c039cff4d9745f405290bc3861727017534b5336bcf0f3a232e43362c3872885", None),
+    # these reach the function field's inverse and kernel basis, and rref
+    # over Q(@pi)
+    ("full-pipeline", "torus"): (
+        "57354bbd4c4e4a03065399901678acb53491f8106075baf7af322487bdd35a7b", None),
+    ("dirac-verify", "obstructed_lift"): (
+        "54181347e1654f1c9f9f8b46fe2e3a2d875d25f560b57e7966b8f5eb9aeac2cd", None),
 }
 
 
