@@ -7,11 +7,10 @@ Jacobiator, the determinant and inverse of a gauge matrix.  A
 every later reader.  Entries are keyed by the identity of the objects they
 derive from, not by value.  A value key would let a fact recorded for one
 object, such as the vanishing Jacobiator ``data_to_poisson`` verified for
-its bivector, pass to an equal object another route built, and each lookup
-would compare entries by cross-multiplication (``GeometricData``, a
-mutable dataclass, has no hash at all).  Entries hold those objects, so no
-id is reused while the derivation lives.  A derivation lives for one
-request; nothing is shared between requests.
+its bivector, pass to an equal object another route built; and
+``GeometricData``, a mutable dataclass, has no hash at all.  Entries hold
+those objects, so no id is reused while the derivation lives.  A
+derivation lives for one request; nothing is shared between requests.
 
 Sharing never makes a check compare a value with itself: each route of a
 checked identity still computes its own side from its own inputs.

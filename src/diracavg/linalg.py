@@ -1,17 +1,16 @@
-"""Exact dense linear algebra over three fields.
+"""Exact dense linear algebra over Q, Q(@pi) and the rational functions.
 
-Matrices are nested lists over one of:
-
-* Q: ``Fraction`` or ``int`` entries, a pointwise check's matrix
-  evaluated at a rational sample point (``eval_at``);
-* Q(@pi): the same with ``QPi`` entries where ``@pi`` survives the point;
-* the rational-function field: ``RationalFn`` entries, for symbolic
-  matrices such as a kernel basis or an inverse.
+Matrices are nested lists of ``Fraction`` or ``int`` entries (a pointwise
+check's matrix evaluated at a rational sample point, ``eval_at``), of
+those mixed with ``QPi`` entries where ``@pi`` survives the point, or of
+``RationalFn`` entries, for symbolic matrices such as a kernel basis or an
+inverse.
 
 Inverses are Gauss-Jordan on ``[a | Id]`` through one kernel, ``rref``,
-which also gives ``kernel_basis`` and the pivots over Q(@pi) and the
-function field.  Every value is in a normal form (a ``RationalFn`` in
-lowest terms), so zero entries skip their multiply.  Ranks over Q and
+which also gives ``kernel_basis`` and the pivots of a matrix that is not
+over Q.  It takes one step rule on every entry type: every value is in a
+normal form (a ``RationalFn`` in lowest terms, a canonical ``QPi``), so
+zero is canonical and zero entries skip their multiply.  Ranks over Q and
 determinants come from one Bareiss (fraction-free) loop, ``_bareiss``:
 ``pivot_columns`` runs it on the rows cleared to integers, ``det`` on the
 rows cleared to polynomials.  ``Jets`` gives exact values and coordinate
@@ -22,52 +21,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import not_
-from typing import Callable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from .rings import Poly, QPi, RationalFn
 
 Mat = List[List[RationalFn]]
-# an entry over Q, over Q(@pi) (both at points), or over the function field
+# an entry in Q or Q(@pi) (both at points), or a rational function
 Value = Union[int, Fraction, QPi, RationalFn]
-
-
-class _Field(NamedTuple):
-    """The arithmetic ``rref`` runs on: Q, Q(@pi) or the rational-function field."""
-
-    zero: Value
-    one: Value
-    is_zero: Callable[[Value], bool]
-    inverse: Callable[[Value], Value]
-    # row * c
-    scale: Callable[[list, Value], list]
-    # row - f * pivot_row
-    eliminate: Callable[[list, Value, list], list]
-
-
-# exact values are canonical over Q, so zero entries skip their multiply;
-# over the function field every entry takes every step, and each result is
-# reduced as it is built
-_Q = _Field(
-    Fraction(0), Fraction(1), not_, Fraction(1).__truediv__,
-    lambda row, c: [x * c if x else x for x in row],
-    lambda row, f, prow: [x - f * y if y else x for x, y in zip(row, prow)],
-)
-# Q(@pi) takes the same steps on ints and Fractions mixed with canonical QPi
-# values; a QPi operand takes over each mixed operation
-_QPI = _Q._replace(inverse=lambda x: Fraction(1) / x)
-_FN = _Field(
-    RationalFn.zero(), RationalFn.const(1), RationalFn.is_zero, RationalFn.inverse,
-    lambda row, c: [x * c for x in row],
-    lambda row, f, prow: [x - f * y for x, y in zip(row, prow)],
-)
-
-
-def _field_of(m: Sequence[Sequence[Value]]) -> _Field:
-    kinds = {type(x) for row in m for x in row}
-    if RationalFn in kinds:
-        return _FN
-    return _QPI if QPi in kinds else _Q
 
 
 def identity(n: int) -> Mat:
@@ -132,27 +92,28 @@ def rref(m: List[list]) -> List[Tuple[int, int]]:
     Pivots are (row, column) pairs in column order.  The first nonzero
     entry at or below the current row is the pivot; its row is swapped up
     and scaled to a leading 1, and the column is cleared in every other
-    row.  A matrix with any RationalFn entry is lifted to the function
-    field first; one with a QPi entry and no RationalFn is reduced over
-    Q(@pi).
+    row.  A matrix with any RationalFn entry is lifted to RationalFn first.
+    Every entry is in a normal form, so zero entries skip their multiply.
     """
-    field = _field_of(m)
-    if field is _FN:
+    if any(type(x) is RationalFn for row in m for x in row):
         m[:] = [[RationalFn.of(x) for x in row] for row in m]
-    is_zero = field.is_zero
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: List[Tuple[int, int]] = []
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if not is_zero(m[i][col])), None)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = field.scale(m[r], field.inverse(m[r][col]))
+        p = m[r][col]
+        # a QPi operand takes over each operation it meets
+        c = p.inverse() if type(p) is RationalFn else Fraction(1) / p
+        prow = m[r] = [x * c if x else x for x in m[r]]
         for i in range(nrows):
-            if i != r and not is_zero(m[i][col]):
-                m[i] = field.eliminate(m[i], m[i][col], m[r])
+            f = m[i][col]
+            if i != r and f:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
         pivots.append((r, col))
         r += 1
         if r == nrows:
@@ -222,14 +183,15 @@ def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
     ncols = len(a[0]) if a else 0
     m = [list(row) for row in a]
     pivots = rref(m)
-    field = _field_of(m)
+    lifted = ncols and type(m[0][0]) is RationalFn
+    zero, one = (RationalFn.zero(), RationalFn.const(1)) if lifted else (Fraction(0), Fraction(1))
     pivot_cols = {c for _, c in pivots}
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
+        vec = [zero] * ncols
+        vec[fc] = one
         for row_i, col_i in pivots:
             vec[col_i] = -m[row_i][fc]
         basis.append(vec)

@@ -12,7 +12,9 @@ Representation choices:
 * ``RationalFn`` is a numerator/denominator pair of ``Poly`` in lowest
   terms, reduced on construction by a heuristic gcd over Z[x] (GCDHEU,
   Char, Geddes and Gonnet, 1989), so that equality compares terms.  A
-  polynomial skips the gcd: its denominator is the shared unit.
+  polynomial skips the gcd: its denominator is the shared unit.  Exact
+  division of polynomials (``//``) is GCDHEU's trial division of the
+  primitive parts, by Gauss's lemma.
 * ``QPi`` is an element of Q(@pi), the value at a rational point of an entry
   that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
   in lowest terms (Euclid's gcd, Geddes, Czapor and Labahn, *Algorithms for
@@ -62,15 +64,6 @@ def _coeff(c: Scalar) -> Scalar:
 def _canon(c: Scalar) -> Scalar:
     """An exact result as a coefficient: a Fraction with denominator 1 becomes an int."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _quo(x: Scalar, y: Scalar) -> Scalar:
-    """The exact coefficient x / y, for a nonzero y."""
-    if type(x) is int and type(y) is int:
-        q, m = divmod(x, y)
-        if not m:
-            return q
-    return _canon(Fraction(x) / y)
 
 
 class Poly:
@@ -451,10 +444,11 @@ def _digits(h: ZPoly, x: int) -> ZPoly:
 def _quotient(f: ZPoly, h: ZPoly) -> Union[ZPoly, None]:
     """f / h where h divides f over Z, else None.
 
-    GCDHEU's trial division, its hottest step: over Z, in lex order, which
-    compares exponent tuples as they are, and stopping at the first
-    remainder of a coefficient.  A quotient's degree in each variable is
-    f's less h's, which bounds the steps where h does not divide f.
+    GCDHEU's trial division, its hottest step, and every exact division of
+    polynomials: over Z, in lex order, which compares exponent tuples as
+    they are, and stopping at the first remainder of a coefficient.  A
+    quotient's degree in each variable is f's less h's, which bounds the
+    steps where h does not divide f.
     """
     lead = max(h)
     ch = h[lead]
@@ -515,45 +509,24 @@ def _lowest_terms(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
 
 
 def poly_divmod_exact(num: Poly, den: Poly) -> Union[Poly, None]:
-    """Exact multivariate division: returns num/den if remainder-free else None."""
+    """num / den where den divides num, else None.
+
+    By Gauss's lemma den divides num over Q exactly where den's primitive
+    part divides num's over Z, so GCDHEU's trial division of the primitive
+    parts, scaled by the ratio of their contents, gives the quotient.
+    """
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():
         return Poly.zero()
     vs = Poly._merge_vars(num, den)
-    a, b = num.aligned_to(vs), den.aligned_to(vs)
-    # Leading term of b under graded-lex order.
-    def key(e: Exponent) -> Tuple:
-        return (sum(e), e)
-
-    lead_b = max(b.terms, key=key)
-    cb = b.terms[lead_b]
-    rest = [(e, c) for e, c in b.terms.items() if e != lead_b]
-    # the remainder, updated in place: each step cancels its leading term
-    # and subtracts the quotient term times the rest of b
-    r = dict(a.terms)
-    q: Dict[Exponent, Scalar] = {}
-    steps = 0
-    limit = 4 * (len(a.terms) + 1) * (len(b.terms) + 1) + 64
-    while r:
-        steps += 1
-        if steps > limit:
-            return None
-        lead_r = max(r, key=key)
-        diff = tuple(map(sub, lead_r, lead_b))
-        if any(d < 0 for d in diff):
-            return None
-        # graded lex is a monomial order, so each leading term, and with it
-        # each quotient term, is smaller than the last: none repeats
-        coeff = q[diff] = _quo(r.pop(lead_r), cb)
-        for e, c in rest:
-            e = tuple(map(add, diff, e))
-            s = r.get(e, 0) - coeff * c
-            if s == 0:
-                r.pop(e, None)
-            else:
-                r[e] = _canon(s)
-    return Poly(vs, q)
+    a, ca = _primitive(num.aligned_to(vs))
+    b, cb = _primitive(den.aligned_to(vs))
+    q = _quotient(a, b)
+    if q is None:
+        return None
+    scale = _canon(ca / cb)
+    return Poly(vs, {e: _canon(c * scale) for e, c in q.items()})
 
 
 class RationalFn:
@@ -671,6 +644,9 @@ class RationalFn:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_poly(self) -> bool:
         return self.den is _UNIT

@@ -669,9 +669,8 @@ def _same_division(num: Poly, den: Poly):
     if ref is None:
         assert got is None
         return None
-    # the same quotient terms in the same order
-    assert got.vars == ref.vars
-    assert list(got.terms.items()) == list(ref.terms.items())
+    # the same quotient; no reader sees the order of its terms
+    assert got.vars == ref.vars and got == ref
     return got
 
 
@@ -689,12 +688,17 @@ def test_in_place_division_matches_the_reference(a, b, c):
         _same_division(a, divisor * z)
 
 
-def test_in_place_division_keeps_the_step_limit():
+def test_exact_division_takes_no_step_limit():
     x, one = Poly.var("x"), Poly.const(1)
-    # x^n - 1 = (x - 1)(x^(n-1) + ... + 1) takes n steps against a limit of 100
+    # x^n - 1 = (x - 1)(x^(n-1) + ... + 1) takes n steps; the reference
+    # division stops at a limit of 100
     assert _same_division(x ** 100 - one, x - one) is not None
-    assert _same_division(x ** 101 - one, x - one) is None
-    # a remainder that never clears stops at the limit, not at a negative exponent
+    assert _divmod_reference(x ** 101 - one, x - one) is None
+    q = poly_divmod_exact(x ** 101 - one, x - one)
+    assert len(q.terms) == 101 and q * (x - one) == x ** 101 - one
+    assert (x ** 101 - one) // (x - one) == q
+    # a remainder that never clears stops at a degree bound, not at a
+    # negative exponent
     assert _same_division(x ** 120, x - one) is None
     assert _same_division(x ** 3, x - one) is None
 
