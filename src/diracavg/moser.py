@@ -7,7 +7,8 @@ compiles exact components to fast float evaluators (checked against exact
 evaluation at probe points), measures the homotopy residual
 [[Z_t, Pi_t]] + d(Pi_t)/dt, and integrates the flow with a fixed-step
 classical 4th-order scheme to verify the intertwining identity through
-finite-difference Jacobians.
+finite-difference Jacobians.  The flow's Z_t and the float Pi_t# share
+one singularity guard, on the compiled D(t) = det(Id + t dTheta# Pi#).
 """
 
 from __future__ import annotations
@@ -276,19 +277,6 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-def _has_cycle(m: linalg.Mat) -> bool:
-    """Whether the graph with an edge i -> j wherever m[i][j] is not zero
-    has a cycle (an edge i -> i is one); without one, m is nilpotent."""
-    left = set(range(len(m)))
-    while left:
-        # a node with no edge into the nodes left lies on no cycle among them
-        ends = {i for i in left if all(m[i][j].is_zero() for j in left)}
-        if not ends:
-            return True
-        left -= ends
-    return False
-
-
 def _det_coefficients(s: linalg.Mat) -> List[RationalFn]:
     """[1, e_1, ..., e_m]: det(Id + t s) = sum_k e_k t^k, e_m its last nonzero
     coefficient, by Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i}
@@ -357,10 +345,10 @@ class NumericEvaluator:
     c_j = -(-1)^j Pi# S^j Theta, since D(t) (Id + t S)^{-1} is the
     adjugate.  The N_k and e_k are compiled and checked at the probes like
     the entries, so a stage needs no matrix algebra, and the guard reads
-    the compiled D.  Where the zero pattern of S has no cycle, S is
-    nilpotent: D = 1, N_k = c_k, and a guard below 1 cannot trip.
-    [[Z_t, Pi_t]] is derived once too, as rational functions of the point
-    and ``T``, when HR first asks for it.
+    the compiled D.  Where S is nilpotent, D = 1, N_k = c_k, and a guard
+    below 1 cannot trip.  N and D are derived on first use, unless the
+    probes check them at construction.  [[Z_t, Pi_t]] is derived once too,
+    as rational functions of the point and ``T``, when HR first asks for it.
     """
 
     def __init__(
@@ -401,22 +389,20 @@ class NumericEvaluator:
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
         self._sp, self._sb, self._s = sp, sb, linalg.mat_mul(sb, sp)
-        self._cyclic = _has_cycle(self._s)
-        self._guard_can_trip = guard >= 1 or self._cyclic
-        # on a model with a cycle the exact objects can be large, so they
-        # are derived on first use, unless the probes check them now
         self._z_entries: Optional[_CompiledEntries] = None
         self._bracket: Optional[Tuple[RationalFn, MultivectorField]] = None
-        if probes or not self._cyclic:
-            self._compile()
         if probes:
+            self._compile()
             self._verify_probes(probes)
 
     def _compile(self) -> None:
         """Derive N(t) and D(t) and compile them, after the denominators of
-        Pi#, dTheta# and Theta that vary, whose vanishing stops a row."""
+        Pi#, dTheta# and Theta that vary, whose vanishing stops a row; once."""
+        if self._z_entries is not None:
+            return
         n, sp = self._n, self._sp
-        self._det = _det_coefficients(self._s) if self._cyclic else [RationalFn.const(1)]
+        self._det = _det_coefficients(self._s)
+        self._guard_can_trip = self.guard >= 1 or len(self._det) > 1
         # c_j = -(-1)^j Pi# S^j Theta from u_j = Pi# (dTheta# Pi#)^j Theta,
         # until some u_j is zero, when every later one is
         u = linalg.mat_mul(sp, [[fn] for _key, fn in self._exact[2 * n * n :]])
@@ -478,14 +464,54 @@ class NumericEvaluator:
         sb = vals[:, nn : 2 * nn].reshape(b, n, n)
         return sp, sb, vals[:, 2 * nn :], fails
 
-    def _check_guard(self, ts: Sequence[float], m: np.ndarray, fails: Failures) -> None:
-        """Fail each row of m, (len(ts), B, n, n), at the first t where its
-        determinant is below the guard in magnitude or is not finite.
-        Callers run it where numpy ignores overflow and invalid values."""
-        det = np.abs(np.linalg.det(m))
-        for k, row in zip(*np.nonzero(~(det < np.inf) | (det < self.guard))):
-            why = "near singular" if det[k, row] < self.guard else "not finite"
+    def _guarded(
+        self, ts: Sequence[float], vecs: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Failures]:
+        """N(t)'s compiled coefficients at a batch of points, (B, order, n),
+        and D(t) at each t of ts, (len(ts), B), or None where the guard
+        cannot trip.
+
+        A row fails, row -> (rank, error), where a denominator vanished, or
+        else where D trips the guard at some t (the first): where its
+        magnitude is below the guard or is not finite.
+        """
+        self._compile()
+        vals, bad = self._z_entries.eval_stack(vecs)
+        fails: Failures = {}
+        poles, n, order = len(self._poles), self._n, self._order
+        det = vals[:, poles + order * n :]
+        unknown = []
+        if self._z_entries.can_vanish:
+            for row in np.flatnonzero(bad.any(axis=1)):
+                col = int(bad[row].argmax())
+                if col < poles:
+                    # the first family, Pi#, dTheta# or Theta, whose denominator vanished
+                    src = self._poles[col]
+                    fails[int(row)] = (1 + src // (n * n), self._entries.vanished(src))
+                elif det.shape[1]:
+                    # a coefficient's denominator divides a product of theirs, so
+                    # it vanishes where none of theirs does only by rounding; then
+                    # D(t) is out of float range, and the row fails the guard
+                    unknown.append(row)
+                else:
+                    fails[int(row)] = (3, self._z_entries.vanished(col))
+        coeffs = vals[:, poles : poles + order * n].reshape(-1, order, n)
+        if not self._guard_can_trip:
+            return coeffs, None, fails
+        # D(t) = 1 + t (e_1 + t (e_2 + ...)); a row that overflows here
+        # fails the guard
+        tt = np.asarray(ts, dtype=float)[:, np.newaxis]
+        d = np.zeros((len(ts), len(vecs)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(det.shape[1] - 1, -1, -1):
+                d = (d + det[:, k]) * tt
+            d += 1.0
+            d[:, unknown] = np.nan
+            mag = np.abs(d)
+        for k, row in zip(*np.nonzero(~(mag < np.inf) | (mag < self.guard))):
+            why = "near singular" if mag[k, row] < self.guard else "not finite"
             fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={ts[k]}")))
+        return coeffs, d, fails
 
     def pi_matrices(self, vecs: np.ndarray) -> Tuple[np.ndarray, Dict[int, Exception]]:
         """Pi# at a batch of points: (B, n, n), and row -> error
@@ -500,15 +526,20 @@ class NumericEvaluator:
         points: (len(ts), B, n, n).
 
         A row fails, row -> error, where a denominator vanished, or else
-        where the matrix to invert trips the guard at some t (the first).
+        where D(t) = det(Id + t dTheta# Pi#) trips the guard at some t (the
+        first).  The inverse is numpy's, independent of the compiled Z_t.
         """
         sp, sb, _th, fails = self._matrices(vecs)
-        # where the guard can trip, a row that overflows here fails it
-        quiet = {"over": "ignore", "invalid": "ignore"} if self._guard_can_trip else {}
+        self._compile()
+        quiet = {}
+        if self._guard_can_trip:
+            for row, fail in self._guarded(ts, vecs)[2].items():
+                fails.setdefault(row, fail)
+            # the rows where D(t) left float range may overflow here; they
+            # have failed the guard
+            quiet = {"over": "ignore", "invalid": "ignore"}
         with np.errstate(**quiet):
             m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
-            if self._guard_can_trip:
-                self._check_guard(ts, m, fails)
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
         out = np.zeros(m.shape)
@@ -550,8 +581,7 @@ class NumericEvaluator:
         T, derived on first use: Pi_T# = Pi# adj(Id + T S) / D(T), where
         adj(Id + T S) = sum_k T^k sum_{j<=k} e_{k-j} (-S)^j."""
         if self._bracket is None:
-            if self._z_entries is None:
-                self._compile()
+            self._compile()
             n = self._n
             # Pi# (-S)^j, above the diagonal only: Pi_T is antisymmetric
             upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -588,53 +618,20 @@ def _z_rows(ev: NumericEvaluator, t: float, vecs: np.ndarray) -> Tuple[np.ndarra
 
     Rows where Z_t cannot be evaluated read zero and are returned as
     failures: a vanishing denominator, or else the guard on D(t).  Z_t is
-    N(t) / D(t), each summed from its compiled coefficients by Horner's
-    rule in t.
+    N(t) / D(t), N summed from its compiled coefficients by Horner's rule
+    in t.
     """
-    if ev._z_entries is None:
-        ev._compile()
-    vals, bad = ev._z_entries.eval_stack(vecs)
-    fails: Failures = {}
-    poles, n, order = len(ev._poles), ev._n, ev._order
-    det = vals[:, poles + order * n :]
-    unknown = []
-    if ev._z_entries.can_vanish:
-        for row in np.flatnonzero(bad.any(axis=1)):
-            col = int(bad[row].argmax())
-            if col < poles:
-                # the first family, Pi#, dTheta# or Theta, whose denominator vanished
-                src = ev._poles[col]
-                fails[int(row)] = (1 + src // (n * n), ev._entries.vanished(src))
-            elif det.shape[1]:
-                # a coefficient's denominator divides a product of theirs, so
-                # it vanishes where none of theirs does only by rounding; then
-                # D(t) is out of float range, and the row fails the guard
-                unknown.append(row)
-            else:
-                fails[int(row)] = (3, ev._z_entries.vanished(col))
-    if ev._guard_can_trip:
-        # D(t) = 1 + t (e_1 + t (e_2 + ...)); a row that overflows here
-        # fails the guard
-        d = np.zeros(len(vecs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(det.shape[1] - 1, -1, -1):
-                d = (d + det[:, k]) * t
-            d += 1.0
-            d[unknown] = np.nan
-            mag = np.abs(d)
-        for row in np.flatnonzero(~(mag < np.inf) | (mag < ev.guard)):
-            why = "near singular" if mag[row] < ev.guard else "not finite"
-            fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={t}")))
+    c, d, fails = ev._guarded([t], vecs)
     ok = slice(None)
     if fails:
         ok = np.ones(len(vecs), dtype=bool)
         ok[list(fails)] = False
-    c = vals[ok, poles : poles + order * n].reshape(-1, order, n)
+    c = c[ok]
     z = c[:, -1]
-    for k in range(order - 2, -1, -1):
+    for k in range(ev._order - 2, -1, -1):
         z = z * t + c[:, k]
-    if det.shape[1]:
-        z = z / d[ok, np.newaxis]
+    if d is not None:
+        z = z / d[0][ok, np.newaxis]
     if not fails:
         return z, fails
     full = np.zeros((len(vecs), ev.chart.dim))

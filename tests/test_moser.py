@@ -8,6 +8,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -331,9 +332,10 @@ def test_the_symbolic_bracket_is_the_jet_bracket_on_random_models():
     seen = {True: 0, False: 0}
     while min(seen.values()) < 3:
         ev, box = _small_random_model(rng)
-        if seen[ev._cyclic] >= 3:
+        cyclic = _path_index(ev) is None
+        if seen[cyclic] >= 3:
             continue
-        seen[ev._cyclic] += 1
+        seen[cyclic] += 1
         for t in _QUARTERS:
             for p in sample_box(ev.chart, box, 2, 94):
                 assert _outcome(ev.bracket_exact, t, p) == _outcome(_jet_bracket, ev, t, p)
@@ -411,7 +413,7 @@ def test_the_guard_models_keep_the_determinant():
     coeffs = [RationalFn.const(1), RationalFn(Poly.const(Fraction(1, 100000)), Poly.var("x"))]
     for coeff in coeffs:
         pi = MultivectorField(chart, 2, {(0, 1): coeff})
-        assert NumericEvaluator(pi, theta, box)._guard_can_trip
+        assert _guard_can_trip(NumericEvaluator(pi, theta, box))
 
 
 def test_a_guard_of_one_or_more_keeps_the_determinant():
@@ -422,14 +424,20 @@ def test_a_guard_of_one_or_more_keeps_the_determinant():
     theta = one_form(chart, {2: RationalFn.var("x")})
     box = {c: (Fraction(-1), Fraction(1)) for c in chart.coords}
     point = {"x": 0.1, "y": 0.2, "z": -0.3}
-    assert not NumericEvaluator(pi, theta, box)._guard_can_trip
-    assert NumericEvaluator(pi, theta, box, guard=1.0)._guard_can_trip
+    assert not _guard_can_trip(NumericEvaluator(pi, theta, box))
+    assert _guard_can_trip(NumericEvaluator(pi, theta, box, guard=1.0))
     ev = NumericEvaluator(pi, theta, box, guard=2.0)
-    assert ev._guard_can_trip
+    assert _guard_can_trip(ev)
     _z, fails = z_batch(ev, 0.5, [point])
     assert (fails[0][0], type(fails[0][1])) == (4, GuardError)
     _mats, fails = ev.interp_matrices([0.5], _vec(ev, point))
     assert type(fails[0]) is GuardError
+
+
+def _guard_can_trip(ev) -> bool:
+    """Whether ev's guard can trip, known once D(t) is derived."""
+    ev._compile()
+    return ev._guard_can_trip
 
 
 def _random_model(rng):
@@ -449,14 +457,16 @@ def _random_model(rng):
 
 def test_a_guard_that_cannot_trip_has_determinant_one():
     rng = random.Random(98)
-    # models whose guard can trip, and those where it cannot although
-    # dTheta# Pi# is not zero
-    seen = {"can trip": 0, "nilpotent": 0}
+    # models whose pattern has a cycle, and those where it has none
+    # although dTheta# Pi# is not zero; D(t) is derived on the second kind
+    # only, as it can be large on the first
+    seen = {"cycle": 0, "nilpotent": 0}
     for _ in range(60):
         ev = _random_model(rng)
-        if ev._guard_can_trip:
-            seen["can trip"] += 1
+        if _path_index(ev) is None:
+            seen["cycle"] += 1
             continue
+        assert not _guard_can_trip(ev)
         n = ev.chart.dim
         sp = sharp_matrix(ev.pi_exact)
         sb = flat_matrix(ev.dtheta_exact)
@@ -520,13 +530,19 @@ def _exact_power_vanishes(ev, k) -> bool:
     return all(x.is_zero() for row in power for x in row)
 
 
-def _path_index(ev) -> int:
+def _path_index(ev) -> Optional[int]:
     """1 + the longest path of the graph with an edge i -> j wherever
-    S = dTheta# Pi# has a nonzero entry (i, j), which has no cycle."""
+    S = dTheta# Pi# has a nonzero entry (i, j), or None where that graph
+    has a cycle (an edge i -> i is one).  Without a cycle S is nilpotent,
+    and S^k = 0 for k the index."""
     s = linalg.mat_mul(flat_matrix(ev.dtheta_exact), sharp_matrix(ev.pi_exact))
     left, rounds = set(range(len(s))), 0
     while left:
-        left -= {i for i in left if all(s[i][j].is_zero() for j in left)}
+        # a node with no edge into the nodes left lies on no cycle among them
+        ends = {i for i in left if all(s[i][j].is_zero() for j in left)}
+        if not ends:
+            return None
+        left -= ends
         rounds += 1
     return rounds
 
@@ -562,7 +578,7 @@ def test_the_series_has_as_many_terms_as_the_product_needs(name, k):
     # N has K coefficients, and on the fixtures no term is wasted: S^(K-1)
     # is not zero
     spec, res, pi, box, ev = _setup(name)
-    assert ev._cyclic is (k is None)
+    assert (_path_index(ev) is None) is (k is None)
     if k is None:
         assert len(ev._det) > 1
         return
@@ -578,11 +594,12 @@ def test_the_series_solves_random_nilpotent_models():
     seen = {k: 0 for k in (1, 2, 3)}
     for _ in range(300):
         ev = _random_model(rng)
-        if ev._cyclic:
-            continue
         # K = 1 + the longest path of S's pattern: S^K = 0, and N needs no
         # more than K coefficients
         k = _path_index(ev)
+        if k is None:
+            continue
+        ev._compile()
         assert _exact_power_vanishes(ev, k)
         assert len(ev._det) == 1 and ev._order <= k
         seen[k] += 1
@@ -632,10 +649,11 @@ def test_the_coefficients_of_random_acyclic_models_sum_to_the_inverted_field():
     seen = {k: 0 for k in (1, 2, 3)}
     while min(seen.values()) < 2:
         ev = _random_model(rng)
-        if ev._cyclic or seen[_path_index(ev)] >= 2:
-            continue
         k = _path_index(ev)
+        if k is None or seen[k] >= 2:
+            continue
         seen[k] += 1
+        ev._compile()
         points = sample_box(ev.chart, default_box(ev.chart), 3, 4)
         assert _assert_coefficients_sum_to_the_inverted_field(ev, points)
 
@@ -693,7 +711,7 @@ def _varying_acyclic_model():
 
 def test_an_acyclic_row_stops_where_a_denominator_vanishes():
     ev = _varying_acyclic_model()
-    assert ev._order == 2 and not ev._guard_can_trip and ev._entries.can_vanish
+    assert not _guard_can_trip(ev) and ev._order == 2 and ev._entries.can_vanish
     assert any(not fn.is_zero() for (k, _i), fn in ev._z_exact if k == 1)
     # Pi#'s denominator vanishes, then dTheta#'s and Theta's, then all three
     starts = np.array([
@@ -735,7 +753,7 @@ def test_an_acyclic_row_stops_where_a_denominator_vanishes():
     _assert_z_is_the_solved_field(ev, points[:6])
 
 
-def test_a_non_finite_determinant_trips_the_guard():
+def test_a_non_finite_determinant_trips_the_guard(monkeypatch):
     # at x = 1e-120 Pi#'s entries reach 1e120 and dTheta#'s 1e240, so
     # Id + t dTheta# Pi# overflows and its determinant reads inf; at
     # (0, 0.4, 1e-125) it reads -inf for t = 0.5
@@ -763,11 +781,22 @@ def test_a_non_finite_determinant_trips_the_guard():
     alone = {}
     assert _same_bits(ends[0], flow_batch(ev, vecs[:1], 100, alone)[0])
     assert (0 in aborts) == (0 in alone)
-    # a NaN determinant trips it too; callers silence numpy as here
-    nan_fails = {}
-    with np.errstate(invalid="ignore"):
-        ev._check_guard([0.5], np.full((1, 2, 3, 3), np.nan), nan_fails)
-    assert sorted(nan_fails) == [0, 1] and str(nan_fails[0][1]).endswith("not finite at t=0.5")
+    # a NaN determinant trips it too, on both routes
+    eval_stack = ev._z_entries.eval_stack
+
+    def nan_det(vecs):
+        vals, bad = eval_stack(vecs)
+        vals = vals.copy()
+        vals[:, len(ev._poles) + ev._order * ev.chart.dim :] = np.nan
+        return vals, bad
+
+    monkeypatch.setattr(ev._z_entries, "eval_stack", nan_det)
+    z, fails = z_batch(ev, 0.5, points[:1] + points[3:])
+    assert {row: rank for row, (rank, _exc) in fails.items()} == {0: 4, 1: 4} and not z.any()
+    _mats, mat_fails = ev.interp_matrices([0.5], vecs[[0, 3]])
+    for exc in [exc for _rank, exc in fails.values()] + list(mat_fails.values()):
+        assert type(exc) is GuardError and str(exc) == "interpolation matrix not finite at t=0.5"
+    assert sorted(mat_fails) == [0, 1]
 
 
 def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():
