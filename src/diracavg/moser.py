@@ -396,8 +396,9 @@ class NumericEvaluator:
             self._verify_probes(probes)
 
     def _compile(self) -> None:
-        """Derive N(t) and D(t) and compile them, after the denominators of
-        Pi#, dTheta# and Theta that vary, whose vanishing stops a row; once."""
+        """Derive N(t) and D(t), once, and compile them after the
+        denominators of Pi#, dTheta# and Theta that vary, whose vanishing
+        stops a row."""
         if self._z_entries is not None:
             return
         n, sp = self._n, self._sp
