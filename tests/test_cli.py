@@ -608,6 +608,12 @@ REPORT_DIGESTS = {
         "57354bbd4c4e4a03065399901678acb53491f8106075baf7af322487bdd35a7b", None),
     ("dirac-verify", "obstructed_lift"): (
         "54181347e1654f1c9f9f8b46fe2e3a2d875d25f560b57e7966b8f5eb9aeac2cd", None),
+    # involutivity on the torus's coupling frame, and a gauge's graph spans
+    # on a model with a cycle
+    ("dirac-verify", "torus"): (
+        "80052c5fb8828572184b3239116b3a9ba2a9ea0a5169d3ced8f91ac6fa52d7d8", None),
+    ("gauge", "rotating_lift"): (
+        "90643746cfdcbf745fcd5ab09a32a4c4421507045f9f2a7b9848426fbef034e9", None),
 }
 
 
