@@ -1,16 +1,19 @@
 """Dirac structures as explicit frames of (vector, covector) sections.
 
-A frame holds n sections on an n-dimensional chart; maximal isotropy is
-verified symbolically at construction and full rank pointwise at rational
-sample points.  Involutivity, coupling position against a vertical
-distribution, and the induced leafwise 2-form are decided by exact linear
-algebra at those points.
+A frame holds n sections on an n-chart.  Isotropy is verified symbolically
+at construction, and the rank at a rational sample point is kept beside the
+frame's rows there.  Where the rank is n the frame spans a Lagrangian
+L = L^perp, so a vector lies in L exactly when it pairs to zero with every
+section: spans of rank n and involutivity are decided by pairings.  Ranks
+not known by construction, spans of lower rank and the coupling position
+against a vertical distribution take exact linear algebra at the points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -18,19 +21,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Value
 from .reports import CheckResult, failed, passed
-from .rings import RationalFn
+from .rings import Poly, RationalFn
 from .sampling import Point, PointwiseRun, format_point, sweep
 from .tensors import (
-    Chart,
-    DifferentialForm,
-    MultivectorField,
-    d_scalar,
-    exterior_derivative,
-    interior_product,
-    lie_derivative,
-    one_form,
-    sharp_bivector,
-    vf_bracket,
+    Chart, DifferentialForm, MultivectorField, d_scalar, exterior_derivative, interior_product,
+    lie_derivative, one_form, sharp_bivector, vf_bracket,
 )
 
 if TYPE_CHECKING:
@@ -75,8 +70,7 @@ class DiracSection:
             if not den[0]:
                 raise ZeroDivisionError("denominator vanishes at sample point")
             nums.append(num[0] * den[1])
-            # a zero value keeps its denominator out of the lcm, so the row
-            # stays small
+            # a zero value keeps its denominator out of the lcm, so the row stays small
             dens.append(num[1] * den[0] if num[0] else 1)
         lcm = math.lcm(*dens)
         return [p * (lcm // q) for p, q in zip(nums, dens)]
@@ -92,30 +86,29 @@ def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
 class DiracFrame:
     """n sections spanning an almost Dirac structure on an n-chart."""
 
-    def __init__(self, sections: Sequence[DiracSection], check_isotropy: bool = True):
+    def __init__(self, sections: Sequence[DiracSection], check_isotropy: bool = True,
+                 poles: Optional[Tuple[Poly, ...]] = None):
         if not sections:
             raise ValueError("empty frame")
         chart = sections[0].chart
         if any(s.chart != chart for s in sections):
             raise ValueError("sections live on different charts")
         if len(sections) != chart.dim:
-            raise ValueError(
-                f"frame needs {chart.dim} sections, got {len(sections)}"
-            )
+            raise ValueError(f"frame needs {chart.dim} sections, got {len(sections)}")
         self.chart = chart
         self.sections: Tuple[DiracSection, ...] = tuple(sections)
-        # id(point) -> (point, rows), as in ``Derivation``: the point is held
-        # so its id is not reused while the frame lives
+        self.isotropic = check_isotropy
+        # if given, the rank is n wherever the rows are finite and no pole vanishes
+        self.poles = poles
+        # id(point) -> (point, rows) and (point, rank), as in ``Derivation``:
+        # the point is held so its id is not reused while the frame lives
         self._rows: Dict[int, Tuple[Point, Tuple[Tuple[Value, ...], ...]]] = {}
+        self._ranks: Dict[int, Tuple[Point, int]] = {}
         if check_isotropy:
-            for i, j in itertools.combinations_with_replacement(
-                range(len(self.sections)), 2
-            ):
+            for i, j in itertools.combinations_with_replacement(range(chart.dim), 2):
                 p = pairing(self.sections[i], self.sections[j])
                 if not p.is_zero():
-                    raise ValueError(
-                        f"frame is not isotropic: <s_{i}, s_{j}> = {p!r}"
-                    )
+                    raise ValueError(f"frame is not isotropic: <s_{i}, s_{j}> = {p!r}")
 
     # -- pointwise data ----------------------------------------------------
 
@@ -131,37 +124,18 @@ class DiracFrame:
             hit = self._rows[id(point)] = (point, rows)
         return list(hit[1])
 
+    def rank_at(self, point: Point) -> int:
+        """The rank of the rows at the point, kept beside them: n with no
+        elimination where ``poles`` allows it."""
+        hit = self._ranks.get(id(point))
+        if hit is None:
+            rows = self.matrix_at(point)
+            known = self.poles is not None and not any(_vanishes(d, point) for d in self.poles)
+            hit = self._ranks[id(point)] = (point, self.chart.dim if known else linalg.rank(rows))
+        return hit[1]
+
     def rank_ok_at(self, point: Point) -> bool:
-        return linalg.rank(self.matrix_at(point)) == self.chart.dim
-
-    def reduce_at(
-        self, point: Point, targets: Sequence[DiracSection]
-    ) -> Tuple[int, Optional[int]]:
-        """Frame rank at the point and the first target outside its span.
-
-        One elimination of [frame columns | target columns] decides both:
-        the pivots in the first n columns give the rank, and the first
-        target column holding a pivot is the first target outside the span
-        (None when every target lies inside).  Targets are evaluated in
-        order; one whose denominator vanishes re-raises ZeroDivisionError
-        unless an earlier target already lies outside the span.
-        """
-        rows = self.matrix_at(point)
-        vals: List[List[Value]] = []
-        late: Optional[ZeroDivisionError] = None
-        for t in targets:
-            try:
-                vals.append(t.components_at(point))
-            except ZeroDivisionError as exc:
-                late = exc
-                break
-        n = len(rows)
-        m = [[r[c] for r in rows] + [v[c] for v in vals] for c in range(2 * self.chart.dim)]
-        cols = linalg.pivot_columns(m)
-        outside = next((c - n for c in cols if c >= n), None)
-        if outside is None and late is not None:
-            raise late
-        return sum(c < n for c in cols), outside
+        return self.rank_at(point) == self.chart.dim
 
     def validate_rank(self, points: List[Point]) -> CheckResult:
         return _verdict("frame-rank", *sweep(points, self.rank_ok_at))
@@ -180,8 +154,14 @@ def _verdict(
     return passed(check, **counts)
 
 
+def _vanishes(poly: Poly, point: Point) -> bool:
+    value = poly._value_at(point, True)
+    return not (value[0] if type(value) is tuple else value)
+
+
 def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
-    """The frame {(Pi# du_i, du_i)} spanning the graph of a bivector."""
+    """The frame {(Pi# du_i, du_i)} spanning the graph of a bivector; its
+    covector block is the identity, so its rank is n wherever it is finite."""
     if pi.degree != 2:
         raise ValueError("expects a bivector")
     chart = pi.chart
@@ -189,74 +169,101 @@ def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
     for i in range(chart.dim):
         du = one_form(chart, {i: RationalFn.const(1)})
         sections.append(DiracSection(sharp_bivector(pi, du), du))
-    return DiracFrame(sections)
+    return DiracFrame(sections, poles=())
 
 
 def gauge_transform(frame: DiracFrame, b: DifferentialForm) -> DiracFrame:
-    """Shift the covector parts by the closed 2-form b: (X, a - i_X b)."""
+    """Shift the covector parts by the closed 2-form b: (X, a - i_X b).
+    The shift is invertible where b is finite, so a rank known by
+    construction stays known off the poles of b."""
     if b.degree != 2:
         raise ValueError("gauge form must be a 2-form")
     if not exterior_derivative(b).is_zero():
         raise ValueError("gauge form is not closed")
-    out = []
-    for s in frame.sections:
-        shift = interior_product(s.vector, b)
-        out.append(DiracSection(s.vector, s.covector - shift))
-    return DiracFrame(out)
+    out = [DiracSection(s.vector, s.covector - interior_product(s.vector, b))
+           for s in frame.sections]
+    poles = frame.poles
+    if poles is not None:
+        poles += tuple({c.den for c in b.comps.values() if not c.is_poly()})
+    return DiracFrame(out, poles=poles)
 
 
 def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
     """[(X, a), (Y, b)] = ([X, Y], L_X b - L_Y a + d(a(Y) - b(X)) / 2)."""
     if s.chart != t.chart:
         raise ValueError("charts differ")
-    x, a = s.vector, s.covector
-    y, b = t.vector, t.covector
-    vec = vf_bracket(x, y)
-    cov = lie_derivative(x, b) - lie_derivative(y, a)
+    (x, a), (y, b) = (s.vector, s.covector), (t.vector, t.covector)
     half = (a.evaluate(y) - b.evaluate(x)).scale(Fraction(1, 2))
-    cov = cov + d_scalar(half, s.chart)
-    return DiracSection(vec, cov)
+    cov = lie_derivative(x, b) - lie_derivative(y, a) + d_scalar(half, s.chart)
+    return DiracSection(vf_bracket(x, y), cov)
 
 
 def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
-    """True when the two frames span the same subspace at the point: each
-    frame's rank equals the rank of their rows stacked."""
+    """True when the two frames span the same subspace at the point.
+
+    Two isotropic frames of rank n span Lagrangians, each its own orthogonal,
+    so they agree exactly when every row of one pairs to zero with every row
+    of the other.  Equal ranks below n compare with the rows stacked.
+    """
     m1 = f1.matrix_at(point)
     m2 = f2.matrix_at(point)
-    return linalg.rank(m1) == linalg.rank(m2) == linalg.rank(m1 + m2)
+    r = f1.rank_at(point)
+    if r != f2.rank_at(point):
+        return False
+    n = f1.chart.dim
+    if r < n or not (f1.isotropic and f2.isotropic):
+        return linalg.rank(m1 + m2) == r
+    mul = operator.mul
+    return not any(sum(map(mul, u[n:], v[:n])) + sum(map(mul, v[n:], u[:n]))
+                   for u in m1 for v in m2)
 
 
 def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
-    """Closure of the frame under the Courant bracket, decided pointwise.
+    """Closure of the isotropic frame under the Courant bracket, pointwise.
 
-    The bracket of every section pair is computed symbolically once; at each
-    usable sample point it must be a linear combination of the frame.  One
-    elimination per point decides the frame rank and every pair; the first
-    pair outside the span is the witness.
+    Where the frame has rank n, [s_i, s_j] lies in its span exactly when the
+    Courant tensor <[s_i, s_j], s_k> vanishes for every k.  The tensor is
+    skew on an isotropic frame, so only k outside {i, j} are derived, once.
+    A point with a pole in the frame or rank below n is skipped, and so is
+    one with a pole in a bracket, unless an earlier pair already lies
+    outside the span.  The first pair outside is the witness.
     """
-    n = len(frame.sections)
+    if not frame.isotropic:
+        raise ValueError("involutivity is decided on isotropic frames")
+    s, n = frame.sections, frame.chart.dim
     pairs = list(itertools.combinations(range(n), 2))
-    brackets = [courant_bracket(frame.sections[i], frame.sections[j]) for i, j in pairs]
-
+    # per pair: its bracket's denominators and its tensor's nonzero terms
+    terms: List[Tuple[set, List[RationalFn]]] = []
+    for i, j in pairs:
+        br = courant_bracket(s[i], s[j])
+        comps = [*br.vector.comps.values(), *br.covector.comps.values()]
+        tensor = [pairing(br, s[k]) for k in range(n) if k not in (i, j)]
+        terms.append(({c.den for c in comps if not c.is_poly()},
+                      [t for t in tensor if not t.is_zero()]))
+    dens = set().union(*(d for d, _ in terms))
     witness: Dict[str, object] = {}
 
     def probe(p: Point) -> bool:
-        rank, outside = frame.reduce_at(p, brackets)
-        if rank != frame.chart.dim:
+        frame.matrix_at(p)
+        poles = {d for d in dens if _vanishes(d, p)}
+        late = next((m for m, (d, _) in enumerate(terms) if d & poles), len(pairs))
+        if frame.rank_at(p) != n:
             raise ArithmeticError("rank-deficient frame at sample point")
-        if outside is not None:
-            if not witness:
-                witness["pair"] = list(pairs[outside])
-            return False
-        return True
+        outside = next((m for m in range(late) if any(t.value_at(p) for t in terms[m][1])), None)
+        if outside is None:
+            if late < len(pairs):
+                raise ZeroDivisionError("denominator vanishes at sample point")
+            return True
+        if not witness:
+            witness["pair"] = list(pairs[outside])
+        return False
 
     run, first_fail = sweep(points, probe)
     return _verdict("involutivity", run, first_fail, witness=witness or None)
 
 
-def coupling_test(
-    frame: DiracFrame, conn: "Connection", points: List[Point]
-) -> Tuple[CheckResult, Optional[List[MultivectorField]]]:
+def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
+                  ) -> Tuple[CheckResult, Optional[List[MultivectorField]]]:
     """Transversality of the frame's horizontal distribution.
 
     H = {Z : (Z, a) in D for some a annihilating the verticals} is computed
@@ -268,10 +275,8 @@ def coupling_test(
     b = conn.fol.b
     # rows: fiber components of each section's covector; kernel combos have
     # covector parts annihilating the vertical distribution
-    rows = [
-        [frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
-        for fi in conn.fol.fiber
-    ]
+    rows = [[frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
+            for fi in conn.fol.fiber]
     combos = linalg.kernel_basis(rows)
     h_fields: List[MultivectorField] = []
     for c in combos:
@@ -282,15 +287,10 @@ def coupling_test(
         h_fields.append(acc)
 
     if len(h_fields) != b:
-        return (
-            failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}),
-            None,
-        )
+        return failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}), None
 
-    h_rows = [
-        [h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
-        for h in h_fields
-    ]
+    h_rows = [[h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
+              for h in h_fields]
     v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in conn.fol.fiber]
 
     def probe(p: Point) -> bool:

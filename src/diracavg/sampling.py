@@ -12,6 +12,7 @@ points raise ``VerificationError`` carrying the check it breaks.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,22 +41,26 @@ class VerificationError(ArithmeticError):
 
 
 def sample_box(chart: Chart, box: Box, count: int, seed: int) -> List[Point]:
-    """Draw `count` rational points uniformly from the box, reproducibly."""
+    """Draw `count` rational points uniformly from the box, reproducibly.
+
+    A coordinate is lo + (hi - lo) k / _DENOM for a drawn k in [0, _DENOM],
+    built as one Fraction over its side's common denominator.
+    """
+    sides = []
     for name in chart.coords:
         if name not in box:
             raise ValueError(f"box is missing coordinate {name!r}")
         lo, hi = box[name]
         if not lo < hi:
             raise ValueError(f"empty box interval for {name!r}")
-    rng = random.Random(seed)
-    pts: List[Point] = []
-    for _ in range(count):
-        p: Point = {}
-        for name in chart.coords:
-            lo, hi = box[name]
-            p[name] = lo + (hi - lo) * Fraction(rng.randint(0, _DENOM), _DENOM)
-        pts.append(p)
-    return pts
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        sides.append((name, a * _DENOM, b - a, d * _DENOM))
+    randint = random.Random(seed).randint
+    return [
+        {name: Fraction(a + w * randint(0, _DENOM), d) for name, a, w, d in sides}
+        for _ in range(count)
+    ]
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 
 from diracavg import cli, coupling, linalg, sampling, tensors
 from diracavg.derivation import Derivation
+from diracavg.dirac import DiracFrame
 from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
 from diracavg.rings import QPi, RationalFn
@@ -106,11 +107,22 @@ def test_no_pointwise_matrix_of_a_gauge_reaches_the_function_field(capsys, monke
 
         return rref
 
+    real_rows = DiracFrame.matrix_at
+
+    def matrix_at(self, point):
+        # the entry types of the frame rows a pointwise decision reads
+        rows = real_rows(self, point)
+        if inside:
+            fields.append({type(x) for row in rows for x in row})
+        return rows
+
     _wrap(monkeypatch, sampling, "sweep", sweep_of)
     _wrap(monkeypatch, linalg, "rref", rref_of)
+    monkeypatch.setattr(DiracFrame, "matrix_at", matrix_at)
     code, _ = _run(capsys, "gauge", "--spec", "obstructed_lift", "--samples", "10")
     assert code == 0
-    # the gauged graph keeps @pi, and its spans are decided over Q(@pi)
+    # the gauged graph keeps @pi, and its spans are decided over Q(@pi), by
+    # pairings of its rows
     assert any(QPi in kinds for kinds in fields)
     assert not any(RationalFn in kinds for kinds in fields)
 

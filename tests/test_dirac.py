@@ -8,8 +8,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diracavg import cli
+from diracavg import cli, dirac, linalg
 from diracavg.dirac import (
     DiracFrame,
     DiracSection,
@@ -22,7 +23,7 @@ from diracavg.dirac import (
 )
 from diracavg.config import PI
 from diracavg.rings import Poly, QPi, RationalFn
-from diracavg.sampling import sample_box
+from diracavg.sampling import _DENOM, sample_box, sweep
 from diracavg.tensors import (
     Chart,
     DifferentialForm,
@@ -312,3 +313,212 @@ def test_matrix_at_rows_cannot_change_what_it_keeps():
         rows[1][0] = 99
     assert [list(r) for r in frame.matrix_at(p)] == want
     assert want == [s.components_at(p) for s in frame.sections]
+
+
+# -- oracles: the stacked eliminations the pairing rules replace -----------
+
+
+def _reduce_at(frame, point, targets):
+    """The frame's rank at the point and the first target outside its span.
+
+    One elimination of [frame columns | target columns] decides both.
+    Targets are evaluated in order; one whose denominator vanishes re-raises
+    ZeroDivisionError unless an earlier target already lies outside.
+    """
+    rows = frame.matrix_at(point)
+    vals, late = [], None
+    for t in targets:
+        try:
+            vals.append(t.components_at(point))
+        except ZeroDivisionError as exc:
+            late = exc
+            break
+    n = len(rows)
+    m = [[r[c] for r in rows] + [v[c] for v in vals] for c in range(2 * frame.chart.dim)]
+    cols = linalg.pivot_columns(m)
+    outside = next((c - n for c in cols if c >= n), None)
+    if outside is None and late is not None:
+        raise late
+    return sum(c < n for c in cols), outside
+
+
+def _same_span(f1, f2, point):
+    """Each frame's rank equals the rank of their rows stacked."""
+    m1, m2 = f1.matrix_at(point), f2.matrix_at(point)
+    return linalg.rank(m1) == linalg.rank(m2) == linalg.rank(m1 + m2)
+
+
+def _involutivity(frame, points):
+    """involutivity_check by one elimination per point."""
+    pairs = list(itertools.combinations(range(len(frame.sections)), 2))
+    brackets = [dirac.courant_bracket(frame.sections[i], frame.sections[j]) for i, j in pairs]
+    witness = {}
+
+    def probe(p):
+        rank, outside = _reduce_at(frame, p, brackets)
+        if rank != frame.chart.dim:
+            raise ArithmeticError("rank-deficient frame at sample point")
+        if outside is not None:
+            witness.setdefault("pair", list(pairs[outside]))
+            return False
+        return True
+
+    return dirac._verdict("involutivity", *sweep(points, probe), witness=witness or None)
+
+
+def _outcomes(decide, points):
+    out = []
+    for p in points:
+        try:
+            out.append(decide(p))
+        except ZeroDivisionError:
+            out.append("skip")
+    return out
+
+
+# grid values, so that denominators x - c vanish at some points
+_GRID = [Fraction(k, 2) for k in range(-2, 3)]
+
+
+@st.composite
+def _entries(draw, names, pi=True):
+    """0-2 terms c, c x or c @pi x, over x - g for a grid value g or over 1."""
+    f = RationalFn.zero()
+    for _ in range(draw(st.integers(0, 2))):
+        term = RationalFn.const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+        if draw(st.booleans()):
+            term = term * RationalFn.var(draw(st.sampled_from(names)))
+        if pi and draw(st.integers(0, 3)) == 0:
+            term = term * RationalFn.var(PI)
+        f = f + term
+    if draw(st.integers(0, 2)) == 0:
+        g = RationalFn.const(draw(st.sampled_from(_GRID)))
+        f = f / (RationalFn.var(draw(st.sampled_from(names))) - g)
+    return f
+
+
+@st.composite
+def _frames(draw):
+    """A chart, a graph of a random bivector (rarely Poisson), a closed 2-form
+    with poles on grid points, a rank-deficient recombination of the graph,
+    and points on the grid."""
+    chart = draw(st.sampled_from([CHART2, Chart(("x", "y", "z")), CHART4]))
+    names, n = chart.coords, chart.dim
+
+    def tensor(cls, pi):
+        comps = {}
+        for k, l in itertools.combinations(range(n), 2):
+            # a coefficient in x_k and x_l alone keeps a 2-form closed
+            f = draw(_entries([names[k], names[l]] if cls is DifferentialForm else names, pi))
+            if not f.is_zero():
+                comps[(k, l)] = f
+        return cls(chart, 2, comps)
+
+    graph = graph_of_bivector(tensor(MultivectorField, True))
+    b = tensor(DifferentialForm, False)
+    # scale sections by functions that vanish on grid points, then mix them
+    s = list(graph.sections)
+    for k in range(n):
+        if draw(st.booleans()):
+            f = RationalFn.var(draw(st.sampled_from(names))) - RationalFn.const(draw(st.sampled_from(_GRID)))
+            s[k] = DiracSection(s[k].vector.scale(f), s[k].covector.scale(f))
+    c = RationalFn.const(draw(st.integers(-2, 2)))
+    s[0] = DiracSection(s[0].vector + s[-1].vector.scale(c), s[0].covector + s[-1].covector.scale(c))
+    points = draw(st.lists(
+        st.fixed_dictionaries({x: st.sampled_from(_GRID) for x in names}), min_size=4, max_size=8))
+    return chart, graph, b, DiracFrame(s), points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_frames(), other=st.data(), pole=st.sampled_from(_GRID))
+def test_pairing_decisions_match_the_stacked_eliminations(case, other, pole):
+    chart, graph, b, mixed, points = case
+    gauged = gauge_transform(graph, b)
+    round_trip = gauge_transform(gauged, -b)
+    _c, other_graph, other_b, other_mixed, _p = other.draw(_frames().filter(lambda c: c[0] == chart))
+    spans = [(graph, round_trip), (graph, mixed), (mixed, other_mixed), (mixed, mixed),
+             (gauged, gauge_transform(other_graph, other_b)), (other_graph, gauged)]
+    for f1, f2 in spans:
+        assert _outcomes(lambda p: same_span_at(f1, f2, p), points) == _outcomes(
+            lambda p: _same_span(f1, f2, p), points)
+    for frame in (graph, gauged, mixed):
+        assert involutivity_check(frame, points) == _involutivity(frame, points)
+        s = frame.sections
+        for i, j in itertools.combinations(range(chart.dim), 2):
+            br = courant_bracket(s[i], s[j])
+            assert pairing(br, s[i]).is_zero() and pairing(br, s[j]).is_zero()
+    # brackets with a pole the frame lacks, from the second section on: h s_i
+    # stays in the span, so only the skipped points can change
+    h = RationalFn.const(1) / (RationalFn.var(chart.coords[0]) - RationalFn.const(pole))
+    real = dirac.courant_bracket
+
+    def with_pole(s, t):
+        br = real(s, t)
+        if s is graph.sections[0]:
+            return br
+        return DiracSection(br.vector + s.vector.scale(h), br.covector + s.covector.scale(h))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirac, "courant_bracket", with_pole)
+        assert involutivity_check(graph, points) == _involutivity(graph, points)
+
+
+def test_a_gauge_whose_pole_cancels_in_the_rows_is_ranked_by_elimination():
+    # gauging the graph of x d/dx ^ d/dy by -dx ^ dy / x leaves only vectors:
+    # the rows are finite at x = 0, where b has a pole and the rank drops
+    x = RationalFn.var("x")
+    graph = graph_of_bivector(MultivectorField(CHART2, 2, {(0, 1): x}))
+    b = DifferentialForm(CHART2, 2, {(0, 1): -RationalFn.const(1) / x})
+    gauged = gauge_transform(graph, b)
+    assert all(s.covector.is_zero() for s in gauged.sections)
+    p = {"x": Fraction(0), "y": Fraction(1, 2)}
+    assert gauged.rank_at(p) == linalg.rank(gauged.matrix_at(p)) == 0
+    assert same_span_at(gauged, graph, p) == _same_span(gauged, graph, p) is False
+    q = {"x": Fraction(1, 3), "y": Fraction(1, 2)}
+    assert gauged.rank_at(q) == 2 and not same_span_at(gauged, graph, q)
+
+
+def test_graph_and_gauge_spans_and_involutivity_run_no_elimination(monkeypatch):
+    frame = graph_of_bivector(_standard_pi())
+    b = DifferentialForm(CHART4, 2, {(0, 2): RationalFn.var("x1")})
+    gauged, pts = gauge_transform(frame, b), _points(CHART4)
+    back = gauge_transform(gauged, -b)
+    calls = []
+    for name in ("rank", "pivot_columns", "rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, real=real: calls.append(a) or real(*a))
+    assert all(same_span_at(frame, back, p) for p in pts)
+    assert not any(same_span_at(frame, gauged, p) for p in pts)
+    assert involutivity_check(frame, pts).passed and involutivity_check(gauged, pts).passed
+    assert frame.validate_rank(pts).passed
+    assert calls == []
+
+
+def test_full_pipeline_ranks_each_frame_once_per_point_with_no_stacked_rows(capsys, monkeypatch):
+    ranked = []
+    real = linalg.rank
+
+    def rank(a):
+        ranked.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rank", rank)
+    assert cli.main(["full-pipeline", "--spec", "shifted_lift", "--samples", "6"]) == 0
+    capsys.readouterr()
+    frames = [a for a in ranked if len(a[0]) == 2 * len(a)]
+    # GT1's averaged and gauged frames; frame-rank and involutivity reuse the first
+    assert len(frames) == 2 * 6
+    assert len({id(a[0]) for a in frames}) == len(frames)
+
+
+def test_sample_box_draws_the_grid_points_of_the_reference_formula():
+    rng = random.Random(65)
+    for seed in range(20):
+        box = {}
+        for name in CHART4.coords:
+            lo = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            box[name] = (lo, lo + Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        draws = random.Random(seed)
+        want = [{name: lo + (hi - lo) * Fraction(draws.randint(0, _DENOM), _DENOM)
+                 for name, (lo, hi) in box.items()} for _ in range(7)]
+        assert sample_box(CHART4, box, 7, seed) == want
