@@ -1,12 +1,11 @@
 """Dirac structures as explicit frames of (vector, covector) sections.
 
-A frame holds n sections on an n-chart.  Isotropy is verified symbolically
-at construction, and the rank at a rational sample point is kept beside the
-frame's rows there.  Where the rank is n the frame spans a Lagrangian
-L = L^perp, so a vector lies in L exactly when it pairs to zero with every
-section: spans of rank n and involutivity are decided by pairings.  Ranks
-not known by construction, spans of lower rank and the coupling position
-against a vertical distribution take exact linear algebra at the points.
+A frame holds n sections on an n-chart, isotropic (checked symbolically)
+and with its rank at a rational sample point kept beside its rows there.
+Where the rank is n the frame spans a Lagrangian L = L^perp: a vector lies
+in L exactly when it pairs to zero with every section, which decides spans
+of rank n and involutivity.  Other ranks, spans of lower rank and the
+coupling position take exact linear algebra at the points.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
 class DiracFrame:
     """n sections spanning an almost Dirac structure on an n-chart."""
 
-    def __init__(self, sections: Sequence[DiracSection], check_isotropy: bool = True,
-                 poles: Optional[Tuple[Poly, ...]] = None):
+    def __init__(self, sections: Sequence[DiracSection], poles: Optional[Tuple[Poly, ...]] = None):
         if not sections:
             raise ValueError("empty frame")
         chart = sections[0].chart
@@ -97,18 +95,17 @@ class DiracFrame:
             raise ValueError(f"frame needs {chart.dim} sections, got {len(sections)}")
         self.chart = chart
         self.sections: Tuple[DiracSection, ...] = tuple(sections)
-        self.isotropic = check_isotropy
         # if given, the rank is n wherever the rows are finite and no pole vanishes
         self.poles = poles
         # id(point) -> (point, rows) and (point, rank), as in ``Derivation``:
         # the point is held so its id is not reused while the frame lives
         self._rows: Dict[int, Tuple[Point, Tuple[Tuple[Value, ...], ...]]] = {}
         self._ranks: Dict[int, Tuple[Point, int]] = {}
-        if check_isotropy:
-            for i, j in itertools.combinations_with_replacement(range(chart.dim), 2):
-                p = pairing(self.sections[i], self.sections[j])
-                if not p.is_zero():
-                    raise ValueError(f"frame is not isotropic: <s_{i}, s_{j}> = {p!r}")
+        # every pairing rule below rests on this
+        for i, j in itertools.combinations_with_replacement(range(chart.dim), 2):
+            p = pairing(self.sections[i], self.sections[j])
+            if not p.is_zero():
+                raise ValueError(f"frame is not isotropic: <s_{i}, s_{j}> = {p!r}")
 
     # -- pointwise data ----------------------------------------------------
 
@@ -201,7 +198,7 @@ def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
 def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
     """True when the two frames span the same subspace at the point.
 
-    Two isotropic frames of rank n span Lagrangians, each its own orthogonal,
+    Two frames of rank n span Lagrangians, each its own orthogonal,
     so they agree exactly when every row of one pairs to zero with every row
     of the other.  Equal ranks below n compare with the rows stacked.
     """
@@ -211,7 +208,7 @@ def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
     if r != f2.rank_at(point):
         return False
     n = f1.chart.dim
-    if r < n or not (f1.isotropic and f2.isotropic):
+    if r < n:
         return linalg.rank(m1 + m2) == r
     mul = operator.mul
     return not any(sum(map(mul, u[n:], v[:n])) + sum(map(mul, v[n:], u[:n]))
@@ -219,7 +216,7 @@ def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
 
 
 def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
-    """Closure of the isotropic frame under the Courant bracket, pointwise.
+    """Closure of the frame under the Courant bracket, decided pointwise.
 
     Where the frame has rank n, [s_i, s_j] lies in its span exactly when the
     Courant tensor <[s_i, s_j], s_k> vanishes for every k.  The tensor is
@@ -228,8 +225,6 @@ def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
     one with a pole in a bracket, unless an earlier pair already lies
     outside the span.  The first pair outside is the witness.
     """
-    if not frame.isotropic:
-        raise ValueError("involutivity is decided on isotropic frames")
     s, n = frame.sections, frame.chart.dim
     pairs = list(itertools.combinations(range(n), 2))
     # per pair: its bracket's denominators and its tensor's nonzero terms
@@ -287,10 +282,15 @@ def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
         h_fields.append(acc)
 
     if len(h_fields) != b:
-        return failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}), None
+        return (
+            failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}),
+            None,
+        )
 
-    h_rows = [[h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
-              for h in h_fields]
+    h_rows = [
+        [h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
+        for h in h_fields
+    ]
     v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in conn.fol.fiber]
 
     def probe(p: Point) -> bool:

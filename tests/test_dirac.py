@@ -74,8 +74,6 @@ def test_frame_rejects_anisotropic_sections():
     ]
     with pytest.raises(ValueError):
         DiracFrame(bad)
-    # the check can be bypassed explicitly
-    DiracFrame(bad, check_isotropy=False)
 
 
 def test_cotangent_frame_is_involutive():
