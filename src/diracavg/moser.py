@@ -7,8 +7,10 @@ compiles exact components to fast float evaluators (checked against exact
 evaluation at probe points), measures the homotopy residual
 [[Z_t, Pi_t]] + d(Pi_t)/dt, and integrates the flow with a fixed-step
 classical 4th-order scheme to verify the intertwining identity through
-finite-difference Jacobians.  The flow's Z_t and the float Pi_t# share
-one singularity guard, on the compiled D(t) = det(Id + t dTheta# Pi#).
+finite-difference Jacobians.  D(t) = det(Id + t dTheta# Pi#), Z_t's
+numerator N(t) and the exact Pi_t# all come from one Faddeev-LeVerrier
+recursion for the adjugate of Id + t dTheta# Pi#.  The flow's Z_t and the
+float Pi_t# share one singularity guard, on the compiled D(t).
 """
 
 from __future__ import annotations
@@ -277,42 +279,27 @@ class _CompiledEntries:
         return ZeroDivisionError(f"denominator vanished for component {self.keys[col]!r}")
 
 
-def _det_coefficients(s: linalg.Mat) -> List[RationalFn]:
-    """[1, e_1, ..., e_m]: det(Id + t s) = sum_k e_k t^k, e_m its last nonzero
-    coefficient, by Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i}
-    tr(s^i), with tr(s^i) = tr(s^a s^b) for a + b = i, so that only the
-    powers up to n/2 are formed."""
+def _faddeev_leverrier(s: linalg.Mat) -> Tuple[List[RationalFn], List[linalg.Mat]]:
+    """det(Id + t s) = sum_k e_k t^k and adj(Id + t s) = sum_k t^k B_k, by
+    the Faddeev-LeVerrier recursion: B_0 = Id, then e_k = tr(s B_{k-1}) / k
+    and B_k = e_k Id - s B_{k-1}, until B_k = 0, as it is for k = n.
+    Returns [e_0, ..., e_m], e_m the last nonzero one, and the B_k up to
+    the last nonzero one."""
     n = len(s)
-    powers = [linalg.identity(n), s]
-    while len(powers) <= (n + 1) // 2:
-        powers.append(linalg.mat_mul(powers[-1], s))
-    e, signed = [RationalFn.const(1)], []
+    e, adj = [RationalFn.const(1)], [linalg.identity(n)]
     for k in range(1, n + 1):
-        a, b = powers[(k + 1) // 2], powers[k // 2]
-        pairs = [(a[i][j], b[j][i]) for i in range(n) for j in range(n)]
-        trace = sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), RationalFn.zero())
-        signed.append(trace if k % 2 else -trace)
-        total = sum((x * y for x, y in zip(reversed(e), signed)), RationalFn.zero())
-        e.append(total.scale(Fraction(1, k)))
+        s_b = linalg.mat_mul(s, adj[-1])
+        e.append(sum((s_b[i][i] for i in range(n)), RationalFn.zero()).scale(Fraction(1, k)))
+        if k == n:
+            break
+        b = [[(e[k] if i == j else RationalFn.zero()) - x for j, x in enumerate(row)]
+             for i, row in enumerate(s_b)]
+        if all(x.is_zero() for row in b for x in row):
+            break
+        adj.append(b)
     while e[-1].is_zero():
         e.pop()
-    return e
-
-
-def _adjugate_series(
-    det: Sequence[RationalFn], terms: Sequence[Sequence[RationalFn]], n: int
-) -> List[List[RationalFn]]:
-    """The coefficients in t of det(t) sum_j t^j terms[j] up to t^(n-1),
-    trailing zero ones dropped.  With det(t) = det(Id + t S) and terms[j] =
-    (-S)^j X, that is adj(Id + t S) X, whose degree in t is below n."""
-    out = [
-        [sum((det[k - j] * row[i] for j, row in enumerate(terms) if 0 <= k - j < len(det)),
-             RationalFn.zero()) for i in range(len(terms[0]) if terms else 0)]
-        for k in range(n)
-    ]
-    while out and all(x.is_zero() for x in out[-1]):
-        out.pop()
-    return out
+    return e, adj
 
 
 def _in_t(coeffs: Sequence[RationalFn]) -> RationalFn:
@@ -340,15 +327,16 @@ class NumericEvaluator:
     determinant magnitude falls below the threshold, or is not finite.
 
     Z_t = -Pi# (Id + t S)^{-1} Theta, with S = dTheta# Pi#, is derived
-    once, exactly, as N(t) / D(t).  D(t) = det(Id + t S) = sum_k e_k t^k,
-    and N(t) = sum_k t^k N_k with N_k = sum_{j<=k} e_{k-j} c_j and
-    c_j = -(-1)^j Pi# S^j Theta, since D(t) (Id + t S)^{-1} is the
-    adjugate.  The N_k and e_k are compiled and checked at the probes like
-    the entries, so a stage needs no matrix algebra, and the guard reads
-    the compiled D.  Where S is nilpotent, D = 1, N_k = c_k, and a guard
-    below 1 cannot trip.  N and D are derived on first use, unless the
-    probes check them at construction.  [[Z_t, Pi_t]] is derived once too,
-    as rational functions of the point and ``T``, when HR first asks for it.
+    once, exactly, as N(t) / D(t).  One Faddeev-LeVerrier recursion gives
+    D(t) = det(Id + t S) = sum_k e_k t^k and the adjugate
+    D(t) (Id + t S)^{-1} = sum_k t^k B_k, so N(t) = sum_k t^k N_k with
+    N_k = -Pi# B_k Theta.  The N_k and e_k are compiled and checked at the
+    probes like the entries, so a stage needs no matrix algebra, and the
+    guard reads the compiled D.  Where S is nilpotent, D = 1,
+    B_k = (-S)^k, and a guard below 1 cannot trip.  N and D are derived on
+    first use, unless the probes check them at construction.
+    [[Z_t, Pi_t]] is derived once too, from the same B_k, as rational
+    functions of the point and ``T``, when HR first asks for it.
     """
 
     def __init__(
@@ -388,7 +376,7 @@ class NumericEvaluator:
             for i in range(j)
         }
         self._entries = _CompiledEntries(self.chart, self._exact, mirrors)
-        self._sp, self._sb, self._s = sp, sb, linalg.mat_mul(sb, sp)
+        self._sp = sp
         self._z_entries: Optional[_CompiledEntries] = None
         self._bracket: Optional[Tuple[RationalFn, MultivectorField]] = None
         if probes:
@@ -401,17 +389,14 @@ class NumericEvaluator:
         stops a row."""
         if self._z_entries is not None:
             return
-        n, sp = self._n, self._sp
-        self._det = _det_coefficients(self._s)
+        sp = self._sp
+        self._det, self._adj = _faddeev_leverrier(linalg.mat_mul(flat_matrix(self.dtheta_exact), sp))
         self._guard_can_trip = self.guard >= 1 or len(self._det) > 1
-        # c_j = -(-1)^j Pi# S^j Theta from u_j = Pi# (dTheta# Pi#)^j Theta,
-        # until some u_j is zero, when every later one is
-        u = linalg.mat_mul(sp, [[fn] for _key, fn in self._exact[2 * n * n :]])
-        c: List[List[RationalFn]] = []
-        while len(c) < n and any(not x.is_zero() for (x,) in u):
-            c.append([-x if len(c) % 2 == 0 else x for (x,) in u])
-            u = linalg.mat_mul(sp, linalg.mat_mul(self._sb, u))
-        self._numer = _adjugate_series(self._det, c, n) or [[RationalFn.zero()] * n]  # N = 0: one row
+        # N_k = -Pi# B_k Theta, trailing zero ones dropped; N = 0 keeps one
+        theta = [[fn] for _key, fn in self._exact[2 * self._n ** 2 :]]
+        self._numer = [[-x for (x,) in linalg.mat_mul(sp, linalg.mat_mul(b, theta))] for b in self._adj]
+        while len(self._numer) > 1 and all(x.is_zero() for x in self._numer[-1]):
+            self._numer.pop()
         self._order = len(self._numer)
         poles: Dict[Poly, int] = {}
         for col, (_key, fn) in enumerate(self._exact):
@@ -579,21 +564,16 @@ class NumericEvaluator:
 
     def _bracket_fns(self) -> Tuple[RationalFn, MultivectorField]:
         """D(T) and [[Z_T, Pi_T]], as rational functions of the point and
-        T, derived on first use: Pi_T# = Pi# adj(Id + T S) / D(T), where
-        adj(Id + T S) = sum_k T^k sum_{j<=k} e_{k-j} (-S)^j."""
+        T, derived on first use: Pi_T# = Pi# sum_k T^k B_k / D(T), from the
+        B_k and e_k of the recursion that gave N."""
         if self._bracket is None:
             self._compile()
             n = self._n
-            # Pi# (-S)^j, above the diagonal only: Pi_T is antisymmetric
-            upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            powers = [self._sp]
-            while len(powers) < n:
-                powers.append(linalg.mat_mul(powers[-1], self._s))
-            terms = [[-m[j][i] if k % 2 else m[j][i] for i, j in upper] for k, m in enumerate(powers)]
-            sharp = _adjugate_series(self._det, terms, n)
+            sharp = [linalg.mat_mul(self._sp, b) for b in self._adj]
             det = _in_t(self._det)
+            # sharp-matrix slot (j, i) holds the (i, j) component
             pi_t = MultivectorField(self.chart, 2, {
-                ij: _in_t([row[col] for row in sharp]) / det for col, ij in enumerate(upper)
+                (i, j): _in_t([m[j][i] for m in sharp]) / det for i in range(n) for j in range(i + 1, n)
             })
             z_t = vector_field(self.chart, {
                 i: _in_t([row[i] for row in self._numer]) / det for i in range(n)

@@ -24,11 +24,13 @@ from diracavg.derivation import Derivation
 from diracavg.fixtures import load
 from diracavg.modelspec import parse_spec
 from diracavg.moser import (
+    T,
     BoxExit,
     FlowConfig,
     GuardError,
     NumericEvaluator,
     _CompiledEntries,
+    _faddeev_leverrier,
     _padded,
     _Polys,
     flow_and_verify,
@@ -656,6 +658,62 @@ def test_the_coefficients_of_random_acyclic_models_sum_to_the_inverted_field():
         ev._compile()
         points = sample_box(ev.chart, default_box(ev.chart), 3, 4)
         assert _assert_coefficients_sum_to_the_inverted_field(ev, points)
+
+
+_T_FN = RationalFn.from_poly(Poly((T,), {(1,): 1}))
+
+
+def _sum_in_t(coeffs):
+    """sum_k T^k coeffs[k], power by power."""
+    out, power = RationalFn.zero(), RationalFn.const(1)
+    for c in coeffs:
+        out, power = out + c * power, power * _T_FN
+    return out
+
+
+def _assert_the_recursion_is_det_and_adjugate(ev) -> bool:
+    """With S = dTheta# Pi#: D(T) = sum_k T^k e_k is det(Id + T S) by
+    Bareiss elimination, and (sum_k T^k B_k)(Id + T S) = D(T) Id, exactly.
+    Returns whether D is 1."""
+    n = ev.chart.dim
+    s = linalg.mat_mul(flat_matrix(ev.dtheta_exact), sharp_matrix(ev.pi_exact))
+    e, adj = _faddeev_leverrier(s)
+    assert not e[-1].is_zero() and 1 <= len(adj) <= n
+    assert any(not x.is_zero() for row in adj[-1] for x in row)
+    m = linalg.mat_add(linalg.identity(n), linalg.mat_scale(s, _T_FN))
+    d = _sum_in_t(e)
+    assert d == linalg.det(m)
+    adj_t = [[_sum_in_t([b[i][j] for b in adj]) for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(adj_t, m) == linalg.mat_scale(linalg.identity(n), d)
+    return len(e) == 1
+
+
+@pytest.mark.parametrize(
+    "name, det_one",
+    [
+        ("flat", True),
+        ("rotating_lift", False),
+        ("transversal_leaf", True),
+        ("obstructed_lift", True),
+        ("shifted_lift", True),
+        ("torus", False),
+    ],
+)
+def test_the_recursion_gives_the_determinant_and_the_adjugate(name, det_one):
+    ev = _torus()[0] if name == "torus" else _setup(name)[4]
+    assert _assert_the_recursion_is_det_and_adjugate(ev) is det_one
+
+
+def test_the_recursion_gives_the_determinant_and_the_adjugate_on_random_models():
+    # the first 30 models, nilpotent and cyclic; the 24th is left out: its
+    # dense cyclic S takes seconds, where these take about 0.3 s together
+    rng = random.Random(98)
+    seen = {True: 0, False: 0}
+    for idx in range(1, 31):
+        ev = _random_model(rng)
+        if idx != 24:
+            seen[_assert_the_recursion_is_det_and_adjugate(ev)] += 1
+    assert min(seen.values()) >= 8, seen
 
 
 def test_a_corrupted_coefficient_fails_the_probe_check():
