@@ -614,6 +614,12 @@ REPORT_DIGESTS = {
         "80052c5fb8828572184b3239116b3a9ba2a9ea0a5169d3ced8f91ac6fa52d7d8", None),
     ("gauge", "rotating_lift"): (
         "90643746cfdcbf745fcd5ab09a32a4c4421507045f9f2a7b9848426fbef034e9", None),
+    # the rank of a coupling frame whose P vanishes on a leaf, and
+    # GT1's gauged frame on a model with a cycle
+    ("dirac-verify", "transversal_leaf"): (
+        "aa84328565705096bd6f3c9304e7c5a4b5b8b78f66d7939898676ad62a516be6", None),
+    ("full-pipeline", "rotating_lift"): (
+        "fb3b0766698c18eb7366d5d4ec8f6f115080778217d79aa17f373f05bdf75110", None),
 }
 
 
