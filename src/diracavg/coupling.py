@@ -438,7 +438,16 @@ def poisson_to_data(
 
 
 def data_to_dirac(gd: GeometricData) -> DiracFrame:
-    """The Dirac frame {(h_i, -i_{h_i} sigma)} + {(P# eta_j, eta_j)}."""
+    """The Dirac frame {(h_i, -i_{h_i} sigma)} + {(P# eta_j, eta_j)}.
+
+    On the columns {vector base, covector fiber} the lifts hold the identity
+    and any covector fiber part, and the eta_j hold their vector base parts
+    and the identity.  Where every P# eta_j has zero base components, as a
+    vertical P gives, that block is [[I, *], [0, I]], of determinant 1, so
+    the frame has rank n wherever its rows are finite and is built with no
+    poles (Courant, *Dirac manifolds*, 1990).  Otherwise its rank is left to
+    elimination.
+    """
     gd.require_verified("data_to_dirac")
     conn = gd.conn
     fol = conn.fol
@@ -449,7 +458,23 @@ def data_to_dirac(gd: GeometricData) -> DiracFrame:
     for j in range(fol.f):
         ej = conn.eta(j)
         sections.append(DiracSection(sharp_bivector(gd.p, ej), ej))
-    return DiracFrame(sections)
+    return DiracFrame(sections, poles=() if _unit_block(sections, fol) else None)
+
+
+def _unit_block(sections: Sequence[DiracSection], fol: Foliation) -> bool:
+    """True when the columns {vector base, covector fiber} of the sections
+    hold [[I, *], [0, I]], compared symbolically."""
+    one, zero = RationalFn.const(1), RationalFn.zero()
+
+    def unit(form: MultivectorField | DifferentialForm, cols: Tuple[int, ...],
+             r: Optional[int]) -> bool:
+        return all(form.comps.get((k,), zero) == (one if c == r else zero)
+                   for c, k in enumerate(cols))
+
+    lifts, etas = sections[:fol.b], sections[fol.b:]
+    return (all(unit(s.vector, fol.base, i) for i, s in enumerate(lifts))
+            and all(unit(s.vector, fol.base, None) and unit(s.covector, fol.fiber, j)
+                    for j, s in enumerate(etas)))
 
 
 def is_horizontal_one_form(q: DifferentialForm, conn: Connection) -> bool:

@@ -1,11 +1,13 @@
 """Dirac structures as explicit frames of (vector, covector) sections.
 
 A frame holds n sections on an n-chart, isotropic (checked symbolically)
-and with its rank at a rational sample point kept beside its rows there.
-Where the rank is n the frame spans a Lagrangian L = L^perp: a vector lies
-in L exactly when it pairs to zero with every section, which decides spans
-of rank n and involutivity.  Other ranks, spans of lower rank and the
-coupling position take exact linear algebra at the points.
+and with its rank at a rational sample point kept beside its rows there;
+each section evaluates its row from a plan it builds once.  Graphs, coupling
+frames and their gauge transforms have rank n by construction off known
+poles.  Where the rank is n the frame spans a Lagrangian L = L^perp: a
+vector lies in L exactly when it pairs to zero with every section, which
+decides spans of rank n and involutivity.  Other ranks, spans of lower rank
+and the coupling position take exact linear algebra at the points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +39,7 @@ class DiracSection:
 
     vector: MultivectorField
     covector: DifferentialForm
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vector.degree != 1 or self.covector.degree != 1:
@@ -55,24 +58,42 @@ class DiracSection:
         Over Q the row is of ``int``s, cleared from the unreduced integer
         pairs of ``Poly._value_at`` with no ``Fraction`` built.  Where
         ``@pi`` survives it holds the exact values, in Q or Q(@pi) (``QPi``).
-        A vanishing denominator raises ZeroDivisionError.
+        A vanishing denominator raises ZeroDivisionError.  The section's
+        ``_row_plan`` is built on the first call and kept.
         """
-        n = self.chart.dim
-        comps = [self.vector.comps.get((i,)) for i in range(n)]
-        comps += [self.covector.comps.get((i,)) for i in range(n)]
-        nums, dens = [], []
-        for c in comps:
-            num = (0, 1) if c is None else c.num._value_at(point, True)
-            den = (1, 1) if c is None or c.is_poly() else c.den._value_at(point, True)
-            if type(num) is not tuple or type(den) is not tuple:
-                return [Fraction(0) if c is None else c.value_at(point) for c in comps]
-            if not den[0]:
-                raise ZeroDivisionError("denominator vanishes at sample point")
-            nums.append(num[0] * den[1])
-            # a zero value keeps its denominator out of the lcm, so the row stays small
-            dens.append(num[1] * den[0] if num[0] else 1)
-        lcm = math.lcm(*dens)
-        return [p * (lcm // q) for p, q in zip(nums, dens)]
+        if self._plan is None:
+            self._plan = _row_plan(self)
+        comps, plan, row = self._plan
+        return list(row) if row is not None else _row(comps, plan, point)
+
+
+def _row_plan(s: DiracSection) -> tuple:
+    """The 2n entries (None where zero); (place, numerator, denominator) of
+    each nonzero one, a constant as the integer pair ``_value_at`` gives it;
+    and the row itself where every entry is constant."""
+    comps = [f.comps.get((i,)) for f in (s.vector, s.covector) for i in range(s.chart.dim)]
+    plan = [(k, *(p._value_at({}, True) if p.is_const() else p for p in (c.num, c.den)))
+            for k, c in enumerate(comps) if c is not None]
+    fixed = all(type(num) is type(den) is tuple for _, num, den in plan)
+    return comps, plan, _row(comps, plan, {}) if fixed else None
+
+
+def _row(comps: List[Optional[RationalFn]], plan: list, point: Point) -> List[Value]:
+    nums, dens = [], []
+    for _, num, den in plan:
+        num = num if type(num) is tuple else num._value_at(point, True)
+        den = den if type(den) is tuple else den._value_at(point, True)
+        if type(num) is not tuple or type(den) is not tuple:
+            return [Fraction(0) if c is None else c.value_at(point) for c in comps]
+        if not den[0]:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        nums.append(num[0] * den[1])
+        # a zero value keeps its denominator out of the lcm, so the row stays small
+        dens.append(num[1] * den[0] if num[0] else 1)
+    lcm, row = math.lcm(*dens), [0] * len(comps)
+    for (k, _, _), p, q in zip(plan, nums, dens):
+        row[k] = p * (lcm // q)
+    return row
 
 
 def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
@@ -161,12 +182,8 @@ def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
     covector block is the identity, so its rank is n wherever it is finite."""
     if pi.degree != 2:
         raise ValueError("expects a bivector")
-    chart = pi.chart
-    sections = []
-    for i in range(chart.dim):
-        du = one_form(chart, {i: RationalFn.const(1)})
-        sections.append(DiracSection(sharp_bivector(pi, du), du))
-    return DiracFrame(sections, poles=())
+    dus = [one_form(pi.chart, {i: RationalFn.const(1)}) for i in range(pi.chart.dim)]
+    return DiracFrame([DiracSection(sharp_bivector(pi, du), du) for du in dus], poles=())
 
 
 def gauge_transform(frame: DiracFrame, b: DifferentialForm) -> DiracFrame:
@@ -179,10 +196,8 @@ def gauge_transform(frame: DiracFrame, b: DifferentialForm) -> DiracFrame:
         raise ValueError("gauge form is not closed")
     out = [DiracSection(s.vector, s.covector - interior_product(s.vector, b))
            for s in frame.sections]
-    poles = frame.poles
-    if poles is not None:
-        poles += tuple({c.den for c in b.comps.values() if not c.is_poly()})
-    return DiracFrame(out, poles=poles)
+    dens = tuple({c.den for c in b.comps.values() if not c.is_poly()})
+    return DiracFrame(out, poles=None if frame.poles is None else frame.poles + dens)
 
 
 def courant_bracket(s: DiracSection, t: DiracSection) -> DiracSection:
@@ -202,8 +217,7 @@ def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
     so they agree exactly when every row of one pairs to zero with every row
     of the other.  Equal ranks below n compare with the rows stacked.
     """
-    m1 = f1.matrix_at(point)
-    m2 = f2.matrix_at(point)
+    m1, m2 = f1.matrix_at(point), f2.matrix_at(point)
     r = f1.rank_at(point)
     if r != f2.rank_at(point):
         return False
@@ -249,12 +263,10 @@ def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
             if late < len(pairs):
                 raise ZeroDivisionError("denominator vanishes at sample point")
             return True
-        if not witness:
-            witness["pair"] = list(pairs[outside])
+        witness.setdefault("pair", list(pairs[outside]))
         return False
 
-    run, first_fail = sweep(points, probe)
-    return _verdict("involutivity", run, first_fail, witness=witness or None)
+    return _verdict("involutivity", *sweep(points, probe), witness=witness or None)
 
 
 def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
@@ -266,31 +278,19 @@ def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
     coupling condition H + V = TM (direct sum) is verified at sample points.
     Returns the check result and a spanning set for H when it holds.
     """
-    n = len(frame.sections)
-    b = conn.fol.b
+    n, b = len(frame.sections), conn.fol.b
     # rows: fiber components of each section's covector; kernel combos have
     # covector parts annihilating the vertical distribution
     rows = [[frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
             for fi in conn.fol.fiber]
     combos = linalg.kernel_basis(rows)
-    h_fields: List[MultivectorField] = []
-    for c in combos:
-        acc = MultivectorField.zero(frame.chart, 1)
-        for k, ck in enumerate(c):
-            if not ck.is_zero():
-                acc = acc + frame.sections[k].vector.scale(ck)
-        h_fields.append(acc)
-
+    h_fields = [sum((frame.sections[k].vector.scale(ck) for k, ck in enumerate(c) if ck),
+                    MultivectorField.zero(frame.chart, 1)) for c in combos]
     if len(h_fields) != b:
-        return (
-            failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}),
-            None,
-        )
+        return failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}), None
 
-    h_rows = [
-        [h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
-        for h in h_fields
-    ]
+    h_rows = [[h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
+              for h in h_fields]
     v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in conn.fol.fiber]
 
     def probe(p: Point) -> bool:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
+from diracavg import cli, linalg
+from diracavg.averaging import average_coupling
 from diracavg.coupling import (
     Connection,
     Foliation,
@@ -20,6 +23,7 @@ from diracavg.coupling import (
     q_gauge,
     structure_eq_check,
 )
+from diracavg.derivation import Derivation
 from diracavg.dirac import gauge_transform, involutivity_check, same_span_at
 from diracavg.fixtures import FIXTURES, load
 from diracavg.modelspec import parse_spec
@@ -38,6 +42,8 @@ from diracavg.tensors import (
 )
 
 from conftest import CHART4, default_box, rand_poly, to_sympy_poly
+
+TORUS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
 
 
 def _flat_gd():
@@ -295,9 +301,8 @@ def test_q_gauge_rejects_vertical_legs():
 
 def test_bundled_models_derive_reduced_bivectors():
     sympy = pytest.importorskip("sympy")
-    torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
     specs = {name: load(name) for name in FIXTURES}
-    specs["torus"] = parse_spec(str(torus))
+    specs["torus"] = parse_spec(str(TORUS))
     sizes = {}
     for name, spec in specs.items():
         if "pi" in spec.tensors:
@@ -315,3 +320,58 @@ def test_bundled_models_derive_reduced_bivectors():
             assert num.gcd(den).is_ground
     # numerator and denominator terms of each non-polynomial entry
     assert sizes == {"rotating_lift": [(1, 2)] * 2, "torus": [(1, 3)] * 4}
+
+
+def _ranks_agree(frame, points):
+    """Assert the frame's kept rank equals the rank elimination finds in its
+    rows, point by point; returns the number of points with finite rows."""
+    finite = 0
+    for p in points:
+        try:
+            rows = frame.matrix_at(p)
+        except ZeroDivisionError:
+            continue
+        assert frame.rank_at(p) == linalg.rank(rows), p
+        finite += 1
+    return finite
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURES if load(n).connection is not None] + ["torus"])
+def test_coupling_frames_and_gt1_gauge_keep_the_rank_elimination_finds(name):
+    spec = parse_spec(str(TORUS)) if name == "torus" else load(name)
+    d = Derivation()
+    gd, _checks = structure_eq_check(spec.geometric_data())
+    # the block argument reads no structure equation, so failing data counts too
+    frame = d.dirac(replace(gd, integrable="verified"))
+    assert frame.poles == ()
+    points = sample_box(spec.chart, spec.get_box(), 50, spec.seed)
+    assert _ranks_agree(frame, points) >= 40
+    if gd.integrable != "verified" or spec.action is None:
+        return
+    cert, _failures = cli._certificate(spec, d)
+    res = average_coupling(gd, cert, derivation=d)
+    # GT1: the averaged frame against the gauge transform of the source frame
+    after = d.dirac(res.data)
+    gauged = gauge_transform(frame, -exterior_derivative(res.q))
+    assert after.poles == () and gauged.poles is not None
+    assert _ranks_agree(after, points) >= 40 and _ranks_agree(gauged, points) >= 40
+
+
+def test_a_coupling_frame_with_a_non_vertical_p_is_ranked_by_elimination(monkeypatch):
+    fol = Foliation(CHART4, (0, 1), (2, 3))
+    vertical = MultivectorField(CHART4, 2, {(2, 3): RationalFn.const(1)})
+    gd = _verified(GeometricData(Connection(fol, [[0, 0], [0, 0]]),
+                                 DifferentialForm.zero(CHART4, 2), vertical))
+    assert data_to_dirac(gd).poles == ()
+    # a base leg, set past the constructor's check, gives P# eta_1 a base component
+    gd.p = vertical + MultivectorField(CHART4, 2, {(0, 2): RationalFn.var("y2")})
+    frame = data_to_dirac(gd)
+    assert frame.poles is None
+    points = sample_box(CHART4, default_box(CHART4), 50, 73)
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or real(a))
+    ranks = [frame.rank_at(p) for p in points]
+    assert len(calls) == len(points) and ranks == [4] * len(points)
+    monkeypatch.undo()
+    assert _ranks_agree(frame, points) == len(points)
