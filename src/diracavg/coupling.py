@@ -467,8 +467,9 @@ def _unit_block(sections: Sequence[DiracSection], fol: Foliation) -> bool:
     one, zero = RationalFn.const(1), RationalFn.zero()
 
     def unit(form: MultivectorField | DifferentialForm, cols: Tuple[int, ...],
-             r: Optional[int]) -> bool:
-        return all(form.comps.get((k,), zero) == (one if c == r else zero)
+             one_at: Optional[int]) -> bool:
+        # the form's entries on cols: 1 at place one_at, 0 elsewhere
+        return all(form.comps.get((k,), zero) == (one if c == one_at else zero)
                    for c, k in enumerate(cols))
 
     lifts, etas = sections[:fol.b], sections[fol.b:]

@@ -501,8 +501,8 @@ def _sections(draw):
     polynomial, rational with a pole on grid points, or hold @pi in the
     numerator or in the denominator; and points on the grid.  Each section
     draws from the first 2, 4 or 6 kinds."""
-    names = draw(st.sampled_from([CHART2, Chart(("x", "y", "z"))])).coords
-    chart = Chart(names)
+    chart = draw(st.sampled_from([CHART2, Chart(("x", "y", "z"))]))
+    names = chart.coords
     kinds = ["zero", "const", "poly", "rational", "pi", "pi-den"][:draw(st.sampled_from([2, 4, 6]))]
 
     def entry():
