@@ -68,6 +68,18 @@ def test_certificate_rejects_a_wrong_hamiltonian():
     assert any(c.check == "compat-generator" for c in cert.failures)
 
 
+def test_compat_generator_witness_prints_components_in_their_order():
+    spec = load("flat")
+    gd, _ = structure_eq_check(spec.geometric_data())
+    x1, y1, y2 = (RationalFn.var(n) for n in ("x1", "y1", "y2"))
+    cert = check_compatibility(spec.action, gd.p, mode="hamiltonian", j=[y1 * y2 + x1 * y2 * y2])
+    assert [(c.check, c.witness) for c in cert.failures] == [("compat-generator", {
+        "generator": 0,
+        "expected": "{(3,): RationalFn(Poly(1*y1)), (2,): RationalFn(Poly(-1*y2))}",
+        "got": "{(3,): RationalFn(Poly(1*y2)), (2,): RationalFn(Poly(-1*y1 + -2*x1*y2))}",
+    })]
+
+
 def test_certificate_rejects_nonclosed_mu():
     spec = load("flat")
     gd, _ = structure_eq_check(spec.geometric_data())

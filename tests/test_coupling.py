@@ -193,6 +193,47 @@ def test_structure_check_rejects_uncoupled_curvature():
     assert not by_name["SE3"].passed
 
 
+_CHART5 = Chart(("x1", "x2", "y1", "y2", "y3"))
+_X1, _X2, _Y1, _Y2, _Y3 = (RationalFn.var(n) for n in _CHART5.coords)
+_ONE = RationalFn.const(1)
+
+
+def _chart5_data(gamma, sigma, p):
+    conn = Connection(Foliation(_CHART5, (0, 1), (2, 3, 4)), gamma)
+    return GeometricData(conn, DifferentialForm(_CHART5, 2, sigma), MultivectorField(_CHART5, 2, p))
+
+
+def test_se1_witness_prints_the_residual_components_in_their_order():
+    # the witness is repr(t.comps), so the order of the components is part of it
+    gd = _chart5_data(
+        [[_Y2, 0], [_Y1 * _Y3, _X1], [_Y1, _Y2]],
+        {(0, 1): _ONE},
+        {(2, 3): _Y3, (2, 4): _ONE, (3, 4): _Y1},
+    )
+    _, checks = structure_eq_check(gd)
+    assert checks[0].check == "SE1" and checks[0].witness == {
+        "lift": 0,
+        "residual": "{(3, 4): RationalFn(Poly(1*y2)), (2, 4): RationalFn(Poly(-1*y1))}",
+    }
+
+
+def test_se3_witness_prints_both_routes_components_in_their_order():
+    gd = _chart5_data(
+        [[_X2, _X1 * _X1], [0, _X1], [_X2 * _X2, 0]],
+        {(0, 1): _X1 * _Y1 + _Y2 * _Y3},
+        {(2, 3): _ONE, (3, 4): _ONE},
+    )
+    _, checks = structure_eq_check(gd)
+    assert [c.passed for c in checks] == [True, True, False]
+    assert checks[2].witness == {
+        "pair": [0, 1],
+        "curvature": "{(2,): RationalFn(Poly(-1 + 2*x1)), (4,): RationalFn(Poly(-2*x2)), "
+        "(3,): RationalFn(Poly(1))}",
+        "expected": "{(3,): RationalFn(Poly(1*y2 + -1*x1)), (2,): RationalFn(Poly(1*y3)), "
+        "(4,): RationalFn(Poly(-1*y3))}",
+    }
+
+
 def test_operations_require_verified_data():
     gd = _flat_gd()
     with pytest.raises(ValueError):
