@@ -56,6 +56,14 @@ def _entry_zero() -> TrigEntry:
     return TrigPoly.zero(), Poly.const(1)
 
 
+def _integral(entry: TrigEntry, delta: bool) -> RationalFn:
+    """The mean of an entry over one period, or its homotopy operator delta."""
+    g, den = entry
+    if delta:
+        return RationalFn(g.weighted_moment() + Poly.var(PI) * g.mean(), den)
+    return RationalFn(g.mean(), den)
+
+
 class TrigTensor:
     """A tensor whose components are trig polynomials in the flow time."""
 
@@ -65,23 +73,11 @@ class TrigTensor:
         self.degree = degree
         self.comps = {i: e for i, e in comps.items() if e[0].terms}
 
-    def _rebuild(self, comps: Dict[Idx, RationalFn]) -> _Tensor:
+    def integrate(self, delta: bool) -> _Tensor:
+        """Every component's mean over a period, or its delta (``_integral``)."""
         cls = MultivectorField if self.kind == "multivector" else DifferentialForm
-        return cls(self.chart, self.degree, {i: v for i, v in comps.items() if not v.is_zero()})
-
-    def integrate_mean(self) -> _Tensor:
-        out: Dict[Idx, RationalFn] = {}
-        for idx, (g, den) in self.comps.items():
-            out[idx] = RationalFn(g.mean(), den)
-        return self._rebuild(out)
-
-    def integrate_delta(self) -> _Tensor:
-        pi_var = Poly.var(PI)
-        out: Dict[Idx, RationalFn] = {}
-        for idx, (g, den) in self.comps.items():
-            num = g.weighted_moment() + pi_var * g.mean()
-            out[idx] = RationalFn(num, den)
-        return self._rebuild(out)
+        comps = {idx: _integral(e, delta) for idx, e in self.comps.items()}
+        return cls(self.chart, self.degree, comps)
 
     def eval_float(self, t: float, point: Mapping[str, float]) -> Dict[Idx, float]:
         out: Dict[Idx, float] = {}
@@ -97,23 +93,10 @@ class TrigMatrix:
         self.chart = chart
         self.entries = entries
 
-    def integrate_mean(self) -> VectorValued1Form:
+    def integrate(self, delta: bool) -> VectorValued1Form:
+        """Every entry's mean over a period, or its delta (``_integral``)."""
         return VectorValued1Form(
-            self.chart,
-            [[RationalFn(g.mean(), d) for (g, d) in row] for row in self.entries],
-        )
-
-    def integrate_delta(self) -> VectorValued1Form:
-        pi_var = Poly.var(PI)
-        return VectorValued1Form(
-            self.chart,
-            [
-                [
-                    RationalFn(g.weighted_moment() + pi_var * g.mean(), d)
-                    for (g, d) in row
-                ]
-                for row in self.entries
-            ],
+            self.chart, [[_integral(e, delta) for e in row] for row in self.entries]
         )
 
 
@@ -299,18 +282,14 @@ class CircleAction:
     # -- averaging operators ----------------------------------------------
 
     def average(self, t: AnyTensor) -> AnyTensor:
-        pulled = self.pullback_flow(t)
-        if isinstance(t, RationalFn):
-            got = pulled.integrate_mean()
-            return got.scalar_value()
-        return pulled.integrate_mean()
+        return self._integrate(t, delta=False)
 
     def delta_g(self, t: AnyTensor) -> AnyTensor:
-        pulled = self.pullback_flow(t)
-        if isinstance(t, RationalFn):
-            got = pulled.integrate_delta()
-            return got.scalar_value()
-        return pulled.integrate_delta()
+        return self._integrate(t, delta=True)
+
+    def _integrate(self, t: AnyTensor, delta: bool) -> AnyTensor:
+        got = self.pullback_flow(t).integrate(delta)
+        return got.scalar_value() if isinstance(t, RationalFn) else got
 
 
 class TorusAction:
@@ -359,11 +338,9 @@ def lie_vv1(a: MultivectorField, k: VectorValued1Form) -> VectorValued1Form:
     out = [[RationalFn.zero() for _ in range(n)] for _ in range(n)]
     for j in range(n):
         # [a, K e_j] - K([a, e_j]);  [a, e_j] = -(d_j a^l) e_l
-        col = vf_bracket(a, cols[j])
-        for (jj, l), d in da.items():
-            if jj == j:
-                col = col + cols[l].scale(d)
-        for (i,), v in col.comps.items():
+        parts = [vf_bracket(a, cols[j])]
+        parts += [cols[l].scale(d) for (jj, l), d in da.items() if jj == j]
+        for (i,), v in MultivectorField.sum_of(chart, 1, parts).comps.items():
             out[i][j] = v
     return VectorValued1Form(chart, out)
 

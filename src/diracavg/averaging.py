@@ -20,6 +20,7 @@ from .coupling import (
     CouplingPoisson,
     Foliation,
     GeometricData,
+    base_two_form,
     d10_scalar,
     q_gauge,
 )
@@ -242,13 +243,7 @@ def _average_once(
     # <sigma> + (1/2)<{Q ^ Q}_P> - d10(<Q>) against the new connection
     lifts = [gd.conn.lift(i) for i in range(fol.b)]
     qi = [q.evaluate(lifts[i]) for i in range(fol.b)]
-    qq = DifferentialForm.zero(gd.conn.chart, 2)
-    for i in range(fol.b):
-        for j in range(i + 1, fol.b):
-            val = gd.p_bracket(qi[i], qi[j])
-            if not val.is_zero():
-                basis = DifferentialForm.basis(gd.conn.chart, (fol.base[i], fol.base[j]))
-                qq = qq + basis.scale(val)
+    qq = base_two_form(fol, lambda i, j: gd.p_bracket(qi[i], qi[j]))
     avg_sigma = circ.average(gd.sigma)
     avg_qq = circ.average(qq)
     avg_q = circ.average(q)
@@ -299,12 +294,14 @@ def average_coupling(
     logs: List[str] = []
     cur = gd
     chart = gd.conn.chart
-    q_total = DifferentialForm.zero(chart, 1)
-    theta_total = DifferentialForm.zero(chart, 1)
+    qs: List[DifferentialForm] = []
+    thetas: List[DifferentialForm] = []
     for circ, mu in zip(cert.circles, cert.mu):
         cur, q_c, theta_c = _average_once(cur, circ, mu, logs, d)
-        q_total = q_total + q_c
-        theta_total = theta_total + theta_c
+        qs.append(q_c)
+        thetas.append(theta_c)
+    q_total = DifferentialForm.sum_of(chart, 1, qs)
+    theta_total = DifferentialForm.sum_of(chart, 1, thetas)
 
     poisson: Optional[CouplingPoisson]
     try:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dirac import DiracFrame, DiracSection
@@ -350,13 +350,7 @@ def data_to_poisson(gd: GeometricData) -> CouplingPoisson:
             "sigma is singular on the horizontal frame; not a coupling candidate"
         ) from exc
     w = [[-x for x in row] for row in w]
-    lifts = [conn.lift(i) for i in range(fol.b)]
-    pi20 = MultivectorField.zero(conn.chart, 2)
-    for i in range(fol.b):
-        for j in range(i + 1, fol.b):
-            if not w[i][j].is_zero():
-                pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(w[i][j])
-    cp = CouplingPoisson(conn, pi20, gd.p)
+    cp = CouplingPoisson(conn, _lift_bivector(conn, lambda i, j: w[i][j]), gd.p)
     pi = cp.pi
     jac = schouten_bracket(pi, pi)
     if not jac.is_zero():
@@ -406,21 +400,8 @@ def poisson_to_data(
     conn = Connection(fol, gamma)
 
     # sigma from the inverse of the base block: S = -(A^T)^{-1}
-    s = [[-a_inv[j][i] for j in range(b)] for i in range(b)]
-    sigma = DifferentialForm.zero(fol.chart, 2)
-    for i in range(b):
-        for j in range(i + 1, b):
-            if not s[i][j].is_zero():
-                basis = DifferentialForm.basis(fol.chart, (fol.base[i], fol.base[j]))
-                sigma = sigma + basis.scale(s[i][j])
-
-    lifts = [conn.lift(i) for i in range(b)]
-    pi20 = MultivectorField.zero(fol.chart, 2)
-    for i in range(b):
-        for j in range(i + 1, b):
-            wij = a[j][i]  # W = A^T
-            if not wij.is_zero():
-                pi20 = pi20 + lifts[i].wedge(lifts[j]).scale(wij)
+    sigma = base_two_form(fol, lambda i, j: -a_inv[j][i])
+    pi20 = _lift_bivector(conn, lambda i, j: a[j][i])  # W = A^T
     p = pi - pi20
     if not is_vertical_multivector(p, conn):
         raise VerificationError("coupling", "mixed-degree remainder; adapted splitting failed")
@@ -435,6 +416,25 @@ def poisson_to_data(
             "this contradicts the Jacobi identity and signals a convention bug"
         )
     return gd
+
+
+def base_two_form(fol: Foliation, coeff: Callable[[int, int], RationalFn]) -> DifferentialForm:
+    """sum_{i<j} coeff(i, j) dx_i ^ dx_j over the base coordinates."""
+    pairs = itertools.combinations(range(fol.b), 2)
+    return DifferentialForm.sum_of(fol.chart, 2, (
+        DifferentialForm.basis(fol.chart, (fol.base[i], fol.base[j])).scale(coeff(i, j))
+        for i, j in pairs))
+
+
+def _lift_bivector(conn: Connection, coeff: Callable[[int, int], RationalFn]) -> MultivectorField:
+    """sum_{i<j} coeff(i, j) h_i ^ h_j over the lifted frame."""
+    lifts = [conn.lift(i) for i in range(conn.fol.b)]
+    terms = []
+    for i, j in itertools.combinations(range(conn.fol.b), 2):
+        c = coeff(i, j)
+        if not c.is_zero():
+            terms.append(lifts[i].wedge(lifts[j]).scale(c))
+    return MultivectorField.sum_of(conn.chart, 2, terms)
 
 
 def data_to_dirac(gd: GeometricData) -> DiracFrame:
@@ -515,17 +515,11 @@ def q_gauge(
     new_conn = Connection(conn.fol, new_gamma)
 
     dq = exterior_derivative(q)
-    new_sigma = DifferentialForm.zero(chart, 2)
-    for i in range(fol.b):
-        for j in range(i + 1, fol.b):
-            val = (
-                gd.sigma.evaluate(lifts[i], lifts[j])
-                - dq.evaluate(lifts[i], lifts[j])
-                - gd.p_bracket(qi[i], qi[j])
-            )
-            if not val.is_zero():
-                basis = DifferentialForm.basis(chart, (fol.base[i], fol.base[j]))
-                new_sigma = new_sigma + basis.scale(val)
+    new_sigma = base_two_form(fol, lambda i, j: (
+        gd.sigma.evaluate(lifts[i], lifts[j])
+        - dq.evaluate(lifts[i], lifts[j])
+        - gd.p_bracket(qi[i], qi[j])
+    ))
 
     out = GeometricData(new_conn, new_sigma, gd.p)
     check = structure_eq_check if derivation is None else derivation.structure

@@ -15,6 +15,13 @@ Fixed conventions (used consistently across the package):
   ``A*B = sum_k d^R_k(A) ^ d_{x_k}(B)`` where ``d^R_k`` is the right
   derivative against the odd generator of slot k.  With this normalization
   ``[[X, B]]`` is the Lie derivative and ``[[X, f]] = X(f)``.
+
+Every operation sums its ``(index, value)`` terms by one rule (``_summed``):
+per index, in the order the indices first appear; an index whose sum
+reaches zero is dropped, and a later term on it enters it again, last.
+Adding tensors one by one with ``+`` and building their sum at once with
+``sum_of`` therefore give the same components in the same order.  That
+order is part of the contract: witnesses print ``repr(t.comps)``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .config import LIMITS, CapacityError
@@ -79,6 +86,27 @@ def sort_with_sign(idx: Sequence[int]) -> Tuple[Optional[Idx], int]:
     return tuple(lst), sign
 
 
+def _signed(sign: int, val: RationalFn) -> RationalFn:
+    return val if sign == 1 else -val
+
+
+def _summed(terms: Iterable[Tuple[Idx, RationalFn]]) -> Components:
+    """Sum terms per index, keeping the order in which indices first appear.
+
+    An index whose sum reaches zero is dropped; a later term on it enters it
+    again, last.
+    """
+    out: Components = {}
+    for idx, val in terms:
+        cur = out.get(idx)
+        s = val if cur is None else cur + val
+        if s.is_zero():
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    return out
+
+
 class _Tensor:
     """Shared implementation for multivectors and forms."""
 
@@ -107,6 +135,19 @@ class _Tensor:
         return cls(chart, degree, {})
 
     @classmethod
+    def sum_of(cls, chart: Chart, degree: int, parts: Iterable["_Tensor"]) -> "_Tensor":
+        """The sum of ``parts``, built once from their components in order:
+        the same components, in the same order, as adding them one by one."""
+        zero = cls.zero(chart, degree)
+        terms: List[Tuple[Idx, RationalFn]] = []
+        for part in parts:
+            zero._require_same(part)
+            if part.degree != degree:
+                raise ValueError("degrees differ")
+            terms.extend(part.comps.items())
+        return cls(chart, degree, _summed(terms))
+
+    @classmethod
     def from_scalar(cls, chart: Chart, f: Union[RationalFn, Poly, int, Fraction]) -> "_Tensor":
         return cls(chart, 0, {(): RationalFn.of(f)})
 
@@ -125,7 +166,7 @@ class _Tensor:
         val = self.comps.get(srt)
         if val is None:
             return RationalFn.zero()
-        return val if sign == 1 else -val
+        return _signed(sign, val)
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -142,18 +183,7 @@ class _Tensor:
             raise ValueError("tensor kinds differ")
 
     def __add__(self, other: "_Tensor") -> "_Tensor":
-        self._require_same(other)
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        out = dict(self.comps)
-        for idx, val in other.comps.items():
-            cur = out.get(idx)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return type(self)(self.chart, self.degree, out)
+        return self.sum_of(self.chart, self.degree, (self, other))
 
     def __neg__(self) -> "_Tensor":
         return type(self)(
@@ -194,22 +224,13 @@ class _Tensor:
 
     def wedge(self, other: "_Tensor") -> "_Tensor":
         self._require_same(other)
-        out: Components = {}
+        terms = []
         for ia, va in self.comps.items():
             for ib, vb in other.comps.items():
                 srt, sign = sort_with_sign(ia + ib)
-                if srt is None:
-                    continue
-                val = va * vb
-                if sign == -1:
-                    val = -val
-                cur = out.get(srt)
-                s = val if cur is None else cur + val
-                if s.is_zero():
-                    out.pop(srt, None)
-                else:
-                    out[srt] = s
-        return type(self)(self.chart, self.degree + other.degree, out)
+                if srt is not None:
+                    terms.append((srt, _signed(sign, va * vb)))
+        return type(self)(self.chart, self.degree + other.degree, _summed(terms))
 
     # -- evaluation -------------------------------------------------------
 
@@ -302,23 +323,13 @@ def interior_product(first: _Tensor, t: _Tensor) -> _Tensor:
         raise ValueError("charts differ")
     if t.degree == 0:
         raise ValueError("cannot contract a degree-0 tensor")
-    out: Components = {}
+    terms = []
     for idx, val in t.comps.items():
         for pos, j in enumerate(idx):
             w = first.comps.get((j,))
-            if w is None:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            contrib = w * val
-            if pos % 2 == 1:
-                contrib = -contrib
-            cur = out.get(rest)
-            s = contrib if cur is None else cur + contrib
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return type(t)(t.chart, t.degree - 1, out)
+            if w is not None:
+                terms.append((idx[:pos] + idx[pos + 1 :], _signed((-1) ** pos, w * val)))
+    return type(t)(t.chart, t.degree - 1, _summed(terms))
 
 
 def sharp_bivector(pi: MultivectorField, alpha: DifferentialForm) -> MultivectorField:
@@ -353,23 +364,13 @@ def flat_matrix(b: DifferentialForm) -> List[List[RationalFn]]:
 
 def exterior_derivative(beta: DifferentialForm) -> DifferentialForm:
     chart = beta.chart
-    out: Components = {}
+    terms = []
     for idx, val in beta.comps.items():
         for i, name in enumerate(chart.coords):
-            dval = val.diff(name)
-            if dval.is_zero():
-                continue
             srt, sign = sort_with_sign((i,) + idx)
-            if srt is None:
-                continue
-            contrib = dval if sign == 1 else -dval
-            cur = out.get(srt)
-            s = contrib if cur is None else cur + contrib
-            if s.is_zero():
-                out.pop(srt, None)
-            else:
-                out[srt] = s
-    return DifferentialForm(chart, beta.degree + 1, out)
+            if srt is not None:
+                terms.append((srt, _signed(sign, val.diff(name))))
+    return DifferentialForm(chart, beta.degree + 1, _summed(terms))
 
 
 def apply_vector(x: MultivectorField, f: RationalFn) -> RationalFn:
@@ -389,32 +390,24 @@ def lie_derivative_multivector(x: MultivectorField, t: MultivectorField) -> Mult
     if x.degree != 1:
         raise ValueError("expects a vector field")
     chart = x.chart
-    out = MultivectorField.zero(chart, t.degree)
-    dX: Dict[Tuple[int, int], RationalFn] = {}
+    # dX[j]: the (l, d_j X^l) with d_j X^l nonzero, in the order of X's components
+    dX: Dict[int, List[Tuple[int, RationalFn]]] = {j: [] for j in range(chart.dim)}
     for (l,), xl in x.comps.items():
         for j, name in enumerate(chart.coords):
             d = xl.diff(name)
             if not d.is_zero():
-                dX[(j, l)] = d
+                dX[j].append((l, d))
+    terms = []
     for idx, val in t.comps.items():
         # transport of the coefficient
-        xv = apply_vector(x, val)
-        if not xv.is_zero():
-            out = out + MultivectorField(chart, t.degree, {idx: xv})
+        terms.append((idx, apply_vector(x, val)))
         # transport of each leg
         for pos, j in enumerate(idx):
-            for (jj, l), d in dX.items():
-                if jj != j:
-                    continue
-                new_idx = idx[:pos] + (l,) + idx[pos + 1 :]
-                srt, sign = sort_with_sign(new_idx)
-                if srt is None:
-                    continue
-                contrib = val * d
-                if sign == -1:
-                    contrib = -contrib
-                out = out - MultivectorField(chart, t.degree, {srt: contrib})
-    return out
+            for l, d in dX[j]:
+                srt, sign = sort_with_sign(idx[:pos] + (l,) + idx[pos + 1 :])
+                if srt is not None:
+                    terms.append((srt, _signed(-sign, val * d)))
+    return MultivectorField(chart, t.degree, _summed(terms))
 
 
 def lie_derivative(x: MultivectorField, t: Union[_Tensor, RationalFn]) -> Union[_Tensor, RationalFn]:
@@ -454,16 +447,11 @@ def _xi_right_derivative(t: MultivectorField, k: int) -> MultivectorField:
     out: Components = {}
     a = t.degree
     for idx, val in t.comps.items():
-        if k not in idx:
-            continue
-        m = idx.index(k)  # zero-based position
-        rest = idx[:m] + idx[m + 1 :]
-        sign = 1 if (a - (m + 1)) % 2 == 0 else -1
-        contrib = val if sign == 1 else -val
-        cur = out.get(rest)
-        s = contrib if cur is None else cur + contrib
-        out[rest] = s
-    return MultivectorField(t.chart, a - 1, {i: v for i, v in out.items() if not v.is_zero()})
+        if k in idx:
+            # distinct indices holding k stay distinct without it
+            m = idx.index(k)  # zero-based position
+            out[idx[:m] + idx[m + 1 :]] = _signed((-1) ** (a - m - 1), val)
+    return MultivectorField(t.chart, a - 1, out)
 
 
 def _x_derivative(t: MultivectorField, name: str) -> MultivectorField:
@@ -475,18 +463,17 @@ def _x_derivative(t: MultivectorField, name: str) -> MultivectorField:
 
 def _schouten_half(a: MultivectorField, b: MultivectorField) -> MultivectorField:
     chart = a.chart
-    out = MultivectorField.zero(chart, a.degree + b.degree - 1)
     if a.degree == 0:
-        return out
+        return MultivectorField.zero(chart, b.degree - 1)
+    parts = []
     for k, name in enumerate(chart.coords):
         da = _xi_right_derivative(a, k)
         if da.is_zero():
             continue
         db = _x_derivative(b, name)
-        if db.is_zero():
-            continue
-        out = out + da.wedge(db)
-    return out
+        if not db.is_zero():
+            parts.append(da.wedge(db))
+    return MultivectorField.sum_of(chart, a.degree + b.degree - 1, parts)
 
 
 def schouten_bracket(a: MultivectorField, b: MultivectorField) -> MultivectorField:
@@ -598,16 +585,13 @@ class VectorValued2Form:
                 self.values[(i, j)] = v
 
     def evaluate(self, u: MultivectorField, v: MultivectorField) -> MultivectorField:
-        out = MultivectorField.zero(self.chart, 1)
+        zero = RationalFn.zero()
+        parts = []
         for (i, j), vec in self.values.items():
-            ui = u.comps.get((i,), RationalFn.zero())
-            uj = u.comps.get((j,), RationalFn.zero())
-            vi = v.comps.get((i,), RationalFn.zero())
-            vj = v.comps.get((j,), RationalFn.zero())
-            coeff = ui * vj - uj * vi
-            if not coeff.is_zero():
-                out = out + vec.scale(coeff)
-        return out
+            ui, uj = u.comps.get((i,), zero), u.comps.get((j,), zero)
+            vi, vj = v.comps.get((i,), zero), v.comps.get((j,), zero)
+            parts.append(vec.scale(ui * vj - uj * vi))
+        return MultivectorField.sum_of(self.chart, 1, parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorValued2Form):
@@ -639,6 +623,9 @@ def fn_bracket(k: VectorValued1Form, l: VectorValued1Form) -> VectorValued2Form:
         [K, L](d_i, d_j) = [K d_i, L d_j] - [K d_j, L d_i]
                            - L([K d_i, d_j] - [K d_j, d_i])
                            - K([L d_i, d_j] - [L d_j, d_i])
+
+    and on coordinate fields [K d_i, d_j] - [K d_j, d_i] is
+    -d_j(K d_i) + d_i(K d_j), the columns differentiated componentwise.
     """
     if k.chart != l.chart:
         raise ValueError("charts differ")
@@ -646,15 +633,20 @@ def fn_bracket(k: VectorValued1Form, l: VectorValued1Form) -> VectorValued2Form:
     n = chart.dim
     kcols = [k.column(j) for j in range(n)]
     lcols = [l.column(j) for j in range(n)]
-    basis = [vector_field(chart, {i: RationalFn.const(1)}) for i in range(n)]
+
+    def frame_bracket(cols: List[MultivectorField], i: int, j: int) -> MultivectorField:
+        # [K d_i, d_j] - [K d_j, d_i] for the columns K d_* in cols
+        return -_x_derivative(cols[i], chart.coords[j]) + _x_derivative(cols[j], chart.coords[i])
+
     out: Dict[Tuple[int, int], MultivectorField] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            term = vf_bracket(kcols[i], lcols[j]) - vf_bracket(kcols[j], lcols[i])
-            term = term - l.apply(vf_bracket(kcols[i], basis[j]) - vf_bracket(kcols[j], basis[i]))
-            term = term - k.apply(vf_bracket(lcols[i], basis[j]) - vf_bracket(lcols[j], basis[i]))
-            if not term.is_zero():
-                out[(i, j)] = term
+            out[(i, j)] = MultivectorField.sum_of(chart, 1, (
+                vf_bracket(kcols[i], lcols[j]),
+                -vf_bracket(kcols[j], lcols[i]),
+                -l.apply(frame_bracket(kcols, i, j)),
+                -k.apply(frame_bracket(lcols, i, j)),
+            ))
     return VectorValued2Form(chart, out)
 
 
@@ -687,7 +679,7 @@ def bigrade_decompose(
         q = k - p
         if p > fol.b or q > fol.f:
             continue
-        part = type(t).zero(conn.chart, k)
+        terms = []
         for bi in itertools.combinations(range(fol.b), p):
             for fj in itertools.combinations(range(fol.f), q):
                 if is_form:
@@ -702,7 +694,8 @@ def bigrade_decompose(
                 basis = type(t).from_scalar(conn.chart, 1)
                 for fct in basis_factors:
                     basis = basis.wedge(fct)
-                part = part + basis.scale(coeff)
+                terms.append(basis.scale(coeff))
+        part = type(t).sum_of(conn.chart, k, terms)
         if not part.is_zero():
             out[(p, q)] = part
     return out
@@ -729,7 +722,7 @@ def d10_horizontal(beta: DifferentialForm, conn: "Connection") -> DifferentialFo
         raise ValueError("form must have only base-coordinate legs")
     dbeta = exterior_derivative(beta)
     k1 = beta.degree + 1
-    out = DifferentialForm.zero(conn.chart, k1)
+    terms = []
     for bi in itertools.combinations(range(conn.fol.b), k1):
         coeff = dbeta.evaluate(*[conn.lift(i) for i in bi])
         if coeff.is_zero():
@@ -737,5 +730,5 @@ def d10_horizontal(beta: DifferentialForm, conn: "Connection") -> DifferentialFo
         basis = DifferentialForm.from_scalar(conn.chart, 1)
         for i in bi:
             basis = basis.wedge(conn.dx(i))
-        out = out + basis.scale(coeff)
-    return out
+        terms.append(basis.scale(coeff))
+    return DifferentialForm.sum_of(conn.chart, k1, terms)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracavg.config import CapacityError
 from diracavg.coupling import Connection, Foliation
@@ -24,6 +26,7 @@ from diracavg.tensors import (
     fn_bracket,
     interior_product,
     lie_derivative,
+    lie_derivative_multivector,
     one_form,
     schouten_bracket,
     sharp_bivector,
@@ -360,3 +363,205 @@ def test_chart_validation():
     assert c.index("y1") == 2
     with pytest.raises(ValueError):
         c.index("nope")
+
+
+# -- oracles: the bodies these operations had before they shared one
+# summation rule (``tensors._summed``), kept to pin values and order --
+
+
+def _old_add(a, b):
+    out = dict(a.comps)
+    for idx, val in b.comps.items():
+        cur = out.get(idx)
+        s = val if cur is None else cur + val
+        if s.is_zero():
+            out.pop(idx, None)
+        else:
+            out[idx] = s
+    return type(a)(a.chart, a.degree, out)
+
+
+def _old_wedge(a, b):
+    out = {}
+    for ia, va in a.comps.items():
+        for ib, vb in b.comps.items():
+            srt, sign = sort_with_sign(ia + ib)
+            if srt is None:
+                continue
+            val = va * vb
+            if sign == -1:
+                val = -val
+            cur = out.get(srt)
+            s = val if cur is None else cur + val
+            if s.is_zero():
+                out.pop(srt, None)
+            else:
+                out[srt] = s
+    return type(a)(a.chart, a.degree + b.degree, out)
+
+
+def _old_interior_product(first, t):
+    out = {}
+    for idx, val in t.comps.items():
+        for pos, j in enumerate(idx):
+            w = first.comps.get((j,))
+            if w is None:
+                continue
+            rest = idx[:pos] + idx[pos + 1 :]
+            contrib = w * val
+            if pos % 2 == 1:
+                contrib = -contrib
+            cur = out.get(rest)
+            s = contrib if cur is None else cur + contrib
+            if s.is_zero():
+                out.pop(rest, None)
+            else:
+                out[rest] = s
+    return type(t)(t.chart, t.degree - 1, out)
+
+
+def _old_exterior_derivative(beta):
+    out = {}
+    for idx, val in beta.comps.items():
+        for i, name in enumerate(beta.chart.coords):
+            dval = val.diff(name)
+            if dval.is_zero():
+                continue
+            srt, sign = sort_with_sign((i,) + idx)
+            if srt is None:
+                continue
+            contrib = dval if sign == 1 else -dval
+            cur = out.get(srt)
+            s = contrib if cur is None else cur + contrib
+            if s.is_zero():
+                out.pop(srt, None)
+            else:
+                out[srt] = s
+    return DifferentialForm(beta.chart, beta.degree + 1, out)
+
+
+def _old_lie_derivative_multivector(x, t):
+    chart = x.chart
+    out = MultivectorField.zero(chart, t.degree)
+    dX = {}
+    for (l,), xl in x.comps.items():
+        for j, name in enumerate(chart.coords):
+            d = xl.diff(name)
+            if not d.is_zero():
+                dX[(j, l)] = d
+    for idx, val in t.comps.items():
+        xv = apply_vector(x, val)
+        if not xv.is_zero():
+            out = _old_add(out, MultivectorField(chart, t.degree, {idx: xv}))
+        for pos, j in enumerate(idx):
+            for (jj, l), d in dX.items():
+                if jj != j:
+                    continue
+                srt, sign = sort_with_sign(idx[:pos] + (l,) + idx[pos + 1 :])
+                if srt is None:
+                    continue
+                contrib = val * d
+                if sign == -1:
+                    contrib = -contrib
+                out = _old_add(out, -MultivectorField(chart, t.degree, {srt: contrib}))
+    return out
+
+
+def _old_fn_bracket(k, l):
+    chart = k.chart
+    n = chart.dim
+    kcols = [k.column(j) for j in range(n)]
+    lcols = [l.column(j) for j in range(n)]
+    basis = [vector_field(chart, {i: RationalFn.const(1)}) for i in range(n)]
+    br = _old_lie_derivative_multivector
+
+    def sub(a, b):
+        return _old_add(a, -b)
+
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = sub(br(kcols[i], lcols[j]), br(kcols[j], lcols[i]))
+            term = sub(term, l.apply(sub(br(kcols[i], basis[j]), br(kcols[j], basis[i]))))
+            term = sub(term, k.apply(sub(br(lcols[i], basis[j]), br(lcols[j], basis[i]))))
+            if not term.is_zero():
+                out[(i, j)] = term
+    return out
+
+
+@st.composite
+def _scalars(draw, names):
+    """c, c v or c / (v + 2) for c in a small pool, so that sums cancel often."""
+    f = RationalFn.const(draw(st.sampled_from([1, -1, 2, Fraction(-1, 2)])))
+    if draw(st.booleans()):
+        f = f * RationalFn.var(draw(st.sampled_from(names)))
+    if draw(st.integers(0, 3)) == 0:
+        f = f / (RationalFn.var(draw(st.sampled_from(names))) + RationalFn.const(2))
+    return f
+
+
+@st.composite
+def _tensors(draw, cls, chart, degree):
+    """Up to four components, their indices in drawn (mostly unsorted) order."""
+    idxs = list(itertools.combinations(range(chart.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(idxs), max_size=4, unique=True))
+    return cls(chart, degree, {i: draw(_scalars(chart.coords)) for i in chosen})
+
+
+def _items(t):
+    return list(t.comps.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_summed_operations_keep_the_old_components_and_their_order(data):
+    draw = data.draw
+    n = draw(st.integers(2, 5))
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+    cls = draw(st.sampled_from([DifferentialForm, MultivectorField]))
+    dual = MultivectorField if cls is DifferentialForm else DifferentialForm
+    p, q = draw(st.integers(0, min(3, n))), draw(st.integers(0, min(3, n)))
+    a, c = draw(_tensors(cls, chart, p)), draw(_tensors(cls, chart, q))
+    # b cancels some of a's components and d hits them again: in a + b + d
+    # those indices sum to zero and then enter again
+    gone = [i for i in a.comps if draw(st.booleans())]
+    b = _old_add(cls(chart, p, {i: -a.comps[i] for i in gone}), draw(_tensors(cls, chart, p)))
+    d = _old_add(draw(_tensors(cls, chart, p)), cls(chart, p, {i: a.comps[i] for i in gone[::-1]}))
+    chained = _old_add(_old_add(a, b), d)
+    assert _items(a + b) == _items(_old_add(a, b))
+    assert _items(a + b + d) == _items(chained)
+    assert _items(cls.sum_of(chart, p, [a, b, d])) == _items(chained)
+    # the operations below put several terms on one index
+    ts = [a, c, chained]
+    for s, t in itertools.product(ts, ts):
+        assert _items(s.wedge(t)) == _items(_old_wedge(s, t))
+    first = draw(_tensors(dual, chart, 1))
+    x = draw(_tensors(MultivectorField, chart, 1))
+    for t in ts:
+        if t.degree:
+            assert _items(interior_product(first, t)) == _items(_old_interior_product(first, t))
+        if cls is DifferentialForm:
+            assert _items(exterior_derivative(t)) == _items(_old_exterior_derivative(t))
+        else:
+            new = lie_derivative_multivector(x, t)
+            assert _items(new) == _items(_old_lie_derivative_multivector(x, t))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fn_bracket_keeps_the_old_values_and_their_order(data):
+    draw = data.draw
+    n = draw(st.integers(2, 4))
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+
+    def matrix():
+        m = [[RationalFn.zero()] * n for _ in range(n)]
+        for _ in range(draw(st.integers(0, 2 * n))):
+            m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_scalars(chart.coords))
+        return VectorValued1Form(chart, m)
+
+    k, l = matrix(), matrix()
+    for x, y in ((k, l), (k, k)):
+        new, old = fn_bracket(x, y), _old_fn_bracket(x, y)
+        assert list(new.values) == list(old)
+        assert all(_items(new.values[key]) == _items(v) for key, v in old.items())
