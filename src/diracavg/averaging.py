@@ -159,7 +159,10 @@ def gauge_poisson(
         det_m = d.gauge_matrix(pi, b)[1]
 
         def probe(p: Point) -> bool:
-            return det_m.value_at(p) != 0
+            # the integer pairs of the determinant, as in the coupling probe
+            if det_m.den.vanishes_at(p):
+                raise ZeroDivisionError("denominator vanishes at sample point")
+            return not det_m.num.vanishes_at(p)
 
         _verify_at(points, probe, "GT1", "gauge matrix singular")
     try:

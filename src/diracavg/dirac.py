@@ -6,14 +6,14 @@ each section evaluates its row from a plan it builds once.  Graphs, coupling
 frames and their gauge transforms have rank n by construction off known
 poles.  Where the rank is n the frame spans a Lagrangian L = L^perp: a
 vector lies in L exactly when it pairs to zero with every section, which
-decides spans of rank n and involutivity.  Other ranks, spans of lower rank
-and the coupling position take exact linear algebra at the points.
+decides spans of rank n (over Z[@pi] where @pi survives) and involutivity.
+Other ranks and spans of lower rank take exact linear algebra at the points,
+and the coupling position one determinant per frame.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Value
 from .reports import CheckResult, failed, passed
-from .rings import Poly, RationalFn
+from .rings import Poly, RationalFn, cleared_row, pi_powers
 from .sampling import Point, PointwiseRun, format_point, sweep
 from .tensors import (
     Chart, DifferentialForm, MultivectorField, d_scalar, exterior_derivative, interior_product,
@@ -52,19 +52,17 @@ class DiracSection:
         return self.vector.chart
 
     def components_at(self, point: Point) -> List[Value]:
-        """The 2n component values at a rational point, times one positive
-        integer that rank, span and solvability do not see.
-
-        Over Q the row is of ``int``s, cleared from the unreduced integer
-        pairs of ``Poly._value_at`` with no ``Fraction`` built.  Where
-        ``@pi`` survives it holds the exact values, in Q or Q(@pi) (``QPi``).
-        A vanishing denominator raises ZeroDivisionError.  The section's
-        ``_row_plan`` is built on the first call and kept.
+        """The 2n component values at a rational point, times one nonzero
+        scalar that rank, span and solvability do not see: ``int``s, or
+        ``ZPi``s where ``@pi`` survives (``cleared_row``), from the unreduced
+        pairs of ``Poly._value_at`` with no ``Fraction`` built.  A vanishing
+        denominator raises ZeroDivisionError.  The section's ``_row_plan`` is
+        built on the first call and kept.
         """
         if self._plan is None:
             self._plan = _row_plan(self)
-        comps, plan, row = self._plan
-        return list(row) if row is not None else _row(comps, plan, point)
+        size, plan, row = self._plan
+        return list(row) if row is not None else cleared_row(size, plan, point)
 
 
 def _row_plan(s: DiracSection) -> tuple:
@@ -75,25 +73,7 @@ def _row_plan(s: DiracSection) -> tuple:
     plan = [(k, *(p._value_at({}, True) if p.is_const() else p for p in (c.num, c.den)))
             for k, c in enumerate(comps) if c is not None]
     fixed = all(type(num) is type(den) is tuple for _, num, den in plan)
-    return comps, plan, _row(comps, plan, {}) if fixed else None
-
-
-def _row(comps: List[Optional[RationalFn]], plan: list, point: Point) -> List[Value]:
-    nums, dens = [], []
-    for _, num, den in plan:
-        num = num if type(num) is tuple else num._value_at(point, True)
-        den = den if type(den) is tuple else den._value_at(point, True)
-        if type(num) is not tuple or type(den) is not tuple:
-            return [Fraction(0) if c is None else c.value_at(point) for c in comps]
-        if not den[0]:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        nums.append(num[0] * den[1])
-        # a zero value keeps its denominator out of the lcm, so the row stays small
-        dens.append(num[1] * den[0] if num[0] else 1)
-    lcm, row = math.lcm(*dens), [0] * len(comps)
-    for (k, _, _), p, q in zip(plan, nums, dens):
-        row[k] = p * (lcm // q)
-    return row
+    return len(comps), plan, cleared_row(len(comps), plan, {}) if fixed else None
 
 
 def pairing(s: DiracSection, t: DiracSection) -> RationalFn:
@@ -148,7 +128,7 @@ class DiracFrame:
         hit = self._ranks.get(id(point))
         if hit is None:
             rows = self.matrix_at(point)
-            known = self.poles is not None and not any(_vanishes(d, point) for d in self.poles)
+            known = self.poles is not None and not any(d.vanishes_at(point) for d in self.poles)
             hit = self._ranks[id(point)] = (point, self.chart.dim if known else linalg.rank(rows))
         return hit[1]
 
@@ -170,11 +150,6 @@ def _verdict(
     if short is not None:
         return failed(check, witness=short, **counts)
     return passed(check, **counts)
-
-
-def _vanishes(poly: Poly, point: Point) -> bool:
-    value = poly._value_at(point, True)
-    return not (value[0] if type(value) is tuple else value)
 
 
 def graph_of_bivector(pi: MultivectorField) -> DiracFrame:
@@ -215,7 +190,8 @@ def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
 
     Two frames of rank n span Lagrangians, each its own orthogonal,
     so they agree exactly when every row of one pairs to zero with every row
-    of the other.  Equal ranks below n compare with the rows stacked.
+    of the other.  Rows over Z[@pi] pair by their coefficients in @pi, each
+    of which must vanish.  Equal ranks below n compare with the rows stacked.
     """
     m1, m2 = f1.matrix_at(point), f2.matrix_at(point)
     r = f1.rank_at(point)
@@ -225,8 +201,22 @@ def same_span_at(f1: DiracFrame, f2: DiracFrame, point: Point) -> bool:
     if r < n:
         return linalg.rank(m1 + m2) == r
     mul = operator.mul
-    return not any(sum(map(mul, u[n:], v[:n])) + sum(map(mul, v[n:], u[:n]))
-                   for u in m1 for v in m2)
+    # <u, v> is the dot product of u with v's halves swapped, taken per
+    # pair of powers of @pi
+    swapped = [pi_powers(v[n:] + v[:n]) for v in m2]
+    for us in map(pi_powers, m1):
+        for vs in swapped:
+            if len(us) == len(vs) == 1:
+                if sum(map(mul, us[0], vs[0])):
+                    return False
+                continue
+            acc = [0] * (len(us) + len(vs))
+            for a, u in enumerate(us):
+                for b, v in enumerate(vs):
+                    acc[a + b] += sum(map(mul, u, v))
+            if any(acc):
+                return False
+    return True
 
 
 def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
@@ -254,7 +244,7 @@ def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
 
     def probe(p: Point) -> bool:
         frame.matrix_at(p)
-        poles = {d for d in dens if _vanishes(d, p)}
+        poles = {d for d in dens if d.vanishes_at(p)}
         late = next((m for m, (d, _) in enumerate(terms) if d & poles), len(pairs))
         if frame.rank_at(p) != n:
             raise ArithmeticError("rank-deficient frame at sample point")
@@ -274,27 +264,31 @@ def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
     """Transversality of the frame's horizontal distribution.
 
     H = {Z : (Z, a) in D for some a annihilating the verticals} is computed
-    as the symbolic kernel of the fiber-components of the covector parts; the
-    coupling condition H + V = TM (direct sum) is verified at sample points.
-    Returns the check result and a spanning set for H when it holds.
+    as the symbolic kernel of the fiber-components of the covector parts.
+    V is spanned by the fiber fields, so the coupling condition H + V = TM
+    (direct sum) holds at a sample point exactly where the determinant of
+    H's base block is nonzero.  Its denominator divides the product of the
+    entries', so a point where no entry of H has a pole is one where it is
+    finite; a point where one has is skipped, even where the determinant is
+    finite there.  Returns the check result and a spanning set for H when it
+    holds.
     """
-    n, b = len(frame.sections), conn.fol.b
-    # rows: fiber components of each section's covector; kernel combos have
-    # covector parts annihilating the vertical distribution
-    rows = [[frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
-            for fi in conn.fol.fiber]
-    combos = linalg.kernel_basis(rows)
-    h_fields = [sum((frame.sections[k].vector.scale(ck) for k, ck in enumerate(c) if ck),
-                    MultivectorField.zero(frame.chart, 1)) for c in combos]
+    s, b = frame.sections, conn.fol.b
+    # kernel combos of the fiber components of the covectors annihilate the verticals
+    rows = [[t.covector.comps.get((fi,), RationalFn.zero()) for t in s] for fi in conn.fol.fiber]
+    h_fields = [sum((t.vector.scale(c) for t, c in zip(s, combo) if c),
+                    MultivectorField.zero(frame.chart, 1)) for combo in linalg.kernel_basis(rows)]
     if len(h_fields) != b:
         return failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}), None
 
-    h_rows = [[h.comps.get((i,), RationalFn.zero()) for i in range(frame.chart.dim)]
-              for h in h_fields]
-    v_rows = [[Fraction(1 if i == j else 0) for i in range(frame.chart.dim)] for j in conn.fol.fiber]
+    det = linalg.det([[h.comps.get((i,), RationalFn.zero()) for i in conn.fol.base]
+                      for h in h_fields])
+    dens = {c.den for h in h_fields for c in h.comps.values() if not c.is_poly()}
 
     def probe(p: Point) -> bool:
-        return linalg.rank(linalg.eval_at(h_rows, p) + v_rows) == frame.chart.dim
+        if any(d.vanishes_at(p) for d in dens):
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        return not det.num.vanishes_at(p)
 
     check = _verdict("coupling", *sweep(points, probe))
     return check, h_fields if check.passed else None

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Q, Q(@pi) and the rational functions.
 
 Matrices are nested lists of ``Fraction`` or ``int`` entries (a pointwise
-check's matrix evaluated at a rational sample point, ``eval_at``), of
-those mixed with ``QPi`` entries where ``@pi`` survives the point, or of
-``RationalFn`` entries, for symbolic matrices such as a kernel basis or an
-inverse.
+check's matrix evaluated at a rational sample point), of those mixed with
+``QPi`` entries where ``@pi`` survives the point, or of ``RationalFn``
+entries, for symbolic matrices such as a kernel basis or an inverse.
+``pivot_columns`` also takes ``ZPi`` entries (rows cleared to Z[@pi]),
+read as the ``QPi`` values they are.
 
 Inverses are Gauss-Jordan on ``[a | Id]`` through one kernel, ``rref``,
 which also gives ``kernel_basis`` and the pivots of a matrix that is not
@@ -23,11 +24,11 @@ import math
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple, Union
 
-from .rings import Poly, QPi, RationalFn
+from .rings import Poly, QPi, RationalFn, ZPi, qpi
 
 Mat = List[List[RationalFn]]
-# an entry in Q or Q(@pi) (both at points), or a rational function
-Value = Union[int, Fraction, QPi, RationalFn]
+# an entry in Q, Z[@pi] or Q(@pi) (all at points), or a rational function
+Value = Union[int, Fraction, QPi, ZPi, RationalFn]
 
 
 def identity(n: int) -> Mat:
@@ -158,14 +159,15 @@ def pivot_columns(a: Sequence[Sequence[Value]]) -> List[int]:
     not mutated.
 
     Over Q the rows, each cleared to integers by the lcm of its denominators,
-    go through ``_bareiss``.  A matrix with a QPi or RationalFn entry is
-    reduced by ``rref`` on a copy.
+    go through ``_bareiss``.  A matrix with a QPi, ZPi or RationalFn entry
+    is reduced by ``rref`` on a copy, each ZPi read as a QPi.
     """
     rows = []
     for row in a:
         kinds = set(map(type, row))
         if not kinds <= {int, Fraction}:
-            return [c for _, c in rref([list(row) for row in a])]
+            return [c for _, c in rref([[qpi(x) if type(x) is tuple else x for x in row]
+                                        for row in a])]
         if Fraction in kinds:
             lcm = math.lcm(*[x.denominator for x in row])
             row = [x.numerator * (lcm // x.denominator) for x in row]
@@ -196,14 +198,6 @@ def kernel_basis(a: Sequence[Sequence[Value]]) -> List[List[Value]]:
             vec[col_i] = -m[row_i][fc]
         basis.append(vec)
     return basis
-
-
-def eval_at(a: Sequence[Sequence[RationalFn]], point: Mapping[str, Fraction]) -> List[List[Value]]:
-    """A symbolic matrix evaluated at a rational point (see ``RationalFn.value_at``).
-
-    The entries lie in Q, or in Q(@pi) where ``@pi`` survives.
-    """
-    return [[x.value_at(point) for x in row] for row in a]
 
 
 class Jets:

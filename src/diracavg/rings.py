@@ -19,6 +19,10 @@ Representation choices:
   that keeps ``@pi``: univariate numerator and denominator over ``Fraction``
   in lowest terms (Euclid's gcd, Geddes, Czapor and Labahn, *Algorithms for
   Computer Algebra*, ch. 7) with a monic denominator, so it is canonical.
+* ``ZPi`` is a polynomial in ``@pi`` over Z, a tuple of ``int``
+  coefficients: an entry of a row of values that keeps ``@pi``, cleared of
+  denominators by one element of Q(@pi) (``cleared_row``), so that a row
+  pairs with another by sums of integer products and no gcd.
 * ``TrigPoly`` stores Fourier modes of one flow parameter: a dict mapping
   ``(k, part)`` with ``part`` in ``{"cos", "sin"}`` to ``Poly`` coefficients.
   No complex exponentials are used anywhere.
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, sub
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .config import LIMITS, PI, CapacityError
 
@@ -277,14 +281,15 @@ class Poly:
 
     def _value_at(
         self, point: Mapping[str, Fraction], pair: bool = False
-    ) -> Union[Fraction, "QPi", Tuple[int, int]]:
+    ) -> Union[Fraction, "QPi", Tuple[int, int], Tuple["ZPi", int]]:
         """The exact value at a point: a Fraction, or a ``QPi`` where ``@pi``
         survives.
 
         ``@pi`` is bound only where the point maps it to a value.  Any other
         variable that occurs with a nonzero exponent must be bound.  With
-        ``pair``, a value free of ``@pi`` comes back unreduced, as an integer
-        numerator and a positive integer denominator.
+        ``pair``, the value comes back unreduced over a positive integer
+        denominator: its numerator is an integer, or a ``ZPi`` where ``@pi``
+        survives.
         """
         xs = []
         free = -1
@@ -304,8 +309,16 @@ class Poly:
         by_power: Dict[int, list] = {}
         for e, c in self.terms.items():
             by_power.setdefault(e[free], []).append((e, c))
-        coeffs = [Fraction(*_sum_at(by_power.get(k, ()), xs)) for k in range(max(by_power) + 1)]
-        return _lowest(_utrim(coeffs), _ONE)
+        sums = [_sum_at(by_power.get(k, ()), xs) for k in range(max(by_power) + 1)]
+        if not pair:
+            return _lowest(_utrim([Fraction(*s) for s in sums]), _ONE)
+        lcm = math.lcm(*[d for _, d in sums])
+        return _utrim([c * (lcm // d) for c, d in sums]), lcm
+
+    def vanishes_at(self, point: Mapping[str, Fraction]) -> bool:
+        """Whether the value at a point is zero, read from the unreduced
+        numerator of ``_value_at`` with no Fraction built."""
+        return not self._value_at(point, True)[0]
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -696,13 +709,14 @@ class RationalFn:
         """
         num = self.num._value_at(point, True)
         den = (1, 1) if self.den is _UNIT else self.den._value_at(point, True)
-        if type(num) is type(den) is tuple and den[0]:
+        if not den[0]:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        if type(num[0]) is type(den[0]) is int:
             # neither side keeps @pi: one reduction for the value
             return Fraction(num[0] * den[1], num[1] * den[0])
-        num, den = (Fraction(*x) if type(x) is tuple else x for x in (num, den))
-        if not den:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        return num / den
+        # (cn / ln) / (cd / ld) = (cn ld) / (cd ln), reduced once
+        (cn, ln), (cd, ld) = _zpi_pair(num), _zpi_pair(den)
+        return _lowest(tuple(Fraction(c * ld) for c in cn), tuple(Fraction(c * ln) for c in cd))
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         d = self.den.eval_float(point)
@@ -793,6 +807,97 @@ def _lowest(num: UPoly, den: UPoly) -> Union[Fraction, "QPi"]:
     if len(num) == 1 and len(den) == 1:
         return num[0]
     return QPi(num, den)
+
+
+# -- Z[@pi]: rows of values at points that keep @pi, cleared of denominators ----
+
+# a polynomial in @pi over Z: coefficients from the constant term up, with no
+# trailing zero; () is zero
+ZPi = Tuple[int, ...]
+
+
+def _zpi_pair(x: tuple) -> Tuple[ZPi, int]:
+    """A pair of ``Poly._value_at`` as a ZPi over a positive integer."""
+    return ((x[0],) if x[0] else (), x[1]) if type(x[0]) is int else x
+
+
+def _zmul(a: ZPi, b: ZPi) -> ZPi:
+    """The product of two nonzero ZPi."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+# a place in a row, and a value's numerator and denominator there: each a
+# Poly, or its pair of ``Poly._value_at`` at the point
+RowEntry = Tuple[int, object, object]
+
+
+def cleared_row(size: int, entries: Sequence[RowEntry], point: Mapping[str, Fraction]) -> list:
+    """A row of values num/den at places k, zero elsewhere, times one
+    nonzero scalar that clears it: to ``int``s by a positive integer where
+    no value keeps ``@pi``, else to ``ZPi``s by an element of Q(@pi).
+
+    Each entry is a ``RowEntry`` (k, num, den); a zero den raises
+    ZeroDivisionError.  Over Q the scalar is the lcm of the values'
+    denominators, from the unreduced pairs with no Fraction built.  Over
+    Q(@pi) it is the product of the distinct denominators that keep ``@pi``
+    times the lcm of the integer ones.  A zero value keeps its denominator
+    out, so the row stays small.
+    """
+    vals, dens = [], []
+    for k, num, den in entries:
+        num = num if type(num) is tuple else num._value_at(point, True)
+        den = den if type(den) is tuple else den._value_at(point, True)
+        vals.append((k, num, den))
+        if type(num[0]) is not int or type(den[0]) is not int:
+            return _zpi_row(size, vals + list(entries[len(vals):]), point)
+        if not den[0]:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        dens.append(num[1] * den[0] if num[0] else 1)
+    lcm, row = math.lcm(*dens), [0] * size
+    for (k, num, den), q in zip(vals, dens):
+        row[k] = num[0] * den[1] * (lcm // q)
+    return row
+
+
+def _zpi_row(size: int, entries: Sequence[RowEntry], point: Mapping[str, Fraction]) -> List[ZPi]:
+    """``cleared_row`` where some value keeps ``@pi``."""
+    # per value: its place, numerator coefficients and their integer factor,
+    # the integer denominator and the denominator that keeps @pi, if any
+    terms = []
+    for k, num, den in entries:
+        num, den = (x if type(x) is tuple else x._value_at(point, True) for x in (num, den))
+        (cn, ln), (cd, ld) = _zpi_pair(num), _zpi_pair(den)
+        if not cd:
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        if not cn:
+            continue
+        if len(cd) == 1:
+            terms.append((k, cn, ld if cd[0] > 0 else -ld, ln * abs(cd[0]), None))
+        else:
+            terms.append((k, cn, ld, ln, cd))
+    lcm = math.lcm(*[t[3] for t in terms])
+    polys = list(dict.fromkeys(t[4] for t in terms if t[4] is not None))
+    zrow: List[ZPi] = [()] * size
+    for k, cn, scale, q, own in terms:
+        scale *= lcm // q
+        c = tuple(x * scale for x in cn)
+        for p in polys:
+            if p != own:
+                c = _zmul(c, p)
+        zrow[k] = c
+    return zrow
+
+
+def pi_powers(row: Sequence) -> List[Sequence[int]]:
+    """A row of ints, or of ZPi, as integer rows r_k with row = sum_k @pi^k r_k."""
+    if type(row[0]) is int:
+        return [row]
+    return [[c[k] if k < len(c) else 0 for c in row] for k in range(max(map(len, row)))]
 
 
 def qpi(num: Sequence[Scalar], den: Sequence[Scalar] = (1,)) -> Union[Fraction, "QPi"]:

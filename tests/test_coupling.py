@@ -5,10 +5,11 @@ from __future__ import annotations
 import pathlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from diracavg import cli, linalg
+from diracavg import cli, dirac, linalg
 from diracavg.averaging import average_coupling
 from diracavg.coupling import (
     Connection,
@@ -24,7 +25,10 @@ from diracavg.coupling import (
     structure_eq_check,
 )
 from diracavg.derivation import Derivation
-from diracavg.dirac import gauge_transform, involutivity_check, same_span_at
+from diracavg.config import PI
+from diracavg.dirac import (
+    DiracFrame, DiracSection, coupling_test, gauge_transform, involutivity_check, same_span_at,
+)
 from diracavg.fixtures import FIXTURES, load
 from diracavg.modelspec import parse_spec
 from diracavg.rings import Poly, RationalFn
@@ -416,3 +420,105 @@ def test_a_coupling_frame_with_a_non_vertical_p_is_ranked_by_elimination(monkeyp
     assert len(calls) == len(points) and ranks == [4] * len(points)
     monkeypatch.undo()
     assert _ranks_agree(frame, points) == len(points)
+
+
+# -- the coupling probe: one determinant per frame ---------------------------
+
+
+def _outcomes(probe, points):
+    """The probe's verdict at each point, "skip" where the sweep skips it."""
+    out = []
+    for p in points:
+        try:
+            out.append(probe(p))
+        except ArithmeticError:
+            out.append("skip")
+    return out
+
+
+def _probe_outcomes(frame, conn, points):
+    """``coupling_test``'s own probe, point by point."""
+    probes = []
+    real = dirac.sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirac, "sweep", lambda pts, probe: probes.append(probe) or real(pts, probe))
+        coupling_test(frame, conn, points)
+    probe, = probes
+    return _outcomes(probe, points)
+
+
+def _rank_outcomes(frame, conn, points):
+    """The elimination the probe replaced: H's rows at the point stacked on
+    the fiber fields' have rank n, H being the vectors of the sections whose
+    covectors annihilate the verticals."""
+    n = frame.chart.dim
+    rows = [[s.covector.comps.get((fi,), RationalFn.zero()) for s in frame.sections]
+            for fi in conn.fol.fiber]
+    h_fields = [sum((s.vector.scale(c) for s, c in zip(frame.sections, combo) if c),
+                    MultivectorField.zero(frame.chart, 1)) for combo in linalg.kernel_basis(rows)]
+    assert len(h_fields) == conn.fol.b
+    h_rows = [[h.comps.get((i,), RationalFn.zero()) for i in range(n)] for h in h_fields]
+    v_rows = [[Fraction(int(i == j)) for i in range(n)] for j in conn.fol.fiber]
+    return _outcomes(
+        lambda p: linalg.rank([[x.value_at(p) for x in row] for row in h_rows] + v_rows) == n,
+        points)
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURES if load(n).connection is not None] + ["torus"])
+def test_the_coupling_probe_decides_each_point_as_the_rank_of_h_plus_v(name):
+    spec = parse_spec(str(TORUS)) if name == "torus" else load(name)
+    d = Derivation()
+    gd, _checks = structure_eq_check(spec.geometric_data())
+    gd = replace(gd, integrable="verified")
+    points = sample_box(spec.chart, spec.get_box(), 50, spec.seed)
+    cases = [(d.dirac(gd), gd.conn)]
+    if spec.action is not None:
+        cert, _failures = cli._certificate(spec, d)
+        data = average_coupling(gd, cert, derivation=d).data
+        cases.append((d.dirac(data), data.conn))
+    for frame, conn in cases:
+        got = _probe_outcomes(frame, conn, points)
+        assert got == _rank_outcomes(frame, conn, points)
+        assert got.count(True) >= 40
+
+
+def _two_field_frame(x1, x2):
+    """On CHART4 with fiber (y1, y2): sections (X_i, 0) and (0, dy_j), so H
+    is spanned by the X_i, which must have no fiber components."""
+    fol = Foliation(CHART4, (0, 1), (2, 3))
+    frame = DiracFrame(
+        [DiracSection(vector_field(CHART4, x), DifferentialForm.zero(CHART4, 1)) for x in (x1, x2)]
+        + [DiracSection(MultivectorField.zero(CHART4, 1), one_form(CHART4, {j: 1})) for j in (2, 3)]
+    )
+    return frame, Connection(fol, [[0, 0], [0, 0]])
+
+
+def _points_at_x1(*values):
+    return [{"x1": Fraction(v), "x2": Fraction(1, 2), "y1": Fraction(-1, 3), "y2": Fraction(2)}
+            for v in values]
+
+
+def test_a_pole_of_h_that_the_determinant_cancels_still_skips_the_point():
+    x1, one = RationalFn.var("x1"), RationalFn.const(1)
+    # det [[1 + 1/x1, 1/x1], [1, 1]] = 1, finite at x1 = 0
+    frame, conn = _two_field_frame({0: one + one / x1, 1: one / x1}, {0: one, 1: one})
+    assert linalg.det([[one + one / x1, one / x1], [one, one]]) == one
+    points = _points_at_x1(1, 0, Fraction(-1, 2))
+    want = [True, "skip", True]
+    assert _probe_outcomes(frame, conn, points) == _rank_outcomes(frame, conn, points) == want
+    check, h = coupling_test(frame, conn, points)
+    assert check.passed is False and check.info == {"usable": 2, "total": 3}
+    assert check.witness is not None and h is None
+
+
+def test_the_coupling_probe_decides_rows_that_keep_pi():
+    x1, pi, one = RationalFn.var("x1"), RationalFn.var(PI), RationalFn.const(1)
+    points = _points_at_x1(1, 0, Fraction(-1, 2), Fraction(3, 7))
+    # det = @pi x1, zero only at x1 = 0
+    frame, conn = _two_field_frame({0: pi * x1, 1: one}, {1: one})
+    want = [True, False, True, True]
+    assert _probe_outcomes(frame, conn, points) == _rank_outcomes(frame, conn, points) == want
+    # det = @pi, with a pole in Q(@pi) at x1 = 1
+    frame, conn = _two_field_frame({0: one, 1: x1 / (pi * x1 - pi)}, {1: pi})
+    want = ["skip", True, True, True]
+    assert _probe_outcomes(frame, conn, points) == _rank_outcomes(frame, conn, points) == want

@@ -13,7 +13,7 @@ from diracavg.derivation import Derivation
 from diracavg.dirac import DiracFrame
 from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
-from diracavg.rings import QPi, RationalFn
+from diracavg.rings import RationalFn
 
 TORUS = str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json")
 SPECS = {"rotating_lift": str(fixture_path("rotating_lift")), "torus": TORUS}
@@ -121,9 +121,9 @@ def test_no_pointwise_matrix_of_a_gauge_reaches_the_function_field(capsys, monke
     monkeypatch.setattr(DiracFrame, "matrix_at", matrix_at)
     code, _ = _run(capsys, "gauge", "--spec", "obstructed_lift", "--samples", "10")
     assert code == 0
-    # the gauged graph keeps @pi, and its spans are decided over Q(@pi), by
-    # pairings of its rows
-    assert any(QPi in kinds for kinds in fields)
+    # the gauged graph keeps @pi, and its spans are decided over Z[@pi], by
+    # pairings of its rows cleared to integer coefficients in @pi
+    assert any(tuple in kinds for kinds in fields)
     assert not any(RationalFn in kinds for kinds in fields)
 
 

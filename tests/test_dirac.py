@@ -23,7 +23,7 @@ from diracavg.dirac import (
     same_span_at,
 )
 from diracavg.config import PI
-from diracavg.rings import Poly, QPi, RationalFn
+from diracavg.rings import Poly, RationalFn, qpi
 from diracavg.sampling import _DENOM, sample_box, sweep
 from diracavg.tensors import (
     Chart,
@@ -191,6 +191,8 @@ def test_same_span_at_decides_frames_with_pi_entries_both_ways():
     near = graph_of_bivector(
         MultivectorField(CHART4, 2, {(0, 1): RationalFn.const(Fraction(22, 7)) + x1, (2, 3): one})
     )
+    # without @pi: each cross pairing is a multiple of @pi, zero at @pi^0
+    bare = graph_of_bivector(MultivectorField(CHART4, 2, {(0, 1): x1, (2, 3): one}))
     s = frame.sections
     mixed = DiracFrame([
         DiracSection(s[0].vector + s[1].vector.scale(2), s[0].covector + s[1].covector.scale(2)),
@@ -199,9 +201,12 @@ def test_same_span_at_decides_frames_with_pi_entries_both_ways():
         DiracSection(s[3].vector - s[2].vector, s[3].covector - s[2].covector),
     ])
     for p in _points(CHART4, 4):
-        assert any(isinstance(v, QPi) for v in s[0].components_at(p))
+        row = s[0].components_at(p)
+        assert any(len(v) > 1 for v in row)
+        _assert_pi_multiple(row, _values(s[0], p))
         assert same_span_at(frame, mixed, p)
         assert not same_span_at(frame, near, p)
+        assert not same_span_at(frame, bare, p) and not same_span_at(bare, frame, p)
     assert involutivity_check(frame, _points(CHART4)).passed
 
 
@@ -227,6 +232,17 @@ def _values(s, point):
     comps = [s.vector.comps.get((i,)) for i in range(s.chart.dim)]
     comps += [s.covector.comps.get((i,)) for i in range(s.chart.dim)]
     return [0 if c is None else c.value_at(point) for c in comps]
+
+
+def _assert_pi_multiple(row, vals):
+    """row is over Z[@pi] and is vals times one nonzero element of Q(@pi):
+    the same zero pattern, and every cross ratio equal in Q(@pi)."""
+    assert all(type(v) is tuple and all(type(c) is int for c in v) and (not v or v[-1])
+               for v in row)
+    assert [bool(v) for v in row] == [bool(v) for v in vals]
+    got = [qpi(v) for v in row]
+    for k, l in itertools.combinations([k for k, v in enumerate(vals) if v], 2):
+        assert got[k] * vals[l] == got[l] * vals[k]
 
 
 def _rational_section():
@@ -266,8 +282,9 @@ def test_components_at_keeps_the_exact_values_where_pi_survives():
     t = DiracSection(s.vector, s.covector + one_form(CHART2, {0: (pi + x) / (x + pi * pi)}))
     p = {"x": Fraction(1, 3), "y": Fraction(-5, 7)}
     row = t.components_at(p)
-    assert any(isinstance(v, QPi) for v in row)
-    assert row == _values(t, p)
+    # the row keeps @pi, cleared to Z[@pi]
+    assert any(len(v) > 1 for v in row)
+    _assert_pi_multiple(row, _values(t, p))
 
 
 def test_full_pipeline_evaluates_the_averaged_frame_once_per_point(capsys, monkeypatch):
@@ -350,7 +367,7 @@ def _components_at(s, point):
     for c in comps:
         num = (0, 1) if c is None else c.num._value_at(point, True)
         den = (1, 1) if c is None or c.is_poly() else c.den._value_at(point, True)
-        if type(num) is not tuple or type(den) is not tuple:
+        if type(num[0]) is not int or type(den[0]) is not int:
             return [Fraction(0) if c is None else c.value_at(point) for c in comps]
         if not den[0]:
             raise ZeroDivisionError("denominator vanishes at sample point")
@@ -552,8 +569,14 @@ def test_the_row_plan_gives_the_rows_of_entrywise_evaluation(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dirac, "_row_plan", lambda sec: built.append(sec) or real(sec))
         for p in points:
-            assert _row_or_raise(DiracSection.components_at, s, p) == _row_or_raise(
-                _components_at, s, p)
+            got = _row_or_raise(DiracSection.components_at, s, p)
+            want = _row_or_raise(_components_at, s, p)
+            if want is ZeroDivisionError or all(t is int for t in want[1]):
+                assert got == want
+            else:
+                # the oracle gives the exact values where @pi survives
+                assert got is not ZeroDivisionError
+                _assert_pi_multiple(got[0], want[0])
     # one plan per section, however many points it is evaluated at
     assert len(built) == 1 and built[0] is s
 
@@ -632,8 +655,8 @@ def test_full_pipeline_ranks_no_frame_by_elimination(capsys, monkeypatch):
     assert cli.main(["full-pipeline", "--spec", "shifted_lift", "--samples", "6"]) == 0
     capsys.readouterr()
     # GT1's averaged and gauged frames, frame-rank and involutivity all have
-    # their rank by construction; only the coupling probes eliminate
-    assert ranked and not [a for a in ranked if len(a[0]) == 2 * len(a)]
+    # their rank by construction, and the coupling probe takes a determinant
+    assert ranked == []
 
 
 def test_sample_box_draws_the_grid_points_of_the_reference_formula():

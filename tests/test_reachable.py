@@ -21,7 +21,6 @@ SRC = pathlib.Path(diracavg.__file__).parent
 ALLOWED = {
     ("moser", "interp_matrix"): "bench/spans.py wraps it by name in EXTRA_SPANS",
     ("rings", "eval_frac"): "the exact oracle the tests check value_at against",
-    ("rings", "qpi"): "the constructor tests build Q(@pi) values with",
 }
 
 

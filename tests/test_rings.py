@@ -436,6 +436,20 @@ def test_a_common_factor_cancels_to_the_same_terms(a, b, c):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@given(pi_polys(), _nonzero_pi_polys, points_st)
+def test_value_at_with_pi_on_both_sides_is_the_substituted_function(num, den, point):
+    f = RationalFn(num, den)
+    if f.den.eval_frac(point).is_zero():
+        assert f.den.vanishes_at(point)
+        with pytest.raises(ZeroDivisionError):
+            f.value_at(point)
+        return
+    assert not f.den.vanishes_at(point)
+    assert f.num.vanishes_at(point) == f.num.eval_frac(point).is_zero()
+    assert _as_ratfn(f.value_at(point)) == f.eval_frac(point)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(fractions_st, pi_polys())
 def test_constant_rational_functions_hash_as_their_number(c, p):
     values = [c, Fraction(c.numerator), c.numerator]
