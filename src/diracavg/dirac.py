@@ -273,11 +273,14 @@ def coupling_test(frame: DiracFrame, conn: "Connection", points: List[Point]
     finite there.  Returns the check result and a spanning set for H when it
     holds.
     """
-    s, b = frame.sections, conn.fol.b
-    # kernel combos of the fiber components of the covectors annihilate the verticals
-    rows = [[t.covector.comps.get((fi,), RationalFn.zero()) for t in s] for fi in conn.fol.fiber]
-    h_fields = [sum((t.vector.scale(c) for t, c in zip(s, combo) if c),
-                    MultivectorField.zero(frame.chart, 1)) for combo in linalg.kernel_basis(rows)]
+    n, b = len(frame.sections), conn.fol.b
+    # rows: fiber components of each section's covector; kernel combos have
+    # covector parts annihilating the vertical distribution
+    rows = [[frame.sections[k].covector.comps.get((fi,), RationalFn.zero()) for k in range(n)]
+            for fi in conn.fol.fiber]
+    combos = linalg.kernel_basis(rows)
+    h_fields = [sum((frame.sections[k].vector.scale(ck) for k, ck in enumerate(c) if ck),
+                    MultivectorField.zero(frame.chart, 1)) for c in combos]
     if len(h_fields) != b:
         return failed("coupling", witness={"horizontal_rank": len(h_fields), "expected": b}), None
 
