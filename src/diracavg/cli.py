@@ -485,7 +485,8 @@ def _cmd_moser_verify(spec, args, d):
                 continue
             hr_run.usable += 1
             hr_max = max(hr_max, r)
-            if r > FLOW_TOL and hr_bad is None:
+            # a NaN residual is not within the tolerance
+            if not r <= FLOW_TOL and hr_bad is None:
                 hr_bad = {"t": str(t), "point": {k: repr(v) for k, v in sorted(p.items())},
                           "residual": r}
     counts = {"pairs_used": hr_run.usable, "pairs_skipped": hr_run.total - hr_run.usable}

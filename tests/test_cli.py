@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -182,6 +183,30 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
     assert hr["status"] == "fail"
     assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (3, 12)
     assert hr["witness"] == "only 3/15 (t, point) pairs usable"
+
+
+@pytest.mark.parametrize("pair", [0, 7])
+def test_moser_verify_fails_hr_on_a_nan_residual(capsys, monkeypatch, pair):
+    # Python's max drops a NaN, and a NaN compares below the tolerance; the
+    # first and a later (t, point) pair are both checked
+    real = cli.homotopy_residuals
+    calls = []
+
+    def nan_residual(ev, t, points):
+        out, fails = real(ev, t, points)
+        if len(calls) == pair // len(points):
+            out[pair % len(points)] = math.nan
+        calls.append(t)
+        return out, fails
+
+    monkeypatch.setattr(cli, "homotopy_residuals", nan_residual)
+    code, out, _ = _run(capsys, "moser-verify", "--spec", "transversal_leaf", "--samples", "3",
+                        "--steps", "150", "--format", "json-like")
+    assert code == 1
+    hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
+    assert hr["status"] == "fail" and math.isnan(hr["witness"]["residual"])
+    assert hr["witness"]["t"] == str(calls[pair // 3])
+    assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (15, 0)
 
 
 def test_moser_verify_skips_bad_leaf_points(capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
+import io
 import math
 import pathlib
 import random
@@ -384,6 +386,71 @@ def test_flow_intertwines_the_endpoint_bivectors():
     assert rep.aborted == 0
     assert rep.max_deviation <= 1e-6
     assert rep.leaf_max_error is not None and rep.leaf_max_error <= 1e-9
+
+
+def _flow_with_a_nan_end(monkeypatch, ev, cfg, row):
+    """flow_and_verify where one trajectory's end reads NaN."""
+    from diracavg import moser
+
+    real = moser.flow_batch
+
+    def nan_end(*args):
+        ends = real(*args)
+        ends[row, 0] = np.nan
+        return ends
+
+    monkeypatch.setattr(moser, "flow_batch", nan_end)
+    rep = flow_and_verify(ev, cfg)
+    monkeypatch.undo()
+    return rep
+
+
+@pytest.mark.parametrize("point", [0, 3])
+def test_a_nan_deviation_fails_the_flow(monkeypatch, point):
+    # Python's max drops a NaN after the first item, and a NaN compares
+    # below every tolerance; the first and the last point are both checked
+    spec, res, pi, box, ev = _setup()
+    starts = [
+        {"x1": 0.1, "x2": 0.05, "y1": 0.12, "y2": -0.08},
+        {"x1": -0.15, "x2": 0.2, "y1": -0.1, "y2": 0.05},
+        {"x1": 0.05, "x2": -0.12, "y1": 0.2, "y2": 0.1},
+        {"x1": -0.02, "x2": 0.08, "y1": -0.15, "y2": -0.2},
+    ]
+    cfg = FlowConfig(points=starts, steps=100)
+    assert flow_and_verify(ev, cfg).ok
+    # a central-difference neighbour of the point: its Jacobian reads NaN
+    rep = _flow_with_a_nan_end(monkeypatch, ev, cfg, point * 9 + 1)
+    assert not rep.ok and rep.aborted == 0
+    assert math.isnan(rep.outcomes[point].deviation) and math.isnan(rep.max_deviation)
+
+
+def test_a_nan_leaf_error_fails_the_flow(monkeypatch):
+    spec, res, pi, box, ev = _setup()
+    starts = [{"x1": 0.1, "x2": 0.05, "y1": 0.12, "y2": -0.08}]
+    leaf = [{"x1": 0.15, "x2": -0.1, "y1": 0.0, "y2": 0.0}, {"x1": -0.1, "x2": 0.2, "y1": 0.0, "y2": 0.0}]
+    cfg = FlowConfig(points=starts, steps=100, leaf_points=leaf)
+    assert flow_and_verify(ev, cfg).ok
+    for row in (9, 10):
+        rep = _flow_with_a_nan_end(monkeypatch, ev, cfg, row)
+        assert not rep.ok and math.isnan(rep.leaf_max_error)
+
+
+def test_a_nan_homotopy_residual_is_kept(monkeypatch):
+    spec, res, pi, box, ev = _setup()
+    points = [{k: float(v) for k, v in p.items()} for p in sample_box(ev.chart, box, 3, 92)]
+    want, fails = homotopy_residuals(ev, 0.25, points)
+    assert not fails
+    real = ev.interp_matrices
+
+    def nan_entry(ts, vecs):
+        mats, mat_fails = real(ts, vecs)
+        mats[0, 1, 2, 3] = np.nan
+        return mats, mat_fails
+
+    monkeypatch.setattr(ev, "interp_matrices", nan_entry)
+    got, fails = homotopy_residuals(ev, 0.25, points)
+    assert not fails and math.isnan(got[1])
+    assert got[:1] + got[2:] == want[:1] + want[2:]
 
 
 def test_flow_rejects_starts_outside_the_box():
@@ -770,7 +837,7 @@ def _varying_acyclic_model():
 
 def test_an_acyclic_row_stops_where_a_denominator_vanishes():
     ev = _varying_acyclic_model()
-    assert not _guard_can_trip(ev) and ev._order == 2 and ev._entries.can_vanish
+    assert not _guard_can_trip(ev) and ev._order == 2 and ev._entries._n_varying
     assert any(not fn.is_zero() for (k, _i), fn in ev._z_exact if k == 1)
     # Pi#'s denominator vanishes, then dTheta#'s and Theta's, then all three
     starts = np.array([
@@ -840,22 +907,30 @@ def test_a_non_finite_determinant_trips_the_guard(monkeypatch):
     alone = {}
     assert _same_bits(ends[0], flow_batch(ev, vecs[:1], 100, alone)[0])
     assert (0 in aborts) == (0 in alone)
-    # a NaN determinant trips it too, on both routes
-    eval_stack = ev._z_entries.eval_stack
+    # a NaN determinant trips it too, on both routes: every e_k reads NaN
+    # where a stage divides the z family
+    quotients = ev._z_entries._quotients
 
-    def nan_det(vecs):
-        vals, bad = eval_stack(vecs)
-        vals = vals.copy()
-        vals[:, len(ev._poles) + ev._order * ev.chart.dim :] = np.nan
-        return vals, bad
+    def nan_det(cols):
+        values, flags = quotients(cols)
+        values = values.copy()
+        values[ev._stage_rows[ev._order * ev.chart.dim :]] = np.nan
+        return values, flags
 
-    monkeypatch.setattr(ev._z_entries, "eval_stack", nan_det)
+    monkeypatch.setattr(ev._z_entries, "_quotients", nan_det)
     z, fails = z_batch(ev, 0.5, points[:1] + points[3:])
     assert {row: rank for row, (rank, _exc) in fails.items()} == {0: 4, 1: 4} and not z.any()
     _mats, mat_fails = ev.interp_matrices([0.5], vecs[[0, 3]])
     for exc in [exc for _rank, exc in fails.values()] + list(mat_fails.values()):
         assert type(exc) is GuardError and str(exc) == "interpolation matrix not finite at t=0.5"
     assert sorted(mat_fails) == [0, 1]
+    # and the flow stops both rows at its first stage, t = 1
+    aborts = {}
+    ends = flow_batch(ev, vecs[[0, 3]], 100, aborts)
+    assert _failure_keys(aborts) == {
+        row: (0, 4, GuardError, "interpolation matrix not finite at t=1.0") for row in (0, 1)
+    }
+    assert _same_bits(ends, vecs[[0, 3]])
 
 
 def test_interpolation_fails_a_row_at_the_first_t_that_trips_the_guard():
@@ -1038,7 +1113,7 @@ def test_polys_match_the_full_power_table_bit_for_bit(polys, seed):
         vecs[:, -1] = math.pi
         # the same instance twice: the rows written once per size stay put
         for _ in range(2):
-            assert _same_bits(evaluate(vecs).T, _table_polys(_NAMES, polys, vecs))
+            assert _same_bits(evaluate(vecs.T).T, _table_polys(_NAMES, polys, vecs))
 
 
 def _mirror_model():
@@ -1286,3 +1361,258 @@ def test_a_point_aborts_with_its_first_stop():
         f"aborted point {points[0]!r}: denominator vanished for component (0, 1)",
         f"aborted point {points[1]!r}: trajectory left the box",
     ]
+
+
+# -- the field's stages before one stage routine served them all -----------
+# Oracles: _guarded, _z_rows and flow_batch as they were when the points ran
+# as rows, (B, n), and each stage read the z family through eval_stack.  The
+# one stage routine must give the same bits and the same aborts.
+
+
+def _oracle_guarded(ev, ts, vecs):
+    ev._compile()
+    vals, bad = ev._z_entries.eval_stack(vecs)
+    fails = {}
+    poles, n, order = len(ev._poles), ev._n, ev._order
+    det = vals[:, poles + order * n :]
+    unknown = []
+    if ev._z_entries._n_varying:
+        for row in np.flatnonzero(bad.any(axis=1)):
+            col = int(bad[row].argmax())
+            if col < poles:
+                src = ev._poles[col]
+                fails[int(row)] = (1 + src // (n * n), ev._entries.vanished(src))
+            elif det.shape[1]:
+                unknown.append(row)
+            else:
+                fails[int(row)] = (3, ev._z_entries.vanished(col))
+    coeffs = vals[:, poles : poles + order * n].reshape(-1, order, n)
+    if not ev._guard_can_trip:
+        return coeffs, None, fails
+    tt = np.asarray(ts, dtype=float)[:, np.newaxis]
+    d = np.zeros((len(ts), len(vecs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(det.shape[1] - 1, -1, -1):
+            d = (d + det[:, k]) * tt
+        d += 1.0
+        d[:, unknown] = np.nan
+        mag = np.abs(d)
+    for k, row in zip(*np.nonzero(~(mag < np.inf) | (mag < ev.guard))):
+        why = "near singular" if mag[k, row] < ev.guard else "not finite"
+        fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={ts[k]}")))
+    return coeffs, d, fails
+
+
+def _oracle_z_rows(ev, t, vecs):
+    c, d, fails = _oracle_guarded(ev, [t], vecs)
+    ok = slice(None)
+    if fails:
+        ok = np.ones(len(vecs), dtype=bool)
+        ok[list(fails)] = False
+    c = c[ok]
+    z = c[:, -1]
+    for k in range(ev._order - 2, -1, -1):
+        z = z * t + c[:, k]
+    if d is not None:
+        z = z / d[0][ok, np.newaxis]
+    if not fails:
+        return z, fails
+    full = np.zeros((len(vecs), ev.chart.dim))
+    full[ok] = z
+    return full, fails
+
+
+def _oracle_z_batch(ev, t, points):
+    vecs = np.array([[float(p[c]) for c in ev.chart.coords] for p in points])
+    return _oracle_z_rows(ev, t, vecs.reshape(len(points), ev.chart.dim))
+
+
+def _oracle_interp_matrices(ev, ts, vecs):
+    sp, sb, _th, fails = ev._matrices(vecs)
+    ev._compile()
+    quiet = {}
+    if ev._guard_can_trip:
+        for row, fail in _oracle_guarded(ev, ts, vecs)[2].items():
+            fails.setdefault(row, fail)
+        quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        m = ev._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
+    ok = np.ones(len(vecs), dtype=bool)
+    ok[list(fails)] = False
+    out = np.zeros(m.shape)
+    out[:, ok] = sp[ok] @ np.linalg.inv(m[:, ok])
+    return out, {row: exc for row, (_rank, exc) in fails.items()}
+
+
+def _oracle_flow_batch(ev, starts, steps, aborts):
+    n = ev.chart.dim
+    x = np.array(starts, dtype=float)
+    b = x.shape[0]
+    h = -1.0 / steps
+    t = 1.0
+    live = np.ones(b, dtype=bool)
+    whole = b > 0
+    lo, hi = np.tile(ev._box_lo, (b, 1)), np.tile(ev._box_hi, (b, 1))
+    stage = 0
+
+    def stop(rows, rank_exc):
+        nonlocal whole
+        for row, (rank, exc) in rank_exc.items():
+            live[rows[row]] = False
+            aborts[int(rows[row])] = (stage, rank, exc)
+        whole = whole and not rank_exc
+
+    def in_box(xx):
+        inside = (xx >= lo) & (xx <= hi)
+        if whole and inside.all():
+            return None
+        exits = np.flatnonzero(live & ~inside.all(axis=1))
+        stop(exits, {k: (0, BoxExit("trajectory left the box")) for k in range(len(exits))})
+        return np.flatnonzero(live)
+
+    def z(tt, xx):
+        nonlocal stage
+        rows = in_box(xx)
+        if rows is None:
+            out, fails = _oracle_z_rows(ev, tt, xx)
+            stop(all_rows, fails)
+        else:
+            out = np.zeros((b, n))
+            out[rows], fails = _oracle_z_rows(ev, tt, xx[rows])
+            stop(rows, fails)
+        stage += 1
+        return out
+
+    all_rows = np.arange(b)
+    for _ in range(steps):
+        if not (whole or live.any()):
+            break
+        k1 = z(t, x)
+        k2 = z(t + h / 2.0, x + (h / 2.0) * k1)
+        k3 = z(t + h / 2.0, x + (h / 2.0) * k2)
+        k4 = z(t + h, x + h * k3)
+        step = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = step if whole else np.where(live[:, np.newaxis], step, x)
+        t += h
+    stage = 4 * steps
+    in_box(x)
+    return x
+
+
+def _failure_keys(fails):
+    """row -> (stage, rank, error) or (rank, error) or error, as comparable
+    tuples: the error by its type and message."""
+
+    def key(v):
+        if isinstance(v, tuple):
+            return tuple(v[:-1]) + (type(v[-1]), str(v[-1]))
+        return (type(v), str(v))
+
+    return {row: key(v) for row, v in fails.items()}
+
+
+def _assert_as_the_oracles(ev, starts, steps, ts=(1.0, 0.5, 0.0), matrix_rows=None):
+    """flow_batch, z_batch and interp_matrices against their oracles: the
+    same bits and the same failures.  interp_matrices reads matrix_rows of
+    the starts, or all of them."""
+    starts = np.asarray(starts, dtype=float).reshape(-1, ev.chart.dim)
+    aborts, want_aborts = {}, {}
+    ends = flow_batch(ev, starts, steps, aborts)
+    assert _same_bits(ends, _oracle_flow_batch(ev, starts, steps, want_aborts))
+    assert _failure_keys(aborts) == _failure_keys(want_aborts)
+    points = [dict(zip(ev.chart.coords, row)) for row in starts]
+    for t in ts:
+        z, fails = z_batch(ev, t, points)
+        want_z, want_fails = _oracle_z_batch(ev, t, points)
+        assert _same_bits(z, want_z) and _failure_keys(fails) == _failure_keys(want_fails)
+    vecs = starts if matrix_rows is None else starts[matrix_rows]
+
+    def matrices(route):
+        # numpy's inverse may find a float matrix singular that the guard
+        # passed; both routes must then raise alike
+        try:
+            mats, fails = route(list(ts), vecs)
+        except np.linalg.LinAlgError as exc:
+            return type(exc), str(exc)
+        return mats.tobytes(), _failure_keys(fails)
+
+    assert matrices(ev.interp_matrices) == matrices(
+        functools.partial(_oracle_interp_matrices, ev)
+    )
+    return aborts
+
+
+def _bench_flows(monkeypatch, spec):
+    """(evaluator, starts, steps) of each flow_batch call of moser-verify at
+    the benchmark's settings, 10 samples and 250 steps."""
+    from diracavg import moser
+
+    calls = []
+    real = moser.flow_batch
+
+    def spy(ev, starts, steps, aborts):
+        calls.append((ev, np.array(starts), steps))
+        return real(ev, starts, steps, aborts)
+
+    monkeypatch.setattr(moser, "flow_batch", spy)
+    argv = ["moser-verify", "--spec", spec, "--samples", "10", "--steps", "250", "--seed", "7"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["flat", "rotating_lift", "transversal_leaf", "obstructed_lift", "shifted_lift", "torus"]
+)
+def test_the_stage_matches_the_row_oracles_on_the_fixtures(monkeypatch, name):
+    spec = str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json") if (
+        name == "torus") else name
+    (ev, starts, steps), = _bench_flows(monkeypatch, spec)
+    assert steps == 250 and len(starts) >= 10 * (1 + 2 * ev.chart.dim)
+    _assert_as_the_oracles(ev, starts, steps)
+    # wider starts: some begin outside the box, some leave it mid-flow
+    aborts = _assert_as_the_oracles(ev, np.concatenate([2.5 * starts[:30], starts[:5]]), 100)
+    assert aborts
+
+
+def test_the_stage_matches_the_row_oracles_at_poles_and_at_the_guard():
+    ev = _mirror_model()
+    good = [(0.2, -0.1, 0.4), (-0.5, 0.3, 0.1)]
+    guard = [(1e-120, 0.0, 0.0), (0.0, 0.4, 1e-125)]
+    poles = [(0.3, 0.3, 0.1), (0.5, -0.4, 0.5), (0.5, 0.2, 0.5)]
+    aborts = _assert_as_the_oracles(ev, good[:1] + guard + poles + good[1:], 100)
+    assert {row: aborts[row][:2] for row in range(1, 6)} == {
+        1: (0, 4), 2: (0, 4), 3: (0, 1), 4: (0, 2), 5: (0, 2)
+    }
+    ev = _varying_acyclic_model()
+    starts = [
+        (0.2, 0.3, 0.3, 0.1),
+        (0.2, -0.4, 0.1, 0.5),
+        (-0.3, -0.6, -0.6, 0.5),
+        (0.1, -0.3, -0.2, 0.2),
+        (-0.2, 0.4, 0.1, -0.3),
+        (0.05, 0.3, -0.6, -0.1),
+        (0.3, 1e-160, 0.0, 0.1),
+    ]
+    # the last start's Pi# is out of range where the field's coefficient
+    # underflows, so interp_matrices overflows there, with the row oracle too
+    aborts = _assert_as_the_oracles(ev, starts, 100, matrix_rows=slice(6))
+    assert {row: aborts[row][:2] for row in (0, 1, 2, 6)} == {
+        0: (0, 1), 1: (0, 2), 2: (0, 1), 6: (0, 3)
+    }
+
+
+_WIDE = st.floats(-0.9, 0.9, allow_nan=False)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_WIDE, _WIDE, _WIDE, _WIDE), min_size=1, max_size=6),
+    st.lists(st.tuples(_WIDE, _WIDE, _WIDE), min_size=1, max_size=6),
+)
+def test_the_stage_matches_the_row_oracles_on_drawn_starts(rows4, rows3):
+    # wide starts: some begin outside the box, some leave it mid-step, and
+    # on the mirror model some meet a pole
+    _assert_as_the_oracles(_setup()[4], rows4, 100)
+    _assert_as_the_oracles(_mirror_model(), rows3, 100)
