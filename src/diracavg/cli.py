@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fixtures
@@ -54,6 +55,7 @@ from .moser import (
     z_batch,
 )
 from .reports import CheckResult, failed, passed
+from .rings import _zmul, _zpi, dot, equal_products, over_one, qpi
 from .sampling import (
     Point,
     PointwiseRun,
@@ -220,31 +222,40 @@ def _jacobi_checks(
         )
     n = pi.chart.dim
     pairs = list(itertools.combinations(range(n), 2))
+    width = len(pairs)
     col = {ab: c for c, ab in enumerate(pairs)}
     jets = Jets([pi.component(ab) for ab in pairs], pi.chart.coords)
-    # for each l, the column of Pi^{al} for every a != l
-    column = [[(a, col[min(a, l), max(a, l)]) for a in range(n) if a != l] for l in range(n)]
-    triples = [
-        ((i, j, k), col[j, k], col[i, k], col[i, j], jac.comps.get((i, j, k)))
-        for i, j, k in itertools.combinations(range(n), 3)
-    ]
+    # per triple (i, j, k), getters of the terms sign Pi^{al} d_l Pi^{bc} of
+    # Sum_l Pi^{il} d_l Pi^{jk} - Pi^{jl} d_l Pi^{ik} + Pi^{kl} d_l Pi^{ij}:
+    # sign Pi^{al} among the values, then their negations (Pi^{al} = -Pi^{la}),
+    # and d_l Pi^{bc} among the gradients, for (b, c) = pairs[c]
+    triples = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        us, vs = zip(*[(col[min(a, l), max(a, l)] + width * ((a > l) != (sign < 0)), l * width + c)
+                       for a, c, sign in ((i, col[j, k], 1), (j, col[i, k], -1), (k, col[i, j], 1))
+                       for l in range(n) if l != a])
+        triples.append(((i, j, k), itemgetter(*us), itemgetter(*vs), jac.comps.get((i, j, k))))
     bad: Dict[str, object] = {}
 
     def probe(p: Point) -> bool:
         vals, grads = jets.at(p)
-        # s[a][c] = Pi^{al} d_l Pi^{bc}, summed over l, for (b, c) = pairs[c]
-        s = [[0] * len(pairs) for _ in range(n)]
-        for l, grad in enumerate(grads):
-            pi_l = [(a, vals[c] if a < l else -vals[c]) for a, c in column[l] if vals[c]]
-            for c, g in enumerate(grad):
-                if g:
-                    for a, x in pi_l:
-                        s[a][c] += x * g
-        for (i, j, k), jk, ik, ij, w in triples:
-            # Pi^{ki} = -Pi^{ik}
-            cyc = s[i][jk] - s[j][ik] + s[k][ij]
-            diff = cyc + cyc - (0 if w is None else w.value_at(p))
-            if diff != 0:
+        # the values over one denominator and the gradients over another, so
+        # that a cyclic sum is a numerator over their product
+        (xs, x_den), (gs, g_den) = over_one(vals), over_one([g for grad in grads for g in grad])
+        xs += [-x for x in xs] if type(x_den) is int else [_zmul(x, (-1,)) for x in xs]
+        for (i, j, k), us, vs, w in triples:
+            cyc = dot(us(xs), vs(gs))
+            if w is None:
+                same = not cyc
+            else:
+                (wn, ln), (wd, ld) = w.num._value_at(p), w.den._value_at(p)
+                if not wd:
+                    raise ZeroDivisionError("denominator vanishes at sample point")
+                # 2 cyc / (x_den g_den) against (wn / ln) / (wd / ld)
+                same = equal_products((2, cyc, ln, wd), (wn, ld, x_den, g_den))
+            if not same:
+                twice = qpi(_zmul(_zpi(cyc), (2,)), _zmul(_zpi(x_den), _zpi(g_den)))
+                diff = twice - (0 if w is None else w.value_at(p))
                 bad.setdefault("witness", {
                     "triple": [i, j, k], "point": format_point(p), "difference": str(diff),
                 })

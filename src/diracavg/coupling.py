@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,11 +29,11 @@ from .tensors import (
     VectorValued2Form,
     d_scalar,
     exterior_derivative,
-    fn_bracket,
     interior_product,
     is_horizontal_form,
     is_vertical_multivector,
     lie_derivative_multivector,
+    nijenhuis_torsion,
     one_form,
     schouten_bracket,
     sharp_bivector,
@@ -154,18 +153,14 @@ class Curvature:
 def curvature(conn: Connection) -> Curvature:
     """Curvature via the vector-valued bracket, cross-checked on lifts.
 
-    Computes half the bracket of the vertical projector with itself and
-    asserts, pair by pair, that evaluating it on lifted frame fields agrees
+    Computes the Nijenhuis torsion of the vertical projector, half its
+    bracket with itself, and asserts, pair by pair, that evaluating it on lifted frame fields agrees
     with projecting their Lie bracket; also that vertical insertions vanish.
     A disagreement means the bracket conventions drifted and raises.
     """
     fol = conn.fol
     proj = conn.projector()
-    full = fn_bracket(proj, proj)
-    half_vals = {
-        k: v.scale(Fraction(1, 2)) for k, v in full.values.items()
-    }
-    vv2 = VectorValued2Form(conn.chart, half_vals)
+    vv2 = nijenhuis_torsion(proj)
     lifts = [conn.lift(i) for i in range(fol.b)]
     verts = [conn.vertical(j) for j in range(fol.f)]
     on_lifts: Dict[Tuple[int, int], MultivectorField] = {}

@@ -70,7 +70,7 @@ def _row_plan(s: DiracSection) -> tuple:
     each nonzero one, a constant as the integer pair ``_value_at`` gives it;
     and the row itself where every entry is constant."""
     comps = [f.comps.get((i,)) for f in (s.vector, s.covector) for i in range(s.chart.dim)]
-    plan = [(k, *(p._value_at({}, True) if p.is_const() else p for p in (c.num, c.den)))
+    plan = [(k, *(p._value_at({}) if p.is_const() else p for p in (c.num, c.den)))
             for k, c in enumerate(comps) if c is not None]
     fixed = all(type(num) is type(den) is tuple for _, num, den in plan)
     return len(comps), plan, cleared_row(len(comps), plan, {}) if fixed else None
@@ -248,7 +248,7 @@ def involutivity_check(frame: DiracFrame, points: List[Point]) -> CheckResult:
         late = next((m for m, (d, _) in enumerate(terms) if d & poles), len(pairs))
         if frame.rank_at(p) != n:
             raise ArithmeticError("rank-deficient frame at sample point")
-        outside = next((m for m in range(late) if any(t.value_at(p) for t in terms[m][1])), None)
+        outside = next((m for m in range(late) if not all(t.num.vanishes_at(p) for t in terms[m][1])), None)
         if outside is None:
             if late < len(pairs):
                 raise ZeroDivisionError("denominator vanishes at sample point")

@@ -15,7 +15,7 @@ zero is canonical and zero entries skip their multiply.  Ranks over Q and
 determinants come from one Bareiss (fraction-free) loop, ``_bareiss``:
 ``pivot_columns`` runs it on the rows cleared to integers, ``det`` on the
 rows cleared to polynomials.  ``Jets`` gives exact values and coordinate
-gradients of a family of entries at a point.
+gradients of a family of entries at a point, as unreduced pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple, Union
 
-from .rings import Poly, QPi, RationalFn, ZPi, qpi
+from .rings import Poly, QPi, RationalFn, ZPi, _uadd, _zmul, _zpi_pair, qpi
 
 Mat = List[List[RationalFn]]
 # an entry in Q, Z[@pi] or Q(@pi) (all at points), or a rational function
@@ -206,8 +206,9 @@ class Jets:
     For f = N/D the gradient is (dN - f dD)/D, from the derivatives of N
     and D taken once here.  Each polynomial is evaluated by
     ``Poly._value_at``, so ``@pi`` is bound only where the point maps it to
-    a value; otherwise an entry that keeps it takes a value in Q(@pi), as
-    ``RationalFn.value_at`` gives.
+    a value, and every value and gradient comes back unreduced, with no
+    ``Fraction`` built: an integer over a positive integer, or, at a point
+    where some entry keeps ``@pi``, a ``ZPi`` over a ``ZPi``.
     """
 
     def __init__(self, entries: Sequence[RationalFn], coords: Sequence[str]):
@@ -227,20 +228,48 @@ class Jets:
                     polys += [d_num, d_den]
             self._polys.append((col, ks, polys))
 
-    def at(self, point: Mapping[str, Fraction]) -> Tuple[List[Value], List[List[Value]]]:
-        """(values, gradients): values[col] and gradients[k][col] = d_k of entry col.
+    def at(self, point: Mapping[str, Fraction]) -> Tuple[List[tuple], List[List[tuple]]]:
+        """(values, gradients): values[col] and gradients[k][col] = d_k of
+        entry col, each a pair (numerator, denominator).
 
-        Raises ZeroDivisionError where a denominator vanishes.
+        With N = n/a, D = d/b, d_k N = p/c and d_k D = q/e, the value is
+        nb/(ad) and the gradient (pade - nbqc)b/(ace d^2), or pb/(cd) where
+        q is zero.  Raises ZeroDivisionError where a denominator vanishes.
         """
-        vals: List[Value] = [Fraction(0)] * self._size
-        grads: List[List[Value]] = [[Fraction(0)] * self._size for _ in range(self._dim)]
+        vals: List[tuple] = [(0, 1)] * self._size
+        grads = [[(0, 1)] * self._size for _ in range(self._dim)]
         for col, ks, polys in self._polys:
             xs = [p._value_at(point) for p in polys]
-            num, den = xs[0], xs[1]
-            if den == 0:
+            if any(type(x[0]) is not int for x in xs):
+                return self._at_pi(point)
+            (n, a), (d, b) = xs[0], xs[1]
+            if not d:
                 raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
-            vals[col] = v = num / den
-            for k, d_num, d_den in zip(ks, xs[2::2], xs[3::2]):
-                grads[k][col] = (d_num - v * d_den) / den
+            if d < 0:
+                d, b = -d, -b
+            vals[col] = (n * b, a * d)
+            for k, (p, c), (q, e) in zip(ks, xs[2::2], xs[3::2]):
+                if q:
+                    grads[k][col] = ((p * a * d * e - n * b * q * c) * b, a * c * e * d * d)
+                else:
+                    grads[k][col] = (p * b, c * d)
         return vals, grads
 
+    def _at_pi(self, point: Mapping[str, Fraction]) -> Tuple[List[tuple], List[List[tuple]]]:
+        """``at`` over Z[@pi], where some entry keeps ``@pi``: the same
+        formulas, each pair a ZPi over a ZPi."""
+        zero = ((), (1,))
+        vals: List[tuple] = [zero] * self._size
+        grads = [[zero] * self._size for _ in range(self._dim)]
+        for col, ks, polys in self._polys:
+            (n, a), (d, b), *xs = [_zpi_pair(p._value_at(point)) for p in polys]
+            if not d:
+                raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
+            vals[col] = (_zmul(n, (b,)), _zmul(d, (a,)))
+            for k, (p, c), (q, e) in zip(ks, xs[::2], xs[1::2]):
+                if q:
+                    num = _uadd(_zmul(_zmul(p, d), (a * e,)), _zmul(_zmul(n, q), (-b * c,)))
+                    grads[k][col] = (_zmul(num, (b,)), _zmul(_zmul(d, d), (a * c * e,)))
+                else:
+                    grads[k][col] = (_zmul(p, (b,)), _zmul(d, (c,)))
+        return vals, grads

@@ -542,27 +542,45 @@ class NumericEvaluator:
         """Pi_t# = Pi# (Id + t dTheta# Pi#)^{-1} for each t at a batch of
         points: (len(ts), B, n, n).
 
-        A row fails, row -> error, where a denominator vanished, or else
-        where D(t) = det(Id + t dTheta# Pi#) trips the guard at some t (the
-        first).  The inverse is numpy's, independent of the compiled Z_t.
+        A row fails, row -> error, where a denominator vanished, or else at
+        the first t where D(t) = det(Id + t dTheta# Pi#) trips the guard;
+        else at the first t where numpy finds the matrix singular, and else
+        where Pi_t# is not finite.  The inverse is numpy's, independent of
+        the compiled Z_t.
         """
         sp, sb, _th, fails = self._matrices(vecs)
         self._compile()
-        quiet = {}
         if self._guard_can_trip:
             # the first t that trips the guard names a row's failure
             for t in ts:
                 for row, fail in self._z_stage(t, vecs.T)[1].items():
                     fails.setdefault(row, fail)
-            # the rows where D(t) left float range may overflow here; they
-            # have failed the guard
-            quiet = {"over": "ignore", "invalid": "ignore"}
-        with np.errstate(**quiet):
+
+        def fail(row: int, k: int, why: str) -> None:
+            fails.setdefault(int(row), (4, GuardError(f"interpolation matrix {why} at t={ts[k]}")))
+
+        # a row out of float range fails below, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
             m = self._eye + np.asarray(ts, dtype=float)[:, None, None, None] * (sb @ sp)
-        ok = np.ones(len(vecs), dtype=bool)
-        ok[list(fails)] = False
-        out = np.zeros(m.shape)
-        out[:, ok] = sp[ok] @ np.linalg.inv(m[:, ok])
+            ok = np.ones(len(vecs), dtype=bool)
+            ok[list(fails)] = False
+            try:
+                inv = np.linalg.inv(m[:, ok])
+            except np.linalg.LinAlgError:
+                # numpy met a zero pivot or a NaN: find the rows one by one
+                for k in range(len(ts)):
+                    for row in np.flatnonzero(ok):
+                        try:
+                            np.linalg.inv(m[k, row])
+                        except np.linalg.LinAlgError:
+                            fail(row, k, "singular")
+                ok[list(fails)] = False
+                inv = np.linalg.inv(m[:, ok])
+            out = np.zeros(m.shape)
+            out[:, ok] = sp[ok] @ inv
+        for k, row in np.argwhere(~np.isfinite(out).all(axis=(2, 3))):
+            fail(row, k, "not finite")
+        out[:, list(fails)] = 0.0
         return out, {row: exc for row, (_rank, exc) in fails.items()}
 
     def interp_matrix(self, t: float, point: FloatPoint) -> np.ndarray:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from functools import reduce
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .config import LIMITS, PI, CapacityError
@@ -256,40 +257,13 @@ class Poly:
             terms[tuple(new)] = c if e[i] == 1 else _canon(c * e[i])
         return Poly(self.vars, terms)
 
-    def eval_frac(self, point: Mapping[str, Fraction]) -> "Poly":
-        """Substitute coordinates by exact values.
-
-        The pi symbol is never substituted here, so the result is a polynomial
-        in whatever variables were left unassigned (usually none or ``@pi``).
-        """
-        keep = [i for i, v in enumerate(self.vars) if v not in point or v == PI]
-        vs = tuple(self.vars[i] for i in keep)
-        out: Dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            val = c
-            for i, v in enumerate(self.vars):
-                if v in point and v != PI and e[i]:
-                    val *= _as_fraction(point[v]) ** e[i]
-            key = tuple(e[i] for i in keep)
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = _canon(s)
-        return Poly(vs, out)
-
-    def _value_at(
-        self, point: Mapping[str, Fraction], pair: bool = False
-    ) -> Union[Fraction, "QPi", Tuple[int, int], Tuple["ZPi", int]]:
-        """The exact value at a point: a Fraction, or a ``QPi`` where ``@pi``
+    def _value_at(self, point: Mapping[str, Fraction]) -> Union[Tuple[int, int], Tuple["ZPi", int]]:
+        """The exact value at a point, unreduced over a positive integer
+        denominator: its numerator is an integer, or a ``ZPi`` where ``@pi``
         survives.
 
         ``@pi`` is bound only where the point maps it to a value.  Any other
-        variable that occurs with a nonzero exponent must be bound.  With
-        ``pair``, the value comes back unreduced over a positive integer
-        denominator: its numerator is an integer, or a ``ZPi`` where ``@pi``
-        survives.
+        variable that occurs with a nonzero exponent must be bound.
         """
         xs = []
         free = -1
@@ -304,21 +278,18 @@ class Poly:
             else:
                 xs.append((x.numerator, x.denominator))
         if free < 0:
-            num, den = _sum_at(self.terms.items(), xs)
-            return (num, den) if pair else Fraction(num, den)
+            return _sum_at(self.terms.items(), xs)
         by_power: Dict[int, list] = {}
         for e, c in self.terms.items():
             by_power.setdefault(e[free], []).append((e, c))
         sums = [_sum_at(by_power.get(k, ()), xs) for k in range(max(by_power) + 1)]
-        if not pair:
-            return _lowest(_utrim([Fraction(*s) for s in sums]), _ONE)
         lcm = math.lcm(*[d for _, d in sums])
         return _utrim([c * (lcm // d) for c, d in sums]), lcm
 
     def vanishes_at(self, point: Mapping[str, Fraction]) -> bool:
         """Whether the value at a point is zero, read from the unreduced
         numerator of ``_value_at`` with no Fraction built."""
-        return not self._value_at(point, True)[0]
+        return not self._value_at(point)[0]
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -693,22 +664,15 @@ class RationalFn:
         n = self.num.diff(name) * self.den - self.num * self.den.diff(name)
         return RationalFn(n, self.den * self.den)
 
-    def eval_frac(self, point: Mapping[str, Fraction]) -> "RationalFn":
-        den = self.den.eval_frac(point)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        return RationalFn(self.num.eval_frac(point), den)
-
     def value_at(self, point: Mapping[str, Fraction]) -> Union[Fraction, "QPi"]:
         """The exact value at a rational point: a Fraction, or a ``QPi``
         where ``@pi`` survives.
 
         ``@pi`` is bound only where the point maps it to a value.  Raises
-        ZeroDivisionError where the denominator vanishes, as ``eval_frac``
-        does.
+        ZeroDivisionError where the denominator vanishes.
         """
-        num = self.num._value_at(point, True)
-        den = (1, 1) if self.den is _UNIT else self.den._value_at(point, True)
+        num = self.num._value_at(point)
+        den = (1, 1) if self.den is _UNIT else self.den._value_at(point)
         if not den[0]:
             raise ZeroDivisionError("denominator vanishes at sample point")
         if type(num[0]) is type(den[0]) is int:
@@ -749,6 +713,7 @@ def _utrim(c: list) -> UPoly:
 
 
 def _uadd(a: UPoly, b: UPoly) -> UPoly:
+    """The sum of two UPoly, or of two ZPi."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -816,19 +781,53 @@ def _lowest(num: UPoly, den: UPoly) -> Union[Fraction, "QPi"]:
 ZPi = Tuple[int, ...]
 
 
+def _zpi(x: Union[int, ZPi]) -> ZPi:
+    """An int or a ZPi as a ZPi."""
+    return ((x,) if x else ()) if type(x) is int else x
+
+
 def _zpi_pair(x: tuple) -> Tuple[ZPi, int]:
     """A pair of ``Poly._value_at`` as a ZPi over a positive integer."""
-    return ((x[0],) if x[0] else (), x[1]) if type(x[0]) is int else x
+    return _zpi(x[0]), x[1]
 
 
 def _zmul(a: ZPi, b: ZPi) -> ZPi:
-    """The product of two nonzero ZPi."""
+    """The product of two ZPi."""
+    if not a or not b:
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return tuple(out)
+
+
+def dot(u: Sequence, v: Sequence) -> Union[int, ZPi]:
+    """The sum of the products u[k] v[k]: of ints, or of ZPi."""
+    if type(u[0]) is int:
+        return sum(map(mul, u, v))
+    return reduce(_uadd, map(_zmul, u, v), ())
+
+
+def equal_products(a: Sequence, b: Sequence) -> bool:
+    """Whether the product of the ints and ZPi in a equals that in b: in Z,
+    or over Z[@pi] where a factor is a ZPi."""
+    if tuple not in map(type, (*a, *b)):
+        return math.prod(a) == math.prod(b)
+    return reduce(_zmul, map(_zpi, a), (1,)) == reduce(_zmul, map(_zpi, b), (1,))
+
+
+def over_one(pairs: Sequence[tuple]) -> Tuple[list, Union[int, ZPi]]:
+    """Unreduced values (num, den), all over integers or all over ZPi, as
+    numerators over one denominator: the lcm of the integer denominators of
+    the nonzero values, or the product of their distinct ZPi ones."""
+    if type(pairs[0][1]) is int:
+        lcm = math.lcm(*[d for n, d in pairs if n])
+        return [n * (lcm // d) for n, d in pairs], lcm
+    dens = list(dict.fromkeys(d for n, d in pairs if n))
+    # each numerator times every denominator but its own
+    return [reduce(_zmul, [e for e in dens if e != d], n) for n, d in pairs], reduce(_zmul, dens, (1,))
 
 
 # a place in a row, and a value's numerator and denominator there: each a
@@ -844,14 +843,14 @@ def cleared_row(size: int, entries: Sequence[RowEntry], point: Mapping[str, Frac
     Each entry is a ``RowEntry`` (k, num, den); a zero den raises
     ZeroDivisionError.  Over Q the scalar is the lcm of the values'
     denominators, from the unreduced pairs with no Fraction built.  Over
-    Q(@pi) it is the product of the distinct denominators that keep ``@pi``
-    times the lcm of the integer ones.  A zero value keeps its denominator
-    out, so the row stays small.
+    Q(@pi) it is the product of the distinct denominators, each a ZPi
+    (``over_one``).  A zero value keeps its denominator out, so the row
+    stays small.
     """
     vals, dens = [], []
     for k, num, den in entries:
-        num = num if type(num) is tuple else num._value_at(point, True)
-        den = den if type(den) is tuple else den._value_at(point, True)
+        num = num if type(num) is tuple else num._value_at(point)
+        den = den if type(den) is tuple else den._value_at(point)
         vals.append((k, num, den))
         if type(num[0]) is not int or type(den[0]) is not int:
             return _zpi_row(size, vals + list(entries[len(vals):]), point)
@@ -865,31 +864,19 @@ def cleared_row(size: int, entries: Sequence[RowEntry], point: Mapping[str, Frac
 
 
 def _zpi_row(size: int, entries: Sequence[RowEntry], point: Mapping[str, Fraction]) -> List[ZPi]:
-    """``cleared_row`` where some value keeps ``@pi``."""
-    # per value: its place, numerator coefficients and their integer factor,
-    # the integer denominator and the denominator that keeps @pi, if any
-    terms = []
+    """``cleared_row`` where some value keeps ``@pi``: each value
+    (cn / ln) / (cd / ld) as the ZPi pair (cn ld, cd ln), ``over_one``."""
+    places, pairs = [], []
     for k, num, den in entries:
-        num, den = (x if type(x) is tuple else x._value_at(point, True) for x in (num, den))
+        num, den = (x if type(x) is tuple else x._value_at(point) for x in (num, den))
         (cn, ln), (cd, ld) = _zpi_pair(num), _zpi_pair(den)
         if not cd:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        if not cn:
-            continue
-        if len(cd) == 1:
-            terms.append((k, cn, ld if cd[0] > 0 else -ld, ln * abs(cd[0]), None))
-        else:
-            terms.append((k, cn, ld, ln, cd))
-    lcm = math.lcm(*[t[3] for t in terms])
-    polys = list(dict.fromkeys(t[4] for t in terms if t[4] is not None))
+        places.append(k)
+        pairs.append((_zmul(cn, (ld,)), _zmul(cd, (ln,))))
     zrow: List[ZPi] = [()] * size
-    for k, cn, scale, q, own in terms:
-        scale *= lcm // q
-        c = tuple(x * scale for x in cn)
-        for p in polys:
-            if p != own:
-                c = _zmul(c, p)
-        zrow[k] = c
+    for k, x in zip(places, over_one(pairs)[0]):
+        zrow[k] = x
     return zrow
 
 

@@ -577,12 +577,7 @@ class VectorValued2Form:
 
     def __init__(self, chart: Chart, values: Mapping[Tuple[int, int], MultivectorField]):
         self.chart = chart
-        self.values: Dict[Tuple[int, int], MultivectorField] = {}
-        for (i, j), v in values.items():
-            if not i < j:
-                raise ValueError("keys must be increasing pairs")
-            if not v.is_zero():
-                self.values[(i, j)] = v
+        self.values = {ij: v for ij, v in values.items() if not v.is_zero()}
 
     def evaluate(self, u: MultivectorField, v: MultivectorField) -> MultivectorField:
         zero = RationalFn.zero()
@@ -593,60 +588,24 @@ class VectorValued2Form:
             parts.append(vec.scale(ui * vj - uj * vi))
         return MultivectorField.sum_of(self.chart, 1, parts)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorValued2Form):
-            return NotImplemented
-        keys = set(self.values) | set(other.values)
-        zero = MultivectorField.zero(self.chart, 1)
-        return all(
-            self.values.get(k, zero) == other.values.get(k, zero) for k in keys
-        )
-
-    def __sub__(self, other: "VectorValued2Form") -> "VectorValued2Form":
-        keys = set(self.values) | set(other.values)
-        zero = MultivectorField.zero(self.chart, 1)
-        return VectorValued2Form(
-            self.chart,
-            {k: self.values.get(k, zero) - other.values.get(k, zero) for k in keys},
-        )
-
     def is_zero(self) -> bool:
         return not self.values
 
 
-def fn_bracket(k: VectorValued1Form, l: VectorValued1Form) -> VectorValued2Form:
-    """Bracket of vector-valued 1-forms, evaluated on the coordinate frame.
+def nijenhuis_torsion(p: VectorValued1Form) -> VectorValued2Form:
+    """The Nijenhuis torsion of p, half its Froelicher-Nijenhuis bracket
+    [p, p], on the coordinate frame, where [d_i, d_j] vanishes:
 
-    On coordinate fields X = d_i, Y = d_j the last term (K L + L K)[X, Y]
-    vanishes, leaving
+        N(d_i, d_j) = [P d_i, P d_j] - P(d_i(P d_j) - d_j(P d_i))
 
-        [K, L](d_i, d_j) = [K d_i, L d_j] - [K d_j, L d_i]
-                           - L([K d_i, d_j] - [K d_j, d_i])
-                           - K([L d_i, d_j] - [L d_j, d_i])
-
-    and on coordinate fields [K d_i, d_j] - [K d_j, d_i] is
-    -d_j(K d_i) + d_i(K d_j), the columns differentiated componentwise.
+    with the columns P d_* differentiated componentwise.
     """
-    if k.chart != l.chart:
-        raise ValueError("charts differ")
-    chart = k.chart
-    n = chart.dim
-    kcols = [k.column(j) for j in range(n)]
-    lcols = [l.column(j) for j in range(n)]
-
-    def frame_bracket(cols: List[MultivectorField], i: int, j: int) -> MultivectorField:
-        # [K d_i, d_j] - [K d_j, d_i] for the columns K d_* in cols
-        return -_x_derivative(cols[i], chart.coords[j]) + _x_derivative(cols[j], chart.coords[i])
-
+    chart = p.chart
+    cols = [p.column(j) for j in range(chart.dim)]
     out: Dict[Tuple[int, int], MultivectorField] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i, j)] = MultivectorField.sum_of(chart, 1, (
-                vf_bracket(kcols[i], lcols[j]),
-                -vf_bracket(kcols[j], lcols[i]),
-                -l.apply(frame_bracket(kcols, i, j)),
-                -k.apply(frame_bracket(lcols, i, j)),
-            ))
+    for i, j in itertools.combinations(range(chart.dim), 2):
+        shear = _x_derivative(cols[j], chart.coords[i]) - _x_derivative(cols[i], chart.coords[j])
+        out[(i, j)] = vf_bracket(cols[i], cols[j]) - p.apply(shear)
     return VectorValued2Form(chart, out)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from diracavg.actions import CircleAction, lie_vv1
+from diracavg.config import PI
 from diracavg.rings import Poly, RationalFn
 from diracavg.tensors import Chart, VectorValued1Form, lie_derivative
 
@@ -41,6 +42,32 @@ def rand_rational(rng: random.Random, names: Sequence[str], degree: int = 2) -> 
     if rng.random() < 0.5:
         den = Poly.const(1)
     return RationalFn(num, den)
+
+
+def eval_frac(f, point: Dict[str, Fraction]):
+    """A Poly or a RationalFn with its coordinates substituted by exact
+    values term by term, ``@pi`` and unbound variables kept: the reference
+    the pointwise evaluators are checked against.  A RationalFn whose
+    denominator vanishes raises ZeroDivisionError."""
+    if isinstance(f, RationalFn):
+        den = eval_frac(f.den, point)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator vanishes at sample point")
+        return RationalFn(eval_frac(f.num, point), den)
+    keep = [i for i, v in enumerate(f.vars) if v not in point or v == PI]
+    out = {}
+    for e, c in f.terms.items():
+        val = c
+        for i, v in enumerate(f.vars):
+            if v in point and v != PI and e[i]:
+                val *= Fraction(point[v]) ** e[i]
+        key = tuple(e[i] for i in keep)
+        s = out.get(key, 0) + val
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+    return Poly(tuple(f.vars[i] for i in keep), out)
 
 
 def default_box(chart: Chart) -> Dict[str, Tuple[Fraction, Fraction]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -11,6 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracavg import averaging, cli, coupling, linalg, tensors
 from diracavg.config import PI
@@ -18,9 +20,12 @@ from diracavg.dirac import DiracFrame
 from diracavg.fixtures import fixture_path
 from diracavg.modelspec import parse_spec
 from diracavg.moser import GuardError
-from diracavg.rings import Poly, QPi, RationalFn
-from diracavg.sampling import format_point
-from diracavg.tensors import DifferentialForm, MultivectorField
+from diracavg.reports import failed, passed
+from diracavg.rings import Poly, RationalFn
+from diracavg.sampling import format_point, sweep
+from diracavg.tensors import DifferentialForm, MultivectorField, schouten_bracket
+
+from test_linalg import fraction_jets
 
 
 def _run(capsys, *argv):
@@ -369,9 +374,123 @@ def test_jac_route_keeps_pi_symbolic_in_a_model_file_bivector(capsys, monkeypatc
     route = checks["JAC-route"]
     assert route["status"] == "pass"
     assert (route["info"]["points_used"], route["info"]["points_skipped"]) == (7, 0)
-    # entries that keep @pi are compared exactly over Q(@pi)
-    assert all(isinstance(v, (Fraction, QPi)) for v in values)
-    assert any(isinstance(v, QPi) for v in values)
+    # entries that keep @pi are compared exactly over Z[@pi]: every pair of
+    # a point is a ZPi over a ZPi, and some have @pi
+    assert all(type(n) is tuple and type(d) is tuple for n, d in values)
+    assert any(len(n) > 1 or len(d) > 1 for n, d in values)
+
+
+def _oracle_jac_route(pi, jac, points):
+    """JAC-route's check on the Fraction jets, with the probe as it was
+    before the unreduced pairs: their oracle."""
+    n = pi.chart.dim
+    pairs = list(itertools.combinations(range(n), 2))
+    col = {ab: c for c, ab in enumerate(pairs)}
+    jets = linalg.Jets([pi.component(ab) for ab in pairs], pi.chart.coords)
+    column = [[(a, col[min(a, l), max(a, l)]) for a in range(n) if a != l] for l in range(n)]
+    triples = [
+        ((i, j, k), col[j, k], col[i, k], col[i, j], jac.comps.get((i, j, k)))
+        for i, j, k in itertools.combinations(range(n), 3)
+    ]
+    bad = {}
+
+    def probe(p):
+        vals, grads = fraction_jets(jets, p)
+        s = [[0] * len(pairs) for _ in range(n)]
+        for l, grad in enumerate(grads):
+            pi_l = [(a, vals[c] if a < l else -vals[c]) for a, c in column[l] if vals[c]]
+            for c, g in enumerate(grad):
+                if g:
+                    for a, x in pi_l:
+                        s[a][c] += x * g
+        for (i, j, k), jk, ik, ij, w in triples:
+            cyc = s[i][jk] - s[j][ik] + s[k][ij]
+            diff = cyc + cyc - (0 if w is None else w.value_at(p))
+            if diff != 0:
+                bad.setdefault("witness", {
+                    "triple": [i, j, k], "point": format_point(p), "difference": str(diff),
+                })
+                return False
+        return True
+
+    run, _first = sweep(points, probe)
+    counts = {"points_used": run.usable, "points_skipped": run.total - run.usable}
+    witness = bad.get("witness") or run.shortfall()
+    if witness is not None:
+        return failed("JAC-route", witness=witness, **counts).to_dict()
+    return passed("JAC-route", **counts).to_dict()
+
+
+_GRID = [Fraction(c) for c in (-1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2), 1)]
+
+
+@st.composite
+def _bivector_entries(draw, names):
+    """A component: a polynomial, a rational entry with a pole on the grid,
+    or one that keeps @pi in its numerator, its denominator or both."""
+    c = RationalFn.const(draw(st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(3, 4)])))
+    v, w = (RationalFn.var(draw(st.sampled_from(names))) for _ in range(2))
+    pi, half = RationalFn.var(PI), RationalFn.const(Fraction(1, 2))
+    return draw(st.sampled_from([
+        RationalFn.zero(), c * v, c * v * w + half, c * v / (w - half), (v + c) / (v - w + half),
+        c * pi * v, v / (pi + w * w), pi * v / (w - half), (pi * v + c) / (pi * w + RationalFn.const(1)),
+    ]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_jac_route_on_integer_pairs_matches_the_fraction_oracle(data):
+    draw = data.draw
+    n = draw(st.integers(3, 4))
+    chart = tensors.Chart(tuple(f"x{i}" for i in range(n)))
+    comps = {ab: draw(_bivector_entries(chart.coords))
+             for ab in itertools.combinations(range(n), 2)}
+    pi = MultivectorField(chart, 2, comps)
+    names = list(chart.coords) + ([PI] if draw(st.booleans()) else [])
+    points = draw(st.lists(st.fixed_dictionaries({c: st.sampled_from(_GRID) for c in names}),
+                           min_size=1, max_size=6))
+    # the Jacobiator, none, or one nudged by a rational or by @pi
+    jac = schouten_bracket(pi, pi)
+    nudge = draw(st.sampled_from([None, RationalFn.const(Fraction(1, 10**12)), RationalFn.var(PI)]))
+    jac = draw(st.sampled_from([jac, MultivectorField.zero(chart, 3)]))
+    if nudge is not None:
+        jac = jac + MultivectorField(chart, 3, {(0, 1, 2): nudge})
+    got = cli._jacobi_checks(pi, jac, points)[1].to_dict()
+    assert got == _oracle_jac_route(pi, jac, points)
+
+
+@pytest.mark.parametrize("keep_pi", [False, True])
+def test_a_passing_jac_route_builds_no_fraction(monkeypatch, keep_pi):
+    # {x, y} = x / (1 + z^2), {y, z} = z, {x, z} = y: not Poisson, so each
+    # triple meets its Jacobiator component; @pi scales one entry
+    x, y, z = (RationalFn.var(c) for c in ("x", "y", "z"))
+    one = RationalFn.const(1)
+    scale = RationalFn.var(PI) if keep_pi else RationalFn.const(3)
+    chart = tensors.Chart(("x", "y", "z"))
+    pi = MultivectorField(chart, 2, {(0, 1): x / (one + z * z), (1, 2): z * scale, (0, 2): y})
+    jac = schouten_bracket(pi, pi)
+    assert not jac.is_zero()
+    points = [{c: _GRID[(3 * k + i) % 6] for i, c in enumerate(chart.coords)} for k in range(6)]
+    real_new, real_sweep, built = Fraction.__new__, cli.sweep, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def sweep_counting(points, probe):
+        Fraction.__new__ = counted
+        try:
+            return real_sweep(points, probe)
+        finally:
+            Fraction.__new__ = real_new
+
+    monkeypatch.setattr(cli, "sweep", sweep_counting)
+    route = cli._jacobi_checks(pi, jac, points)[1]
+    assert route.passed and route.info == {"points_used": 6, "points_skipped": 0}
+    assert built == []
+    # the count sees a Fraction built inside the sweep
+    monkeypatch.setattr(cli, "schouten_bracket", lambda a, b: jac + jac)
+    assert not cli._jacobi_checks(pi, None, points)[1].passed and built
 
 
 def test_reports_record_the_effective_seed_samples_and_spec(capsys, tmp_path):

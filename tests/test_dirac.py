@@ -365,8 +365,8 @@ def _components_at(s, point):
     comps += [s.covector.comps.get((i,)) for i in range(n)]
     nums, dens = [], []
     for c in comps:
-        num = (0, 1) if c is None else c.num._value_at(point, True)
-        den = (1, 1) if c is None or c.is_poly() else c.den._value_at(point, True)
+        num = (0, 1) if c is None else c.num._value_at(point)
+        den = (1, 1) if c is None or c.is_poly() else c.den._value_at(point)
         if type(num[0]) is not int or type(den[0]) is not int:
             return [Fraction(0) if c is None else c.value_at(point) for c in comps]
         if not den[0]:

@@ -310,6 +310,38 @@ def test_value_at_keeps_pi_and_raises_on_a_vanishing_denominator():
         _values_at(a, {"x": Fraction(1)})
 
 
+def _poly_value(p, point):
+    num, den = p._value_at(point)
+    return Fraction(num, den) if type(num) is int else qpi(num, (den,))
+
+
+def fraction_jets(jets, point):
+    """``Jets.at`` on ``Fraction``s, and ``QPi``s where ``@pi`` survives: the
+    route before the unreduced pairs, kept as their oracle.  ``test_cli``
+    uses it too."""
+    vals = [Fraction(0)] * jets._size
+    grads = [[Fraction(0)] * jets._size for _ in range(jets._dim)]
+    for col, ks, polys in jets._polys:
+        xs = [_poly_value(p, point) for p in polys]
+        num, den = xs[0], xs[1]
+        if den == 0:
+            raise ZeroDivisionError(f"denominator vanishes at the point for entry {col}")
+        vals[col] = v = num / den
+        for k, d_num, d_den in zip(ks, xs[2::2], xs[3::2]):
+            grads[k][col] = (d_num - v * d_den) / den
+    return vals, grads
+
+
+def pair_value(pair):
+    """An unreduced pair of ``Jets.at`` as the value it stands for."""
+    num, den = pair
+    return Fraction(num, den) if type(den) is int else qpi(num, den)
+
+
+def _pair_kinds(vals, grads):
+    return {(type(n), type(d)) for n, d in vals + [g for row in grads for g in row]}
+
+
 def test_jets_match_symbolic_derivatives_and_bind_pi_only_when_asked():
     x, y, pi = RationalFn.var("x"), RationalFn.var("y"), RationalFn.var(PI)
     one = RationalFn.const(1)
@@ -319,16 +351,25 @@ def test_jets_match_symbolic_derivatives_and_bind_pi_only_when_asked():
     bound = dict(point)
     bound[PI] = Fraction(22, 7)
     vals, grads = jets.at(bound)
-    assert all(isinstance(v, Fraction) for v in vals + grads[0] + grads[1])
+    # integer pairs over positive denominators
+    assert _pair_kinds(vals, grads) == {(int, int)}
+    assert all(d > 0 for _, d in vals + grads[0] + grads[1])
     for col, fn in enumerate(entries):
-        assert vals[col] == fn.value_at(bound)
+        assert pair_value(vals[col]) == fn.value_at(bound)
         for k, c in enumerate(("x", "y")):
-            assert grads[k][col] == fn.diff(c).value_at(bound)
-    # pi left unbound: the entries that keep it take values in Q(@pi)
+            assert pair_value(grads[k][col]) == fn.diff(c).value_at(bound)
+    # pi left unbound: every pair is over Z[@pi], and the entries that keep
+    # it take values in Q(@pi)
     vals, grads = jets.at(point)
+    assert _pair_kinds(vals, grads) == {(tuple, tuple)}
     # (1/3 + @pi) / (29/25)
-    assert isinstance(vals[2], QPi) and vals[2] == qpi([Fraction(25, 87), Fraction(25, 29)])
-    assert grads[1][4] == qpi([0, 1]) and vals[0] == Fraction(-2, 15)
+    assert pair_value(vals[2]) == qpi([Fraction(25, 87), Fraction(25, 29)])
+    assert pair_value(grads[1][4]) == qpi([0, 1]) and pair_value(vals[0]) == Fraction(-2, 15)
+    for at in (bound, point):
+        want = fraction_jets(jets, at)
+        vals, grads = jets.at(at)
+        assert [pair_value(v) for v in vals] == want[0]
+        assert [[pair_value(g) for g in row] for row in grads] == want[1]
     with pytest.raises(ZeroDivisionError):
         jets.at({"x": Fraction(1, 2), "y": Fraction(1, 2), PI: Fraction(3)})
 

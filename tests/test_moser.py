@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHART4, default_box, rand_poly, rand_rational
+from conftest import CHART4, default_box, eval_frac, rand_poly, rand_rational
 from diracavg import cli, linalg
 from diracavg.averaging import average_coupling, check_compatibility
 from diracavg.config import PI
@@ -162,7 +162,7 @@ def test_jet_bracket_matches_the_symbolic_bracket(name):
             got = ev.bracket_exact(t, p)
             for i in range(n):
                 for j in range(n):
-                    at_p = bracket.component((i, j)).eval_frac(p)
+                    at_p = eval_frac(bracket.component((i, j)), p)
                     assert got[i][j] == _bind_pi(at_p)
                     # the float the residual reads is the old route's float
                     assert float(got[i][j]) == at_p.eval_float({})
@@ -230,7 +230,9 @@ def _jet_bracket(ev, t, point):
     n, nn = ev.chart.dim, ev.chart.dim ** 2
     at = {c: Fraction(point[c]) for c in ev.chart.coords}
     at[PI] = Fraction(math.pi)
+    # @pi is bound, so each value and gradient is an integer pair
     vals, grads = linalg.Jets([fn for _key, fn in ev._exact], ev.chart.coords).at(at)
+    vals, grads = [Fraction(*v) for v in vals], [[Fraction(*g) for g in row] for row in grads]
 
     def families(flat):
         # the column order of ev._exact: Pi# and dTheta# row-major, then Theta
@@ -1511,10 +1513,9 @@ def _failure_keys(fails):
     return {row: key(v) for row, v in fails.items()}
 
 
-def _assert_as_the_oracles(ev, starts, steps, ts=(1.0, 0.5, 0.0), matrix_rows=None):
+def _assert_as_the_oracles(ev, starts, steps, ts=(1.0, 0.5, 0.0)):
     """flow_batch, z_batch and interp_matrices against their oracles: the
-    same bits and the same failures.  interp_matrices reads matrix_rows of
-    the starts, or all of them."""
+    same bits and the same failures."""
     starts = np.asarray(starts, dtype=float).reshape(-1, ev.chart.dim)
     aborts, want_aborts = {}, {}
     ends = flow_batch(ev, starts, steps, aborts)
@@ -1525,21 +1526,49 @@ def _assert_as_the_oracles(ev, starts, steps, ts=(1.0, 0.5, 0.0), matrix_rows=No
         z, fails = z_batch(ev, t, points)
         want_z, want_fails = _oracle_z_batch(ev, t, points)
         assert _same_bits(z, want_z) and _failure_keys(fails) == _failure_keys(want_fails)
-    vecs = starts if matrix_rows is None else starts[matrix_rows]
-
-    def matrices(route):
-        # numpy's inverse may find a float matrix singular that the guard
-        # passed; both routes must then raise alike
-        try:
-            mats, fails = route(list(ts), vecs)
-        except np.linalg.LinAlgError as exc:
-            return type(exc), str(exc)
-        return mats.tobytes(), _failure_keys(fails)
-
-    assert matrices(ev.interp_matrices) == matrices(
-        functools.partial(_oracle_interp_matrices, ev)
-    )
+    _assert_interp_as_the_oracle(ev, list(ts), starts)
     return aborts
+
+
+def _assert_interp_as_the_oracle(ev, ts, vecs):
+    """interp_matrices against its oracle, row by row where the oracle's
+    inverse raises or its Pi_t# is not finite: there interp_matrices fails
+    the row at the first such t, and elsewhere it gives the same bits and
+    failures as the oracle on those rows."""
+    mats, fails = ev.interp_matrices(ts, vecs)
+
+    def oracle(rows, ts=ts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _oracle_interp_matrices(ev, ts, vecs[rows])
+
+    kept = []
+    for row in range(len(vecs)):
+        try:
+            alone = oracle([row])[0]
+        except np.linalg.LinAlgError:
+            k = next(k for k, t in enumerate(ts) if _raises(lambda: oracle([row], [t])))
+            assert _failure_keys({0: fails[row]}) == _failure_keys(
+                {0: GuardError(f"interpolation matrix singular at t={ts[k]}")})
+            continue
+        bad = np.flatnonzero(~np.isfinite(alone).all(axis=(1, 2, 3)))
+        if len(bad):
+            assert _failure_keys({0: fails[row]}) == _failure_keys(
+                {0: GuardError(f"interpolation matrix not finite at t={ts[bad[0]]}")})
+            continue
+        kept.append(row)
+    want, want_fails = oracle(kept)
+    assert _same_bits(mats[:, kept], want)
+    assert not mats[:, sorted(set(range(len(vecs))) - set(kept))].any()
+    kept_fails = {row: fails[row] for row in kept if row in fails}
+    assert _failure_keys(kept_fails) == _failure_keys({kept[r]: e for r, e in want_fails.items()})
+
+
+def _raises(call) -> bool:
+    try:
+        call()
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def _bench_flows(monkeypatch, spec):
@@ -1596,11 +1625,30 @@ def test_the_stage_matches_the_row_oracles_at_poles_and_at_the_guard():
         (0.3, 1e-160, 0.0, 0.1),
     ]
     # the last start's Pi# is out of range where the field's coefficient
-    # underflows, so interp_matrices overflows there, with the row oracle too
-    aborts = _assert_as_the_oracles(ev, starts, 100, matrix_rows=slice(6))
+    # underflows, so its Pi_t# is not finite: the row oracle overflows there
+    aborts = _assert_as_the_oracles(ev, starts, 100)
     assert {row: aborts[row][:2] for row in (0, 1, 2, 6)} == {
         0: (0, 1), 1: (0, 2), 2: (0, 1), 6: (0, 3)
     }
+    _mats, fails = ev.interp_matrices([1.0, 0.5], np.array(starts[-1:]))
+    assert _failure_keys(fails) == _failure_keys(
+        {0: GuardError("interpolation matrix not finite at t=1.0")})
+
+
+def test_a_matrix_numpy_cannot_invert_fails_its_row():
+    # D(t) passes the guard at this point, but numpy's inverse meets a zero
+    # pivot at t = 1 and 1/2
+    ev = _mirror_model()
+    vecs = np.array([[0.0, 2.215242212233337e-93, 0.5], [0.2, -0.1, 0.4]])
+    mats, fails = ev.interp_matrices([1.0, 0.5], vecs)
+    assert _failure_keys(fails) == _failure_keys(
+        {0: GuardError("interpolation matrix singular at t=1.0")})
+    assert not mats[:, 0].any() and np.isfinite(mats[:, 1]).all() and mats[:, 1].any()
+    _assert_interp_as_the_oracle(ev, [1.0, 0.5], vecs)
+    residuals, fails = homotopy_residuals(ev, 0.5, [dict(zip(ev.chart.coords, v)) for v in vecs])
+    assert _failure_keys(fails) == _failure_keys(
+        {0: GuardError("interpolation matrix singular at t=0.49999")})
+    assert residuals[0] == 0.0 and math.isfinite(residuals[1])
 
 
 _WIDE = st.floats(-0.9, 0.9, allow_nan=False)

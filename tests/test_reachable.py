@@ -20,7 +20,6 @@ SRC = pathlib.Path(diracavg.__file__).parent
 # kept with no caller in the package: (module, name) -> why
 ALLOWED = {
     ("moser", "interp_matrix"): "bench/spans.py wraps it by name in EXTRA_SPANS",
-    ("rings", "eval_frac"): "the exact oracle the tests check value_at against",
 }
 
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracavg import fixtures
 from diracavg.config import CapacityError
 from diracavg.coupling import Connection, Foliation
-from diracavg.modelspec import SpecError, parse_spec_dict
+from diracavg.modelspec import SpecError, parse_spec, parse_spec_dict
 from diracavg.rings import Poly, RationalFn
 from diracavg.tensors import (
     Chart,
@@ -23,10 +25,10 @@ from diracavg.tensors import (
     d_scalar,
     exterior_derivative,
     flat_matrix,
-    fn_bracket,
     interior_product,
     lie_derivative,
     lie_derivative_multivector,
+    nijenhuis_torsion,
     one_form,
     schouten_bracket,
     sharp_bivector,
@@ -307,13 +309,13 @@ def test_vv1_apply_compose_projection():
     )
 
 
-def test_fn_bracket_of_identity_vanishes():
+def test_nijenhuis_torsion_of_identity_vanishes():
     chart = CHART4
     k = VectorValued1Form(chart, [[int(i == j) for j in range(4)] for i in range(4)])
-    assert fn_bracket(k, k).is_zero()
+    assert nijenhuis_torsion(k).is_zero()
 
 
-def test_fn_bracket_detects_nonintegrable_projector():
+def test_nijenhuis_torsion_detects_nonintegrable_projector():
     # vertical projector whose horizontal complement span(d_x1, d_x2 + x1 d_y1)
     # is not involutive: the self-bracket must see the obstruction
     chart = Chart(("x1", "x2", "y1"))
@@ -321,11 +323,11 @@ def test_fn_bracket_detects_nonintegrable_projector():
     zero, one = RationalFn.zero(), RationalFn.const(1)
     proj = VectorValued1Form(chart, [[zero, zero, zero], [zero, zero, zero], [zero, -x1, one]])
     assert proj.compose(proj) == proj
-    vv2 = fn_bracket(proj, proj)
+    vv2 = nijenhuis_torsion(proj)
     assert not vv2.is_zero()
     # a constant-coefficient projector is integrable
     flat = VectorValued1Form(chart, [[zero, zero, zero], [zero, zero, zero], [zero, zero, one]])
-    assert fn_bracket(flat, flat).is_zero()
+    assert nijenhuis_torsion(flat).is_zero()
 
 
 def test_bigrade_decompose_reassembles():
@@ -549,19 +551,28 @@ def test_summed_operations_keep_the_old_components_and_their_order(data):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_fn_bracket_keeps_the_old_values_and_their_order(data):
+def test_nijenhuis_torsion_is_half_the_old_self_bracket(data):
     draw = data.draw
     n = draw(st.integers(2, 4))
     chart = Chart(tuple(f"x{i}" for i in range(n)))
+    m = [[RationalFn.zero()] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_scalars(chart.coords))
+    k = VectorValued1Form(chart, m)
+    new, old = nijenhuis_torsion(k), _old_fn_bracket(k, k)
+    # compared by value, key by key: the torsion is never printed
+    assert sorted(new.values) == sorted(old)
+    assert all(new.values[key] == v.scale(Fraction(1, 2)) for key, v in old.items())
 
-    def matrix():
-        m = [[RationalFn.zero()] * n for _ in range(n)]
-        for _ in range(draw(st.integers(0, 2 * n))):
-            m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_scalars(chart.coords))
-        return VectorValued1Form(chart, m)
 
-    k, l = matrix(), matrix()
-    for x, y in ((k, l), (k, k)):
-        new, old = fn_bracket(x, y), _old_fn_bracket(x, y)
-        assert list(new.values) == list(old)
-        assert all(_items(new.values[key]) == _items(v) for key, v in old.items())
+_TORUS = str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json")
+
+
+# every bundled model with a connection: all but nonintegrable
+@pytest.mark.parametrize("name", [*(n for n in fixtures.FIXTURES if n != "nonintegrable"), "torus"])
+def test_nijenhuis_torsion_is_half_the_old_self_bracket_on_the_fixtures(name):
+    spec = parse_spec(_TORUS) if name == "torus" else fixtures.load(name)
+    proj = spec.geometric_data().conn.projector()
+    new, old = nijenhuis_torsion(proj), _old_fn_bracket(proj, proj)
+    assert sorted(new.values) == sorted(old)
+    assert all(new.values[key] == v.scale(Fraction(1, 2)) for key, v in old.items())
