@@ -1,35 +1,38 @@
 """Linear circle and torus actions: exact flow pullback and averaging.
 
-A circle action rotates disjoint coordinate planes with integer weights.  The
-flow pullback of a tensor with polynomial components is again polynomial with
-trigonometric coefficients in the flow time, so the averaging operator (mean
-over one period) and the homotopy operator delta are evaluated in closed form.
-
+A circle action rotates disjoint coordinate planes with integer weights.
 Orientation is fixed once: the generator of a weight-1 plane (i, j) is
 ``u_i d_j - u_j d_i`` and the flow is the counterclockwise rotation
 
     u_i(t) = u_i cos(wt) - u_j sin(wt),   u_j(t) = u_i sin(wt) + u_j cos(wt).
 
-The homotopy operator is
+The flow pullback writes cos(wt) and sin(wt) as two reserved polynomial
+variables, ``@c<w>`` and ``@s<w>``, one pair per distinct weight w of the
+circle, so a pulled-back component is an ordinary ``Poly`` and the pullback
+runs on ``Poly`` products alone.  The mean over one period and the homotopy
+operator
 
     delta(F) = -(1/2pi) Int_0^{2pi} (t - pi) (Fl^t)* F dt + pi <F>
 
-whose closed form, per trig mode, is ``sum_k s_k / k + pi * c_0`` with s_k the
-sine and c_0 the constant cosine coefficient.  The symbol pi stays formal (the
-reserved ring variable), keeping every identity coefficient-exact.
+are linear in those variables' monomials: each exponent pattern of
+cos(w t)^a sin(w t)^b ... contributes its mean and its weighted moment, taken
+once per circle from ``TrigPoly.mean`` and ``TrigPoly.weighted_moment``.  The
+symbol pi stays formal (the reserved ring variable), keeping every identity
+coefficient-exact.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from functools import reduce
+from operator import add
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .config import PI
-from .rings import Poly, RationalFn, TrigPoly
+from .rings import Poly, RationalFn, Scalar, TrigPoly, _canon
 from . import tensors as tn
 from .tensors import (
     Chart,
-    DifferentialForm,
     MultivectorField,
     VectorValued1Form,
     _Tensor,
@@ -40,67 +43,25 @@ from .tensors import (
 
 Idx = Tuple[int, ...]
 
-# (numerator trig polynomial, invariant denominator)
-TrigEntry = Tuple[TrigPoly, Poly]
+# (pulled-back numerator, invariant denominator)
+Entry = Tuple[Poly, Poly]
+
+AnyTensor = Union[_Tensor, VectorValued1Form, RationalFn]
+
+_ONE = Poly.const(1)
 
 
-def _entry_add(a: TrigEntry, b: TrigEntry) -> TrigEntry:
+def angle_vars(w: int) -> Tuple[str, str]:
+    """The reserved variables that stand for cos(wt) and sin(wt)."""
+    return f"@c{w}", f"@s{w}"
+
+
+def _entry_add(a: Entry, b: Entry) -> Entry:
     na, da = a
     nb, db = b
     if da == db:
         return na + nb, da
-    return na.scale_poly(db) + nb.scale_poly(da), da * db
-
-
-def _entry_zero() -> TrigEntry:
-    return TrigPoly.zero(), Poly.const(1)
-
-
-def _integral(entry: TrigEntry, delta: bool) -> RationalFn:
-    """The mean of an entry over one period, or its homotopy operator delta."""
-    g, den = entry
-    if delta:
-        return RationalFn(g.weighted_moment() + Poly.var(PI) * g.mean(), den)
-    return RationalFn(g.mean(), den)
-
-
-class TrigTensor:
-    """A tensor whose components are trig polynomials in the flow time."""
-
-    def __init__(self, chart: Chart, kind: str, degree: int, comps: Dict[Idx, TrigEntry]):
-        self.chart = chart
-        self.kind = kind
-        self.degree = degree
-        self.comps = {i: e for i, e in comps.items() if e[0].terms}
-
-    def integrate(self, delta: bool) -> _Tensor:
-        """Every component's mean over a period, or its delta (``_integral``)."""
-        cls = MultivectorField if self.kind == "multivector" else DifferentialForm
-        comps = {idx: _integral(e, delta) for idx, e in self.comps.items()}
-        return cls(self.chart, self.degree, comps)
-
-    def eval_float(self, t: float, point: Mapping[str, float]) -> Dict[Idx, float]:
-        out: Dict[Idx, float] = {}
-        for idx, (g, den) in self.comps.items():
-            out[idx] = g.eval_float(t, point) / den.eval_float(point)
-        return out
-
-
-class TrigMatrix:
-    """A square matrix of trig-polynomial entries (for (1,1)-tensor pullback)."""
-
-    def __init__(self, chart: Chart, entries: List[List[TrigEntry]]):
-        self.chart = chart
-        self.entries = entries
-
-    def integrate(self, delta: bool) -> VectorValued1Form:
-        """Every entry's mean over a period, or its delta (``_integral``)."""
-        return VectorValued1Form(
-            self.chart, [[_integral(e, delta) for e in row] for row in self.entries]
-        )
-
-
-AnyTensor = Union[_Tensor, VectorValued1Form, RationalFn]
+    return na * db + nb * da, da * db
 
 
 class CircleAction:
@@ -124,58 +85,50 @@ class CircleAction:
             norm.append((i, j, w))
         # no planes is allowed: the trivial action with zero generator
         self.planes: Tuple[Tuple[int, int, int], ...] = tuple(norm)
-        self._rows = self._basis_rows()
-        self._coord_pull = self._coordinate_pullbacks()
-        # one full turn is the identity on every coordinate
-        for k, name in enumerate(chart.coords):
-            if self._coord_pull[k].eval_at_two_pi() != Poly.var(name):
-                raise AssertionError("flow is not 2pi-periodic")
-
-    # -- construction helpers --------------------------------------------
-
-    def _basis_rows(self) -> Dict[int, List[Tuple[int, TrigPoly]]]:
-        rows: Dict[int, List[Tuple[int, TrigPoly]]] = {}
-        one = Poly.const(1)
-        for k in range(self.chart.dim):
-            rows[k] = [(k, TrigPoly.const_poly(one))]
+        # rows[k] = [(m, R[k][m])] and cols[k] = [(m, R[m][k])] over the
+        # nonzero entries of the rotation matrix R(t), in the plane's order
+        coords = chart.coords
+        self._rows: List[List[Tuple[int, Poly]]] = [[(k, _ONE)] for k in range(chart.dim)]
+        self._cols: List[List[Tuple[int, Poly]]] = [[(k, _ONE)] for k in range(chart.dim)]
+        # angle variable -> the powers of cos(wt) or sin(wt) as TrigPolys,
+        # from the first; higher ones are appended on first use
+        self._angles: Dict[str, List[TrigPoly]] = {}
+        comps: Dict[int, RationalFn] = {}
         for (i, j, w) in self.planes:
-            cos_w = TrigPoly.cosine(w, one)
-            sin_w = TrigPoly.sine(w, one)
-            rows[i] = [(i, cos_w), (j, sin_w.scale_poly(Poly.const(-1)))]
-            rows[j] = [(i, sin_w), (j, cos_w)]
-        return rows
-
-    def _coordinate_pullbacks(self) -> List[TrigPoly]:
-        out: List[TrigPoly] = []
-        for k, name in enumerate(self.chart.coords):
-            acc = TrigPoly.zero()
-            for (m, trig) in self._rows[k]:
-                acc = acc + trig.scale_poly(Poly.var(self.chart.coords[m]))
-            out.append(acc)
-        return out
+            c_name, s_name = angle_vars(w)
+            self._angles[c_name] = [TrigPoly.cosine(w, _ONE)]
+            self._angles[s_name] = [TrigPoly.sine(w, _ONE)]
+            c, s = Poly((c_name,), {(1,): 1}), Poly((s_name,), {(1,): 1})
+            self._rows[i], self._rows[j] = [(i, c), (j, -s)], [(i, s), (j, c)]
+            self._cols[i], self._cols[j] = [(i, c), (j, s)], [(i, -s), (j, c)]
+            comps[j] = RationalFn.var(coords[i]).scale(w)
+            comps[i] = RationalFn.var(coords[j]).scale(-w)
+        self._generator = vector_field(chart, comps)
+        self._moving = {coords[k] for (i, j, _w) in self.planes for k in (i, j)}
+        self._coord_pull = [
+            reduce(add, [r * Poly.var(coords[m]) for (m, r) in row]) for row in self._rows
+        ]
+        # (angle variables, their exponents) -> (mean, weighted moment)
+        self._moments: Dict[Tuple[Tuple[str, ...], Tuple[int, ...]], Tuple[Scalar, Scalar]] = {}
 
     # -- generator and invariance ----------------------------------------
 
     def generator(self) -> MultivectorField:
-        comps: Dict[int, RationalFn] = {}
-        for (i, j, w) in self.planes:
-            ui = RationalFn.var(self.chart.coords[i])
-            uj = RationalFn.var(self.chart.coords[j])
-            wf = RationalFn.const(w)
-            comps[j] = comps.get(j, RationalFn.zero()) + wf * ui
-            comps[i] = comps.get(i, RationalFn.zero()) - wf * uj
-        return vector_field(self.chart, comps)
+        return self._generator
 
     def is_invariant_scalar(self, f: Union[Poly, RationalFn]) -> bool:
         f = RationalFn.of(f)
-        return tn.apply_vector(self.generator(), f).is_zero()
+        return tn.apply_vector(self._generator, f).is_zero()
 
     # -- scalar pullback --------------------------------------------------
 
-    def pullback_poly(self, p: Poly) -> TrigPoly:
-        cache: Dict[Tuple[int, int], TrigPoly] = {}
+    def pullback_poly(self, p: Poly) -> Poly:
+        """p composed with the flow, in the coordinates and angle variables."""
+        if not any(v in self._moving for v in p.vars):
+            return p
+        cache: Dict[Tuple[int, int], Poly] = {}
 
-        def power(vi: int, e: int) -> TrigPoly:
+        def power(vi: int, e: int) -> Poly:
             key = (vi, e)
             got = cache.get(key)
             if got is None:
@@ -183,22 +136,21 @@ class CircleAction:
                 cache[key] = got
             return got
 
-        total = TrigPoly.zero()
+        total = Poly.zero()
         for exps, coeff in p.terms.items():
-            term = TrigPoly.const_poly(Poly.const(coeff))
+            term = Poly.const(coeff)
             for vi, e in enumerate(exps):
                 if e:
                     term = term * power(vi, e)
             total = total + term
         return total
 
-    def _var_pull(self, name: str) -> TrigPoly:
+    def _var_pull(self, name: str) -> Poly:
         if name == PI:
-            return TrigPoly.const_poly(Poly.var(PI))
-        k = self.chart.index(name)
-        return self._coord_pull[k]
+            return Poly.var(PI)
+        return self._coord_pull[self.chart.index(name)]
 
-    def pullback_rational(self, f: RationalFn) -> TrigEntry:
+    def pullback_rational(self, f: RationalFn) -> Entry:
         if not f.den.is_const() and not self.is_invariant_scalar(RationalFn.from_poly(f.den)):
             raise ValueError(
                 "denominator is not invariant under the circle action; "
@@ -208,76 +160,60 @@ class CircleAction:
 
     # -- tensor pullback --------------------------------------------------
 
-    def pullback_flow(self, t: AnyTensor) -> Union[TrigTensor, TrigMatrix]:
-        """Pullback along the flow; components become trig polynomials.
+    def pullback_flow(self, t: AnyTensor) -> Union[Entry, Dict[Idx, Entry], List[List[Entry]]]:
+        """Pullback along the flow: an entry for a scalar, entries per
+        component for a tensor, an entry matrix for a (1,1)-tensor.
 
         Covariant and contravariant basis legs both transform by the row of
         the rotation matrix attached to their index (the inverse-transpose
         rule coincides with the direct rule for rotations).
         """
         if isinstance(t, RationalFn):
-            g, den = self.pullback_rational(t)
-            return TrigTensor(self.chart, "form", 0, {(): (g, den)})
+            return self.pullback_rational(t)
         if isinstance(t, VectorValued1Form):
             return self._pullback_vv1(t)
         if not isinstance(t, _Tensor):
             raise TypeError(f"unsupported tensor type {type(t).__name__}")
-        out: Dict[Idx, TrigEntry] = {}
+        out: Dict[Idx, Entry] = {}
         for idx, val in t.comps.items():
-            coeff = self.pullback_rational(val)
-            legs: Dict[Idx, TrigPoly] = {(): TrigPoly.const_poly(Poly.const(1))}
+            num, den = self.pullback_rational(val)
+            legs: Dict[Idx, Poly] = {(): _ONE}
             for k in idx:
-                nxt: Dict[Idx, TrigPoly] = {}
-                for part, tp in legs.items():
-                    for (m, row_tp) in self._rows[k]:
+                nxt: Dict[Idx, Poly] = {}
+                for part, leg in legs.items():
+                    for (m, r) in self._rows[k]:
                         srt, sign = sort_with_sign(part + (m,))
                         if srt is None:
                             continue
-                        term = tp * row_tp
-                        if sign == -1:
-                            term = term.scale_poly(Poly.const(-1))
+                        term = leg * r if sign == 1 else -(leg * r)
                         cur = nxt.get(srt)
                         nxt[srt] = term if cur is None else cur + term
                 legs = {i: v for i, v in nxt.items() if v.terms}
-            for part, tp in legs.items():
-                entry = (tp * coeff[0], coeff[1])
+            for part, leg in legs.items():
+                entry = (leg * num, den)
                 cur = out.get(part)
                 out[part] = entry if cur is None else _entry_add(cur, entry)
-        return TrigTensor(self.chart, t.kind, t.degree, out)
+        return out
 
-    def _pullback_vv1(self, k: VectorValued1Form) -> TrigMatrix:
+    def _pullback_vv1(self, k: VectorValued1Form) -> List[List[Entry]]:
+        # R(t)^T (K o Fl^t) R(t): entry (i, j) meets only the a and b of
+        # the planes of i and j
         n = self.chart.dim
-        pulled = [[self.pullback_rational(k.matrix[i][j]) for j in range(n)] for i in range(n)]
-        # R(t)^{-1} (K o Fl^t) R(t); R^{-1} entries are R(-t) entries
-        rot: List[List[TrigPoly]] = [
-            [TrigPoly.const_poly(Poly.const(1 if i == j else 0)) for j in range(n)]
-            for i in range(n)
-        ]
-        inv: List[List[TrigPoly]] = [
-            [TrigPoly.const_poly(Poly.const(1 if i == j else 0)) for j in range(n)]
-            for i in range(n)
-        ]
-        one = Poly.const(1)
-        for (i, j, w) in self.planes:
-            c = TrigPoly.cosine(w, one)
-            s = TrigPoly.sine(w, one)
-            neg_s = s.scale_poly(Poly.const(-1))
-            rot[i][i], rot[i][j], rot[j][i], rot[j][j] = c, neg_s, s, c
-            inv[i][i], inv[i][j], inv[j][i], inv[j][j] = c, s, neg_s, c
-        out: List[List[TrigEntry]] = [[_entry_zero() for _ in range(n)] for _ in range(n)]
+        pulled = [[self.pullback_rational(k.matrix[a][b]) for b in range(n)] for a in range(n)]
+        cols = self._cols
+        out: List[List[Entry]] = []
         for i in range(n):
+            out_row: List[Entry] = []
             for j in range(n):
-                acc = _entry_zero()
-                for a in range(n):
-                    for b in range(n):
-                        if not inv[i][a].terms or not rot[b][j].terms:
-                            continue
+                acc: Entry = (Poly.zero(), _ONE)
+                for (a, r_ai) in cols[i]:
+                    for (b, r_bj) in cols[j]:
                         g, d = pulled[a][b]
-                        if not g.terms:
-                            continue
-                        acc = _entry_add(acc, (inv[i][a] * g * rot[b][j], d))
-                out[i][j] = acc
-        return TrigMatrix(self.chart, out)
+                        if g.terms:
+                            acc = _entry_add(acc, ((r_ai * r_bj) * g, d))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
     # -- averaging operators ----------------------------------------------
 
@@ -288,8 +224,62 @@ class CircleAction:
         return self._integrate(t, delta=True)
 
     def _integrate(self, t: AnyTensor, delta: bool) -> AnyTensor:
-        got = self.pullback_flow(t).integrate(delta)
-        return got.scalar_value() if isinstance(t, RationalFn) else got
+        pulled = self.pullback_flow(t)
+        if isinstance(t, RationalFn):
+            return self._integral(pulled, delta)
+        if isinstance(t, VectorValued1Form):
+            return VectorValued1Form(
+                self.chart, [[self._integral(e, delta) for e in row] for row in pulled]
+            )
+        comps = {idx: self._integral(e, delta) for idx, e in pulled.items()}
+        return type(t)(self.chart, t.degree, comps)
+
+    def _integral(self, entry: Entry, delta: bool) -> RationalFn:
+        """The mean of an entry over one period, or its homotopy operator delta."""
+        g, den = entry
+        if delta:
+            return RationalFn(self._kernel(g, 1) + Poly.var(PI) * self._kernel(g, 0), den)
+        return RationalFn(self._kernel(g, 0), den)
+
+    def _kernel(self, p: Poly, which: int) -> Poly:
+        """p with each monomial in the angle variables replaced by its mean
+        (``which`` 0) or its weighted moment (``which`` 1)."""
+        at = [i for i, v in enumerate(p.vars) if v in self._angles]
+        if not at:
+            return p if which == 0 else Poly.zero()
+        keep = [i for i, v in enumerate(p.vars) if v not in self._angles]
+        names = tuple(p.vars[i] for i in at)
+        terms: Dict[Tuple[int, ...], Scalar] = {}
+        for e, c in p.terms.items():
+            m = self._moments_of(names, tuple(e[i] for i in at))[which]
+            if m:
+                key = tuple(e[i] for i in keep)
+                s = terms.get(key)
+                s = c * m if s is None else s + c * m
+                if s == 0:
+                    terms.pop(key, None)
+                else:
+                    terms[key] = _canon(s)
+        return Poly(tuple(p.vars[i] for i in keep), terms)
+
+    def _moments_of(self, names: Tuple[str, ...], exps: Tuple[int, ...]) -> Tuple[Scalar, Scalar]:
+        """The mean and weighted moment of a product of powers of the named
+        angle variables' cos(wt) and sin(wt)."""
+        key = (names, exps)
+        got = self._moments.get(key)
+        if got is None:
+            g = None
+            for name, e in zip(names, exps):
+                if e:
+                    powers = self._angles[name]
+                    while len(powers) < e:
+                        powers.append(powers[-1] * powers[0])
+                    g = powers[e - 1] if g is None else g * powers[e - 1]
+            if g is None:
+                g = TrigPoly.const_poly(_ONE)
+            got = (g.mean().const_value(), g.weighted_moment().const_value())
+            self._moments[key] = got
+        return got
 
 
 class TorusAction:

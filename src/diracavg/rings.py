@@ -25,7 +25,12 @@ Representation choices:
   pairs with another by sums of integer products and no gcd.
 * ``TrigPoly`` stores Fourier modes of one flow parameter: a dict mapping
   ``(k, part)`` with ``part`` in ``{"cos", "sin"}`` to ``Poly`` coefficients.
-  No complex exponentials are used anywhere.
+  It is kept for the two kernel integrals, the mean over a period and the
+  weighted moment of the homotopy operator, in closed form: the flow
+  pullback itself (``actions``) runs on ``Poly``, with cos(wt) and sin(wt)
+  as the reserved variables ``@c<w>`` and ``@s<w>``, and takes each
+  monomial's two integrals from a ``TrigPoly`` product.  No complex
+  exponentials are used anywhere.
 
 The reserved variable ``@pi`` (``config.PI``) represents the circle constant
 as a formal transcendental, so objects produced by the homotopy operator stay
@@ -1066,9 +1071,6 @@ class TrigPoly:
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
 
-    def scale_poly(self, p: Poly) -> "TrigPoly":
-        return TrigPoly({m: q * p for m, q in self.terms.items()})
-
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         out: Dict[Mode, Poly] = {}
 
@@ -1122,18 +1124,6 @@ class TrigPoly:
         return hash(tuple(sorted((m, hash(p)) for m, p in self.terms.items())))
 
     # -- evaluation and integrals -----------------------------------------
-
-    def eval_at_zero(self) -> Poly:
-        """Value at t = 0: sum of cosine coefficients."""
-        out = Poly.zero()
-        for (k, part), p in self.terms.items():
-            if part == COS:
-                out = out + p
-        return out
-
-    def eval_at_two_pi(self) -> Poly:
-        """Value at t = 2*pi; equals the t = 0 value (period check)."""
-        return self.eval_at_zero()
 
     def eval_float(self, t: float, point: Mapping[str, float]) -> float:
         total = 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from diracavg.averaging import (
 from diracavg.config import PI
 from diracavg.coupling import data_to_poisson, structure_eq_check
 from diracavg.dirac import gauge_transform, graph_of_bivector, same_span_at
-from diracavg.fixtures import load
+from diracavg.fixtures import fixture_path, load
+from diracavg.modelspec import parse_spec_dict
 from diracavg.rings import Poly, RationalFn
 from diracavg.sampling import sample_box
 from diracavg.tensors import (
@@ -37,7 +39,10 @@ from conftest import CHART4, default_box
 
 
 def _pipeline(name):
-    spec = load(name)
+    return _pipeline_of(load(name))
+
+
+def _pipeline_of(spec):
     gd, checks = structure_eq_check(spec.geometric_data())
     assert all(c.passed for c in checks)
     act = spec.action
@@ -235,3 +240,18 @@ def test_adiabatic_passes_after_a_casimir_shift():
     rep = adiabatic_check(res, res.certificate.j)
     assert rep.is_hamiltonian
     assert rep.dzeta_zero
+
+
+def test_a_model_file_with_weight_two_to_the_forty_averages():
+    # the circle spins 2^40 times faster; its Hamiltonian scales with it,
+    # and the averaged connection is the weight-1 one
+    big = 2 ** 40
+    doc = json.loads(fixture_path("rotating_lift").read_text(encoding="utf-8"))
+    doc["action"]["circles"][0]["weights"] = [big]
+    doc["certificate"]["j"] = [
+        [[str(Fraction(c) * big), mono] for c, mono in j] for j in doc["certificate"]["j"]
+    ]
+    _gd, res = _pipeline_of(parse_spec_dict(doc))
+    _gd1, res1 = _pipeline("rotating_lift")
+    assert res.data.conn.projector().matrix == res1.data.conn.projector().matrix
+    assert res1.data.conn.projector().matrix != _gd1.conn.projector().matrix

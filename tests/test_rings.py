@@ -178,7 +178,7 @@ def test_trig_powers_and_periodicity():
     t = 1.234
     pt = {"x": 0.7}
     assert cube.eval_float(t, pt) == pytest.approx(g.eval_float(t, pt) ** 3, abs=1e-12)
-    assert g.eval_at_zero() == g.eval_at_two_pi()
+    assert cube.eval_float(2 * math.pi, pt) == pytest.approx(cube.eval_float(0.0, pt), abs=1e-12)
 
 
 def test_trig_mean_closed_forms():
