@@ -98,6 +98,7 @@ class CircleAction:
             c_name, s_name = angle_vars(w)
             self._angles[c_name] = [TrigPoly.cosine(w, _ONE)]
             self._angles[s_name] = [TrigPoly.sine(w, _ONE)]
+            # built directly: Poly.var refuses reserved '@' names
             c, s = Poly((c_name,), {(1,): 1}), Poly((s_name,), {(1,): 1})
             self._rows[i], self._rows[j] = [(i, c), (j, -s)], [(i, s), (j, c)]
             self._cols[i], self._cols[j] = [(i, c), (j, s)], [(i, -s), (j, c)]
