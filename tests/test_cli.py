@@ -729,41 +729,142 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
-# sha256 of the report and --out bytes of exact-only requests at a fixed seed;
-# a change to any of them is a change to report bytes and must be listed
+# the exit code, the sha256 of the report and --out bytes (None where the
+# request writes none) and the stderr text of requests at a fixed seed; a
+# change to any of them is a change to report bytes and must be listed.
+# "averaged M" is the file that ``average --out`` writes for M, which
+# carries theta, so gauge skips averaging on it
 REPORT_DIGESTS = {
     ("average", "torus"): (
+        0,
         "b162903e70bb6490da46dfd3988916377ab08071ba329afbf6c90451ce5d4eab",
         "600ce5477625753af296273b604bec43014d207db4cb66fbe2d0d647aba07f2a",
+        "",
     ),
     ("gauge", "torus"): (
-        "2dade0c9cd34c949148baf6fe55e45d38311449a338feb36f199dc92935c7770", None),
+        0,
+        "2dade0c9cd34c949148baf6fe55e45d38311449a338feb36f199dc92935c7770",
+        None,
+        "",
+    ),
     ("average", "obstructed_lift"): (
+        0,
         "9b3500855620f4156738c6fe4e4276ba3fb52ba1ab5df0b90d1e4f093b96d1f8",
         "ef88559957844fca24157f82501481497b6dff3b9a96b8fa28f0dde230120b4a",
+        "",
     ),
     ("gauge", "obstructed_lift"): (
-        "7af63633d950c8dc1aeb618948b6f16ae189d4bee69902cf491b3803e2cb92a5", None),
+        0,
+        "7af63633d950c8dc1aeb618948b6f16ae189d4bee69902cf491b3803e2cb92a5",
+        None,
+        "",
+    ),
     ("full-pipeline", "shifted_lift"): (
-        "c039cff4d9745f405290bc3861727017534b5336bcf0f3a232e43362c3872885", None),
+        0,
+        "c039cff4d9745f405290bc3861727017534b5336bcf0f3a232e43362c3872885",
+        "b9d77790e3089a9bdc85da44bcc73c98d8905ab9a00f877e5cc89b610699dc39",
+        "",
+    ),
     # these reach the function field's inverse and kernel basis, and rref
     # over Q(@pi)
     ("full-pipeline", "torus"): (
-        "57354bbd4c4e4a03065399901678acb53491f8106075baf7af322487bdd35a7b", None),
+        0,
+        "57354bbd4c4e4a03065399901678acb53491f8106075baf7af322487bdd35a7b",
+        "600ce5477625753af296273b604bec43014d207db4cb66fbe2d0d647aba07f2a",
+        "",
+    ),
     ("dirac-verify", "obstructed_lift"): (
-        "54181347e1654f1c9f9f8b46fe2e3a2d875d25f560b57e7966b8f5eb9aeac2cd", None),
+        0,
+        "54181347e1654f1c9f9f8b46fe2e3a2d875d25f560b57e7966b8f5eb9aeac2cd",
+        None,
+        "",
+    ),
     # involutivity on the torus's coupling frame, and a gauge's graph spans
     # on a model with a cycle
     ("dirac-verify", "torus"): (
-        "80052c5fb8828572184b3239116b3a9ba2a9ea0a5169d3ced8f91ac6fa52d7d8", None),
+        0,
+        "80052c5fb8828572184b3239116b3a9ba2a9ea0a5169d3ced8f91ac6fa52d7d8",
+        None,
+        "",
+    ),
     ("gauge", "rotating_lift"): (
-        "90643746cfdcbf745fcd5ab09a32a4c4421507045f9f2a7b9848426fbef034e9", None),
+        0,
+        "90643746cfdcbf745fcd5ab09a32a4c4421507045f9f2a7b9848426fbef034e9",
+        None,
+        "",
+    ),
     # the rank of a coupling frame whose P vanishes on a leaf, and
     # GT1's gauged frame on a model with a cycle
     ("dirac-verify", "transversal_leaf"): (
-        "aa84328565705096bd6f3c9304e7c5a4b5b8b78f66d7939898676ad62a516be6", None),
+        0,
+        "aa84328565705096bd6f3c9304e7c5a4b5b8b78f66d7939898676ad62a516be6",
+        None,
+        "",
+    ),
     ("full-pipeline", "rotating_lift"): (
-        "fb3b0766698c18eb7366d5d4ec8f6f115080778217d79aa17f373f05bdf75110", None),
+        0,
+        "fb3b0766698c18eb7366d5d4ec8f6f115080778217d79aa17f373f05bdf75110",
+        "cf725c62b58142b36a07a279aa592c48eb34d0a87edc850d0e00365017023e7f",
+        "",
+    ),
+    # structure equations that fail: no bivector, and no averaging
+    ("gauge", "nonclosed_sigma"): (
+        1,
+        "31b36568eff047e0500bf59714035cb4f1a4d64e3d0583c1b6004ffda6bec053",
+        None,
+        "",
+    ),
+    ("dirac-verify", "nonclosed_sigma"): (
+        1,
+        "8d6be58d4d044f87080ffe2e76292ef9a5daaaa50cdae73c660d6085bba48773",
+        None,
+        "",
+    ),
+    ("full-pipeline", "nonclosed_sigma"): (
+        1,
+        "0a21e222439118bee66a4cc54925006f43e6a01973d24bf324a6299276c26492",
+        None,
+        "",
+    ),
+    ("moser-verify", "nonclosed_sigma"): (
+        1,
+        "034cd1d7652dcfcfa9da7a9e94398f766080a055ea806b606568eaeeeb6c4933",
+        None,
+        "",
+    ),
+    # no connection block: a usage error, even after JAC in full-pipeline
+    ("average", "nonintegrable"): (
+        2,
+        None,
+        None,
+        "error: model has no connection/foliation block\n",
+    ),
+    ("gauge", "nonintegrable"): (
+        2,
+        None,
+        None,
+        "error: model has no connection/foliation block\n",
+    ),
+    ("full-pipeline", "nonintegrable"): (
+        2,
+        None,
+        None,
+        "error: model has no connection/foliation block\n",
+    ),
+    # the frame of the file's bivector, which is not Poisson
+    ("dirac-verify", "nonintegrable"): (
+        1,
+        "f2469a8c4e0adf14e14fd9f642c846f48ad4d5c2b5f98c15288431131ace48e1",
+        None,
+        "",
+    ),
+    # a file that carries theta
+    ("gauge", "averaged obstructed_lift"): (
+        0,
+        "2852f83e8b8dcf7a4852c36988f6da3d33ec9c60734d9a25736917059c7df726",
+        None,
+        "",
+    ),
 }
 
 
@@ -771,12 +872,15 @@ REPORT_DIGESTS = {
 def test_exact_reports_keep_their_bytes(capsys, tmp_path, command, model):
     torus = pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"
     spec = str(torus) if model == "torus" else model
+    if model.startswith("averaged "):
+        spec = str(tmp_path / "input.json")
+        assert _run(capsys, "average", "--spec", model.split()[1], "--seed", "7",
+                    "--out", spec)[0] == 0
     report, out = tmp_path / "report.json", tmp_path / "averaged.json"
     argv = [command, "--spec", spec, "--seed", "7", "--report", str(report)]
-    if command == "average":
+    if command in ("average", "full-pipeline"):
         argv += ["--out", str(out)]
-    code, _, _ = _run(capsys, *argv)
-    assert code == 0
+    code, _, err = _run(capsys, *argv)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
                     for p in (report, out))
-    assert digests == REPORT_DIGESTS[(command, model)]
+    assert (code, *digests, err) == REPORT_DIGESTS[(command, model)]
