@@ -28,7 +28,7 @@ from .derivation import Derivation
 from .dirac import gauge_transform, same_span_at
 from .reports import CheckResult, failed, passed
 from .rings import Poly, RationalFn
-from .sampling import Point, PointwiseRun, VerificationError, format_point, sweep
+from .sampling import Point, PointwiseRun, VerificationError, format_point, sweep, verdict
 from .tensors import (
     Chart,
     DifferentialForm,
@@ -48,13 +48,13 @@ MODES = ("compatible", "locally-hamiltonian", "hamiltonian")
 def _verify_at(
     points: List[Point], probe: Callable[[Point], bool], check: str, what: str
 ) -> PointwiseRun:
-    """Sweep an identity at points; a failing point, then a short run, raise for `check`."""
+    """Sweep an identity at points; a check the sweep rule fails raises for `check`."""
     run, first_fail = sweep(points, probe)
-    if first_fail is not None:
-        raise VerificationError(check, f"{what} at {format_point(first_fail)}")
-    short = run.shortfall()
-    if short is not None:
-        raise VerificationError(check, short)
+    failure = None if first_fail is None else failed(
+        check, witness=f"{what} at {format_point(first_fail)}")
+    result = verdict(check, run, failure, {})
+    if not result.passed:
+        raise VerificationError(check, result.witness)
     return run
 
 

@@ -1,10 +1,10 @@
 """File-driven command line: verify, average, and gauge coupling models.
 
-Commands read a model file (or a bundled fixture by name), run the matching
-verification pipeline, and emit a human summary on stdout plus an optional
-machine report.  Machine reports are canonical JSON (sorted keys, checks
-ordered by identifier then insertion) so identical inputs give identical
-bytes.  Exit codes: 0 all checks passed, 1 a check failed (an internal
+Commands read a model file (or a bundled fixture by name), run their
+stages in order (``COMMANDS``, named in ``_STAGES``), and emit a human
+summary on stdout plus an optional machine report.  Machine reports are
+canonical JSON (sorted keys, checks ordered by identifier then insertion)
+so identical inputs give identical bytes.  Exit codes: 0 all checks passed, 1 a check failed (an internal
 verification error reports the check it breaks), 2 usage or parse problems.
 """
 
@@ -17,68 +17,30 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import replace
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fixtures
 from .averaging import (
-    AveragingResult,
-    adiabatic_check,
-    average_coupling,
-    check_compatibility,
-    gauge_poisson,
-    tr4_check,
+    adiabatic_check, average_coupling, check_compatibility, gauge_poisson, tr4_check,
 )
 from .derivation import Derivation
 from .dirac import (
-    gauge_transform,
-    graph_of_bivector,
-    involutivity_check,
-    same_span_at,
-    coupling_test,
+    coupling_test, gauge_transform, graph_of_bivector, involutivity_check, same_span_at,
 )
 from .linalg import Jets
 from .modelspec import (
-    ModelSpec,
-    SpecError,
-    _ratfn_literal,
-    _tensor_literal,
-    parse_spec,
-    serialize_spec,
+    ModelSpec, SpecError, _ratfn_literal, _tensor_literal, parse_spec, serialize_spec,
 )
 from .moser import (
-    FlowConfig,
-    NumericEvaluator,
-    flow_and_verify,
-    homotopy_residuals,
-    z_batch,
+    FlowConfig, NumericEvaluator, flow_and_verify, flow_points, homotopy_check, leaf_check,
 )
 from .reports import CheckResult, failed, passed
 from .rings import _zmul, _zpi, dot, equal_products, over_one, qpi
-from .sampling import (
-    Point,
-    PointwiseRun,
-    VerificationError,
-    format_point,
-    sample_box,
-    sweep,
-)
+from .sampling import Point, VerificationError, format_point, sample_box, sweep, verdict
 from .tensors import MultivectorField, schouten_bracket
 
-FLOW_TOL = 1e-6
-LEAF_TOL = 1e-12
-
-COMMANDS = (
-    "check-jacobi",
-    "check-structure",
-    "average",
-    "gauge",
-    "dirac-verify",
-    "adiabatic",
-    "moser-verify",
-    "full-pipeline",
-)
 
 def _error_check(exc: ArithmeticError) -> CheckResult:
     check = exc.check if isinstance(exc, VerificationError) else "internal"
@@ -102,10 +64,6 @@ def _resolve_spec(arg: str) -> Tuple[str, Optional[str]]:
     if not os.path.exists(arg) and os.sep not in arg and arg in fixtures.FIXTURES:
         return str(fixtures.fixture_path(arg)), arg
     return arg, None
-
-
-def _points(spec: ModelSpec, args: argparse.Namespace) -> List[Point]:
-    return sample_box(spec.chart, spec.get_box(args.box), args.samples, args.seed)
 
 
 def _source(spec: ModelSpec, d: Derivation):
@@ -156,46 +114,35 @@ def _tag(checks: Sequence[CheckResult], stage: str) -> List[CheckResult]:
     return list(checks)
 
 
-def _averaged_spec(spec: ModelSpec, res: AveragingResult) -> ModelSpec:
-    """The averaged configuration as a model that parses and round-trips."""
-    tensors: Dict[str, object] = {
-        "sigma": res.data.sigma,
-        "p": res.data.p,
-        "theta": res.theta,
-        "q": res.q,
-    }
-    if res.poisson is not None:
-        tensors["pi"] = res.poisson.pi
-    return ModelSpec(
-        chart=spec.chart,
-        tensors=tensors,
-        scalars={},
-        foliation=res.data.conn.fol,
-        connection=res.data.conn,
-        action=spec.action,
-        certificate_mode=spec.certificate_mode,
-        certificate_j=spec.certificate_j,
-        certificate_mu=spec.certificate_mu,
-        boxes=spec.boxes,
-        seed=spec.seed,
-        samples=spec.samples,
-    )
+def _averaged(spec: ModelSpec, d: Derivation, points: Optional[List[Point]]):
+    """Structure check, certificate and averaging; returns (checks, result).
 
-
-def _averaging_summary(res: AveragingResult) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "gamma_bar": [[_ratfn_literal(x) for x in row] for row in res.data.conn.gamma],
-        "sigma_bar": _tensor_literal(res.data.sigma),
-        "p": _tensor_literal(res.data.p),
-        "theta": _tensor_literal(res.theta),
-        "q": _tensor_literal(res.q),
-    }
-    if res.poisson is not None:
-        out["pi_bar"] = _tensor_literal(res.poisson.pi)
-    return out
-
-
-# -- command bodies ---------------------------------------------------------
+    The result is None when a check stops the averaging.  The averaged
+    structure results are the ones the averaging computed on the averaged
+    data.  With points, GT1 also checks the frame spans at them.
+    """
+    checks: List[CheckResult] = []
+    gd, se = _source(spec, d)
+    checks.extend(_tag(se, "input"))
+    if any(not c.passed for c in se):
+        return checks, None
+    cert, cert_failures = _certificate(spec, d)
+    if not cert.verified:
+        checks.extend(cert_failures)
+        return checks, None
+    try:
+        res = average_coupling(gd, cert, points=points, derivation=d)
+    except ArithmeticError as exc:
+        checks.append(_error_check(exc))
+        return checks, None
+    checks.append(passed("OB3", route="connection average vs gauge shift"))
+    checks.append(passed("OB1", route="2-form average vs gauge formula"))
+    if points is not None:
+        checks.append(
+            passed("GT1", route="frame span of gauge transform", points=len(points))
+        )
+    checks.extend(_tag(d.structure(res.data)[1], "averaged"))
+    return checks, res
 
 
 def _jacobi_checks(
@@ -264,85 +211,108 @@ def _jacobi_checks(
 
     run, _first = sweep(points, probe)
     counts = {"points_used": run.usable, "points_skipped": run.total - run.usable}
-    witness = bad.get("witness") or run.shortfall()
-    if witness is not None:
-        checks.append(failed("JAC-route", witness=witness, **counts))
-    else:
-        checks.append(passed("JAC-route", **counts))
+    witness = bad.get("witness")
+    failure = None if witness is None else failed("JAC-route", witness=witness, **counts)
+    checks.append(verdict("JAC-route", run, failure, counts))
     return checks
 
 
-def _cmd_check_jacobi(spec, args, d):
-    pi, jac = _bivector(spec, d)
-    pts = _points(spec, args)
-    return _jacobi_checks(pi, jac, pts), {}
+# -- stages -----------------------------------------------------------------
+# A stage(spec, args, d, done) finds the results of the stages before it in
+# done, by stage name, adds its own, and returns (checks, report fields);
+# fields of None end the command, as what later stages need is missing.
+
+Args = argparse.Namespace
+Done = Dict[str, object]
+Stage = Tuple[List[CheckResult], Optional[Dict[str, object]]]
 
 
-def _cmd_check_structure(spec, args, d):
-    _gd, results = _source(spec, d)
-    return results, {}
+def _sample(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """The sample points of the pointwise checks."""
+    done["sample"] = sample_box(spec.chart, spec.get_box(args.box), args.samples, args.seed)
+    return [], {}
 
 
-def _run_average(spec, args, pts, d):
-    """Shared pipeline: structure check, certificate, averaging.
+def _model_bivector(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """The model's bivector and, when known, its Jacobiator."""
+    done["bivector"] = _bivector(spec, d)
+    return [], {}
 
-    The averaged structure results are the ones the averaging computed on
-    the averaged data.
+
+def _jacobi(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """JAC and JAC-route on the model's bivector."""
+    return _jacobi_checks(*done["bivector"], done["sample"]), {}
+
+
+def _structure(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """SE1-SE3 on the model's coupling data."""
+    return _source(spec, d)[1], {}
+
+
+def _average(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """Averaging, with GT1's frame spans at the sample points.
+
+    Its averaged data give the Dirac frame, and its averaged bivector, with
+    Theta and the foliation, the gauge pair that TR4 checks.
     """
-    checks: List[CheckResult] = []
-    gd, se = _source(spec, d)
-    checks.extend(_tag(se, "input"))
-    if any(not c.passed for c in se):
+    checks, res = _averaged(spec, d, done["sample"])
+    if res is None:
         return checks, None
-    cert, cert_failures = _certificate(spec, d)
-    if not cert.verified:
-        checks.extend(cert_failures)
-        return checks, None
-    try:
-        res = average_coupling(gd, cert, points=pts, derivation=d)
-    except ArithmeticError as exc:
-        checks.append(_error_check(exc))
-        return checks, None
-    checks.append(passed("OB3", route="connection average vs gauge shift"))
-    checks.append(passed("OB1", route="2-form average vs gauge formula"))
-    if pts is not None:
-        checks.append(
-            passed("GT1", route="frame span of gauge transform", points=len(pts))
-        )
-    checks.extend(_tag(d.structure(res.data)[1], "averaged"))
-    return checks, res
+    done["average"] = res
+    done["frame"] = (d.dirac(res.data), res.data.conn)
+    if res.poisson is not None:
+        done["gauged"] = (res.poisson.pi, res.theta, res.data.conn.fol)
+    return checks, {}
 
 
-def _cmd_average(spec, args, d):
-    pts = _points(spec, args)
-    checks, res = _run_average(spec, args, pts, d)
-    extra: Dict[str, object] = {}
-    if res is not None:
-        extra = _averaging_summary(res)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(serialize_spec(_averaged_spec(spec, res)))
-    return checks, extra
+def _summary(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """The averaged connection and tensors as report fields."""
+    res = done["average"]
+    out: Dict[str, object] = {
+        "gamma_bar": [[_ratfn_literal(x) for x in row] for row in res.data.conn.gamma],
+        "sigma_bar": _tensor_literal(res.data.sigma),
+        "p": _tensor_literal(res.data.p),
+        "theta": _tensor_literal(res.theta),
+        "q": _tensor_literal(res.q),
+    }
+    if res.poisson is not None:
+        out["pi_bar"] = _tensor_literal(res.poisson.pi)
+    return [], out
 
 
-def _cmd_gauge(spec, args, d):
-    checks: List[CheckResult] = []
-    pi = _bivector(spec, d)[0]
-    pts = _points(spec, args)
+def _write_averaged(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """With --out, the averaged model, as a file that parses and round-trips."""
+    if args.out:
+        res = done["average"]
+        tensors = {"sigma": res.data.sigma, "p": res.data.p, "theta": res.theta, "q": res.q}
+        if res.poisson is not None:
+            tensors["pi"] = res.poisson.pi
+        averaged = replace(spec, tensors=tensors, scalars={}, foliation=res.data.conn.fol,
+                           connection=res.data.conn)
+        _write(args.out, serialize_spec(averaged))
+    return [], {}
+
+
+def _gauge(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """GT1: the exact gauge image of the model's bivector by d(Theta), and
+    its graph against the gauged graph at the points.
+
+    Theta is the model's, or averaging's, whose checks count only when they
+    stop it.
+    """
+    pi, pts = done["bivector"][0], done["sample"]
     theta = spec.tensors.get("theta")
     if theta is None:
-        _pre, res = _run_average(spec, args, None, d)
+        checks, res = _averaged(spec, d, None)
         if res is None:
-            checks.extend(_pre)
-            return checks, {}
+            return checks, None
         theta = res.theta
     b_form = d.gauge_form(theta)
     try:
         pi_bar = gauge_poisson(pi, b_form, points=pts, derivation=d)
     except (ValueError, ArithmeticError) as exc:
-        checks.append(failed("GT1", witness=str(exc)))
-        return checks, {}
-    checks.append(passed("GT1", route="exact inverse; antisymmetry and Jacobi hold"))
+        return [failed("GT1", witness=str(exc))], None
+    done["gauged"] = (pi_bar, theta, spec.foliation)
 
     gauged = gauge_transform(graph_of_bivector(pi), -b_form)
     bar_frame = graph_of_bivector(pi_bar)
@@ -351,216 +321,152 @@ def _cmd_gauge(spec, args, d):
         return same_span_at(bar_frame, gauged, p)
 
     run, first_fail = sweep(pts, probe)
-    short = run.shortfall()
-    if first_fail is not None:
-        checks.append(failed("GT1", point=format_point(first_fail),
-                             witness="gauged graph has a different span"))
-    elif short is not None:
-        checks.append(failed("GT1", witness=short, points=run.usable))
-    else:
-        checks.append(passed("GT1", route="graph span", points=run.usable))
-    if spec.foliation is not None:
-        checks.extend(tr4_check(pi, pi_bar, theta, spec.foliation, derivation=d))
-    return checks, {"pi_bar": _tensor_literal(pi_bar)}
+    failure = None if first_fail is None else failed(
+        "GT1", point=format_point(first_fail), witness="gauged graph has a different span")
+    return [
+        passed("GT1", route="exact inverse; antisymmetry and Jacobi hold"),
+        verdict("GT1", run, failure, {"points": run.usable}, route="graph span"),
+    ], {"pi_bar": _tensor_literal(pi_bar)}
 
 
-def _cmd_dirac_verify(spec, args, d):
-    checks: List[CheckResult] = []
-    pts = _points(spec, args)
+def _tr4(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """TR4 on the model's bivector and its gauge image, given a foliation."""
+    pi_bar, theta, fol = done.get("gauged", (None, None, None))
+    if fol is None:
+        return [], {}
+    return tr4_check(done["bivector"][0], pi_bar, theta, fol, derivation=d), {}
+
+
+def _model_frame(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """The model's Dirac frame: its coupling data's, structure-checked, or
+    its bivector's graph."""
     if spec.connection is not None and "sigma" in spec.tensors and "p" in spec.tensors:
         gd, se = _source(spec, d)
-        checks.extend(se)
         if any(not c.passed for c in se):
-            return checks, {}
-        frame = d.dirac(gd)
-        conn = gd.conn
-    else:
-        frame = graph_of_bivector(_bivector(spec, d)[0])
-        conn = None
-    checks.append(frame.validate_rank(pts))
-    checks.append(involutivity_check(frame, pts))
+            return se, None
+        done["frame"] = (d.dirac(gd), gd.conn)
+        return se, {}
+    done["frame"] = (graph_of_bivector(_bivector(spec, d)[0]), None)
+    return [], {}
+
+
+def _dirac(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """frame-rank, involutivity and, given a connection, coupling."""
+    (frame, conn), pts = done["frame"], done["sample"]
+    checks = [frame.validate_rank(pts), involutivity_check(frame, pts)]
     if conn is not None:
-        coup, _h = coupling_test(frame, conn, pts)
-        checks.append(coup)
+        checks.append(coupling_test(frame, conn, pts)[0])
     return checks, {}
 
 
-def _cmd_adiabatic(spec, args, d):
-    pts = _points(spec, args)
-    checks, res = _run_average(spec, args, pts, d)
-    if res is None:
-        return checks, {}
+def _adiabatic(
+    spec: ModelSpec, args: Args, d: Derivation, done: Done, *, detailed: bool
+) -> Stage:
+    """AD2, the adiabatic obstruction of the averaged data.
+
+    The detailed form needs a hamiltonian certificate with scalars j, and
+    records the obstruction in AD2's info and the report fields.  The bare
+    form runs only on a model with such a certificate.
+    """
+    if not detailed and (spec.certificate_mode != "hamiltonian" or spec.certificate_j is None):
+        return [], {}
     if spec.certificate_j is None:
         raise ValueError("adiabatic check needs a certificate with scalars j")
     try:
-        rep = adiabatic_check(res, spec.certificate_j)
+        rep = adiabatic_check(done["average"], spec.certificate_j)
     except ArithmeticError as exc:
-        checks.append(_error_check(exc))
-        return checks, {}
-    info = {
-        "dzeta_zero": rep.dzeta_zero,
-        "fiberwise_symplectic": rep.fiberwise_symplectic,
-        "exact": rep.exact,
-        "notes": rep.notes,
-    }
-    zeta_lit = [_tensor_literal(z) for z in rep.zeta]
+        return [_error_check(exc)], {}
+    zeta = [_tensor_literal(z) for z in rep.zeta]
+    info: Dict[str, object] = {}
+    fields: Dict[str, object] = {}
+    if detailed:
+        info = {"dzeta_zero": rep.dzeta_zero, "fiberwise_symplectic": rep.fiberwise_symplectic,
+                "exact": rep.exact, "notes": rep.notes}
+        fields = {"is_hamiltonian": rep.is_hamiltonian, "zeta": zeta,
+                  "potentials": [None if p is None else _ratfn_literal(p) for p in rep.potentials]}
     if rep.is_hamiltonian:
-        checks.append(passed("AD2", **info))
-    else:
-        checks.append(failed("AD2", witness={"zeta": zeta_lit}, **info))
-    extra = {
-        "is_hamiltonian": rep.is_hamiltonian,
-        "zeta": zeta_lit,
-        "potentials": [None if p is None else _ratfn_literal(p) for p in rep.potentials],
-    }
-    return checks, extra
+        return [passed("AD2", **info)], fields
+    return [failed("AD2", witness={"zeta": zeta}, **info)], fields
 
 
-def _inner_box(box):
-    """Starts for flow trajectories: the box shrunk by half about center."""
-    out = {}
-    for name, (lo, hi) in box.items():
-        mid = (lo + hi) / 2
-        rad = (hi - lo) / 4
-        out[name] = (mid - rad, mid + rad)
-    return out
+def _flow(spec: ModelSpec, args: Args, d: Derivation, done: Done) -> Stage:
+    """PD, ZS (given leaf points) and HR on the flow between the model's
+    bivector and its average.
 
-
-def _cmd_moser_verify(spec, args, d):
-    checks, res = _run_average(spec, args, None, d)
+    Of averaging's checks only the input structure checks are reported,
+    unless a check stops it.
+    """
+    checks, res = _averaged(spec, d, None)
     if res is None:
-        return checks, {}
-    checks = [c for c in checks if c.info.get("stage") == "input"]
-    pi = d.coupling(res.source).pi
+        return checks, None
     box = spec.get_box(args.box)
     probes = sample_box(spec.chart, box, 5, args.seed + 1)
-    ev = NumericEvaluator(pi, res.theta, box, probes=probes)
-
-    starts_frac = sample_box(spec.chart, _inner_box(box), args.samples, args.seed)
-    starts = [{k: float(v) for k, v in p.items()} for p in starts_frac]
-    leaf: List[Dict[str, float]] = []
-    if spec.foliation is not None:
-        fiber_names = [spec.chart.coords[i] for i in spec.foliation.fiber]
-        seen = set()
-        for p in starts:
-            q = dict(p)
-            for name in fiber_names:
-                q[name] = 0.0
-            key = tuple(sorted(q.items()))
-            if key not in seen and all(
-                float(box[c][0]) <= q[c] <= float(box[c][1]) for c in q
-            ):
-                seen.add(key)
-                leaf.append(q)
-
+    ev = NumericEvaluator(d.coupling(res.source).pi, res.theta, box, probes=probes)
+    starts, leaf = flow_points(spec.chart, box, args.samples, args.seed, spec.foliation)
     steps = args.steps if args.steps is not None else 1000
-    cfg = FlowConfig(points=starts, steps=steps, tolerance=FLOW_TOL, leaf_points=leaf)
-    rep = flow_and_verify(ev, cfg)
-    info = {
-        "max_deviation": rep.max_deviation,
-        "mean_deviation": rep.mean_deviation,
-        "aborted": rep.aborted,
-        "leaf_max_error": rep.leaf_max_error,
-        "steps": steps,
-        "points": len(starts),
-    }
-    if rep.ok:
-        checks.append(passed("PD", **info))
-    else:
-        checks.append(failed("PD", witness=rep.notes[:5], **info))
-
+    checks = [c for c in checks if c.info.get("stage") == "input"]
+    checks.append(flow_and_verify(ev, FlowConfig(points=starts, steps=steps, leaf_points=leaf)).check)
     if leaf:
-        import numpy as np
-
-        z, fails = z_batch(ev, 1.0, leaf)
-        zs_run = PointwiseRun(total=len(leaf), usable=len(leaf) - len(fails))
-        used = [row for row in range(len(leaf)) if row not in fails]
-        zmax = float(np.max(np.abs(z[used]))) if used else 0.0
-        counts = {"points_used": zs_run.usable, "points_skipped": len(fails)}
-        # a NaN max_z fails too
-        witness = zs_run.shortfall("leaf points") if zmax <= LEAF_TOL else {"max_z": zmax}
-        if witness is not None:
-            checks.append(failed("ZS", witness=witness, tolerance=LEAF_TOL, **counts))
-        else:
-            checks.append(passed("ZS", max_z=zmax, tolerance=LEAF_TOL, **counts))
-
-    times = [Fraction(k, 4) for k in range(5)]
-    hr_pts = starts[: min(10, len(starts))]
-    hr_run = PointwiseRun(total=len(times) * len(hr_pts), usable=0)
-    hr_max = 0.0
-    hr_bad = None
-    for t in times:
-        residuals, skipped = homotopy_residuals(ev, t, hr_pts)
-        for k, (p, r) in enumerate(zip(hr_pts, residuals)):
-            if k in skipped:
-                continue
-            hr_run.usable += 1
-            hr_max = max(hr_max, r)
-            # a NaN residual is not within the tolerance
-            if not r <= FLOW_TOL and hr_bad is None:
-                hr_bad = {"t": str(t), "point": {k: repr(v) for k, v in sorted(p.items())},
-                          "residual": r}
-    counts = {"pairs_used": hr_run.usable, "pairs_skipped": hr_run.total - hr_run.usable}
-    witness = hr_bad if hr_bad is not None else hr_run.shortfall("(t, point) pairs")
-    if witness is not None:
-        checks.append(failed("HR", witness=witness, tolerance=FLOW_TOL, **counts))
-    else:
-        checks.append(passed("HR", max_residual=hr_max, tolerance=FLOW_TOL, **counts))
+        checks.append(leaf_check(ev, leaf))
+    checks.append(homotopy_check(ev, starts))
     return checks, {}
 
 
-def _cmd_full_pipeline(spec, args, d):
-    pts = _points(spec, args)
-    pi, jac = _bivector(spec, d)
-    checks: List[CheckResult] = list(_jacobi_checks(pi, jac, pts))
-    more, res = _run_average(spec, args, pts, d)
-    checks.extend(more)
-    extra: Dict[str, object] = {}
-    if res is None:
-        return checks, extra
-    extra = _averaging_summary(res)
+_STAGES: Dict[str, Callable[..., Stage]] = {
+    "sample": _sample,
+    "bivector": _model_bivector,
+    "jacobi": _jacobi,
+    "structure": _structure,
+    "average": _average,
+    "summary": _summary,
+    "write": _write_averaged,
+    "gauge": _gauge,
+    "TR4": _tr4,
+    "model-frame": _model_frame,
+    "dirac": _dirac,
+    "adiabatic": functools.partial(_adiabatic, detailed=True),
+    "adiabatic-bare": functools.partial(_adiabatic, detailed=False),
+    "flow": _flow,
+}
 
-    frame = d.dirac(res.data)
-    checks.append(frame.validate_rank(pts))
-    checks.append(involutivity_check(frame, pts))
-    coup, _h = coupling_test(frame, res.data.conn, pts)
-    checks.append(coup)
-
-    if res.poisson is not None:
-        checks.extend(
-            tr4_check(pi, res.poisson.pi, res.theta, res.data.conn.fol, derivation=d)
-        )
-    if spec.certificate_mode == "hamiltonian" and spec.certificate_j is not None:
-        try:
-            rep = adiabatic_check(res, spec.certificate_j)
-        except ArithmeticError as exc:
-            checks.append(_error_check(exc))
-        else:
-            if rep.is_hamiltonian:
-                checks.append(passed("AD2"))
-            else:
-                checks.append(
-                    failed("AD2", witness={"zeta": [_tensor_literal(z) for z in rep.zeta]})
-                )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_spec(_averaged_spec(spec, res)))
-    return checks, extra
-
-
-_HANDLERS = {
-    "check-jacobi": _cmd_check_jacobi,
-    "check-structure": _cmd_check_structure,
-    "average": _cmd_average,
-    "gauge": _cmd_gauge,
-    "dirac-verify": _cmd_dirac_verify,
-    "adiabatic": _cmd_adiabatic,
-    "moser-verify": _cmd_moser_verify,
-    "full-pipeline": _cmd_full_pipeline,
+# each command's stages, in the order they run
+COMMANDS: Dict[str, Tuple[str, ...]] = {
+    "check-jacobi": ("bivector", "sample", "jacobi"),
+    "check-structure": ("structure",),
+    "average": ("sample", "average", "summary", "write"),
+    "gauge": ("bivector", "sample", "gauge", "TR4"),
+    "dirac-verify": ("sample", "model-frame", "dirac"),
+    "adiabatic": ("sample", "average", "adiabatic"),
+    "moser-verify": ("flow",),
+    "full-pipeline": ("sample", "bivector", "jacobi", "average", "summary", "dirac", "TR4",
+                      "adiabatic-bare", "write"),
 }
 
 
+def _run(spec: ModelSpec, args: Args) -> Tuple[List[CheckResult], Dict[str, object]]:
+    """The checks and report fields of the command's stages, run in order."""
+    d, done = Derivation(), {}
+    checks: List[CheckResult] = []
+    extra: Dict[str, object] = {}
+    for name in COMMANDS[args.command]:
+        more, fields = _STAGES[name](spec, args, d, done)
+        checks.extend(more)
+        if fields is None:
+            break
+        extra.update(fields)
+    return checks, extra
+
+
 # -- report emission --------------------------------------------------------
+
+
+def _write(path: str, text: str) -> None:
+    """Write a file an option names; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(args, command: str, checks: List[CheckResult], extra: Dict[str, object]) -> int:
@@ -579,8 +485,7 @@ def _emit(args, command: str, checks: List[CheckResult], extra: Dict[str, object
         payload["result"] = extra
     text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.report, text)
     if args.format == "json-like":
         sys.stdout.write(text)
     else:
@@ -619,7 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.samples is not None and args.samples < 1:
+        parser.error("argument --samples: must be a positive integer")
     path, name = _resolve_spec(args.spec)
     try:
         spec = parse_spec(path)
@@ -637,22 +545,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.samples = 20 if args.command == "moser-verify" else spec.samples
     try:
         # an unknown --box is a usage error even for commands that never sample
-        if args.box is not None:
-            spec.get_box(args.box)
-        # the objects this request derives, each derived once
-        checks, extra = _HANDLERS[args.command](spec, args, Derivation())
-    except SpecError as exc:
-        for loc, msg in exc.diagnostics:
-            print(f"error: {loc}: {msg}", file=sys.stderr)
-        return 2
-    except StructureFailure as exc:
-        checks, extra = exc.checks, {}
-    except (ValueError, KeyError) as exc:
+        spec.get_box(args.box)
+    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        checks, extra = [_error_check(exc)], {}
-    return _emit(args, args.command, checks, extra)
+    try:
+        try:
+            checks, extra = _run(spec, args)
+        except StructureFailure as exc:
+            checks, extra = exc.checks, {}
+        except ArithmeticError as exc:
+            checks, extra = [_error_check(exc)], {}
+        return _emit(args, args.command, checks, extra)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Value
-from .reports import CheckResult, failed, passed
+from .reports import CheckResult, failed
 from .rings import Poly, RationalFn, cleared_row, pi_powers
-from .sampling import Point, PointwiseRun, format_point, sweep
+from .sampling import Point, PointwiseRun, format_point, sweep, verdict
 from .tensors import (
     Chart, DifferentialForm, MultivectorField, d_scalar, exterior_derivative, interior_product,
     lie_derivative, one_form, sharp_bivector, vf_bracket,
@@ -142,14 +142,10 @@ class DiracFrame:
 def _verdict(
     check: str, run: PointwiseRun, first_fail: Optional[Point], **fail_info: object
 ) -> CheckResult:
-    """A sweep's check: its failing point first, then the 80% rule."""
-    if first_fail is not None:
-        return failed(check, point=format_point(first_fail), usable=run.usable, **fail_info)
-    counts = {"usable": run.usable, "total": run.total}
-    short = run.shortfall()
-    if short is not None:
-        return failed(check, witness=short, **counts)
-    return passed(check, **counts)
+    """A frame sweep's check by the sweep rule, with its failing point."""
+    failure = None if first_fail is None else failed(
+        check, point=format_point(first_fail), usable=run.usable, **fail_info)
+    return verdict(check, run, failure, {"usable": run.usable, "total": run.total})
 
 
 def graph_of_bivector(pi: MultivectorField) -> DiracFrame:

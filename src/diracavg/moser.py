@@ -11,6 +11,9 @@ finite-difference Jacobians.  D(t) = det(Id + t dTheta# Pi#), Z_t's
 numerator N(t) and the exact Pi_t# come from one Faddeev-LeVerrier
 recursion.  One stage routine, on points held as columns, gives Z_t to
 the flow and to z_batch, and guards the float Pi_t# on the compiled D(t).
+The checks of moser-verify are decided here: PD by ``flow_and_verify``,
+ZS by ``leaf_check`` and HR by ``homotopy_check``, each by the sweep rule
+of ``sampling.verdict``.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .config import PI
+from .reports import CheckResult, failed
 from .rings import Poly, RationalFn
-from .sampling import Box
+from .sampling import Box, PointwiseRun, sample_box, verdict
 from .tensors import (
     Chart,
     DifferentialForm,
@@ -34,6 +38,14 @@ from .tensors import (
     sharp_matrix,
     vector_field,
 )
+
+if TYPE_CHECKING:
+    from .coupling import Foliation
+
+# PD's deviation and HR's residual may reach FLOW_TOL; Z_1 on the fixed
+# leaf, LEAF_TOL
+FLOW_TOL = 1e-6
+LEAF_TOL = 1e-12
 
 
 class GuardError(ArithmeticError):
@@ -689,7 +701,7 @@ class FlowConfig:
 
     points: List[Dict[str, float]]
     steps: int = 1000
-    tolerance: float = 1e-6
+    tolerance: float = FLOW_TOL
     jacobian_step: float = 1e-5
     leaf_points: List[Dict[str, float]] = field(default_factory=list)
 
@@ -785,8 +797,12 @@ class FlowReport:
     mean_deviation: float
     leaf_max_error: Optional[float]
     aborted: int
-    ok: bool
+    check: CheckResult
     notes: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.check.passed
 
 
 def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
@@ -799,6 +815,8 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     runs in one batch: each point with its 2n central-difference offsets,
     then the leaf points.  A point aborts if any of its 2n + 1 rows does;
     leaf points count one by one.  More than 10% aborted fails the run.
+    The report's ``check`` is PD, by the sweep rule over the start points,
+    so a run with none fails.
     """
     n = ev.chart.dim
     h = cfg.jacobian_step
@@ -867,4 +885,63 @@ def flow_and_verify(ev: NumericEvaluator, cfg: FlowConfig) -> FlowReport:
     ok = not over and max_dev <= cfg.tolerance
     ok = ok and (leaf_max is None or leaf_max <= cfg.tolerance)
     mean_dev = (sum(devs) / len(devs)) if devs else 0.0
-    return FlowReport(outcomes, max_dev, mean_dev, leaf_max, aborted, ok, notes)
+    info = {"max_deviation": max_dev, "mean_deviation": mean_dev, "aborted": aborted,
+            "leaf_max_error": leaf_max, "steps": cfg.steps, "points": len(cfg.points)}
+    failure = None if ok else failed("PD", witness=notes[:5], **info)
+    run = PointwiseRun(total=len(cfg.points), usable=len(devs))
+    check = verdict("PD", run, failure, info, "start points")
+    return FlowReport(outcomes, max_dev, mean_dev, leaf_max, aborted, check, notes)
+
+
+def flow_points(
+    chart: Chart, box: Box, samples: int, seed: int, fol: Optional["Foliation"]
+) -> Tuple[List[Dict[str, float]], List[Dict[str, float]]]:
+    """The flow's start points, drawn from the box shrunk by half about its
+    center, and on a foliated model its leaf points: the distinct
+    projections of the starts to the zero fiber that lie in the box."""
+    inner = {c: ((3 * lo + hi) / 4, (lo + 3 * hi) / 4) for c, (lo, hi) in box.items()}
+    starts = [{k: float(v) for k, v in p.items()} for p in sample_box(chart, inner, samples, seed)]
+    leaf: Dict[Tuple[Tuple[str, float], ...], Dict[str, float]] = {}
+    if fol is not None:
+        zero = dict.fromkeys((chart.coords[i] for i in fol.fiber), 0.0)
+        for q in ({**p, **zero} for p in starts):
+            if all(float(box[c][0]) <= q[c] <= float(box[c][1]) for c in q):
+                leaf.setdefault(tuple(sorted(q.items())), q)
+    return starts, list(leaf.values())
+
+
+def leaf_check(ev: NumericEvaluator, leaf: Sequence[FloatPoint]) -> CheckResult:
+    """ZS: Z_1 vanishes at the leaf points, to LEAF_TOL; a point where it
+    cannot be evaluated is skipped."""
+    z, fails = z_batch(ev, 1.0, leaf)
+    run = PointwiseRun(total=len(leaf), usable=len(leaf) - len(fails))
+    used = [row for row in range(len(leaf)) if row not in fails]
+    zmax = float(np.max(np.abs(z[used]))) if used else 0.0
+    info = {"tolerance": LEAF_TOL, "points_used": run.usable, "points_skipped": len(fails)}
+    # a NaN max_z fails too
+    failure = None if zmax <= LEAF_TOL else failed("ZS", witness={"max_z": zmax}, **info)
+    return verdict("ZS", run, failure, info, "leaf points", max_z=zmax)
+
+
+def homotopy_check(ev: NumericEvaluator, starts: Sequence[FloatPoint]) -> CheckResult:
+    """HR: the homotopy residual stays within FLOW_TOL at t = 0, 1/4, ..., 1
+    and the first ten starts; a pair where a side fails is skipped."""
+    times = [Fraction(k, 4) for k in range(5)]
+    points = starts[:10]
+    run = PointwiseRun(total=len(times) * len(points), usable=0)
+    top = 0.0
+    bad = None
+    for t in times:
+        residuals, skipped = homotopy_residuals(ev, t, points)
+        for k, (p, r) in enumerate(zip(points, residuals)):
+            if k in skipped:
+                continue
+            run.usable += 1
+            top = max(top, r)
+            # a NaN residual is not within the tolerance
+            if not r <= FLOW_TOL and bad is None:
+                bad = {"t": str(t), "point": {k: repr(v) for k, v in sorted(p.items())},
+                       "residual": r}
+    info = {"tolerance": FLOW_TOL, "pairs_used": run.usable, "pairs_skipped": run.total - run.usable}
+    failure = None if bad is None else failed("HR", witness=bad, **info)
+    return verdict("HR", run, failure, info, "(t, point) pairs", max_residual=top)

@@ -2,11 +2,11 @@
 
 Pointwise checks evaluate exact tensors at rational points drawn from a
 seeded generator.  Points where a denominator vanishes (or a frame loses
-rank) are skipped with a notice.  A run needs at least 80% usable points:
-``PointwiseRun.shortfall`` decides that rule for every pointwise check and
-writes the witness of a run that misses it.  A failing point takes
-precedence over a short run.  Library calls that verify an identity at
-points raise ``VerificationError`` carrying the check it breaks.
+rank) are skipped with a notice.  Every pointwise check reaches its
+verdict by one rule, ``verdict``: a failing point or witness first, then
+``PointwiseRun.shortfall``, which needs at least 80% of the run usable.
+Library calls that verify an identity at points raise
+``VerificationError`` carrying the check it breaks.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from .reports import CheckResult, failed, passed
 from .tensors import Chart
 
 log = logging.getLogger("diracavg")
@@ -78,13 +79,31 @@ class PointwiseRun:
         return f"only {self.usable}/{self.total} {unit} usable"
 
 
+def verdict(
+    check: str,
+    run: PointwiseRun,
+    failure: Optional[CheckResult],
+    info: Mapping[str, object],
+    unit: str = "sample points",
+    **pass_info: object,
+) -> CheckResult:
+    """A sweep's check: ``failure``, the check its first failing point or
+    witness writes, if any; else the 80% rule, failing with the shortfall as
+    witness or passing.  Both carry ``info``, and a pass ``pass_info`` too."""
+    if failure is not None:
+        return failure
+    short = run.shortfall(unit)
+    if short is not None:
+        return failed(check, witness=short, **info)
+    return passed(check, **info, **pass_info)
+
+
 def sweep(points: List[Point], probe: Callable[[Point], bool]) -> Tuple[PointwiseRun, Optional[Point]]:
     """Run probe at each point; returns (run stats, first failing point).
 
     The probe returns True/False for pass/fail and raises ZeroDivisionError
     (or ArithmeticError) to mark the point degenerate.  Degenerate points are
-    skipped with a notice; the caller applies the 80% rule through
-    ``run.shortfall`` after looking at the failing point.
+    skipped with a notice; the caller judges the run by ``verdict``.
     """
     run = PointwiseRun(total=len(points), usable=0)
     first_fail: Optional[Point] = None

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracavg import averaging, cli, coupling, linalg, tensors
+from diracavg import averaging, cli, coupling, linalg, moser, tensors
 from diracavg.config import PI
 from diracavg.dirac import DiracFrame
 from diracavg.fixtures import fixture_path
@@ -163,7 +163,7 @@ def test_moser_verify_small_run(capsys):
 
 
 def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
-    real = cli.homotopy_residuals
+    real = moser.homotopy_residuals
 
     def guarded(ev, t, points):
         # every time after t = 0 trips the guard: 3 of 15 pairs stay usable
@@ -181,7 +181,7 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
     assert code == 0
     hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
     assert (hr["info"]["pairs_used"], hr["info"]["pairs_skipped"]) == (15, 0)
-    monkeypatch.setattr(cli, "homotopy_residuals", guarded)
+    monkeypatch.setattr(moser, "homotopy_residuals", guarded)
     code, out, _ = _run(capsys, *argv)
     assert code == 1
     hr = [c for c in json.loads(out)["checks"] if c["check"] == "HR"][0]
@@ -194,7 +194,7 @@ def test_moser_verify_fails_hr_when_most_pairs_are_skipped(capsys, monkeypatch):
 def test_moser_verify_fails_hr_on_a_nan_residual(capsys, monkeypatch, pair):
     # Python's max drops a NaN, and a NaN compares below the tolerance; the
     # first and a later (t, point) pair are both checked
-    real = cli.homotopy_residuals
+    real = moser.homotopy_residuals
     calls = []
 
     def nan_residual(ev, t, points):
@@ -204,7 +204,7 @@ def test_moser_verify_fails_hr_on_a_nan_residual(capsys, monkeypatch, pair):
         calls.append(t)
         return out, fails
 
-    monkeypatch.setattr(cli, "homotopy_residuals", nan_residual)
+    monkeypatch.setattr(moser, "homotopy_residuals", nan_residual)
     code, out, _ = _run(capsys, "moser-verify", "--spec", "transversal_leaf", "--samples", "3",
                         "--steps", "150", "--format", "json-like")
     assert code == 1
@@ -215,7 +215,7 @@ def test_moser_verify_fails_hr_on_a_nan_residual(capsys, monkeypatch, pair):
 
 
 def test_moser_verify_skips_bad_leaf_points(capsys, monkeypatch):
-    real = cli.z_batch
+    real = moser.z_batch
     bad_rows = set()
 
     def failing(ev, t, points):
@@ -224,7 +224,7 @@ def test_moser_verify_skips_bad_leaf_points(capsys, monkeypatch):
             fails[row] = (1, ZeroDivisionError("denominator vanished for component (0, 1)"))
         return z, fails
 
-    monkeypatch.setattr(cli, "z_batch", failing)
+    monkeypatch.setattr(moser, "z_batch", failing)
     argv = ("moser-verify", "--spec", "transversal_leaf", "--samples", "5",
             "--steps", "150", "--format", "json-like")
     for rows, code_want, used, status in (({0}, 0, 4, "pass"), ({0, 3}, 1, 3, "fail")):
@@ -577,6 +577,41 @@ def test_unknown_box_is_a_usage_error(capsys):
     code, _, err = _run(capsys, "check-structure", "--spec", "flat", "--box", "huge")
     assert code == 2
     assert "no box named" in err or "error" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_sample_count_below_one_is_a_usage_error(capsys, count):
+    # as in a model file, where samples must be a positive integer
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-jacobi", "--spec", "flat", "--samples", count])
+    assert exc.value.code == 2
+    assert "argument --samples: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--report", "--out"])
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, option):
+    path = tmp_path / "missing" / "file.json"
+    code, out, err = _run(capsys, "average", "--spec", "flat", "--samples", "4", option, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_a_key_error_inside_a_stage_is_not_a_usage_error(capsys, monkeypatch):
+    # only an unknown --box is a usage error by KeyError; a bug elsewhere
+    # must not pass for one
+    def broken(frame, points):
+        raise KeyError("section 7")
+
+    monkeypatch.setattr(cli, "involutivity_check", broken)
+    with pytest.raises(KeyError):
+        cli.main(["dirac-verify", "--spec", "flat", "--samples", "3"])
+    assert capsys.readouterr().err == ""
+
+
+def test_the_readme_lists_the_stages_of_each_command():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, stages in cli.COMMANDS.items():
+        assert f"| `{command}` | " + ", ".join(f"`{s}`" for s in stages) + " |" in readme
 
 
 def test_argparse_usage_errors_exit_two(capsys):

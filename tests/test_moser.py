@@ -293,7 +293,7 @@ def _torus():
     """The torus model's evaluator and box, as moser-verify builds them."""
     spec = parse_spec(str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "torus.json"))
     d = Derivation()
-    _checks, res = cli._run_average(spec, None, None, d)
+    _checks, res = cli._averaged(spec, d, None)
     box = spec.get_box(None)
     ev = NumericEvaluator(d.coupling(res.source).pi, res.theta, box, sample_box(spec.chart, box, 5, 1))
     return ev, box
@@ -388,6 +388,17 @@ def test_flow_intertwines_the_endpoint_bivectors():
     assert rep.aborted == 0
     assert rep.max_deviation <= 1e-6
     assert rep.leaf_max_error is not None and rep.leaf_max_error <= 1e-9
+
+
+def test_a_flow_with_no_start_points_fails_pd():
+    # PD's evidence is its start points: none is not a pass
+    spec, res, pi, box, ev = _setup()
+    leaf = [{"x1": 0.15, "x2": -0.1, "y1": 0.0, "y2": 0.0}]
+    for cfg in (FlowConfig(points=[]), FlowConfig(points=[], steps=200, leaf_points=leaf)):
+        rep = flow_and_verify(ev, cfg)
+        assert not rep.ok and rep.aborted == 0
+        assert rep.check.check == "PD" and rep.check.status == "fail"
+        assert rep.check.witness == "only 0/0 start points usable"
 
 
 def _flow_with_a_nan_end(monkeypatch, ev, cfg, row):
